@@ -10,7 +10,11 @@ an (n_quad+1)-point Gauss-Lobatto rule whose Jacobi weight absorbs the
 kernel singularity; the integrand's RHS values at quadrature times come
 from Lagrange interpolation on ``n_interp`` neighbouring grid nodes, which
 makes ``n_interp`` the design convergence order.  Cost per step does not
-grow with the step index, so a whole solve is O(steps).
+grow with the step index, so a whole solve is O(steps): the quadrature
+positions and stencil weights depend only on the step index, so they are
+precomputed in blocks of consecutive steps, and a step's work is two
+gathered dot products (predictor and corrector) over those weights plus
+the right-hand-side calls.
 
 The first ``n_interp`` grid values come from a product-trapezoidal
 predictor-corrector (fractional Adams) run on a refined auxiliary grid.
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import GaussLobattoRule, gauss_lobatto
 from .specfun import rgamma
@@ -243,33 +248,33 @@ def _bary_weights(n_points: int) -> np.ndarray:
     )
 
 
-def _stencil_interp(
-    fs: np.ndarray,
-    r: np.ndarray,
-    last: int,
-    n_points: int,
-    bw: np.ndarray,
-) -> np.ndarray:
-    """Interpolate uniform-grid samples ``fs`` at real grid coordinates ``r``.
+def _lagrange_weights(
+    r: np.ndarray, last: int | np.ndarray, n_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil starts and Lagrange weights for uniform-grid coordinates ``r``.
 
     Stencils are ``n_points`` consecutive indices within [0, last], centred
     on each target as nearly as possible (ties toward earlier nodes);
     targets beyond ``last`` are extrapolated from the clamped stencil.
+    ``last`` broadcasts against ``r``.  Returns ``i0`` of ``r``'s shape and
+    weights ``l`` with one more trailing axis of length ``n_points``, so the
+    interpolant at ``r[...]`` is ``l[...] @ f[i0[...] : i0[...] + n_points]``.
+    A target within 1e-9 of a node gets a one-hot row: it returns the sample.
     """
-    ideal = r - 0.5 * (n_points - 1)
-    i0 = np.ceil(ideal - 0.5).astype(int)
-    np.clip(i0, 0, last - n_points + 1, out=i0)
-    cols = i0[:, None] + np.arange(n_points)[None, :]
-    d = r[:, None] - cols
-    fv = fs[cols]
+    i0 = np.ceil((r - 0.5 * (n_points - 1)) - 0.5).astype(int)
+    np.maximum(i0, 0, out=i0)
+    np.minimum(i0, np.asarray(last) - n_points + 1, out=i0)
+    # r - i0 is exact (integer i0 <= r), so lw holds r - (i0 + j) exactly
+    x = r - i0
+    lw = x[..., None] - np.arange(n_points)
     with np.errstate(divide="ignore", invalid="ignore"):
-        wd = bw / d
-        out = (wd * fv).sum(axis=1) / wd.sum(axis=1)
-    hit = np.abs(d) < 1e-9
-    rows = np.nonzero(hit.any(axis=1))[0]
-    if rows.size:
-        out[rows] = fv[rows, np.abs(d[rows]).argmin(axis=1)]
-    return out
+        np.divide(_bary_weights(n_points), lw, out=lw)
+        lw /= lw.sum(axis=-1, keepdims=True)
+    node = np.rint(x)
+    hit = (np.abs(x - node) < 1e-9) & (node < n_points)
+    if hit.any():
+        lw[hit] = np.arange(n_points) == node[hit][:, None]
+    return i0, lw
 
 
 def interpolate_values(
@@ -304,9 +309,8 @@ def interpolate_values(
         )
     if not times[0] - 1e-9 * tau <= s <= times[-1] + 1e-9 * tau:
         raise ValueError(f"s={s} outside the covered range [{times[0]}, {times[-1]}]")
-    r = np.array([(s - times[0]) / tau])
-    out = _stencil_interp(values, r, len(times) - 1, n_points, _bary_weights(n_points))
-    return float(out[0])
+    i0, lw = _lagrange_weights(np.array([(s - times[0]) / tau]), len(times) - 1, n_points)
+    return float(lw[0] @ values[i0[0]:i0[0] + n_points])
 
 
 # ---------------------------------------------------------------------------
@@ -399,58 +403,114 @@ def starting_values(
 # ---------------------------------------------------------------------------
 # The predictor-corrector step
 
+#: Consecutive steps whose quadrature stencils and weights are built in one
+#: vectorised pass.  Larger blocks amortise the build over more steps, but
+#: every step of a block holds 2 (n_quad+1) n_interp weights, plus the
+#: build's temporaries, which sets the solve's peak memory at small M.
+_BLOCK = 16
+
+#: Largest lam * (t - t_ref) a block may reach before the scaled history is
+#: rebased onto the block's first time.  The margin below the double range
+#: (exp overflows past ~709) leaves room for the block's own span.
+_REBASE_EXPONENT = 300.0
+
 
 class _Stepper:
     """Per-solve state for the Jacobi predictor-corrector iteration.
 
     Interpolation acts on the exponentially scaled samples
-    ``g_i = e^{lam (t_i - a)} f(t_i, u_i)`` (the integrand of the Volterra
-    kernel, which is the quantity whose smoothness sets the scheme's order);
-    the tempering factor is restored exactly afterwards.
+    ``g_i = e^{lam (t_i - t_ref)} f(t_i, u_i)`` (the integrand of the
+    Volterra kernel, which is the quantity whose smoothness sets the
+    scheme's order); the tempering factor is restored exactly afterwards.
+    ``t_ref`` starts at ``a`` (or the given time) and moves forward, with the
+    history in ``gs`` rescaled, whenever the next block of steps would take
+    the exponent past ``_REBASE_EXPONENT``.
+
+    Quadrature over ``[t_origin, t_n]`` uses the Jacobi-weight rule; the
+    origin is grid index ``origin`` (0, or the split point), and ``history``
+    holds ``(nodes, weights, f)`` of the unit-weight rule over ``[a, t0]``
+    for the split scheme.  Each step's quadrature positions and stencils
+    depend only on the step index, so they are built ``_BLOCK`` steps at a
+    time as stencil starts plus combined weights ``w_q l_{q,k}``; a step is
+    then one gathered dot product for the predictor and one per corrector
+    iteration.
     """
 
-    def __init__(self, problem: Problem, config: SolverConfig, rule: GaussLobattoRule | None = None):
+    def __init__(
+        self,
+        problem: Problem,
+        config: SolverConfig,
+        origin: int = 0,
+        history: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        rule: GaussLobattoRule | None = None,
+        t_ref: float | None = None,
+    ):
         self.problem = problem
         self.config = config
         self.rule = rule or gauss_lobatto(problem.alpha - 1.0, 0.0, config.n_quad)
-        self.bw = _bary_weights(config.n_interp)
         self.tau = (problem.b - problem.a) / config.steps
         self.rga = rgamma(problem.alpha)
-        # split-phase context, installed by solve_split
-        self.hist_nodes: np.ndarray | None = None
-        self.hist_weights: np.ndarray | None = None
-        self.hist_f: np.ndarray | None = None
+        self.origin = origin
+        self.history = history
+        self.t_ref = problem.a if t_ref is None else t_ref
+        self._w_end = float(self.rule.weights[-1])
+        self._lo = self._hi = 0
+        self._gs: np.ndarray | None = None
 
     def _history_part(self, t_next: float) -> float:
-        kern = (t_next - self.hist_nodes) ** (self.problem.alpha - 1.0)
-        kern *= np.exp(-self.problem.lam * (t_next - self.hist_nodes))
-        return self.rga * float(self.hist_weights @ (kern * self.hist_f))
+        nodes, weights, f = self.history
+        kern = (t_next - nodes) ** (self.problem.alpha - 1.0)
+        kern *= np.exp(-self.problem.lam * (t_next - nodes))
+        return self.rga * float(weights @ (kern * f))
+
+    def _build_block(self, times: np.ndarray, gs: np.ndarray, lo: int) -> None:
+        """Precompute steps lo..hi-1, rebasing the history in ``gs`` if due."""
+        problem = self.problem
+        hi = min(lo + _BLOCK, len(gs))
+        lam = problem.lam
+        if lam * (times[hi - 1] - self.t_ref) > _REBASE_EXPONENT:
+            t_new = float(times[lo])
+            gs[:lo] *= math.exp(-lam * (t_new - self.t_ref))
+            self.t_ref = t_new
+        self._c = None  # release the last block's weights first: lowers the peak
+        n = np.arange(lo, hi)
+        span = (n - self.origin)[:, None]
+        r = self.origin + 0.5 * span * (self.rule.nodes + 1.0)
+        # the predictor's stencils end at n-1; the corrector's may reach the
+        # predicted endpoint g_n, and its last node's weight multiplies
+        # f(t_n, u_pred) directly (the row built for it here goes unused)
+        last = np.stack([n - 1, n])[:, :, None]
+        self._i, self._c = _lagrange_weights(np.stack([r, r]), last, self.config.n_interp)
+        self._c *= self.rule.weights[:, None]
+        t = times[lo:hi]
+        self._base = np.exp(-lam * (t - problem.a)) * _forcing_scaled(problem, t)
+        self._pref = (0.5 * self.tau * span[:, 0]) ** problem.alpha * self.rga
+        if gs is not self._gs:
+            self._win = sliding_window_view(gs, self.config.n_interp)
+            self._gs = gs
+        self._lo, self._hi = lo, hi
 
     def step(self, times: np.ndarray, gs: np.ndarray, n1: int) -> float:
         """Advance to times[n1] given scaled history gs[0..n1-1]; gs[n1] is scratch."""
-        problem, config = self.problem, self.config
+        if gs is not self._gs or not self._lo <= n1 < self._hi:
+            self._build_block(times, gs, n1)
+        problem = self.problem
+        k = n1 - self._lo
         t_next = float(times[n1])
-        origin = problem.a if self.hist_nodes is None else float(config.split_t0)
-        decay = math.exp(-problem.lam * (t_next - problem.a))
-        base = decay * float(_forcing_scaled(problem, t_next))
-        if self.hist_nodes is not None:
+        decay = math.exp(-problem.lam * (t_next - self.t_ref))
+        base = float(self._base[k])
+        if self.history is not None:
             base += self._history_part(t_next)
-        half = 0.5 * (t_next - origin)
-        s = half * (self.rule.nodes + 1.0) + origin
-        pref = decay * half**problem.alpha * self.rga
-        r = (s - problem.a) / self.tau
-        wts = self.rule.weights
+        pref = decay * float(self._pref[k])
+        win, i, c = self._win, self._i, self._c
 
-        # predict: every quadrature value interpolated from known history only
-        gtil = _stencil_interp(gs, r, n1 - 1, config.n_interp, self.bw)
-        u_new = base + pref * float(wts @ gtil)
-
-        # correct: interpolation may use the predicted endpoint value
-        for _ in range(config.corrector_iters):
+        u_new = base + pref * float(np.vdot(c[0, k], win[i[0, k]]))
+        i_corr, c_corr = i[1, k, :-1], c[1, k, :-1]
+        for _ in range(self.config.corrector_iters):
             g_end = problem.rhs(t_next, u_new) / decay
             gs[n1] = g_end
-            gtil = _stencil_interp(gs, r[:-1], n1, config.n_interp, self.bw)
-            u_new = base + pref * (float(wts[:-1] @ gtil) + wts[-1] * g_end)
+            acc = float(np.vdot(c_corr, win[i_corr]))
+            u_new = base + pref * (acc + self._w_end * g_end)
         if not math.isfinite(u_new) or abs(u_new) > _BLOWUP_LIMIT:
             raise BlowUpError(n1, t_next, u_new)
         return u_new
@@ -468,16 +528,26 @@ def jpc_step(
 
     ``times``/``values``/``rhs_values`` hold the grid and solution through
     t_n (with n >= n_interp - 1); returns u_{n+1} at t_{n+1} = t_n + tau.
+    With ``config.split_t0`` set, the step is the split scheme's: its
+    history term over ``[a, t0]`` comes from the same starting run as in
+    :func:`solve_split`, and the known history must reach past that run.
     """
     known = len(values)
     if known != len(rhs_values) or known > len(times) - 1:
         raise ValueError("history arrays are inconsistent with the grid")
     if known < config.n_interp:
         raise ValueError("need at least n_interp known values to step")
-    stepper = _Stepper(problem, config, rule)
     ts = np.asarray(times, dtype=float)
+    # scaling the history from its last time keeps e^{lam (t - t_ref)} <= 1
+    t_ref = float(ts[known - 1])
+    if config.split_t0 is None:
+        stepper = _Stepper(problem, config, rule=rule, t_ref=t_ref)
+    else:
+        u_start, stepper = _split_start(problem, config, ts, rule, t_ref)
+        if known < len(u_start):
+            raise ValueError("need history past the split scheme's starting run")
     gs = np.empty(known + 1)
-    gs[:known] = np.exp(problem.lam * (ts[:known] - problem.a)) * np.asarray(
+    gs[:known] = np.exp(problem.lam * (ts[:known] - t_ref)) * np.asarray(
         rhs_values, dtype=float
     )
     return stepper.step(ts, gs, known)
@@ -498,6 +568,20 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
     )
 
 
+def _march(trace: SolutionTrace, u_start: Sequence[float], stepper: _Stepper) -> SolutionTrace:
+    """Fill ``trace``: its first values are ``u_start``, the rest are stepped."""
+    problem, times = trace.problem, trace.times
+    gs = np.empty(len(times))
+    for n1 in range(len(times)):
+        t = float(times[n1])
+        u = float(u_start[n1]) if n1 < len(u_start) else stepper.step(times, gs, n1)
+        f = problem.rhs(t, u)
+        trace.values[n1] = u
+        trace.rhs_values[n1] = f
+        gs[n1] = f * math.exp(problem.lam * (t - stepper.t_ref))
+    return trace
+
+
 def solve(problem: Problem, config: SolverConfig) -> SolutionTrace:
     """Solve the problem on the uniform grid with the predictor-corrector.
 
@@ -507,21 +591,8 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionTrace:
     """
     if config.split_t0 is not None:
         return solve_split(problem, config)
-    trace = _new_trace(problem, config)
-    grow = np.exp(problem.lam * (trace.times - problem.a))
-    gs = np.full(config.steps + 1, np.nan)
-    for t, u in starting_values(problem, config):
-        j = int(round((t - problem.a) / trace.tau))
-        trace.values[j] = u
-        trace.rhs_values[j] = problem.rhs(t, u)
-        gs[j] = grow[j] * trace.rhs_values[j]
-    stepper = _Stepper(problem, config)
-    for n1 in range(config.n_interp, config.steps + 1):
-        u = stepper.step(trace.times, gs, n1)
-        trace.values[n1] = u
-        trace.rhs_values[n1] = problem.rhs(float(trace.times[n1]), u)
-        gs[n1] = grow[n1] * trace.rhs_values[n1]
-    return trace
+    u_start = [u for _, u in starting_values(problem, config)]
+    return _march(_new_trace(problem, config), u_start, _Stepper(problem, config))
 
 
 def _merge_meshes(base: np.ndarray, extra: np.ndarray, tol: float) -> np.ndarray:
@@ -540,23 +611,21 @@ def _nearest_indices(mesh: np.ndarray, targets: np.ndarray, tol: float) -> np.nd
     return idx
 
 
-def solve_split(problem: Problem, config: SolverConfig) -> SolutionTrace:
-    """Split-interval solve for solutions that are non-smooth near ``a``.
-
-    The history integral over ``[a, t0]`` uses a fixed (n_tilde+1)-point
-    unit-weight Gauss-Lobatto rule with the kernel inside the integrand;
-    the RHS values at those fixed nodes, and the trace values at the grid
-    nodes up to ``t0``, come from the refined fractional-Adams starting
-    run over ``[a, t0]``.  Beyond ``t0`` the scheme proceeds as in
-    :func:`solve` with the Jacobi-weight rule on ``[t0, t]``.
-    """
+def _split_start(
+    problem: Problem,
+    config: SolverConfig,
+    times: np.ndarray,
+    rule: GaussLobattoRule | None = None,
+    t_ref: float | None = None,
+) -> tuple[np.ndarray, _Stepper]:
+    """Starting run of the split scheme on the grid ``times``: the values at
+    its first nodes, and the stepper carrying the history over ``[a, t0]``."""
     t0 = config.split_t0
     if t0 is None:
         raise ValueError("solve_split requires config.split_t0")
     if not problem.a < t0 < problem.b:
         raise ValueError(f"split point {t0} must lie inside ({problem.a}, {problem.b})")
-    trace = _new_trace(problem, config)
-    tau = trace.tau
+    tau = (problem.b - problem.a) / config.steps
     j0 = int(round((t0 - problem.a) / tau))
     if j0 < 1 or abs(problem.a + j0 * tau - t0) > 1e-9 * tau:
         raise ValueError(f"split point {t0} is not aligned with the step {tau}")
@@ -575,25 +644,24 @@ def solve_split(problem: Problem, config: SolverConfig) -> SolutionTrace:
     w = _adams_pece_scaled(problem, mesh)
     u_mesh = np.exp(-problem.lam * (mesh - problem.a)) * w
 
-    grow = np.exp(problem.lam * (trace.times - problem.a))
-    gs = np.full(config.steps + 1, np.nan)
-    grid_idx = _nearest_indices(mesh, trace.times[: n_start + 1], tol=1e-9 * tau)
-    for j, im in enumerate(grid_idx):
-        trace.values[j] = u_mesh[im]
-        trace.rhs_values[j] = problem.rhs(float(trace.times[j]), float(u_mesh[im]))
-        gs[j] = grow[j] * trace.rhs_values[j]
+    u_start = u_mesh[_nearest_indices(mesh, times[: n_start + 1], tol=1e-9 * tau)]
     hist_idx = _nearest_indices(mesh, s_hist, tol=1e-9 * tau)
     f_hist = np.array(
         [problem.rhs(float(s), float(u_mesh[im])) for s, im in zip(s_hist, hist_idx)]
     )
+    return u_start, _Stepper(problem, config, j0, (s_hist, w_hist, f_hist), rule, t_ref)
 
-    stepper = _Stepper(problem, config)
-    stepper.hist_nodes = s_hist
-    stepper.hist_weights = w_hist
-    stepper.hist_f = f_hist
-    for n1 in range(n_start + 1, config.steps + 1):
-        u = stepper.step(trace.times, gs, n1)
-        trace.values[n1] = u
-        trace.rhs_values[n1] = problem.rhs(float(trace.times[n1]), u)
-        gs[n1] = grow[n1] * trace.rhs_values[n1]
-    return trace
+
+def solve_split(problem: Problem, config: SolverConfig) -> SolutionTrace:
+    """Split-interval solve for solutions that are non-smooth near ``a``.
+
+    The history integral over ``[a, t0]`` uses a fixed (n_tilde+1)-point
+    unit-weight Gauss-Lobatto rule with the kernel inside the integrand;
+    the RHS values at those fixed nodes, and the trace values at the grid
+    nodes up to ``t0``, come from the refined fractional-Adams starting
+    run over ``[a, t0]``.  Beyond ``t0`` the scheme proceeds as in
+    :func:`solve` with the Jacobi-weight rule on ``[t0, t]``.
+    """
+    trace = _new_trace(problem, config)
+    u_start, stepper = _split_start(problem, config, trace.times)
+    return _march(trace, u_start, stepper)

@@ -1,10 +1,27 @@
 """Shared property-check helpers used by the operator and acceptance tests."""
 
 import math
+import os
+from pathlib import Path
 
 from tfode.operators import rl_derivative, tempered_integral
 from tfode.quadrature import gauss_lobatto
 from tfode.specfun import rgamma
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a ``python -m tfode.cli`` child process.
+
+    The child runs in a temporary directory, so a relative ``PYTHONPATH``
+    entry such as ``src`` would not resolve there; put the absolute source
+    directory first.
+    """
+    env = dict(os.environ)
+    rest = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + rest if rest else "")
+    return env
 
 
 def laplace_transform_of_integral(u, u0, s, sigma, lam, *, horizon=40.0,

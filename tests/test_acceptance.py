@@ -24,7 +24,7 @@ from tfode.quadrature import gauss_lobatto
 from tfode.solver import SolverConfig, solve
 from tfode.specfun import gamma, mittag_leffler, rgamma
 
-from _helpers import composition_residual, laplace_transform_of_integral
+from _helpers import cli_env, composition_residual, laplace_transform_of_integral
 from _oracles import jacobi_moment
 
 
@@ -236,7 +236,7 @@ def test_criterion_10_determinism(tmp_path):
         r = subprocess.run(
             [sys.executable, "-m", "tfode.cli", "tables", "--which", "1",
              "--out", name],
-            capture_output=True, text=True, cwd=tmp_path,
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
         )
         assert r.returncode == 0, r.stderr
         outputs.append((tmp_path / name).read_bytes())

@@ -4,11 +4,13 @@ import sys
 
 import pytest
 
+from _helpers import cli_env
+
 
 def run_cli(*args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "tfode.cli", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=cli_env(),
     )
 
 

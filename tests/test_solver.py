@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from tfode.solver import (
     solve_split,
     starting_values,
     volterra_forcing,
+    _BLOCK,
+    _lagrange_weights,
+    _Stepper,
 )
 from tfode.specfun import gamma, rgamma
 
@@ -86,6 +90,20 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate_values([0.0, 1.0], [0.0, 1.0], 0.5, 3)
 
+    def test_batched_weights_match_single_points(self):
+        # one vectorised build over a (steps x nodes) array of positions, with
+        # a per-row last index, gives the same interpolant as each point alone
+        fs = np.cos(0.3 * np.arange(12))
+        r = np.array([[0.0, 2.5, 4.0, 6.7], [1.2, 3.0, 7.9, 9.0]])
+        last = np.array([[7], [9]])
+        i0, lw = _lagrange_weights(r, last, 4)
+        for row in range(2):
+            n_nodes = last[row, 0] + 1
+            for col in range(4):
+                got = lw[row, col] @ fs[i0[row, col]:i0[row, col] + 4]
+                want = interpolate_values(np.arange(n_nodes), fs[:n_nodes], r[row, col], 4)
+                assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
 
 class TestStartingValues:
     def test_zero_rhs_matches_forcing(self):
@@ -135,6 +153,78 @@ class TestJpcStep:
         cfg = SolverConfig(steps=10, n_interp=3)
         with pytest.raises(ValueError):
             jpc_step(p, cfg, np.linspace(0, 1, 11), [1.0, 1.0], [0.0, 0.0])
+
+
+class TestStepOperator:
+    """The block-precomputed step against one-off steps and polynomials."""
+
+    @staticmethod
+    def _boundary_steps(first, steps):
+        # first step of each block, and its neighbours on both sides
+        picks = set()
+        for lo in range(first, steps + 1, _BLOCK):
+            picks.update(n for n in (lo - 1, lo, lo + 1) if first <= n <= steps)
+        picks.add(steps)
+        return sorted(picks)
+
+    @pytest.mark.parametrize("problem, config", [
+        (example2(0.5, 2.0), SolverConfig(steps=_BLOCK - 4, n_interp=3)),
+        (example2(0.5, 2.0), SolverConfig(steps=3 * _BLOCK + 1, n_interp=7)),
+        (example2(1.5, 6.0), SolverConfig(steps=2 * _BLOCK + 1, n_interp=5,
+                                          corrector_iters=2)),
+        (example3(0.9, 5.0), SolverConfig(steps=88, n_interp=2, split_t0=0.1)),
+    ])
+    def test_jpc_step_reproduces_solve(self, problem, config):
+        tr = solve(problem, config)
+        first = config.n_interp
+        if config.split_t0 is not None:
+            first = round(config.split_t0 / tr.tau) + 1
+        for n in self._boundary_steps(first, config.steps):
+            u = jpc_step(problem, config, tr.times, tr.values[:n], tr.rhs_values[:n])
+            assert u == pytest.approx(tr.values[n], rel=1e-14, abs=0.0)
+
+    def test_jpc_step_large_tempering_rate(self):
+        # the one-off step scales the given history without overflowing
+        problem, config = example2(0.5, 800.0), SolverConfig(steps=160, n_interp=7)
+        tr = solve(problem, config)
+        for n in (40, 150, 160):
+            u = jpc_step(problem, config, tr.times, tr.values[:n], tr.rhs_values[:n])
+            assert u == pytest.approx(tr.values[n], rel=1e-12, abs=0.0)
+
+    def test_split_jpc_step_needs_history_past_start(self):
+        problem = example3(0.9, 5.0)
+        config = SolverConfig(steps=88, n_interp=2, split_t0=0.1)
+        tr = solve(problem, config)
+        with pytest.raises(ValueError):
+            jpc_step(problem, config, tr.times, tr.values[:5], tr.rhs_values[:5])
+
+    @pytest.mark.parametrize("n_interp, origin", [(7, 0), (4, 0), (2, 8), (5, 8)])
+    def test_block_weights_reproduce_polynomials(self, n_interp, origin):
+        steps = 4 * _BLOCK
+        problem = example2(0.5, 2.0)
+        config = SolverConfig(steps=steps, n_interp=n_interp)
+        stepper = _Stepper(problem, config, origin)
+        nodes, wts = stepper.rule.nodes, stepper.rule.weights
+        rng = np.random.default_rng(n_interp)
+        coef = rng.standard_normal(n_interp)
+        poly = lambda x: np.polynomial.polynomial.polyval(x / steps, coef)
+        gs = poly(np.arange(steps + 1.0))
+        times = np.linspace(0.0, 1.0, steps + 1)
+        win = np.lib.stride_tricks.sliding_window_view(gs, n_interp)
+        hits = 0
+        for lo in range(max(origin + 1, n_interp), steps + 1, _BLOCK):
+            stepper._build_block(times, gs, lo)
+            for k, n in enumerate(range(lo, stepper._hi)):
+                r = origin + 0.5 * (n - origin) * (nodes + 1.0)
+                # predictor over all nodes, corrector over all but the endpoint
+                for which, count, last in ((0, len(r), n - 1), (1, len(r) - 1, n)):
+                    i0 = stepper._i[which, k, :count]
+                    c = stepper._c[which, k, :count]
+                    got = np.einsum("qk,qk->q", c, win[i0])
+                    assert np.allclose(got, wts[:count] * poly(r[:count]), rtol=0.0, atol=1e-12)
+                    assert i0.max() + n_interp - 1 <= last
+                    hits += int(((c == 0.0).sum(axis=1) == n_interp - 1).sum())
+        assert hits > 0  # the origin node (and x = 0 at even spans) hit the grid
 
 
 class TestSolve:
@@ -265,6 +355,35 @@ class TestSolve:
 
         worst = max(residual(j) for j in (10, 20, 40))
         assert worst <= 10.0 * err
+
+    @pytest.mark.parametrize("lam, steps", [(800.0, 160), (2000.0, 1280)])
+    def test_large_tempering_rate(self, lam, steps):
+        # lam (b - a) far beyond the double range of e^{lam (t - a)}: the
+        # scaled history is rebased, so the solve neither overflows nor
+        # reports a spurious blow-up, and stays accurate wherever the exact
+        # solution is representable
+        tr = solve(example2(0.5, lam), SolverConfig(steps=steps, n_interp=7))
+        assert np.isfinite(tr.values).all()
+        exact = np.array([exact_example2(0.5, lam, t) for t in tr.times])
+        assert np.abs(tr.values - exact).max() <= 1e-16
+        big = exact > 1e-280
+        assert big.sum() > steps // 10
+        assert np.abs(tr.values[big] / exact[big] - 1.0).max() <= 1e-12
+
+    def test_peak_memory_linear_in_steps(self):
+        # the block precompute keeps the solve's working set at a few
+        # grid-length arrays (trace times/values/rhs, scaled history);
+        # precomputing every step's stencils would need over 100
+        steps = 20480
+        problem, config = example2(0.5, 2.0), SolverConfig(steps=steps, n_interp=7)
+        solve(problem, SolverConfig(steps=64, n_interp=7))  # warm the rule cache
+        tracemalloc.start()
+        try:
+            solve(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * (steps + 1) * 8
 
     def test_blow_up_detection(self):
         p = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=4.0, init=(2.0,),
