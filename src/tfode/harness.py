@@ -339,11 +339,9 @@ def load_report_csv(stream) -> list[ConvergenceReport]:
 def write_trace_csv(stream, trace: SolutionTrace) -> None:
     """Write a solution trace as ``t,u[,u_exact,abs_error]``."""
     writer = csv.writer(stream, lineterminator="\n")
-    exact = trace.problem.exact
-    if exact is not None:
+    if trace.problem.exact is not None:
         writer.writerow(["t", "u", "u_exact", "abs_error"])
-        for t, u in zip(trace.times, trace.values):
-            ue = exact(float(t))
+        for t, u, ue in zip(trace.times, trace.values, trace.exact_values()):
             writer.writerow([f"{t:.16e}", f"{u:.16e}", f"{ue:.16e}", f"{abs(u - ue):.6e}"])
     else:
         writer.writerow(["t", "u"])

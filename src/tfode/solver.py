@@ -18,16 +18,22 @@ the right-hand-side calls.
 
 The first ``n_interp`` grid values come from a product-trapezoidal
 predictor-corrector (fractional Adams) run on a refined auxiliary grid.
+On a uniform grid its product weights depend only on the distance in
+steps, so they are tabulated once per start and each start step is two
+dot products (predictor and corrector) plus the right-hand-side calls.
 For solutions that are non-smooth at the start, :func:`solve_split`
 integrates the history over ``[a, t0]`` with a fixed unit-weight
 Gauss-Lobatto rule fed by the same refined starting machinery, and only
-the smooth tail ``[t0, t]`` with the Jacobi-weight rule.
+the smooth tail ``[t0, t]`` with the Jacobi-weight rule.  Its start mesh
+is the refined grid plus the Lobatto nodes: the grid part keeps the
+tabulated weights, and the panels next to the off-grid nodes add an exact
+correction over those few nodes, built for a few steps at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -175,17 +181,23 @@ class SolutionTrace:
     rhs_values: np.ndarray
     problem: Problem
     config: SolverConfig
+    _exact: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tau(self) -> float:
         return (self.problem.b - self.problem.a) / self.config.steps
 
-    def errors(self) -> np.ndarray:
-        """Absolute errors against the problem's exact solution."""
+    def exact_values(self) -> np.ndarray:
+        """The problem's exact solution at the grid times, evaluated once."""
         if self.problem.exact is None:
             raise ValueError("problem has no exact solution")
-        ex = np.array([self.problem.exact(t) for t in self.times])
-        return np.abs(self.values - ex)
+        if self._exact is None:
+            self._exact = np.array([self.problem.exact(float(t)) for t in self.times])
+        return self._exact
+
+    def errors(self) -> np.ndarray:
+        """Absolute errors against the problem's exact solution."""
+        return np.abs(self.values - self.exact_values())
 
     def max_error(self) -> float:
         """Max abs error over the grid nodes t_1..t_M (t_0 excluded)."""
@@ -317,63 +329,261 @@ def interpolate_values(
 # Starting procedure: fractional Adams PECE on an auxiliary mesh
 
 
-def _scaled_rhs(problem: Problem) -> Callable[[float, float], float]:
-    """RHS in the scaled variable: G(t, w) = e^{lam (t-a)} f(t, e^{-lam (t-a)} w)."""
-    lam, a, f = problem.lam, problem.a, problem.rhs
+#: Largest lam * (t - t_ref) the scaled history may reach before it is
+#: rebased onto a later reference time.  The margin below the double range
+#: (exp overflows past ~709) leaves room for the span still to come.
+_REBASE_EXPONENT = 300.0
 
-    def G(t: float, w: float) -> float:
-        e = math.exp(lam * (t - a))
-        return e * f(t, w / e)
+#: Consecutive on-grid start steps whose split-mesh correction rows are
+#: built in one vectorised pass.  Each step of a block holds two rows as
+#: long as the correction, so larger blocks raise the split start's peak
+#: memory.
+_START_BLOCK = 8
 
-    return G
+
+def _convolution_tables(n: int, alpha: float):
+    """Unit-step product weights on a uniform grid, by distance, reversed.
+
+    Entry i belongs to the panel whose right end lies e = n - 1 - i steps
+    before T: the rectangle weight ``r1`` and the trapezoid's left weight
+    ``rl``, in units of h^alpha; entry n (e = -1, a panel after T) is 0.
+    ``rc[i] = wr[i] + rl[i+1]``, with wr the trapezoid's right weight, is
+    the weight of the node e + 1 steps before T, so with g the history, step
+    k's sums are ``r1[n-k:n] @ g[:k]`` and ``rc[n-k:] @ g[1:k+1] + rl[n-k] g[0]``.
+    """
+    d = np.arange(n, -1, -1.0)  # d[i] = e + 1
+    pa = d**alpha
+    r1 = np.zeros(n + 1)
+    np.subtract(pa[:-1], pa[1:], out=r1[:-1])
+    r1 /= alpha
+    pa *= d
+    i2 = pa[:-1] - pa[1:]
+    i2 /= alpha + 1.0
+    del pa
+    rl = np.zeros(n + 1)
+    np.multiply(d[1:], r1[:-1], out=rl[:-1])
+    np.subtract(i2, rl[:-1], out=rl[:-1])
+    wr = np.multiply(d[:-1], r1[:-1], out=d[:-1])
+    wr -= i2
+    wr += rl[1:]
+    return r1, rl, wr
 
 
-def _adams_pece_scaled(problem: Problem, mesh: np.ndarray) -> np.ndarray:
+class _StartGrid:
+    """How a start mesh sits on the uniform grid a + h k, k = 0..n.
+
+    ``n`` is the last grid index on the mesh.  Mesh nodes off the grid, and
+    grid nodes missing from it, break the grid into irregular *regions*,
+    each between two consecutive on-grid mesh nodes.  The mesh nodes of all
+    regions are the correction nodes, numbered in mesh order: ``corr`` maps
+    a mesh index to that number, and ``offgrid`` holds the mesh indices
+    whose steps take the general product weights.
+    """
+
+    def __init__(self, mesh: np.ndarray, a: float, h: float, alpha: float):
+        k = np.rint((mesh - a) / h)
+        on = a + h * k == mesh
+        on_idx = np.flatnonzero(on)
+        on_k = k[on_idx].astype(int)
+        self.n = int(on_k[-1])
+        self.uniform = len(on_idx) == len(mesh) and self.n == len(mesh) - 1
+        self.offgrid = set(np.flatnonzero(~on).tolist())
+        irregular = np.flatnonzero((np.diff(on_k) > 1) | (np.diff(on_idx) > 1))
+        first, last = on_idx[irregular], on_idx[irregular + 1]
+        self.left, self.right = on_k[irregular], on_k[irregular + 1]
+        cm = np.arange(0)
+        if len(irregular):
+            cm = np.unique(np.concatenate([np.arange(s, e + 1) for s, e in zip(first, last)]))
+        self.corr = {int(mi): c for c, mi in enumerate(cm)}
+        self.left_col = np.searchsorted(cm, first)
+        self.right_col = np.searchsorted(cm, last)
+        # pair (c, c+1) of correction nodes is a mesh panel inside a region
+        in_region = np.zeros(max(len(cm) - 1, 0), dtype=bool)
+        for c0, c1 in zip(self.left_col, self.right_col):
+            in_region[c0:c1] = True
+        # distances are taken from T = a + h k to the mesh times themselves,
+        # so the step's own node is at distance 0 exactly; the weights come
+        # out in units of h^alpha, and panels between nodes of different
+        # regions get infinite width, hence zero weight
+        self.a, self.h, self.alpha = a, h, alpha
+        self.times = mesh[cm]
+        self.widths = np.where(in_region, np.diff(self.times) * h**alpha, np.inf)
+        self.rect = in_region * h**-alpha
+
+    def rows(self, ks: np.ndarray, r1: np.ndarray, rl: np.ndarray):
+        """Correction rows of the predictor and corrector for on-grid steps ``ks``.
+
+        A row holds, per correction node, the product weights of the region
+        panels (distances to the actual mesh nodes) minus the convolution
+        weights of the grid panels they replace (integer distances, looked
+        up in the :func:`_convolution_tables`), in units of h^alpha.  The
+        predictor's rows omit the last correction node, which is never a
+        panel's left end.
+        """
+        alpha = self.alpha
+        # p clipped at 0 gives the panels after T zero weights; a region
+        # lies wholly before or after each on-grid step
+        p = np.subtract.outer(self.a + self.h * ks, self.times)
+        np.maximum(p, 0.0, out=p)
+        pa = p**alpha
+        wp = pa[:, :-1] - pa[:, 1:]
+        wp /= alpha
+        pa *= p
+        wc = np.zeros_like(p)
+        i2 = np.subtract(pa[:, :-1], pa[:, 1:], out=wc[:, :-1])
+        del pa
+        i2 /= alpha + 1.0
+        wl = p[:, 1:] * wp
+        np.subtract(i2, wl, out=wl)
+        wr = np.multiply(p[:, :-1], wp, out=p[:, :-1])
+        wr -= i2
+        np.divide(wl, self.widths, out=i2)
+        del wl  # before the lookups allocate: lowers the peak
+        wr /= self.widths
+        wc[:, 1:] += wr
+        wp *= self.rect
+        # table entry n - 1 - e is distance e; past n (regions after T) it
+        # is 0.  A unit panel's trapezoid weights add up to its rectangle one
+        n = len(r1) - 1
+        il = np.add.outer(n - ks, self.left)
+        np.minimum(il, n, out=il)
+        ir = np.add.outer(n - 1 - ks, self.right)
+        np.minimum(ir, n, out=ir)
+        wp[:, self.left_col] -= r1[il]
+        wc[:, self.left_col] -= rl[il]
+        wc[:, self.right_col] -= r1[ir] - rl[ir]
+        return wp, wc
+
+
+def _product_sums(
+    mesh: np.ndarray, m: int, alpha: float, g: np.ndarray
+) -> tuple[float, float, float]:
+    """Product-weight sums at T = mesh[m] over the history g[:m], any mesh.
+
+    Returns the rectangle (predictor) sum, the trapezoid (corrector) sum
+    without node m, and node m's trapezoid weight; weights are integrals of
+    (T - s)^(alpha-1) times the panel's constant or hat functions.
+    """
+    T = mesh[m]
+    p = T - mesh[:m + 1]
+    pa = p**alpha
+    i1 = pa[:-1] - pa[1:]
+    i1 /= alpha
+    rect = float(i1 @ g[:m])
+    pa *= p
+    i2 = pa[:-1] - pa[1:]
+    i2 /= alpha + 1.0
+    wr = np.multiply(p[:-1], i1, out=pa[:-1])
+    wr -= i2
+    np.multiply(p[1:], i1, out=i1)
+    wl = np.subtract(i2, i1, out=i2)
+    widths = np.subtract(mesh[1:m + 1], mesh[:m], out=i1)
+    wl /= widths
+    wr /= widths
+    return rect, float(wl @ g[:m]) + float(wr[:-1] @ g[1:m]), wr.item(-1)
+
+
+def _adams_pece_scaled(
+    problem: Problem, mesh: np.ndarray, h: float | None = None
+) -> np.ndarray:
     """Product-trapezoidal PECE solve of the scaled Volterra equation.
 
     Works on an arbitrary strictly increasing ``mesh`` starting at ``a``
-    and returns w = e^{lam (t-a)} u at the mesh points.  One predictor
-    (product rectangle) and one corrector (product trapezoid) per step.
+    and returns u at the mesh points.  One predictor (product rectangle)
+    and one corrector (product trapezoid) per step.  The history is kept
+    as g_j = e^{lam (t_j - t_ref)} f(t_j, u_j), rebased onto a later
+    ``t_ref`` whenever lam (t - t_ref) would pass ``_REBASE_EXPONENT``.
+
+    When ``mesh`` lies on the grid a + h k, the product weights depend only
+    on the distance in steps, so both sums are dot products with weight
+    tables built once (:func:`_convolution_tables`).  Mesh nodes off that
+    grid (the split scheme's Lobatto nodes) add a sparse correction over
+    the few nodes near them (:class:`_StartGrid`); a step at an off-grid
+    time, and every step without ``h``, rebuilds its weights over the whole
+    history.
     """
-    alpha = problem.alpha
+    alpha, lam, a, f = problem.alpha, problem.lam, problem.a, problem.rhs
     rga = rgamma(alpha)
-    G = _scaled_rhs(problem)
     npts = len(mesh)
+    grid = _StartGrid(mesh, a, h, alpha) if h is not None else None
 
     teval = mesh.copy()
     if problem.kind == RIEMANN_LIOUVILLE:
         teval[0] = mesh[0] + _SINGULAR_SHIFT * (mesh[1] - mesh[0])
     forc = np.asarray(_forcing_scaled(problem, teval), dtype=float)
+    t_first = float(teval[0])
+    del teval
+    # the forcing of u itself; forc[0] is unchanged since mesh[0] = a
+    forc *= np.exp(-lam * (mesh - a))
 
-    w = np.empty(npts)
+    offgrid, corr, rows = set(), {}, None
+    if grid is not None:
+        n = grid.n
+        r1, rl, rc = _convolution_tables(n, alpha)
+        hpre = rga * h**alpha
+        offgrid, corr = grid.offgrid, grid.corr
+        if corr:
+            rows = grid.rows
+    u = np.empty(npts)
     gv = np.empty(npts)
-    w[0] = forc[0]
-    gv[0] = G(teval[0], w[0])
-    h = np.diff(mesh)
+    gb = gv if grid is None or grid.uniform else np.zeros(n + 1)
+    gc = np.zeros(len(corr))
+    u[0] = forc[0]
+    e = math.exp(lam * (t_first - a))
+    gv[0] = gb[0] = e * f(t_first, u[0] / e)
+    if 0 in corr:
+        gc[corr[0]] = gv[0]
 
+    t_ref = a
+    lo = hi = 0
     for m in range(1, npts):
-        T = mesh[m]
-        p = T - mesh[:m + 1]
-        pa = p**alpha
-        # product-rectangle distances: int_{t_j}^{t_{j+1}} (T-s)^(alpha-1) ds
-        i1 = (pa[:-1] - pa[1:]) / alpha
-        pred = forc[m] + rga * float(i1 @ gv[:m])
-
-        pa1 = pa * p
-        i2 = (pa1[:-1] - pa1[1:]) / (alpha + 1.0)
-        hm = h[:m]
-        w_left = (i2 - p[1:] * i1) / hm
-        w_right = (p[:-1] * i1 - i2) / hm
-        known = float(w_left @ gv[:m])
-        if m > 1:
-            known += float(w_right[:-1] @ gv[1:m])
-        gp = G(T, pred)
-        val = forc[m] + rga * (known + w_right[-1] * gp)
+        T = mesh.item(m)
+        if lam * (T - t_ref) > _REBASE_EXPONENT:
+            scale = math.exp(-lam * (T - t_ref))
+            gv[:m] *= scale
+            if gb is not gv:
+                gb *= scale
+            gc *= scale
+            t_ref = T
+        decay = math.exp(-lam * (T - t_ref))
+        fm = forc.item(m)
+        q = corr.get(m)
+        if grid is None or m in offgrid:
+            acc_pred, acc, w_end = _product_sums(mesh, m, alpha, gv)
+            pred = fm + decay * rga * acc_pred
+            gp = f(T, pred) / decay
+            val = fm + decay * rga * (acc + w_end * gp)
+            k = -1
+        else:
+            k = round((T - a) / h)
+            i = n - k
+            if rows is not None and not lo <= k < hi:
+                lo, hi = k, min(k + _START_BLOCK, n + 1)
+                wp = wc = None  # release the last block's rows first: lowers the peak
+                wp, wc = rows(np.arange(lo, hi), r1, rl)
+            scale = decay * hpre
+            acc = r1[i:n].dot(gb[:k])
+            if rows is not None:
+                acc += wp[k - lo].dot(gc[:-1])
+            pred = fm + scale * float(acc)
+            gp = f(T, pred) / decay
+            gb[k] = gp
+            if q is not None:
+                gc[q] = gp
+            acc = rc[i:].dot(gb[1:k + 1]) + rl.item(i) * gb.item(0)
+            if rows is not None:
+                acc += wc[k - lo].dot(gc)
+            val = fm + scale * float(acc)
         if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
             raise BlowUpError(m, T, val)
-        w[m] = val
-        gv[m] = G(T, val)
-    return w
+        g = f(T, val) / decay
+        u[m] = val
+        gv[m] = g
+        if k >= 0:
+            gb[k] = g
+        if q is not None:
+            gc[q] = g
+    return u
 
 
 def starting_values(
@@ -394,9 +604,9 @@ def starting_values(
             tev[0] += _SINGULAR_SHIFT * tau
         return [(float(t), float(problem.exact(te))) for t, te in zip(nodes, tev)]
     refine = config.start_refine
-    mesh = problem.a + (tau / refine) * np.arange((config.n_interp - 1) * refine + 1)
-    w = _adams_pece_scaled(problem, mesh)
-    u = np.exp(-problem.lam * (mesh - problem.a)) * w
+    h = tau / refine
+    mesh = problem.a + h * np.arange((config.n_interp - 1) * refine + 1)
+    u = _adams_pece_scaled(problem, mesh, h)
     return [(float(mesh[j * refine]), float(u[j * refine])) for j in range(config.n_interp)]
 
 
@@ -408,12 +618,6 @@ def starting_values(
 #: every step of a block holds 2 (n_quad+1) n_interp weights, plus the
 #: build's temporaries, which sets the solve's peak memory at small M.
 _BLOCK = 16
-
-#: Largest lam * (t - t_ref) a block may reach before the scaled history is
-#: rebased onto the block's first time.  The margin below the double range
-#: (exp overflows past ~709) leaves room for the block's own span.
-_REBASE_EXPONENT = 300.0
-
 
 class _Stepper:
     """Per-solve state for the Jacobi predictor-corrector iteration.
@@ -463,15 +667,18 @@ class _Stepper:
         kern *= np.exp(-self.problem.lam * (t_next - nodes))
         return self.rga * float(weights @ (kern * f))
 
+    def rebase(self, gs: np.ndarray, upto: int, t_new: float) -> None:
+        """Move ``t_ref`` to ``t_new``, rescaling the history gs[:upto]."""
+        gs[:upto] *= math.exp(-self.problem.lam * (t_new - self.t_ref))
+        self.t_ref = t_new
+
     def _build_block(self, times: np.ndarray, gs: np.ndarray, lo: int) -> None:
         """Precompute steps lo..hi-1, rebasing the history in ``gs`` if due."""
         problem = self.problem
         hi = min(lo + _BLOCK, len(gs))
         lam = problem.lam
         if lam * (times[hi - 1] - self.t_ref) > _REBASE_EXPONENT:
-            t_new = float(times[lo])
-            gs[:lo] *= math.exp(-lam * (t_new - self.t_ref))
-            self.t_ref = t_new
+            self.rebase(gs, lo, float(times[lo]))
         self._c = None  # release the last block's weights first: lowers the peak
         n = np.arange(lo, hi)
         span = (n - self.origin)[:, None]
@@ -578,6 +785,9 @@ def _march(trace: SolutionTrace, u_start: Sequence[float], stepper: _Stepper) ->
         f = problem.rhs(t, u)
         trace.values[n1] = u
         trace.rhs_values[n1] = f
+        if problem.lam * (t - stepper.t_ref) > _REBASE_EXPONENT:
+            # only the starting values can get here: the step blocks rebase
+            stepper.rebase(gs, n1, t)
         gs[n1] = f * math.exp(problem.lam * (t - stepper.t_ref))
     return trace
 
@@ -635,14 +845,13 @@ def _split_start(
     w_hist = 0.5 * (t0 - problem.a) * lob.weights
 
     n_start = max(j0, config.n_interp - 1)
-    base = problem.a + (tau / config.start_refine) * np.arange(
-        n_start * config.start_refine + 1
-    )
+    h = tau / config.start_refine
     # 1e-9*tau is far below any legitimate mesh gap but wide enough that a
     # fixed node coinciding with a grid point cannot leave a degenerate panel
-    mesh = _merge_meshes(base, s_hist, tol=1e-9 * tau)
-    w = _adams_pece_scaled(problem, mesh)
-    u_mesh = np.exp(-problem.lam * (mesh - problem.a)) * w
+    mesh = _merge_meshes(
+        problem.a + h * np.arange(n_start * config.start_refine + 1), s_hist, tol=1e-9 * tau
+    )
+    u_mesh = _adams_pece_scaled(problem, mesh, h)
 
     u_start = u_mesh[_nearest_indices(mesh, times[: n_start + 1], tol=1e-9 * tau)]
     hist_idx = _nearest_indices(mesh, s_hist, tol=1e-9 * tau)

@@ -1,12 +1,18 @@
-"""Independent high-precision oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here is computed with mpmath at >= 50 significant digits and by
-construction does not share code paths with the package: series are summed
-directly, moments come from binomial expansions, and recurrence
-coefficients from Gram-Schmidt on monomials.
+The special-function and quadrature oracles are computed with mpmath at
+>= 50 significant digits and by construction do not share code paths with
+the package: series are summed directly, moments come from binomial
+expansions, and recurrence coefficients from Gram-Schmidt on monomials.
+The fractional-Adams reference (:func:`adams_pece_reference`) is a plain
+double-precision O(m^2) loop that rebuilds every product weight from the
+mesh at every step.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -77,3 +83,52 @@ def monic_recurrence_gs(a, b, kmax):
                 nxt[i] -= bk * c
         polys.append(nxt)
     return alphas, betas
+
+
+def adams_pece_reference(problem, mesh):
+    """Product-trapezoid PECE on an arbitrary mesh; u at the mesh points.
+
+    Solves the scaled Volterra equation for w = e^{lam (t-a)} u with one
+    product-rectangle predictor and one product-trapezoid corrector per
+    step, every weight recomputed from the distances T - t_j.  No rebasing,
+    so it needs lam (mesh[-1] - a) well below the double range.
+    """
+    alpha, lam, a = problem.alpha, problem.lam, problem.a
+    rga = 1.0 / math.gamma(alpha)
+    teval = np.array(mesh, dtype=float)
+    if problem.kind == "rl":
+        teval[0] = mesh[0] + 1e-8 * (mesh[1] - mesh[0])
+    dt = teval - a
+    forc = np.zeros(len(mesh))
+    for k, ck in enumerate(problem.init):
+        if ck == 0.0:
+            continue
+        if problem.kind == "caputo":
+            forc += ck * math.exp(-lam * a) / math.factorial(k) * dt**k
+        else:
+            forc += ck * math.exp(-lam * a) / math.gamma(alpha - k) * dt ** (alpha - k - 1)
+
+    def G(t, w):
+        e = math.exp(lam * (t - a))
+        return e * problem.rhs(t, w / e)
+
+    npts = len(mesh)
+    w = np.empty(npts)
+    gv = np.empty(npts)
+    w[0] = forc[0]
+    gv[0] = G(teval[0], w[0])
+    h = np.diff(mesh)
+    for m in range(1, npts):
+        T = mesh[m]
+        p = T - mesh[:m + 1]
+        pa = p**alpha
+        i1 = (pa[:-1] - pa[1:]) / alpha
+        pred = forc[m] + rga * float(i1 @ gv[:m])
+        pa1 = pa * p
+        i2 = (pa1[:-1] - pa1[1:]) / (alpha + 1.0)
+        w_left = (i2 - p[1:] * i1) / h[:m]
+        w_right = (p[:-1] * i1 - i2) / h[:m]
+        known = float(w_left @ gv[:m]) + float(w_right[:-1] @ gv[1:m])
+        w[m] = forc[m] + rga * (known + w_right[-1] * G(T, pred))
+        gv[m] = G(T, w[m])
+    return np.exp(-lam * (np.asarray(mesh) - a)) * w

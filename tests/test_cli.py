@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -117,3 +118,36 @@ class TestTablesCommand:
     def test_invalid_table(self, tmp_path):
         r = run_cli("tables", "--which", "9", cwd=tmp_path)
         assert r.returncode == 2
+
+
+class TestSolveExactColumn:
+    def test_exact_solution_evaluated_once_per_node(self, tmp_path, monkeypatch, capsys):
+        # the trace CSV's u_exact column and the printed max error share
+        # one evaluation of the exact solution
+        from tfode import cli
+
+        calls = []
+        build = cli._problem_from_args
+
+        def counting_problem(args):
+            problem = build(args)
+            exact = problem.exact
+
+            def counted(t):
+                calls.append(t)
+                return exact(t)
+
+            return dataclasses.replace(problem, exact=counted)
+
+        monkeypatch.setattr(cli, "_problem_from_args", counting_problem)
+        monkeypatch.chdir(tmp_path)
+        steps = 22
+        code = cli.main([
+            "solve", "--alpha", "0.9", "--lambda", "5", "--rhs=-u", "--init", "1",
+            "--b", "1.1", "--steps", str(steps), "--NI", "2", "--split-t0", "0.1",
+            "--exact", "exp(-lambda*t)*ml(alpha,1,-t^alpha)", "--out", "t.csv",
+        ])
+        assert code == 0
+        assert "max error" in capsys.readouterr().out
+        assert len(calls) == steps + 1
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == steps + 2

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _oracles import adams_pece_reference
 from tfode.problems import exact_example2, exact_example3, example2, example3
 from tfode.quadrature import gauss_lobatto
 from tfode.solver import (
@@ -17,7 +18,9 @@ from tfode.solver import (
     starting_values,
     volterra_forcing,
     _BLOCK,
+    _adams_pece_scaled,
     _lagrange_weights,
+    _merge_meshes,
     _Stepper,
 )
 from tfode.specfun import gamma, rgamma
@@ -127,6 +130,111 @@ class TestStartingValues:
         h = 0.1 / 64
         for t, u in starting_values(p, cfg):
             assert abs(u - math.exp(-t)) <= h * h * (t + 1e-6)
+
+
+def _start_problem(kind, alpha, lam=2.0):
+    # Riemann-Liouville data of negative order alpha - k - 1 make the
+    # forcing unbounded at a; they are left out here, because g_0 / u then
+    # amplifies the ~eps * m cancellation error that any evaluation of the
+    # far product weights carries
+    init = [1.0, 0.5][: max(1, math.ceil(alpha))]
+    if kind == "rl":
+        init = [c if alpha - k - 1 >= 0 else 0.0 for k, c in enumerate(init)]
+    return Problem(kind=kind, alpha=alpha, lam=lam, a=0.0, b=1.0, init=tuple(init),
+                   rhs=lambda t, u: math.cos(t) - 0.5 * u)
+
+
+def _split_start_mesh(problem, steps, t0=0.1, n_tilde=40, refine=64):
+    """The split scheme's start mesh: the refined grid plus the Lobatto nodes."""
+    tau = (problem.b - problem.a) / steps
+    h = tau / refine
+    lob = gauss_lobatto(0.0, 0.0, n_tilde)
+    s_hist = 0.5 * (t0 - problem.a) * (lob.nodes + 1.0) + problem.a
+    base = problem.a + h * np.arange(round((t0 - problem.a) / tau) * refine + 1)
+    return _merge_meshes(base, s_hist, tol=1e-9 * tau), h
+
+
+class TestAdamsStart:
+    """The convolution start against the O(m^2) reference PECE."""
+
+    @staticmethod
+    def _check(problem, mesh, h):
+        got = _adams_pece_scaled(problem, mesh, h)
+        want = adams_pece_reference(problem, mesh)
+        assert np.isfinite(want).all()
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["caputo", "rl"])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 1.5, 1.8])
+    def test_uniform_mesh(self, kind, alpha):
+        h = 0.1 / 64
+        self._check(_start_problem(kind, alpha), h * np.arange(6 * 64 + 1), h)
+
+    @pytest.mark.parametrize("steps", [22, 176])
+    def test_split_mesh(self, steps):
+        # at alpha = 0.2 a distance off by round-off near T shows at 1e-5
+        problem = example3(0.2, 5.0)
+        mesh, h = _split_start_mesh(problem, steps)
+        assert len(mesh) > (round(0.1 * steps / 1.1) * 64 + 1)
+        self._check(problem, mesh, h)
+
+    def test_nodes_on_and_next_to_grid_nodes(self):
+        h = 1e-3
+        base = h * np.arange(201)
+        tol = 1e-9 * 64 * h
+        extra = np.array([
+            base[50],  # coincides: stays a grid node
+            base[120] - 1e-3 * tol,  # replaces grid node 120
+            base[150] + 1e-3 * tol,  # merged away
+            base[37] + 0.3 * h, base[37] + 0.7 * h,  # two in one panel
+            base[90] + 0.5 * h, base[91] + 0.5 * h,  # neighbouring regions
+            base[200] - 1e-3 * tol,  # the mesh ends off the grid
+        ])
+        mesh = _merge_meshes(base, extra, tol=tol)
+        assert base[120] not in mesh and base[200] not in mesh
+        for alpha in (0.2, 1.5):
+            self._check(_start_problem("caputo", alpha), mesh, h)
+
+    def test_mesh_without_grid(self):
+        problem = _start_problem("caputo", 0.6)
+        self._check(problem, 0.5 * np.linspace(0.0, 1.0, 201) ** 1.5, None)
+        # a grid step given, but no mesh node after a on that grid
+        h = 1e-3
+        self._check(problem, np.append(0.0, h * (np.arange(1, 50) + 0.37)), h)
+
+    def test_split_start_peak_memory(self):
+        # the start holds a few arrays as long as its mesh (mesh, forcing,
+        # u, the history by mesh and by grid node, three weight tables) and
+        # short-lived temporaries; rebuilding every weight per step took more
+        problem = example3(0.5, 5.0)
+        config = SolverConfig(steps=1760, n_interp=2, split_t0=0.1, n_tilde=40)
+        npts = len(_split_start_mesh(problem, 1760)[0])
+        solve_split(problem, SolverConfig(steps=22, n_interp=2, split_t0=0.1))
+        tracemalloc.start()
+        try:
+            solve_split(problem, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * npts * 8
+
+    @pytest.mark.parametrize("lam", [1200.0, 2000.0])
+    def test_large_tempering_rate(self, lam):
+        # lam (NI - 1) tau is past the double range of e^{lam (t - a)}; the
+        # start's history is rebased like the steps'
+        tr = solve(example2(0.5, lam), SolverConfig(steps=10, n_interp=7))
+        exact = np.array([exact_example2(0.5, lam, t) for t in tr.times])
+        assert np.abs(tr.values - exact).max() <= 1e-12
+
+    def test_blow_up_check_uses_unscaled_solution(self):
+        # D^(1/2,50) u = 1: e^{50 t} u passes the blow-up limit inside the
+        # start while u = erf(sqrt(50 t)) / sqrt(50) stays below 0.15
+        lam = 50.0
+        p = Problem(kind="caputo", alpha=0.5, lam=lam, a=0.0, b=1.0, init=(0.0,),
+                    rhs=lambda t, u: 1.0)
+        tr = solve(p, SolverConfig(steps=10, n_interp=7))
+        exact = np.array([math.erf(math.sqrt(lam * t)) / math.sqrt(lam) for t in tr.times])
+        assert np.abs(tr.values - exact).max() <= 0.05
 
 
 class TestJpcStep:
