@@ -192,7 +192,7 @@ class SolutionTrace:
         if self.problem.exact is None:
             raise ValueError("problem has no exact solution")
         if self._exact is None:
-            self._exact = np.array([self.problem.exact(float(t)) for t in self.times])
+            self._exact = np.array([self.problem.exact(t) for t in self.times])
         return self._exact
 
     def errors(self) -> np.ndarray:
@@ -483,9 +483,7 @@ def _product_sums(
     return rect, float(wl @ g[:m]) + float(wr[:-1] @ g[1:m]), wr.item(-1)
 
 
-def _adams_pece_scaled(
-    problem: Problem, mesh: np.ndarray, h: float | None = None
-) -> np.ndarray:
+def _adams_pece_scaled(problem: Problem, mesh: np.ndarray, h: float) -> np.ndarray:
     """Product-trapezoidal PECE solve of the scaled Volterra equation.
 
     Works on an arbitrary strictly increasing ``mesh`` starting at ``a``
@@ -499,13 +497,12 @@ def _adams_pece_scaled(
     tables built once (:func:`_convolution_tables`).  Mesh nodes off that
     grid (the split scheme's Lobatto nodes) add a sparse correction over
     the few nodes near them (:class:`_StartGrid`); a step at an off-grid
-    time, and every step without ``h``, rebuilds its weights over the whole
-    history.
+    time rebuilds its weights over the whole history.
     """
     alpha, lam, a, f = problem.alpha, problem.lam, problem.a, problem.rhs
     rga = rgamma(alpha)
     npts = len(mesh)
-    grid = _StartGrid(mesh, a, h, alpha) if h is not None else None
+    grid = _StartGrid(mesh, a, h, alpha)
 
     teval = mesh.copy()
     if problem.kind == RIEMANN_LIOUVILLE:
@@ -516,17 +513,13 @@ def _adams_pece_scaled(
     # the forcing of u itself; forc[0] is unchanged since mesh[0] = a
     forc *= np.exp(-lam * (mesh - a))
 
-    offgrid, corr, rows = set(), {}, None
-    if grid is not None:
-        n = grid.n
-        r1, rl, rc = _convolution_tables(n, alpha)
-        hpre = rga * h**alpha
-        offgrid, corr = grid.offgrid, grid.corr
-        if corr:
-            rows = grid.rows
+    n, offgrid, corr = grid.n, grid.offgrid, grid.corr
+    r1, rl, rc = _convolution_tables(n, alpha)
+    hpre = rga * h**alpha
+    rows = grid.rows if corr else None
     u = np.empty(npts)
     gv = np.empty(npts)
-    gb = gv if grid is None or grid.uniform else np.zeros(n + 1)
+    gb = gv if grid.uniform else np.zeros(n + 1)
     gc = np.zeros(len(corr))
     u[0] = forc[0]
     e = math.exp(lam * (t_first - a))
@@ -548,7 +541,7 @@ def _adams_pece_scaled(
         decay = math.exp(-lam * (T - t_ref))
         fm = forc.item(m)
         q = corr.get(m)
-        if grid is None or m in offgrid:
+        if m in offgrid:
             acc_pred, acc, w_end = _product_sums(mesh, m, alpha, gv)
             pred = fm + decay * rga * acc_pred
             gp = f(T, pred) / decay
@@ -786,7 +779,8 @@ def _march(trace: SolutionTrace, u_start: Sequence[float], stepper: _Stepper) ->
         trace.values[n1] = u
         trace.rhs_values[n1] = f
         if problem.lam * (t - stepper.t_ref) > _REBASE_EXPONENT:
-            # only the starting values can get here: the step blocks rebase
+            # the starting values, and a step inside a block whose span
+            # passes the exponent, since a block rebases only at its start
             stepper.rebase(gs, n1, t)
         gs[n1] = f * math.exp(problem.lam * (t - stepper.t_ref))
     return trace

@@ -196,11 +196,15 @@ class TestAdamsStart:
             self._check(_start_problem("caputo", alpha), mesh, h)
 
     def test_mesh_without_grid(self):
+        # no mesh node after a lies on the grid, so every step takes the
+        # general product weights
         problem = _start_problem("caputo", 0.6)
-        self._check(problem, 0.5 * np.linspace(0.0, 1.0, 201) ** 1.5, None)
-        # a grid step given, but no mesh node after a on that grid
-        h = 1e-3
-        self._check(problem, np.append(0.0, h * (np.arange(1, 50) + 0.37)), h)
+        for mesh, h in [
+            (0.5 * np.linspace(0.0, 1.0, 201) ** 1.5, 1e-3 * math.pi),
+            (np.append(0.0, 1e-3 * (np.arange(1, 50) + 0.37)), 1e-3),
+        ]:
+            assert (h * np.rint(mesh[1:] / h) != mesh[1:]).all()
+            self._check(problem, mesh, h)
 
     def test_split_start_peak_memory(self):
         # the start holds a few arrays as long as its mesh (mesh, forcing,
@@ -336,6 +340,19 @@ class TestStepOperator:
 
 
 class TestSolve:
+    def test_exact_solution_singular_at_a(self):
+        # RL data of negative order: u = e^{-t} t^(alpha-1) / Gamma(alpha) is
+        # infinite at a, which max_error() skips
+        alpha = 0.7
+        p = Problem(kind="rl", alpha=alpha, lam=1.0, a=0.0, b=1.0, init=(1.0,),
+                    rhs=lambda t, u: 0.0,
+                    exact=lambda t: math.exp(-t) * t ** (alpha - 1.0) / gamma(alpha))
+        tr = solve(p, SolverConfig(steps=20, n_interp=3))
+        with np.errstate(divide="ignore"):
+            errs = tr.errors()
+            assert errs[0] == np.inf
+            assert tr.max_error() <= 1e-13
+
     def test_zero_rhs_equals_forcing(self):
         for lam in (0.0, 2.0):
             for alpha in (0.5, 1.5):
