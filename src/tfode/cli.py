@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import expr as exprmod
@@ -19,15 +18,13 @@ from .harness import (
     table_sweep,
     write_trace_csv,
 )
-from .problems import BUILTIN_PROBLEMS, builtin_problem
+from .problems import problem_from_spec
 from .solver import BlowUpError, Problem, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_PARSE = 4
-
-_BUILTIN_PREFIX = "builtin:"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,70 +79,10 @@ def _parse_init(text: str | None) -> tuple[float, ...] | None:
         raise ValueError(f"cannot parse --init {text!r}") from None
 
 
-def _builtin_name(text: str) -> str | None:
-    if text.startswith(_BUILTIN_PREFIX):
-        return text[len(_BUILTIN_PREFIX):]
-    return None
-
-
 def _problem_from_args(args) -> Problem:
-    name = _builtin_name(args.rhs)
-    init = _parse_init(args.init)
-    if name is not None:
-        kwargs = {"b": args.b}
-        if name in ("example3", "relax"):
-            kwargs["mu"] = args.mu
-        problem = builtin_problem(name, args.alpha, args.lam, **kwargs)
-        overrides = {}
-        if args.a != problem.a:
-            overrides["a"] = args.a
-        if init is not None and init != problem.init:
-            overrides["init"] = init
-        if args.kind != problem.kind:
-            overrides["kind"] = args.kind
-        if overrides:
-            # changed data mean the bundled closed-form solution no longer
-            # applies; drop it rather than report errors against the wrong one
-            print(
-                f"note: overriding {', '.join(sorted(overrides))} of builtin "
-                f"{name!r}; its exact solution is discarded",
-                file=sys.stderr,
-            )
-            problem = Problem(
-                kind=overrides.get("kind", problem.kind),
-                alpha=problem.alpha,
-                lam=problem.lam,
-                a=overrides.get("a", problem.a),
-                b=problem.b,
-                init=overrides.get("init", problem.init),
-                rhs=problem.rhs,
-                exact=None,
-            )
-        return problem
-
-    rhs_ast = exprmod.parse(args.rhs)
-    alpha, lam = args.alpha, args.lam
-
-    def rhs(t: float, u: float) -> float:
-        return exprmod.evaluate(rhs_ast, {"t": t, "u": u, "alpha": alpha, "lambda": lam})
-
-    exact = None
-    if args.exact is not None:
-        exact_name = _builtin_name(args.exact)
-        if exact_name is not None:
-            ref = builtin_problem(exact_name, alpha, lam, b=args.b)
-            exact = ref.exact
-        else:
-            exact_ast = exprmod.parse(args.exact)
-
-            def exact(t: float) -> float:
-                return exprmod.evaluate(exact_ast, {"t": t, "alpha": alpha, "lambda": lam})
-
-    if init is None:
-        init = (0.0,) * max(1, math.ceil(alpha))
-    return Problem(
-        kind=args.kind, alpha=alpha, lam=lam, a=args.a, b=args.b,
-        init=init, rhs=rhs, exact=exact,
+    return problem_from_spec(
+        args.alpha, args.lam, args.rhs, b=args.b, exact=args.exact, kind=args.kind,
+        init=_parse_init(args.init), a=args.a, mu=args.mu,
     )
 
 

@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import expr as exprmod
-from .problems import BUILTIN_PROBLEMS, builtin_problem
+from .problems import BUILTIN_PREFIX, BUILTIN_PROBLEMS, problem_from_spec
 from .solver import BlowUpError, Problem, SolutionTrace, SolverConfig, solve
 
 __all__ = [
@@ -95,32 +94,10 @@ class Sweep:
         return steps
 
     def make_problem(self, alpha: float, lam: float) -> Problem:
-        if self.problem is not None:
-            kwargs = {"b": self.b}
-            if self.problem in ("example3", "relax"):
-                kwargs["mu"] = self.mu
-            return builtin_problem(self.problem, alpha, lam, **kwargs)
-        rhs_ast = exprmod.parse(self.rhs)
-
-        def rhs(t: float, u: float) -> float:
-            return exprmod.evaluate(
-                rhs_ast, {"t": t, "u": u, "alpha": alpha, "lambda": lam}
-            )
-
-        exact = None
-        if self.exact is not None:
-            exact_ast = exprmod.parse(self.exact)
-
-            def exact(t: float) -> float:
-                return exprmod.evaluate(
-                    exact_ast, {"t": t, "alpha": alpha, "lambda": lam}
-                )
-
-        n = max(1, math.ceil(alpha))
-        init = self.init if self.init is not None else (0.0,) * n
-        return Problem(
-            kind=self.kind, alpha=alpha, lam=lam, a=self.a, b=self.b,
-            init=init, rhs=rhs, exact=exact,
+        rhs = self.rhs if self.problem is None else BUILTIN_PREFIX + self.problem
+        return problem_from_spec(
+            alpha, lam, rhs, b=self.b, exact=self.exact, kind=self.kind,
+            init=self.init, a=self.a, mu=self.mu,
         )
 
     def make_config(self, tau: float) -> SolverConfig:

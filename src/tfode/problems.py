@@ -6,12 +6,18 @@ the stepper attains its full design order.  ``example3`` is the tempered
 relaxation equation ``D^(alpha,lam) u = -mu u`` whose solution
 ``e^{-lam t} E_{alpha,1}(-mu t^alpha)`` has unbounded low-order derivatives
 at t = 0 and is the standard target for the split-interval scheme.
+
+:func:`problem_from_spec` builds a :class:`Problem` from the fields the
+command line and the sweep configurations give: a built-in name or
+expressions, initial data, interval and decay rate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
+from . import expr
 from .solver import CAPUTO, Problem
 from .specfun import gamma, mittag_leffler
 
@@ -22,6 +28,8 @@ __all__ = [
     "example3",
     "builtin_problem",
     "BUILTIN_PROBLEMS",
+    "BUILTIN_PREFIX",
+    "problem_from_spec",
 ]
 
 
@@ -109,3 +117,84 @@ def builtin_problem(name: str, alpha: float, lam: float, **kwargs) -> Problem:
             f"{', '.join(sorted(BUILTIN_PROBLEMS))}"
         ) from None
     return factory(alpha, lam, **kwargs)
+
+
+#: Marks a right-hand side or exact solution given by built-in name.
+BUILTIN_PREFIX = "builtin:"
+
+
+def _builtin(name: str, alpha: float, lam: float, b: float, mu: float) -> Problem:
+    kwargs = {"b": b}
+    if name in ("example3", "relax"):
+        kwargs["mu"] = mu
+    return builtin_problem(name, alpha, lam, **kwargs)
+
+
+def _builtin_name(text: str) -> str | None:
+    return text[len(BUILTIN_PREFIX):] if text.startswith(BUILTIN_PREFIX) else None
+
+
+def problem_from_spec(
+    alpha: float,
+    lam: float,
+    rhs: str,
+    *,
+    b: float,
+    exact: str | None = None,
+    kind: str = CAPUTO,
+    init: tuple[float, ...] | None = None,
+    a: float = 0.0,
+    mu: float = 1.0,
+) -> Problem:
+    """A problem from its specification as the CLI and sweeps give it.
+
+    ``rhs`` is ``builtin:NAME`` or an expression in t, u, alpha, lambda;
+    ``mu`` is the decay rate of the built-in ``example3``/``relax``.  An
+    ``a``, ``init`` or ``kind`` that differs from a built-in's replaces it
+    and drops the built-in's exact solution, with a note on stderr.  For an
+    expression, ``exact`` is ``builtin:NAME`` (that problem's solution) or
+    an expression in t, alpha, lambda, and ``init`` defaults to zeros.
+    Expressions are parsed and compiled here, once.
+    """
+    name = _builtin_name(rhs)
+    if name is not None:
+        problem = _builtin(name, alpha, lam, b, mu)
+        changed = Problem(
+            kind=kind, alpha=alpha, lam=lam, a=a, b=problem.b,
+            init=problem.init if init is None else init, rhs=problem.rhs,
+        )
+        overrides = [
+            f for f in ("a", "init", "kind") if getattr(changed, f) != getattr(problem, f)
+        ]
+        if not overrides:
+            return problem
+        # changed data mean the bundled closed-form solution no longer
+        # applies; drop it rather than report errors against the wrong one
+        print(
+            f"note: overriding {', '.join(overrides)} of builtin "
+            f"{name!r}; its exact solution is discarded",
+            file=sys.stderr,
+        )
+        return changed
+
+    f = expr.compile(expr.parse(rhs), ("t", "u", "alpha", "lambda"))
+
+    def rhs_fn(t: float, u: float) -> float:
+        return f(t, u, alpha, lam)
+
+    exact_fn = None
+    if exact is not None:
+        exact_name = _builtin_name(exact)
+        if exact_name is not None:
+            exact_fn = _builtin(exact_name, alpha, lam, b, mu).exact
+        else:
+            g = expr.compile(expr.parse(exact), ("t", "alpha", "lambda"))
+
+            def exact_fn(t: float) -> float:
+                return g(t, alpha, lam)
+
+    if init is None:
+        init = (0.0,) * max(1, math.ceil(alpha))
+    return Problem(
+        kind=kind, alpha=alpha, lam=lam, a=a, b=b, init=init, rhs=rhs_fn, exact=exact_fn,
+    )

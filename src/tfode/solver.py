@@ -27,11 +27,15 @@ Gauss-Lobatto rule fed by the same refined starting machinery, and only
 the smooth tail ``[t0, t]`` with the Jacobi-weight rule.  Its start mesh
 is the refined grid plus the Lobatto nodes: the grid part keeps the
 tabulated weights, and the panels next to the off-grid nodes add an exact
-correction over those few nodes, built for a few steps at a time.
+correction over those few nodes.  Its rows are built in blocks of steps
+under a fixed element budget, and span only the nodes of the irregular
+regions that end within or before a block, so early blocks hold many
+steps.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -78,15 +82,20 @@ class SolverError(RuntimeError):
 
 
 class BlowUpError(SolverError):
-    """The numerical solution left the finite range; records the bad step."""
+    """The numerical solution left the finite range; records the bad step.
 
-    def __init__(self, step: int, t: float, value: float):
+    ``phase`` is ``"start"`` for a step of the starting procedure, whose
+    ``step`` counts its refined mesh, or ``"step"`` for a grid step.
+    """
+
+    def __init__(self, step: int, t: float, value: float, phase: str):
         super().__init__(
-            f"solution blew up at step {step} (t = {t:.6g}): u = {value!r}"
+            f"solution blew up in the {phase} phase at step {step} (t = {t:.6g}): u = {value!r}"
         )
         self.step = step
         self.t = t
         self.value = value
+        self.phase = phase
 
 
 @dataclass(frozen=True)
@@ -334,11 +343,12 @@ def interpolate_values(
 #: (exp overflows past ~709) leaves room for the span still to come.
 _REBASE_EXPONENT = 300.0
 
-#: Consecutive on-grid start steps whose split-mesh correction rows are
-#: built in one vectorised pass.  Each step of a block holds two rows as
-#: long as the correction, so larger blocks raise the split start's peak
-#: memory.
-_START_BLOCK = 8
+#: Element budget of a block of split-mesh correction rows, built in one
+#: vectorised pass, counted in rows as long as the whole correction.  A
+#: block's rows span only the correction nodes live in it, so it holds as
+#: many on-grid start steps as fit the budget.  A larger budget raises the
+#: split start's peak memory.
+_START_BLOCK_ROWS = 8
 
 
 def _convolution_tables(n: int, alpha: float):
@@ -410,20 +420,44 @@ class _StartGrid:
         self.widths = np.where(in_region, np.diff(self.times) * h**alpha, np.inf)
         self.rect = in_region * h**-alpha
 
-    def rows(self, ks: np.ndarray, r1: np.ndarray, rl: np.ndarray):
-        """Correction rows of the predictor and corrector for on-grid steps ``ks``.
+    def rows(self, k: int, r1: np.ndarray, rl: np.ndarray):
+        """Correction rows of the predictor and corrector for a block of
+        on-grid steps from ``k``: returns the end of the block and the rows.
 
-        A row holds, per correction node, the product weights of the region
-        panels (distances to the actual mesh nodes) minus the convolution
-        weights of the grid panels they replace (integer distances, looked
-        up in the :func:`_convolution_tables`), in units of h^alpha.  The
-        predictor's rows omit the last correction node, which is never a
-        panel's left end.
+        A step's sums touch only the regions ending at or before it, so the
+        rows span the correction nodes of the regions ending by the block's
+        last step, a prefix of them, and the block takes as many steps as
+        fit ``_START_BLOCK_ROWS`` rows of the whole correction's length.
+        The rows are ``None`` while no region has ended.  A row holds, per
+        live correction node, the product weights of the region panels
+        (distances to the actual mesh nodes) minus the convolution weights
+        of the grid panels they replace (integer distances, looked up in
+        the :func:`_convolution_tables`), in units of h^alpha.  The
+        predictor's rows omit the last live node, which is never the left
+        end of a live panel.
         """
+        # bisect, not np.searchsorted: numpy calls on a scalar fill numpy's
+        # small-allocation cache, which adds to the start's peak memory
+        ends, lives, n = self.right, self.right_col, len(r1) - 1
+        budget = _START_BLOCK_ROWS * len(self.times)
+        hi = k
+        for j in range(bisect.bisect_right(ends, k), len(ends) + 1):
+            # the steps before `end` have the first j regions live
+            end = int(ends[j]) if j < len(ends) else n + 1
+            fit = k + budget // (int(lives[j - 1]) + 1) if j else end
+            if fit < end:
+                hi = max(hi, fit)
+                break
+            hi = end
+        j = bisect.bisect_right(ends, hi - 1)
+        if j == 0:
+            return hi, None, None
+        live = int(lives[j - 1]) + 1
+        ks = np.arange(k, hi)
         alpha = self.alpha
         # p clipped at 0 gives the panels after T zero weights; a region
         # lies wholly before or after each on-grid step
-        p = np.subtract.outer(self.a + self.h * ks, self.times)
+        p = np.subtract.outer(self.a + self.h * ks, self.times[:live])
         np.maximum(p, 0.0, out=p)
         pa = p**alpha
         wp = pa[:, :-1] - pa[:, 1:]
@@ -437,22 +471,23 @@ class _StartGrid:
         np.subtract(i2, wl, out=wl)
         wr = np.multiply(p[:, :-1], wp, out=p[:, :-1])
         wr -= i2
-        np.divide(wl, self.widths, out=i2)
+        widths = self.widths[:live - 1]
+        np.divide(wl, widths, out=i2)
         del wl  # before the lookups allocate: lowers the peak
-        wr /= self.widths
+        wr /= widths
         wc[:, 1:] += wr
-        wp *= self.rect
+        wp *= self.rect[:live - 1]
         # table entry n - 1 - e is distance e; past n (regions after T) it
         # is 0.  A unit panel's trapezoid weights add up to its rectangle one
-        n = len(r1) - 1
-        il = np.add.outer(n - ks, self.left)
+        left_col, right_col = self.left_col[:j], self.right_col[:j]
+        il = np.add.outer(n - ks, self.left[:j])
         np.minimum(il, n, out=il)
-        ir = np.add.outer(n - 1 - ks, self.right)
+        ir = np.add.outer(n - 1 - ks, self.right[:j])
         np.minimum(ir, n, out=ir)
-        wp[:, self.left_col] -= r1[il]
-        wc[:, self.left_col] -= rl[il]
-        wc[:, self.right_col] -= r1[ir] - rl[ir]
-        return wp, wc
+        wp[:, left_col] -= r1[il]
+        wc[:, left_col] -= rl[il]
+        wc[:, right_col] -= r1[ir] - rl[ir]
+        return hi, wp, wc
 
 
 def _product_sums(
@@ -516,7 +551,6 @@ def _adams_pece_scaled(problem: Problem, mesh: np.ndarray, h: float) -> np.ndarr
     n, offgrid, corr = grid.n, grid.offgrid, grid.corr
     r1, rl, rc = _convolution_tables(n, alpha)
     hpre = rga * h**alpha
-    rows = grid.rows if corr else None
     u = np.empty(npts)
     gv = np.empty(npts)
     gb = gv if grid.uniform else np.zeros(n + 1)
@@ -550,25 +584,27 @@ def _adams_pece_scaled(problem: Problem, mesh: np.ndarray, h: float) -> np.ndarr
         else:
             k = round((T - a) / h)
             i = n - k
-            if rows is not None and not lo <= k < hi:
-                lo, hi = k, min(k + _START_BLOCK, n + 1)
+            if not lo <= k < hi:
                 wp = wc = None  # release the last block's rows first: lowers the peak
-                wp, wc = rows(np.arange(lo, hi), r1, rl)
+                lo = k
+                hi, wp, wc = grid.rows(k, r1, rl)
+                if wc is not None:  # views of the live correction nodes' history
+                    gcp, gcc = gc[:wp.shape[1]], gc[:wc.shape[1]]
             scale = decay * hpre
             acc = r1[i:n].dot(gb[:k])
-            if rows is not None:
-                acc += wp[k - lo].dot(gc[:-1])
+            if wc is not None:
+                acc += wp[k - lo].dot(gcp)
             pred = fm + scale * float(acc)
             gp = f(T, pred) / decay
             gb[k] = gp
             if q is not None:
                 gc[q] = gp
             acc = rc[i:].dot(gb[1:k + 1]) + rl.item(i) * gb.item(0)
-            if rows is not None:
-                acc += wc[k - lo].dot(gc)
+            if wc is not None:
+                acc += wc[k - lo].dot(gcc)
             val = fm + scale * float(acc)
         if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
-            raise BlowUpError(m, T, val)
+            raise BlowUpError(m, T, val, "start")
         g = f(T, val) / decay
         u[m] = val
         gv[m] = g
@@ -712,7 +748,7 @@ class _Stepper:
             acc = float(np.vdot(c_corr, win[i_corr]))
             u_new = base + pref * (acc + self._w_end * g_end)
         if not math.isfinite(u_new) or abs(u_new) > _BLOWUP_LIMIT:
-            raise BlowUpError(n1, t_next, u_new)
+            raise BlowUpError(n1, t_next, u_new, "step")
         return u_new
 
 

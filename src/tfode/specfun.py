@@ -2,12 +2,20 @@
 Mittag-Leffler function.
 
 Everything here is a pure function of its arguments and safe to call
-concurrently.
+concurrently.  :func:`mittag_leffler` reads its series coefficients
+1/Gamma(alpha k + beta), and log|Gamma| for the terms whose power z^k alone
+would overflow, from tables kept per (alpha, beta).  A table grows lazily
+to the largest k a call has needed.  It is an immutable tuple: a call that
+needs more builds a longer one and replaces the stored one under a lock, and
+never changes a table in place, so readers need no lock.  The number of
+keys and each table's length are bounded; terms past the length bound are
+computed directly.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 __all__ = ["gamma", "rgamma", "mittag_leffler", "MittagLefflerError"]
 
@@ -50,19 +58,45 @@ def rgamma(x: float) -> float:
     return 1.0 / g
 
 
-def _ml_term(z: float, k: int, x: float) -> float:
-    """k-th series term z^k / Gamma(x) without overflowing z**k."""
-    r = rgamma(x)
-    if r == 0.0:
-        return 0.0
-    if z == 0.0:
-        return r if k == 0 else 0.0
-    lk = k * math.log(abs(z))
-    if lk < 690.0:
-        return z**k * r
-    # z**k alone would overflow; x is large and positive by this point
-    mag = math.exp(lk - math.lgamma(x))
-    return -mag if (z < 0.0 and k % 2 == 1) else mag
+#: Bounds on the Mittag-Leffler coefficient tables: the number of (alpha,
+#: beta) keys kept, the oldest dropped first, and the length of each table.
+#: 1/Gamma(alpha k + beta) vanishes once alpha k + beta passes ~171.6, so
+#: 1024 entries cover every series with alpha >= 0.17 and beta >= 0.
+_ML_TABLE_KEYS = 16
+_ML_TABLE_LEN = 1024
+
+_RGAMMA_TABLES: dict[tuple[float, float], tuple[float, ...]] = {}
+_LGAMMA_TABLES: dict[tuple[float, float], tuple[float, ...]] = {}
+_TABLE_LOCK = threading.Lock()
+
+
+def _lgamma(x: float) -> float:
+    """log|Gamma(x)|, and inf at the poles, whose series terms are 0 anyway."""
+    if x <= 0.0 and x == math.floor(x):
+        return math.inf
+    return math.lgamma(x)
+
+
+def _table(store: dict, fn, key: tuple[float, float], k: int) -> tuple[float, ...]:
+    """``fn(alpha j + beta)`` for j = 0, 1, ..., from ``store``, grown past
+    j = ``k`` unless the table is at its length bound.
+
+    A growing call builds a new tuple of the next power-of-two length and
+    replaces the stored one; concurrent growers build equal values, so a
+    lost replacement only costs time.
+    """
+    old = store.get(key, ())
+    if k < len(old) or len(old) >= _ML_TABLE_LEN:
+        return old
+    size = min(_ML_TABLE_LEN, max(16, 1 << k.bit_length()))
+    alpha, beta = key
+    new = old + tuple(fn(alpha * j + beta) for j in range(len(old), size))
+    with _TABLE_LOCK:
+        if key not in store and len(store) >= _ML_TABLE_KEYS:
+            del store[next(iter(store))]
+        if len(store.get(key, ())) < size:
+            store[key] = new
+    return new
 
 
 def mittag_leffler(alpha: float, beta: float, z: float, *, zmax: float = ML_ZMAX) -> float:
@@ -96,11 +130,32 @@ def mittag_leffler(alpha: float, beta: float, z: float, *, zmax: float = ML_ZMAX
             f"|z| = {abs(z)} exceeds the series-reliability bound {zmax}"
         )
 
+    key = (alpha, beta)
+    rg, lg = _RGAMMA_TABLES.get(key, ()), _LGAMMA_TABLES.get(key, ())
+    nr, nl = len(rg), len(lg)
+    zero = z == 0.0
+    lz = 0.0 if zero else math.log(abs(z))
     total = 0.0
     comp = 0.0  # Neumaier correction
     small_streak = 0
     for k in range(100_000):
-        term = _ml_term(z, k, alpha * k + beta)
+        if k >= nr:
+            rg = _table(_RGAMMA_TABLES, rgamma, key, k)
+            nr = len(rg)
+        r = rg[k] if k < nr else rgamma(alpha * k + beta)
+        if r == 0.0 or (zero and k):
+            term = 0.0
+        else:
+            lk = k * lz
+            if lk < 690.0:
+                term = z**k * r
+            else:
+                # z**k alone would overflow; alpha k + beta is large by now
+                if k >= nl:
+                    lg = _table(_LGAMMA_TABLES, _lgamma, key, k)
+                    nl = len(lg)
+                mag = math.exp(lk - (lg[k] if k < nl else _lgamma(alpha * k + beta)))
+                term = -mag if (z < 0.0 and k % 2 == 1) else mag
         t = total + term
         if abs(total) >= abs(term):
             comp += (total - t) + term

@@ -6,13 +6,20 @@ the package: series are summed directly, moments come from binomial
 expansions, and recurrence coefficients from Gram-Schmidt on monomials.
 The fractional-Adams reference (:func:`adams_pece_reference`) is a plain
 double-precision O(m^2) loop that rebuilds every product weight from the
-mesh at every step.
+mesh at every step.  Two more plain-double references keep earlier forms of
+package code that were replaced by faster ones with the same arithmetic:
+:func:`ml_series_reference`, the Mittag-Leffler series computing every
+coefficient per term, and :func:`evaluate_reference`, the recursive
+expression interpreter.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from tfode import expr
+from tfode.specfun import MittagLefflerError, rgamma
 
 mp.mp.dps = 50
 
@@ -23,6 +30,81 @@ def ml_series(alpha, beta, z, kmax=500):
     for k in range(kmax):
         total += mp.mpf(z) ** k / mp.gamma(mp.mpf(alpha) * k + mp.mpf(beta))
     return total
+
+
+def _ml_term(z, k, x):
+    """k-th series term z^k / Gamma(x) without overflowing z**k."""
+    r = rgamma(x)
+    if r == 0.0:
+        return 0.0
+    if z == 0.0:
+        return r if k == 0 else 0.0
+    lk = k * math.log(abs(z))
+    if lk < 690.0:
+        return z**k * r
+    mag = math.exp(lk - math.lgamma(x))
+    return -mag if (z < 0.0 and k % 2 == 1) else mag
+
+
+def ml_series_reference(alpha, beta, z, zmax=50.0):
+    """Mittag-Leffler series in doubles, each coefficient computed per term.
+
+    The same Neumaier sum and stopping rule as ``specfun.mittag_leffler``,
+    so the two agree bit for bit, errors included.
+    """
+    if alpha <= 0.0:
+        raise MittagLefflerError(f"alpha must be positive, got {alpha}")
+    if abs(z) > zmax:
+        raise MittagLefflerError(
+            f"|z| = {abs(z)} exceeds the series-reliability bound {zmax}"
+        )
+    total = 0.0
+    comp = 0.0
+    small_streak = 0
+    for k in range(100_000):
+        term = _ml_term(z, k, alpha * k + beta)
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
+        if abs(term) <= 1e-16 * (1.0 + abs(total)):
+            small_streak += 1
+            if small_streak >= 3:
+                return total + comp
+        else:
+            small_streak = 0
+    raise ArithmeticError(
+        f"Mittag-Leffler series did not settle for alpha={alpha}, beta={beta}, z={z}"
+    )
+
+
+def evaluate_reference(node, bindings):
+    """Recursive tree-walking evaluation of an expression AST."""
+    if isinstance(node, expr.Num):
+        return node.value
+    if isinstance(node, expr.Var):
+        try:
+            return float(bindings[node.name])
+        except KeyError:
+            raise expr.EvalError(f"variable {node.name!r} is not bound") from None
+    if isinstance(node, expr.Neg):
+        return -evaluate_reference(node.operand, bindings)
+    if isinstance(node, expr.BinOp):
+        x = evaluate_reference(node.left, bindings)
+        y = evaluate_reference(node.right, bindings)
+        if node.op == "+":
+            return x + y
+        if node.op == "-":
+            return x - y
+        if node.op == "*":
+            return x * y
+        if node.op == "/":
+            return x / y
+        return x**y
+    fn = expr.FUNCTIONS[node.func][1]
+    return float(fn(*(evaluate_reference(arg, bindings) for arg in node.args)))
 
 
 def jacobi_moment(a, b, k):

@@ -75,6 +75,19 @@ class TestSolveCommand:
                     "--b", "4", "--steps", "64", "--NI", "3", cwd=tmp_path)
         assert r.returncode == 3
         assert "blow-up" in r.stderr
+        assert "in the start phase at step" in r.stderr
+
+    def test_blow_up_names_step_phase(self, tmp_path, monkeypatch, capsys):
+        from tfode import cli
+
+        monkeypatch.chdir(tmp_path)
+        code = cli.main([
+            "solve", "--alpha", "0.9", "--rhs", "builtin:relax", "--mu", "50",
+            "--b", "1.1", "--steps", "22", "--NI", "2", "--split-t0", "0.1",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "solver blow-up: solution blew up in the step phase at step 17" in err
 
 
 class TestSweepCommand:
@@ -151,3 +164,41 @@ class TestSolveExactColumn:
         assert "max error" in capsys.readouterr().out
         assert len(calls) == steps + 1
         assert len((tmp_path / "t.csv").read_text().splitlines()) == steps + 2
+
+
+class TestProblemSpec:
+    """``tfode solve`` builds its problem with ``problems.problem_from_spec``."""
+
+    def _solve(self, tmp_path, monkeypatch, *argv):
+        from tfode import cli
+
+        monkeypatch.chdir(tmp_path)
+        return cli.main(["solve", "--b", "1", "--steps", "40", "--NI", "3", *argv])
+
+    def test_builtin_override_note(self, tmp_path, monkeypatch, capsys):
+        code = self._solve(tmp_path, monkeypatch, "--alpha", "0.5", "--lambda", "2",
+                           "--rhs", "builtin:example2", "--init", "1", "--kind", "rl")
+        assert code == 0
+        out = capsys.readouterr()
+        assert out.err == (
+            "note: overriding init, kind of builtin 'example2'; "
+            "its exact solution is discarded\n"
+        )
+        assert out.out == "wrote trace.csv\n"
+        assert (tmp_path / "trace.csv").read_text().startswith("t,u\n")
+
+    def test_builtin_without_override_keeps_exact(self, tmp_path, monkeypatch, capsys):
+        code = self._solve(tmp_path, monkeypatch, "--alpha", "0.5", "--lambda", "2",
+                           "--rhs", "builtin:example2", "--init", "0")
+        assert code == 0
+        out = capsys.readouterr()
+        assert out.err == "" and "max error" in out.out
+
+    def test_exact_builtin_takes_mu(self, tmp_path, monkeypatch, capsys):
+        # the exact solution of builtin relax uses the given decay rate
+        code = self._solve(tmp_path, monkeypatch, "--alpha", "0.9", "--lambda", "1",
+                           "--rhs=-3*u", "--init", "1", "--exact", "builtin:relax",
+                           "--mu", "3")
+        assert code == 0
+        err = float(capsys.readouterr().out.rsplit("=", 1)[1])
+        assert err < 1e-3

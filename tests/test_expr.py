@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfode.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     EvalError,
@@ -14,9 +15,12 @@ from tfode.expr import (
     Num,
     UnknownNameError,
     Var,
+    compile,
     evaluate,
     parse,
 )
+
+from _oracles import evaluate_reference
 
 
 class TestParse:
@@ -135,3 +139,105 @@ def test_parse_is_total(src):
         parse(src)
     except ExprError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# compiled expressions against the recursive interpreter
+
+_NAMES = ("t", "u", "alpha", "lambda")
+
+_leaves = st.one_of(
+    st.sampled_from([Var(name) for name in _NAMES]),
+    st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0, 400.0, 1e-320]).map(Num),
+)
+
+
+def _extend(children):
+    calls = st.sampled_from(sorted(FUNCTIONS)).flatmap(
+        lambda name: st.tuples(*[children] * FUNCTIONS[name][0]).map(
+            lambda args: Call(name, args)
+        )
+    )
+    return st.one_of(
+        children.map(Neg),
+        st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda x: BinOp(*x)),
+        calls,
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=8)
+_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e300]),
+)
+
+
+def _outcome(fn):
+    """repr of the result (bit-identical floats, signed zeros and nan), or
+    the type of the exception it raised."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # every exception type is part of the contract
+        return type(exc).__name__
+
+
+def _bindings(values, unbound):
+    return {name: v for name, v in zip(_NAMES, values) if name not in unbound}
+
+
+class TestCompile:
+    @given(_trees, st.tuples(*[_values] * 4), st.sets(st.sampled_from(_NAMES), max_size=2))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_interpreter(self, tree, values, unbound):
+        env = _bindings(values, unbound)
+        want = _outcome(lambda: evaluate_reference(tree, env))
+        names = tuple(env)
+        fn = compile(tree, names)  # never raises: errors come at call time
+        assert _outcome(lambda: fn(*env.values())) == want
+        assert _outcome(lambda: evaluate(tree, env)) == want
+
+    @given(st.text(alphabet="0123456789.+-*/^()abcdefglmnopstux, ", max_size=40),
+           st.tuples(*[_values] * 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_interpreter_on_parsed_text(self, src, values):
+        try:
+            tree = parse(src)
+        except ExprError:
+            return
+        env = _bindings(values, ())
+        assert _outcome(lambda: evaluate(tree, env)) == _outcome(
+            lambda: evaluate_reference(tree, env)
+        )
+
+    @pytest.mark.parametrize("src,ast", CORPUS, ids=[c[0] for c in CORPUS])
+    def test_corpus(self, src, ast):
+        env = {"t": 0.73, "u": 1.2, "alpha": 0.9, "lambda": 2.0}
+        fn = compile(parse(src), _NAMES)
+        assert repr(fn(0.73, 1.2, 0.9, 2.0)) == repr(evaluate_reference(ast, env))
+
+    def test_unbound_variable_raises_at_call_time(self):
+        fn = compile(parse("t + u"), ("t",))
+        with pytest.raises(EvalError, match="'u' is not bound"):
+            fn(1.0)
+
+    @pytest.mark.parametrize(
+        "src, error",
+        [("t/0", ZeroDivisionError), ("0^(0-1)", ZeroDivisionError),
+         ("10^t", OverflowError), ("exp(t)", OverflowError),
+         ("ln(0-t)", ValueError), ("gamma(0*t)", ValueError)],
+    )
+    def test_arithmetic_errors(self, src, error):
+        fn = compile(parse(src), ("t",))
+        with pytest.raises(error):
+            fn(1000.0)
+        with pytest.raises(error):
+            evaluate_reference(parse(src), {"t": 1000.0})
+
+    def test_calls_go_through_the_function_table(self, monkeypatch):
+        # ml's entry looks up expr._ml per call, so replacing it after
+        # compiling still takes effect
+        from tfode import expr
+
+        fn = compile(parse("ml(alpha, 1, t)"), ("t", "alpha"))
+        monkeypatch.setattr(expr, "_ml", lambda al, be, z: 42.0)
+        assert fn(0.5, 0.9) == 42.0

@@ -100,6 +100,17 @@ class TestSweep:
         e2 = run_sweep(sw_builtin)[0].rows[0].max_error
         assert e1 == pytest.approx(e2, rel=1e-9)
 
+    def test_builtin_data_override(self, capsys):
+        # sweeps build problems like tfode solve: initial data given for a
+        # builtin replace its own, and its exact solution is dropped
+        sw = Sweep(alphas=(0.9,), lambdas=(5.0,), taus=(0.05,), n_interp=2,
+                   problem="example3", init=(2.0,), b=1.1, split_t0=0.1)
+        problem = sw.make_problem(0.9, 5.0)
+        assert problem.init == (2.0,) and problem.exact is None
+        assert capsys.readouterr().err == (
+            "note: overriding init of builtin 'example3'; its exact solution is discarded\n"
+        )
+
 
 class TestTables:
     def test_table_configs(self):

@@ -18,9 +18,12 @@ from tfode.solver import (
     starting_values,
     volterra_forcing,
     _BLOCK,
+    _START_BLOCK_ROWS,
     _adams_pece_scaled,
+    _convolution_tables,
     _lagrange_weights,
     _merge_meshes,
+    _StartGrid,
     _Stepper,
 )
 from tfode.specfun import gamma, rgamma
@@ -221,6 +224,27 @@ class TestAdamsStart:
         finally:
             tracemalloc.stop()
         assert peak < 16 * npts * 8
+
+    @pytest.mark.parametrize("steps", [22, 1760])
+    def test_correction_blocks_fit_the_budget(self, steps):
+        # a block's rows span only the correction nodes of the regions ended
+        # by its last step, so early blocks hold many steps; none holds more
+        # than _START_BLOCK_ROWS rows of the whole correction's length
+        problem = example3(0.5, 5.0)
+        mesh, h = _split_start_mesh(problem, steps)
+        grid = _StartGrid(mesh, problem.a, h, problem.alpha)
+        r1, rl, _ = _convolution_tables(grid.n, problem.alpha)
+        width = len(grid.corr)
+        k, blocks = 0, 0
+        while k <= grid.n:
+            hi, wp, wc = grid.rows(k, r1, rl)
+            assert k < hi <= grid.n + 1
+            if wc is not None:
+                assert wc.shape[0] == hi - k and wp.shape == (hi - k, wc.shape[1] - 1)
+                assert wc.size <= _START_BLOCK_ROWS * width
+            k, blocks = hi, blocks + 1
+        # blocks of a fixed _START_BLOCK_ROWS steps: about twice as many
+        assert blocks <= 0.6 * math.ceil((grid.n + 1) / _START_BLOCK_ROWS)
 
     @pytest.mark.parametrize("lam", [1200.0, 2000.0])
     def test_large_tempering_rate(self, lam):
@@ -516,6 +540,10 @@ class TestSolve:
         with pytest.raises(BlowUpError) as ei:
             solve(p, SolverConfig(steps=64, n_interp=3))
         assert ei.value.step > 0
+        # u = 2 with u^2 growth leaves the range within the first step
+        # tau = 1/16: the blow-up is in the start, on its refined mesh
+        assert ei.value.phase == "start" and ei.value.t < 1 / 16
+        assert "in the start phase at step" in str(ei.value)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -544,6 +572,14 @@ class TestSolveSplit:
         tr = solve_split(example3(0.9, 5.0), cfg)
         # reference reports 4.3478e-6 for this configuration
         assert tr.max_error() <= 4.3478e-5
+
+    def test_stiff_blow_up_is_in_the_step_phase(self):
+        # mu = 50: the start over [0, 0.1] stays bounded, and the explicit
+        # corrector diverges on the coarse grid afterwards
+        with pytest.raises(BlowUpError) as ei:
+            solve(example3(0.9, 0.0, mu=50.0), SolverConfig(steps=22, n_interp=2, split_t0=0.1))
+        assert ei.value.phase == "step" and ei.value.step == 17
+        assert "in the step phase at step 17" in str(ei.value)
 
     def test_misaligned_split_point_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,16 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfode import specfun
 from tfode.specfun import MittagLefflerError, gamma, mittag_leffler, rgamma
 
-from _oracles import ml_series
+from _oracles import ml_series, ml_series_reference
 
 
 class TestGamma:
@@ -98,3 +101,100 @@ class TestMittagLeffler:
     @settings(max_examples=60, deadline=None)
     def test_exp_identity_property(self, z):
         assert abs(mittag_leffler(1.0, 1.0, z) - math.exp(z)) <= 1e-12
+
+
+def _outcome(fn, *args):
+    """A call's result as a comparable value: repr of the float, or the error."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """Fresh coefficient tables, so a test sees them grow from nothing."""
+    monkeypatch.setattr(specfun, "_RGAMMA_TABLES", {})
+    monkeypatch.setattr(specfun, "_LGAMMA_TABLES", {})
+
+
+class TestMittagLefflerTables:
+    """The tabulated coefficients give the per-term series bit for bit."""
+
+    Z = [0.0, -0.0, 1e-300, 0.3, -0.7, 1.0, -1.1, 2.5, -5.0, -12.0, 20.0, -50.0]
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0, 1.8, 2.0])
+    @pytest.mark.parametrize("beta", [1.0, 0.5, 2.0, 0.0, -1.0])
+    def test_bit_identical_to_per_term_series(self, empty_tables, alpha, beta):
+        # beta = 0 and -1 put the first coefficients on poles of Gamma
+        for z in self.Z:
+            want = _outcome(ml_series_reference, alpha, beta, z)
+            assert _outcome(mittag_leffler, alpha, beta, z) == want, z
+            # and again from the tables the first call grew
+            assert _outcome(mittag_leffler, alpha, beta, z) == want, z
+
+    def test_overflow_branch(self, empty_tables):
+        # |z|^k overflows from k ~ 227: those terms come from the log Gamma table
+        for z in (-21.0, -20.5, 21.0):
+            assert repr(mittag_leffler(0.5, 1.0, z)) == repr(ml_series_reference(0.5, 1.0, z))
+        assert len(specfun._LGAMMA_TABLES[(0.5, 1.0)]) > 227
+
+    def test_past_the_length_bound(self, empty_tables):
+        # alpha = 0.1 needs coefficients up to k ~ 1700, beyond the tables'
+        # length; those are computed per term, overflow branch included
+        for z in (-2.0, 2.0, -1.5):
+            assert repr(mittag_leffler(0.1, 1.0, z)) == repr(ml_series_reference(0.1, 1.0, z))
+        assert len(specfun._RGAMMA_TABLES[(0.1, 1.0)]) == specfun._ML_TABLE_LEN
+        assert len(specfun._LGAMMA_TABLES[(0.1, 1.0)]) == specfun._ML_TABLE_LEN
+
+    @pytest.mark.parametrize(
+        "alpha, beta, z",
+        [(-0.1, 1.0, 0.5), (0.0, 1.0, 0.5), (0.5, 1.0, 51.0), (0.5, 1.0, -60.0),
+         (0.1, 1.0, -3.0), (0.05, 1.0, 49.0)],
+    )
+    def test_error_paths_unchanged(self, empty_tables, alpha, beta, z):
+        want = _outcome(ml_series_reference, alpha, beta, z)
+        assert not want.startswith("'") and not want[0].isdigit()  # an error
+        assert _outcome(mittag_leffler, alpha, beta, z) == want
+
+    def test_tables_are_bounded(self, empty_tables):
+        keys = specfun._ML_TABLE_KEYS
+        alphas = [0.5 + 0.01 * i for i in range(keys + 5)]
+        for alpha in alphas:
+            mittag_leffler(alpha, 1.0, -40.0)  # reaches the overflow branch
+        for store in (specfun._RGAMMA_TABLES, specfun._LGAMMA_TABLES):
+            assert len(store) == keys
+            assert all(len(table) <= specfun._ML_TABLE_LEN for table in store.values())
+        # the oldest keys went first
+        assert list(specfun._RGAMMA_TABLES) == [(a, 1.0) for a in alphas[-keys:]]
+
+    def test_tables_grow_lazily(self, empty_tables):
+        mittag_leffler(0.9, 1.0, -1.1)  # about 24 terms
+        assert list(specfun._RGAMMA_TABLES) == [(0.9, 1.0)]
+        assert len(specfun._RGAMMA_TABLES[(0.9, 1.0)]) == 32
+        assert specfun._LGAMMA_TABLES == {}
+
+    def test_concurrent_calls_share_one_key(self, empty_tables):
+        zs = [-21.0 * i / 200 for i in range(201)]
+        serial = [repr(ml_series_reference(0.5, 1.0, z)) for z in zs]
+        results = [None, None]
+
+        def work(slot, order):
+            results[slot] = {z: repr(mittag_leffler(0.5, 1.0, z)) for z in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(0, zs[::-1])),
+                threading.Thread(target=work, args=(1, zs)),
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for got in results:
+            assert [got[z] for z in zs] == serial
