@@ -1,7 +1,9 @@
 """Command-line interface: single solves, config-driven sweeps, canned tables.
 
 Exit codes: 0 success, 2 configuration error, 3 solver blow-up,
-4 expression parse error.
+4 expression error: a parse error, or an expression right-hand side that
+fails to evaluate (division by zero, overflow, a domain error or a complex
+value).
 """
 
 from __future__ import annotations

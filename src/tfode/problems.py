@@ -180,7 +180,14 @@ def problem_from_spec(
     f = expr.compile(expr.parse(rhs), ("t", "u", "alpha", "lambda"))
 
     def rhs_fn(t: float, u: float) -> float:
-        return f(t, u, alpha, lam)
+        # float() rejects a complex value, e.g. a negative base to a
+        # fractional power, here rather than deep inside the solver
+        try:
+            return float(f(t, u, alpha, lam))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise expr.EvalError(
+                f"right-hand side {rhs!r} at t = {t:.6g}, u = {u:.6g}: {exc}"
+            ) from None
 
     exact_fn = None
     if exact is not None:

@@ -12,9 +12,11 @@ from Lagrange interpolation on ``n_interp`` neighbouring grid nodes, which
 makes ``n_interp`` the design convergence order.  Cost per step does not
 grow with the step index, so a whole solve is O(steps): the quadrature
 positions and stencil weights depend only on the step index, so they are
-precomputed in blocks of consecutive steps, and a step's work is two
-gathered dot products (predictor and corrector) over those weights plus
-the right-hand-side calls.
+precomputed in blocks of consecutive steps.  A step's predictor is then
+one gather of the history and one dot product; the corrector's stencils
+differ only next to the new node, so its sum is the predictor's plus a
+window over the last ``n_interp + 1`` nodes, and each corrector iteration
+is scalar arithmetic plus the right-hand-side call.
 
 The first ``n_interp`` grid values come from a product-trapezoidal
 predictor-corrector (fractional Adams) run on a refined auxiliary grid.
@@ -24,7 +26,8 @@ dot products (predictor and corrector) plus the right-hand-side calls.
 For solutions that are non-smooth at the start, :func:`solve_split`
 integrates the history over ``[a, t0]`` with a fixed unit-weight
 Gauss-Lobatto rule fed by the same refined starting machinery, and only
-the smooth tail ``[t0, t]`` with the Jacobi-weight rule.  Its start mesh
+the smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term
+is evaluated for a block of steps at once.  Its start mesh
 is the refined grid plus the Lobatto nodes: the grid part keeps the
 tabulated weights, and the panels next to the off-grid nodes add an exact
 correction over those few nodes.  Its rows are built in blocks of steps
@@ -36,12 +39,12 @@ steps.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import GaussLobattoRule, gauss_lobatto
 from .specfun import rgamma
@@ -263,39 +266,63 @@ def volterra_forcing(problem: Problem, t: float) -> float:
 # Lagrange interpolation on uniform stencils
 
 
+@functools.lru_cache(maxsize=32)
 def _bary_weights(n_points: int) -> np.ndarray:
-    return np.array(
-        [(-1.0) ** i * math.comb(n_points - 1, i) for i in range(n_points)]
-    )
+    """Barycentric weights (-1)^j C(n_points-1, j) of n_points equispaced
+    nodes, as a read-only column."""
+    w = np.array([(-1.0) ** j * math.comb(n_points - 1, j) for j in range(n_points)])[:, None]
+    w.flags.writeable = False
+    return w
 
 
-def _lagrange_weights(
-    r: np.ndarray, last: int | np.ndarray, n_points: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _stencil_weights(r: np.ndarray, last, n_points: int, grow: bool = False):
     """Stencil starts and Lagrange weights for uniform-grid coordinates ``r``.
 
     Stencils are ``n_points`` consecutive indices within [0, last], centred
     on each target as nearly as possible (ties toward earlier nodes);
     targets beyond ``last`` are extrapolated from the clamped stencil.
-    ``last`` broadcasts against ``r``.  Returns ``i0`` of ``r``'s shape and
-    weights ``l`` with one more trailing axis of length ``n_points``, so the
-    interpolant at ``r[...]`` is ``l[...] @ f[i0[...] : i0[...] + n_points]``.
-    A target within 1e-9 of a node gets a one-hot row: it returns the sample.
+    ``last`` broadcasts against ``r``.  Returns the starts ``i0`` as floats
+    of ``r``'s shape and the weights ``l`` with the stencil axis first, over
+    the targets in ``r``'s flat order: the interpolant at target p is
+    ``sum_j l[j, p] f[i0.flat[p] + j]``.  A target within 1e-9 of a node
+    gets a one-hot column: it returns the sample.
+
+    With ``grow``, also returns ``s`` of ``r``'s shape.  Where a stencil
+    moves one node right when ``last`` grows by one, its weights over the
+    nodes ``i0 .. i0 + n_points`` change by ``s * _bary_weights(n_points+1)``:
+    two neighbouring interpolants differ by the highest divided difference
+    times a node polynomial, and ``s`` is that polynomial's value.
+    Elsewhere ``s`` is 0.
     """
-    i0 = np.ceil((r - 0.5 * (n_points - 1)) - 0.5).astype(int)
-    np.maximum(i0, 0, out=i0)
-    np.minimum(i0, np.asarray(last) - n_points + 1, out=i0)
-    # r - i0 is exact (integer i0 <= r), so lw holds r - (i0 + j) exactly
-    x = r - i0
-    lw = x[..., None] - np.arange(n_points)
+    i0 = np.ceil(r - 0.5 * n_points)
+    np.maximum(i0, 0.0, out=i0)
+    top = np.asarray(last, dtype=float) - (n_points - 1)
+    moved = i0 > top if grow else None
+    np.minimum(i0, top, out=i0)
+    # r - i0 is exact (integer i0 <= r), so the distances below are too
+    x = (r - i0).reshape(-1)
+    # 1/(j - x) rather than 1/(x - j): the sign cancels in the normalisation
+    lw = np.subtract.outer(np.arange(n_points, dtype=float), x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(_bary_weights(n_points), lw, out=lw)
-        lw /= lw.sum(axis=-1, keepdims=True)
+        np.reciprocal(lw, out=lw)
+        lw *= _bary_weights(n_points)
+        den = np.add.reduce(lw)
+        lw /= den
+        if grow:
+            # den = (n-1)! / prod_{j<n} (j - x), so the node polynomial
+            # prod_{0<j<n} (x - j) / (n-1)!, signed to match the (n+1)-point
+            # weights, is 1 / (x den)
+            s = np.reciprocal(den * x, out=den)
     node = np.rint(x)
-    hit = (np.abs(x - node) < 1e-9) & (node < n_points)
-    if hit.any():
-        lw[hit] = np.arange(n_points) == node[hit][:, None]
-    return i0, lw
+    near = np.flatnonzero(np.abs(x - node) < 1e-9)
+    at = node[near]
+    hit = at < n_points
+    lw[:, near[hit]] = np.arange(n_points)[:, None] == at[hit]
+    if not grow:
+        return i0, lw
+    s = np.where(moved.reshape(-1), s, 0.0)
+    s[near[(at >= 1.0) & hit]] = 0.0
+    return i0, lw, s.reshape(r.shape)
 
 
 def interpolate_values(
@@ -330,8 +357,9 @@ def interpolate_values(
         )
     if not times[0] - 1e-9 * tau <= s <= times[-1] + 1e-9 * tau:
         raise ValueError(f"s={s} outside the covered range [{times[0]}, {times[-1]}]")
-    i0, lw = _lagrange_weights(np.array([(s - times[0]) / tau]), len(times) - 1, n_points)
-    return float(lw[0] @ values[i0[0]:i0[0] + n_points])
+    i0, lw = _stencil_weights(np.array([(s - times[0]) / tau]), len(times) - 1, n_points)
+    start = int(i0[0])
+    return float(lw[:, 0] @ values[start:start + n_points])
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +672,10 @@ def starting_values(
 
 #: Consecutive steps whose quadrature stencils and weights are built in one
 #: vectorised pass.  Larger blocks amortise the build over more steps, but
-#: every step of a block holds 2 (n_quad+1) n_interp weights, plus the
-#: build's temporaries, which sets the solve's peak memory at small M.
+#: every step of a block holds (n_quad+1) n_interp weights and indices, plus
+#: the build's temporaries, which sets the solve's peak memory at small M.
 _BLOCK = 16
+
 
 class _Stepper:
     """Per-solve state for the Jacobi predictor-corrector iteration.
@@ -664,9 +693,14 @@ class _Stepper:
     holds ``(nodes, weights, f)`` of the unit-weight rule over ``[a, t0]``
     for the split scheme.  Each step's quadrature positions and stencils
     depend only on the step index, so they are built ``_BLOCK`` steps at a
-    time as stencil starts plus combined weights ``w_q l_{q,k}``; a step is
-    then one gathered dot product for the predictor and one per corrector
-    iteration.
+    time.  The predictor's stencils end at g_{n-1}; a step's predictor sum
+    is one gather of the history and one dot with the combined weights
+    ``w_q l_{q,k}``.  The corrector's stencils may reach g_n, and only the
+    tail positions whose predictor stencil was clamped to [n-NI, n-1] move
+    (to [n-NI+1, n]), so its sum is the predictor's plus a correction over
+    the window g_{n-NI..n}.  The window's weight on g_n, the endpoint's
+    rule weight included, is one scalar, so every corrector iteration is
+    scalar arithmetic.
     """
 
     def __init__(
@@ -686,15 +720,22 @@ class _Stepper:
         self.origin = origin
         self.history = history
         self.t_ref = problem.a if t_ref is None else t_ref
-        self._w_end = float(self.rule.weights[-1])
+        n_interp = config.n_interp
+        self._half_nodes = 0.5 * (self.rule.nodes + 1.0)
+        self._weights_flat = np.tile(self.rule.weights, _BLOCK)
+        self._offsets = np.tile(np.arange(n_interp), len(self.rule.nodes))
+        self._window_weights = _bary_weights(n_interp + 1).ravel()
         self._lo = self._hi = 0
-        self._gs: np.ndarray | None = None
 
-    def _history_part(self, t_next: float) -> float:
+    def _history_part(self, t: np.ndarray) -> np.ndarray:
+        """The split scheme's history term over [a, t0] at the times ``t``."""
         nodes, weights, f = self.history
-        kern = (t_next - nodes) ** (self.problem.alpha - 1.0)
-        kern *= np.exp(-self.problem.lam * (t_next - nodes))
-        return self.rga * float(weights @ (kern * f))
+        span = np.subtract.outer(t, nodes)
+        kern = span ** (self.problem.alpha - 1.0)
+        span *= -self.problem.lam
+        kern *= np.exp(span, out=span)
+        kern *= f
+        return self.rga * (kern @ weights)
 
     def rebase(self, gs: np.ndarray, upto: int, t_new: float) -> None:
         """Move ``t_ref`` to ``t_new``, rescaling the history gs[:upto]."""
@@ -703,50 +744,55 @@ class _Stepper:
 
     def _build_block(self, times: np.ndarray, gs: np.ndarray, lo: int) -> None:
         """Precompute steps lo..hi-1, rebasing the history in ``gs`` if due."""
-        problem = self.problem
+        problem, n_interp = self.problem, self.config.n_interp
         hi = min(lo + _BLOCK, len(gs))
         lam = problem.lam
         if lam * (times[hi - 1] - self.t_ref) > _REBASE_EXPONENT:
             self.rebase(gs, lo, float(times[lo]))
-        self._c = None  # release the last block's weights first: lowers the peak
-        n = np.arange(lo, hi)
-        span = (n - self.origin)[:, None]
-        r = self.origin + 0.5 * span * (self.rule.nodes + 1.0)
-        # the predictor's stencils end at n-1; the corrector's may reach the
-        # predicted endpoint g_n, and its last node's weight multiplies
-        # f(t_n, u_pred) directly (the row built for it here goes unused)
-        last = np.stack([n - 1, n])[:, :, None]
-        self._i, self._c = _lagrange_weights(np.stack([r, r]), last, self.config.n_interp)
-        self._c *= self.rule.weights[:, None]
+        self._c = self._idx = None  # release the last block's first: lowers the peak
+        n = np.arange(lo, hi, dtype=float)
+        span = n - self.origin
+        r = np.multiply.outer(span, self._half_nodes)
+        r += self.origin
+        i0, lw, s = _stencil_weights(r, (n - 1.0)[:, None], n_interp, grow=True)
+        lw *= self._weights_flat[:lw.shape[1]]
+        # step-major rows, each quadrature node's stencil contiguous
+        self._c = lw.T.reshape(len(n), -1)
+        del lw
+        idx = np.repeat(i0.astype(np.intp), n_interp).reshape(len(n), -1)
+        idx += self._offsets
+        self._idx = idx
+        # the moved stencils change the sum by sigma times the window's
+        # (NI+1)-point weights, whose last one multiplies g_n
+        sigma = s @ self.rule.weights
+        self._window = np.multiply.outer(sigma, self._window_weights[:-1])
+        self._w_end = sigma * self._window_weights[-1]
         t = times[lo:hi]
-        self._base = np.exp(-lam * (t - problem.a)) * _forcing_scaled(problem, t)
-        self._pref = (0.5 * self.tau * span[:, 0]) ** problem.alpha * self.rga
-        if gs is not self._gs:
-            self._win = sliding_window_view(gs, self.config.n_interp)
-            self._gs = gs
+        base = np.exp(-lam * (t - problem.a)) * _forcing_scaled(problem, t)
+        if self.history is not None:
+            base += self._history_part(t)
+        self._base = base
+        self._pref = (0.5 * self.tau * span) ** problem.alpha * self.rga
         self._lo, self._hi = lo, hi
 
     def step(self, times: np.ndarray, gs: np.ndarray, n1: int) -> float:
-        """Advance to times[n1] given scaled history gs[0..n1-1]; gs[n1] is scratch."""
-        if gs is not self._gs or not self._lo <= n1 < self._hi:
+        """Advance to times[n1] given the scaled history gs[0..n1-1]."""
+        if not self._lo <= n1 < self._hi:
             self._build_block(times, gs, n1)
         problem = self.problem
         k = n1 - self._lo
-        t_next = float(times[n1])
+        t_next = times.item(n1)
         decay = math.exp(-problem.lam * (t_next - self.t_ref))
-        base = float(self._base[k])
-        if self.history is not None:
-            base += self._history_part(t_next)
-        pref = decay * float(self._pref[k])
-        win, i, c = self._win, self._i, self._c
+        base = self._base.item(k)
+        pref = decay * self._pref.item(k)
 
-        u_new = base + pref * float(np.vdot(c[0, k], win[i[0, k]]))
-        i_corr, c_corr = i[1, k, :-1], c[1, k, :-1]
+        acc = float(self._c[k].dot(gs[self._idx[k]]))
+        u_new = base + pref * acc
+        acc += float(self._window[k].dot(gs[n1 - self.config.n_interp:n1]))
+        w_end = self._w_end.item(k)
         for _ in range(self.config.corrector_iters):
             g_end = problem.rhs(t_next, u_new) / decay
-            gs[n1] = g_end
-            acc = float(np.vdot(c_corr, win[i_corr]))
-            u_new = base + pref * (acc + self._w_end * g_end)
+            u_new = base + pref * (acc + w_end * g_end)
         if not math.isfinite(u_new) or abs(u_new) > _BLOWUP_LIMIT:
             raise BlowUpError(n1, t_next, u_new, "step")
         return u_new

@@ -10,15 +10,20 @@ mesh at every step.  Two more plain-double references keep earlier forms of
 package code that were replaced by faster ones with the same arithmetic:
 :func:`ml_series_reference`, the Mittag-Leffler series computing every
 coefficient per term, and :func:`evaluate_reference`, the recursive
-expression interpreter.
+expression interpreter.  :class:`BlockStepperReference` keeps the earlier
+JPC step operator, which builds the predictor's and the corrector's
+stencil weights separately and gathers each through a sliding window of
+the history; :func:`solve_reference` runs a solve with it.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from tfode import expr
+from tfode import expr, solver
+from tfode.quadrature import gauss_lobatto
 from tfode.specfun import MittagLefflerError, rgamma
 
 mp.mp.dps = 50
@@ -214,3 +219,115 @@ def adams_pece_reference(problem, mesh):
         w[m] = forc[m] + rga * (known + w_right[-1] * G(T, pred))
         gv[m] = G(T, w[m])
     return np.exp(-lam * (np.asarray(mesh) - a)) * w
+
+
+def _lagrange_weights_reference(r, last, n_points):
+    """Stencil starts ``i0`` and weights with a trailing stencil axis: the
+    interpolant at ``r[...]`` is ``l[...] @ f[i0[...] : i0[...] + n_points]``."""
+    bary = np.array([(-1.0) ** i * math.comb(n_points - 1, i) for i in range(n_points)])
+    i0 = np.ceil((r - 0.5 * (n_points - 1)) - 0.5).astype(int)
+    np.maximum(i0, 0, out=i0)
+    np.minimum(i0, np.asarray(last) - n_points + 1, out=i0)
+    x = r - i0
+    lw = x[..., None] - np.arange(n_points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(bary, lw, out=lw)
+        lw /= lw.sum(axis=-1, keepdims=True)
+    node = np.rint(x)
+    hit = (np.abs(x - node) < 1e-9) & (node < n_points)
+    if hit.any():
+        lw[hit] = np.arange(n_points) == node[hit][:, None]
+    return i0, lw
+
+
+class BlockStepperReference:
+    """The JPC step with separate predictor and corrector stencils.
+
+    Per block of ``solver._BLOCK`` steps it builds stencil starts and
+    combined weights w_q l_{q,k} for the predictor (stencils clamped to
+    [0, n-1]) and for the corrector (clamped to [0, n]); a step gathers the
+    history through a sliding window once for the predictor and once per
+    corrector iteration, with the endpoint's rule weight on the predicted
+    g_n.  The split history term is evaluated step by step.
+    """
+
+    def __init__(self, problem, config, origin=0, history=None):
+        self.problem = problem
+        self.config = config
+        self.rule = gauss_lobatto(problem.alpha - 1.0, 0.0, config.n_quad)
+        self.tau = (problem.b - problem.a) / config.steps
+        self.rga = rgamma(problem.alpha)
+        self.origin = origin
+        self.history = history
+        self.t_ref = problem.a
+        self._w_end = float(self.rule.weights[-1])
+        self._lo = self._hi = 0
+        self._gs = None
+
+    def _history_part(self, t_next):
+        nodes, weights, f = self.history
+        kern = (t_next - nodes) ** (self.problem.alpha - 1.0)
+        kern *= np.exp(-self.problem.lam * (t_next - nodes))
+        return self.rga * float(weights @ (kern * f))
+
+    def rebase(self, gs, upto, t_new):
+        gs[:upto] *= math.exp(-self.problem.lam * (t_new - self.t_ref))
+        self.t_ref = t_new
+
+    def _build_block(self, times, gs, lo):
+        problem = self.problem
+        hi = min(lo + solver._BLOCK, len(gs))
+        lam = problem.lam
+        if lam * (times[hi - 1] - self.t_ref) > solver._REBASE_EXPONENT:
+            self.rebase(gs, lo, float(times[lo]))
+        n = np.arange(lo, hi)
+        span = (n - self.origin)[:, None]
+        r = self.origin + 0.5 * span * (self.rule.nodes + 1.0)
+        last = np.stack([n - 1, n])[:, :, None]
+        self._i, self._c = _lagrange_weights_reference(
+            np.stack([r, r]), last, self.config.n_interp
+        )
+        self._c *= self.rule.weights[:, None]
+        t = times[lo:hi]
+        self._base = np.exp(-lam * (t - problem.a)) * solver._forcing_scaled(problem, t)
+        self._pref = (0.5 * self.tau * span[:, 0]) ** problem.alpha * self.rga
+        if gs is not self._gs:
+            self._win = sliding_window_view(gs, self.config.n_interp)
+            self._gs = gs
+        self._lo, self._hi = lo, hi
+
+    def step(self, times, gs, n1):
+        if gs is not self._gs or not self._lo <= n1 < self._hi:
+            self._build_block(times, gs, n1)
+        problem = self.problem
+        k = n1 - self._lo
+        t_next = float(times[n1])
+        decay = math.exp(-problem.lam * (t_next - self.t_ref))
+        base = float(self._base[k])
+        if self.history is not None:
+            base += self._history_part(t_next)
+        pref = decay * float(self._pref[k])
+        win, i, c = self._win, self._i, self._c
+        u_new = base + pref * float(np.vdot(c[0, k], win[i[0, k]]))
+        i_corr, c_corr = i[1, k, :-1], c[1, k, :-1]
+        for _ in range(self.config.corrector_iters):
+            g_end = problem.rhs(t_next, u_new) / decay
+            gs[n1] = g_end
+            acc = float(np.vdot(c_corr, win[i_corr]))
+            u_new = base + pref * (acc + self._w_end * g_end)
+        if not math.isfinite(u_new) or abs(u_new) > solver._BLOWUP_LIMIT:
+            raise solver.BlowUpError(n1, t_next, u_new, "step")
+        return u_new
+
+
+def solve_reference(problem, config):
+    """``solver.solve`` with :class:`BlockStepperReference` as the stepper:
+    the same start, split history and march."""
+    trace = solver._new_trace(problem, config)
+    if config.split_t0 is None:
+        u_start = [u for _, u in solver.starting_values(problem, config)]
+        stepper = BlockStepperReference(problem, config)
+    else:
+        u_start, split = solver._split_start(problem, config, trace.times)
+        stepper = BlockStepperReference(problem, config, split.origin, split.history)
+    return solver._march(trace, u_start, stepper)

@@ -64,6 +64,19 @@ class TestSolveCommand:
         assert r.returncode == 4
         assert "offset" in r.stderr
 
+    @pytest.mark.parametrize("rhs, reason", [
+        ("1/(u-1)", "float division by zero"),
+        ("(0-u)^0.5", "'complex'"),  # a negative base to a fractional power
+    ])
+    def test_expression_arithmetic_error_exit_code(self, tmp_path, rhs, reason):
+        r = run_cli("solve", "--alpha", "0.5", "--rhs", rhs, "--init", "1",
+                    "--b", "1", "--steps", "20", "--NI", "3", cwd=tmp_path)
+        assert r.returncode == 4
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, r.stderr
+        assert lines[0].startswith(f"expression error: right-hand side {rhs!r} at t = 0,")
+        assert reason in lines[0]
+
     def test_config_error_exit_code(self, tmp_path):
         r = run_cli("solve", "--alpha", "0.9", "--rhs", "builtin:example3",
                     "--b", "1.1", "--steps", "22", "--NI", "2",

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import adams_pece_reference
+from _oracles import adams_pece_reference, solve_reference
 from tfode.problems import exact_example2, exact_example3, example2, example3
 from tfode.quadrature import gauss_lobatto
 from tfode.solver import (
@@ -20,11 +20,12 @@ from tfode.solver import (
     _BLOCK,
     _START_BLOCK_ROWS,
     _adams_pece_scaled,
+    _bary_weights,
     _convolution_tables,
-    _lagrange_weights,
     _merge_meshes,
     _StartGrid,
     _Stepper,
+    _stencil_weights,
 )
 from tfode.specfun import gamma, rgamma
 
@@ -96,19 +97,51 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate_values([0.0, 1.0], [0.0, 1.0], 0.5, 3)
 
+    @staticmethod
+    def _lagrange(x, n_points):
+        """Lagrange basis on the nodes 0..n_points-1 at x, as products."""
+        return np.array([
+            math.prod((x - m) / (j - m) for m in range(n_points) if m != j)
+            for j in range(n_points)
+        ])
+
     def test_batched_weights_match_single_points(self):
         # one vectorised build over a (steps x nodes) array of positions, with
-        # a per-row last index, gives the same interpolant as each point alone
+        # a per-row last index, gives each point's own stencil and basis
         fs = np.cos(0.3 * np.arange(12))
         r = np.array([[0.0, 2.5, 4.0, 6.7], [1.2, 3.0, 7.9, 9.0]])
         last = np.array([[7], [9]])
-        i0, lw = _lagrange_weights(r, last, 4)
-        for row in range(2):
-            n_nodes = last[row, 0] + 1
-            for col in range(4):
-                got = lw[row, col] @ fs[i0[row, col]:i0[row, col] + 4]
-                want = interpolate_values(np.arange(n_nodes), fs[:n_nodes], r[row, col], 4)
-                assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+        i0, lw = _stencil_weights(r, last, 4)
+        assert lw.shape == (4, r.size)
+        for p, (row, col) in enumerate(np.ndindex(r.shape)):
+            start = int(i0[row, col])
+            assert 0 <= start <= last[row, 0] - 3
+            assert np.allclose(lw[:, p], self._lagrange(r[row, col] - start, 4), atol=1e-15)
+            got = lw[:, p] @ fs[start:start + 4]
+            want = interpolate_values(np.arange(last[row, 0] + 1.0), fs[:last[row, 0] + 1],
+                                      r[row, col], 4)
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("n_points", [2, 3, 4, 7])
+    def test_grown_stencil_change(self, n_points):
+        # where a stencil moves one node right as last grows by one, the
+        # weights change by s times the (n+1)-point weights; elsewhere not
+        last = 20.0
+        r = np.array([3.0, 10.4, 17.5, 18.25, 19.0, 19.0 + 1e-11, 19.5, 19.999, 20.0, 21.0])
+        i0, lw, s = _stencil_weights(r, last, n_points, grow=True)
+        j0, lw1 = _stencil_weights(r, last + 1.0, n_points)
+        change = s * _bary_weights(n_points + 1)
+        for p in range(len(r)):
+            if j0[p] == i0[p]:
+                assert s[p] == 0.0
+                assert np.array_equal(lw1[:, p], lw[:, p])
+                continue
+            assert j0[p] == i0[p] + 1
+            # over the nodes i0 .. i0 + n_points: new weights minus old
+            diff = np.append(0.0, lw1[:, p]) - np.append(lw[:, p], 0.0)
+            # extrapolated weights reach 2^n in size: compare at their round-off
+            assert np.allclose(diff, change[:, p], rtol=0.0, atol=2.0**n_points * 1e-15)
+        assert (s != 0.0).any()
 
 
 class TestStartingValues:
@@ -346,21 +379,86 @@ class TestStepOperator:
         poly = lambda x: np.polynomial.polynomial.polyval(x / steps, coef)
         gs = poly(np.arange(steps + 1.0))
         times = np.linspace(0.0, 1.0, steps + 1)
-        win = np.lib.stride_tricks.sliding_window_view(gs, n_interp)
         hits = 0
         for lo in range(max(origin + 1, n_interp), steps + 1, _BLOCK):
             stepper._build_block(times, gs, lo)
             for k, n in enumerate(range(lo, stepper._hi)):
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
-                # predictor over all nodes, corrector over all but the endpoint
-                for which, count, last in ((0, len(r), n - 1), (1, len(r) - 1, n)):
-                    i0 = stepper._i[which, k, :count]
-                    c = stepper._c[which, k, :count]
-                    got = np.einsum("qk,qk->q", c, win[i0])
-                    assert np.allclose(got, wts[:count] * poly(r[:count]), rtol=0.0, atol=1e-12)
-                    assert i0.max() + n_interp - 1 <= last
-                    hits += int(((c == 0.0).sum(axis=1) == n_interp - 1).sum())
+                # one row per quadrature node, its stencil's NI entries in order
+                idx = stepper._idx[k].reshape(len(r), n_interp)
+                c = stepper._c[k].reshape(len(r), n_interp)
+                assert idx.min() >= 0 and idx.max() <= n - 1
+                assert (np.diff(idx, axis=1) == 1).all()
+                # the predictor over all nodes, its stencils ending at n-1
+                got = (c * gs[idx]).sum(axis=1)
+                assert np.allclose(got, wts * poly(r), rtol=0.0, atol=1e-12)
+                # the predictor plus the window, node n included, over the
+                # corrector's nodes
+                window = stepper._window[k] @ gs[n - n_interp:n] + stepper._w_end[k] * gs[n]
+                assert got.sum() + window == pytest.approx(wts @ poly(r), rel=0.0, abs=1e-12)
+                hits += int(((c == 0.0).sum(axis=1) == n_interp - 1).sum())
         assert hits > 0  # the origin node (and x = 0 at even spans) hit the grid
+
+    @pytest.mark.parametrize("n_interp, origin", [(7, 0), (3, 0), (2, 8), (5, 8)])
+    def test_window_gives_the_corrector_stencils(self, n_interp, origin):
+        # on data no stencil reproduces, the predictor sum plus the window
+        # equals the corrector's quadrature node by node: stencils within
+        # [0, n], and the endpoint's weight on g_n
+        steps = 2 * _BLOCK + 3
+        problem = example2(0.5, 2.0)
+        stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=n_interp), origin)
+        nodes, wts = stepper.rule.nodes, stepper.rule.weights
+        gs = np.random.default_rng(origin + n_interp).standard_normal(steps + 1)
+        times = np.linspace(0.0, 1.0, steps + 1)
+        grid = np.arange(steps + 1.0)
+        for lo in range(max(origin + 1, n_interp), steps + 1, _BLOCK):
+            stepper._build_block(times, gs, lo)
+            for k, n in enumerate(range(lo, stepper._hi)):
+                r = origin + 0.5 * (n - origin) * (nodes + 1.0)
+                pred = stepper._c[k] @ gs[stepper._idx[k]]
+                want = sum(
+                    w * interpolate_values(grid[:n + 1], gs[:n + 1], x, n_interp)
+                    for x, w in zip(r[:-1], wts[:-1])
+                ) + wts[-1] * gs[n]
+                got = pred + stepper._window[k] @ gs[n - n_interp:n] + stepper._w_end[k] * gs[n]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [10 * _BLOCK - 1, 10 * _BLOCK, 10 * _BLOCK + 1])
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("corrector_iters", [1, 2])
+    @pytest.mark.parametrize("n_interp", [2, 3, 5, 7])
+    @pytest.mark.parametrize("lam", [2.0, 800.0])
+    def test_solve_matches_reference_stepper(self, lam, n_interp, corrector_iters, split, steps):
+        # the shared-stencil step against the separate predictor and
+        # corrector stencils it replaced (tests/_oracles.py)
+        problem = example2(0.5, lam)
+        config = SolverConfig(
+            steps=steps, n_interp=n_interp, corrector_iters=corrector_iters,
+            split_t0=8 * (problem.b - problem.a) / steps if split else None,
+        )
+        got, want = solve(problem, config).values, solve_reference(problem, config).values
+        # at lam = 800 the solution leaves the normal double range near t = 0.8
+        normal = np.abs(want) > 1e-280
+        assert normal.sum() > steps // 2
+        np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
+        assert np.abs(got[~normal] - want[~normal]).max(initial=0.0) <= 1e-280
+
+    def test_block_build_peak_memory(self):
+        # one block keeps (n_quad+1) NI weights and indices per step; its
+        # build's temporaries stay within a few such arrays
+        steps = 1024
+        problem = example2(0.5, 2.0)
+        stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=7, n_quad=20))
+        times = np.linspace(0.0, 1.0, steps + 1)
+        gs = np.ones(steps + 1)
+        stepper._build_block(times, gs, 500)  # warm the caches
+        tracemalloc.start()
+        try:
+            stepper._build_block(times, gs, 500 + _BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestSolve:
