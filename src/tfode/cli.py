@@ -101,10 +101,13 @@ def _cmd_solve(args) -> int:
         exact_start=args.exact_start,
     )
     trace = solve(problem, config)
+    # the exact column is evaluated before the CSV is opened, so an exact
+    # solution that fails to evaluate leaves no truncated file behind
+    max_error = None if problem.exact is None else trace.max_error()
     with open(args.out, "w", newline="") as fh:
         write_trace_csv(fh, trace)
-    if problem.exact is not None:
-        print(f"wrote {args.out}; max error over t_1..t_M = {trace.max_error():.6e}")
+    if max_error is not None:
+        print(f"wrote {args.out}; max error over t_1..t_M = {max_error:.6e}")
     else:
         print(f"wrote {args.out}")
     return EXIT_OK

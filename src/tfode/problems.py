@@ -134,6 +134,12 @@ def _builtin_name(text: str) -> str | None:
     return text[len(BUILTIN_PREFIX):] if text.startswith(BUILTIN_PREFIX) else None
 
 
+#: What evaluating a compiled expression, and float() of its value, raises
+#: when the value is not a real number: division by zero, overflow, a math
+#: domain error, or a complex value.
+_EVAL_FAILURES = (ArithmeticError, TypeError, ValueError)
+
+
 def problem_from_spec(
     alpha: float,
     lam: float,
@@ -154,7 +160,8 @@ def problem_from_spec(
     and drops the built-in's exact solution, with a note on stderr.  For an
     expression, ``exact`` is ``builtin:NAME`` (that problem's solution) or
     an expression in t, alpha, lambda, and ``init`` defaults to zeros.
-    Expressions are parsed and compiled here, once.
+    Expressions are parsed and compiled here, once; an expression whose
+    value is not a real number raises :class:`expr.EvalError` when called.
     """
     name = _builtin_name(rhs)
     if name is not None:
@@ -184,7 +191,7 @@ def problem_from_spec(
         # fractional power, here rather than deep inside the solver
         try:
             return float(f(t, u, alpha, lam))
-        except (ArithmeticError, TypeError, ValueError) as exc:
+        except _EVAL_FAILURES as exc:
             raise expr.EvalError(
                 f"right-hand side {rhs!r} at t = {t:.6g}, u = {u:.6g}: {exc}"
             ) from None
@@ -198,7 +205,10 @@ def problem_from_spec(
             g = expr.compile(expr.parse(exact), ("t", "alpha", "lambda"))
 
             def exact_fn(t: float) -> float:
-                return g(t, alpha, lam)
+                try:
+                    return float(g(t, alpha, lam))
+                except _EVAL_FAILURES as exc:
+                    raise expr.EvalError(f"exact solution {exact!r} at t = {t:.6g}: {exc}") from None
 
     if init is None:
         init = (0.0,) * max(1, math.ceil(alpha))

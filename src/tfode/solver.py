@@ -27,18 +27,14 @@ For solutions that are non-smooth at the start, :func:`solve_split`
 integrates the history over ``[a, t0]`` with a fixed unit-weight
 Gauss-Lobatto rule fed by the same refined starting machinery, and only
 the smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term
-is evaluated for a block of steps at once.  Its start mesh
-is the refined grid plus the Lobatto nodes: the grid part keeps the
-tabulated weights, and the panels next to the off-grid nodes add an exact
-correction over those few nodes.  Its rows are built in blocks of steps
-under a fixed element budget, and span only the nodes of the irregular
-regions that end within or before a block, so early blocks hold many
-steps.
+is evaluated for a block of steps at once.  Its start runs on the uniform
+refined grid over ``[a, t0]``; u at each Lobatto node off that grid is
+one more PECE step over the grid history before the node (dense output),
+which is not fed back into the history.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -371,13 +367,6 @@ def interpolate_values(
 #: (exp overflows past ~709) leaves room for the span still to come.
 _REBASE_EXPONENT = 300.0
 
-#: Element budget of a block of split-mesh correction rows, built in one
-#: vectorised pass, counted in rows as long as the whole correction.  A
-#: block's rows span only the correction nodes live in it, so it holds as
-#: many on-grid start steps as fit the budget.  A larger budget raises the
-#: split start's peak memory.
-_START_BLOCK_ROWS = 8
-
 
 def _convolution_tables(n: int, alpha: float):
     """Unit-step product weights on a uniform grid, by distance, reversed.
@@ -407,132 +396,24 @@ def _convolution_tables(n: int, alpha: float):
     return r1, rl, wr
 
 
-class _StartGrid:
-    """How a start mesh sits on the uniform grid a + h k, k = 0..n.
-
-    ``n`` is the last grid index on the mesh.  Mesh nodes off the grid, and
-    grid nodes missing from it, break the grid into irregular *regions*,
-    each between two consecutive on-grid mesh nodes.  The mesh nodes of all
-    regions are the correction nodes, numbered in mesh order: ``corr`` maps
-    a mesh index to that number, and ``offgrid`` holds the mesh indices
-    whose steps take the general product weights.
-    """
-
-    def __init__(self, mesh: np.ndarray, a: float, h: float, alpha: float):
-        k = np.rint((mesh - a) / h)
-        on = a + h * k == mesh
-        on_idx = np.flatnonzero(on)
-        on_k = k[on_idx].astype(int)
-        self.n = int(on_k[-1])
-        self.uniform = len(on_idx) == len(mesh) and self.n == len(mesh) - 1
-        self.offgrid = set(np.flatnonzero(~on).tolist())
-        irregular = np.flatnonzero((np.diff(on_k) > 1) | (np.diff(on_idx) > 1))
-        first, last = on_idx[irregular], on_idx[irregular + 1]
-        self.left, self.right = on_k[irregular], on_k[irregular + 1]
-        cm = np.arange(0)
-        if len(irregular):
-            cm = np.unique(np.concatenate([np.arange(s, e + 1) for s, e in zip(first, last)]))
-        self.corr = {int(mi): c for c, mi in enumerate(cm)}
-        self.left_col = np.searchsorted(cm, first)
-        self.right_col = np.searchsorted(cm, last)
-        # pair (c, c+1) of correction nodes is a mesh panel inside a region
-        in_region = np.zeros(max(len(cm) - 1, 0), dtype=bool)
-        for c0, c1 in zip(self.left_col, self.right_col):
-            in_region[c0:c1] = True
-        # distances are taken from T = a + h k to the mesh times themselves,
-        # so the step's own node is at distance 0 exactly; the weights come
-        # out in units of h^alpha, and panels between nodes of different
-        # regions get infinite width, hence zero weight
-        self.a, self.h, self.alpha = a, h, alpha
-        self.times = mesh[cm]
-        self.widths = np.where(in_region, np.diff(self.times) * h**alpha, np.inf)
-        self.rect = in_region * h**-alpha
-
-    def rows(self, k: int, r1: np.ndarray, rl: np.ndarray):
-        """Correction rows of the predictor and corrector for a block of
-        on-grid steps from ``k``: returns the end of the block and the rows.
-
-        A step's sums touch only the regions ending at or before it, so the
-        rows span the correction nodes of the regions ending by the block's
-        last step, a prefix of them, and the block takes as many steps as
-        fit ``_START_BLOCK_ROWS`` rows of the whole correction's length.
-        The rows are ``None`` while no region has ended.  A row holds, per
-        live correction node, the product weights of the region panels
-        (distances to the actual mesh nodes) minus the convolution weights
-        of the grid panels they replace (integer distances, looked up in
-        the :func:`_convolution_tables`), in units of h^alpha.  The
-        predictor's rows omit the last live node, which is never the left
-        end of a live panel.
-        """
-        # bisect, not np.searchsorted: numpy calls on a scalar fill numpy's
-        # small-allocation cache, which adds to the start's peak memory
-        ends, lives, n = self.right, self.right_col, len(r1) - 1
-        budget = _START_BLOCK_ROWS * len(self.times)
-        hi = k
-        for j in range(bisect.bisect_right(ends, k), len(ends) + 1):
-            # the steps before `end` have the first j regions live
-            end = int(ends[j]) if j < len(ends) else n + 1
-            fit = k + budget // (int(lives[j - 1]) + 1) if j else end
-            if fit < end:
-                hi = max(hi, fit)
-                break
-            hi = end
-        j = bisect.bisect_right(ends, hi - 1)
-        if j == 0:
-            return hi, None, None
-        live = int(lives[j - 1]) + 1
-        ks = np.arange(k, hi)
-        alpha = self.alpha
-        # p clipped at 0 gives the panels after T zero weights; a region
-        # lies wholly before or after each on-grid step
-        p = np.subtract.outer(self.a + self.h * ks, self.times[:live])
-        np.maximum(p, 0.0, out=p)
-        pa = p**alpha
-        wp = pa[:, :-1] - pa[:, 1:]
-        wp /= alpha
-        pa *= p
-        wc = np.zeros_like(p)
-        i2 = np.subtract(pa[:, :-1], pa[:, 1:], out=wc[:, :-1])
-        del pa
-        i2 /= alpha + 1.0
-        wl = p[:, 1:] * wp
-        np.subtract(i2, wl, out=wl)
-        wr = np.multiply(p[:, :-1], wp, out=p[:, :-1])
-        wr -= i2
-        widths = self.widths[:live - 1]
-        np.divide(wl, widths, out=i2)
-        del wl  # before the lookups allocate: lowers the peak
-        wr /= widths
-        wc[:, 1:] += wr
-        wp *= self.rect[:live - 1]
-        # table entry n - 1 - e is distance e; past n (regions after T) it
-        # is 0.  A unit panel's trapezoid weights add up to its rectangle one
-        left_col, right_col = self.left_col[:j], self.right_col[:j]
-        il = np.add.outer(n - ks, self.left[:j])
-        np.minimum(il, n, out=il)
-        ir = np.add.outer(n - 1 - ks, self.right[:j])
-        np.minimum(ir, n, out=ir)
-        wp[:, left_col] -= r1[il]
-        wc[:, left_col] -= rl[il]
-        wc[:, right_col] -= r1[ir] - rl[ir]
-        return hi, wp, wc
-
-
 def _product_sums(
-    mesh: np.ndarray, m: int, alpha: float, g: np.ndarray
+    times: np.ndarray, T: float, alpha: float, g: np.ndarray
 ) -> tuple[float, float, float]:
-    """Product-weight sums at T = mesh[m] over the history g[:m], any mesh.
+    """Product-weight sums at ``T`` over the history ``g`` at ``times``.
 
-    Returns the rectangle (predictor) sum, the trapezoid (corrector) sum
-    without node m, and node m's trapezoid weight; weights are integrals of
-    (T - s)^(alpha-1) times the panel's constant or hat functions.
+    ``times`` is any increasing mesh before ``T``.  Returns the rectangle
+    (predictor) sum, the trapezoid (corrector) sum without T, and T's
+    trapezoid weight; weights are integrals of (T - s)^(alpha-1) times the
+    panel's constant or hat functions.
     """
-    T = mesh[m]
-    p = T - mesh[:m + 1]
+    m = len(times)
+    p = np.empty(m + 1)
+    np.subtract(T, times, out=p[:m])
+    p[m] = 0.0
     pa = p**alpha
     i1 = pa[:-1] - pa[1:]
     i1 /= alpha
-    rect = float(i1 @ g[:m])
+    rect = float(i1 @ g)
     pa *= p
     i2 = pa[:-1] - pa[1:]
     i2 /= alpha + 1.0
@@ -540,32 +421,53 @@ def _product_sums(
     wr -= i2
     np.multiply(p[1:], i1, out=i1)
     wl = np.subtract(i2, i1, out=i2)
-    widths = np.subtract(mesh[1:m + 1], mesh[:m], out=i1)
+    widths = i1
+    np.subtract(times[1:], times[:-1], out=widths[:-1])
+    widths[-1] = p[m - 1]
     wl /= widths
     wr /= widths
-    return rect, float(wl @ g[:m]) + float(wr[:-1] @ g[1:m]), wr.item(-1)
+    return rect, float(wl @ g) + float(wr[:-1] @ g[1:]), wr.item(-1)
 
 
-def _adams_pece_scaled(problem: Problem, mesh: np.ndarray, h: float) -> np.ndarray:
+def _adams_pece_scaled(
+    problem: Problem,
+    mesh: np.ndarray,
+    h: float,
+    nodes: Sequence[float] = (),
+    tol: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
     """Product-trapezoidal PECE solve of the scaled Volterra equation.
 
-    Works on an arbitrary strictly increasing ``mesh`` starting at ``a``
-    and returns u at the mesh points.  One predictor (product rectangle)
-    and one corrector (product trapezoid) per step.  The history is kept
-    as g_j = e^{lam (t_j - t_ref)} f(t_j, u_j), rebased onto a later
-    ``t_ref`` whenever lam (t - t_ref) would pass ``_REBASE_EXPONENT``.
+    Works on the uniform ``mesh`` a + h k, k = 0..n, and returns u at the
+    mesh points and at the ``nodes`` in [a, mesh[-1]].  One predictor
+    (product rectangle) and one corrector (product trapezoid) per step;
+    their product weights depend only on the distance in steps, so both
+    sums are dot products with weight tables built once
+    (:func:`_convolution_tables`).  The history is kept as
+    g_j = e^{lam (t_j - t_ref)} f(t_j, u_j), rebased onto a later ``t_ref``
+    whenever lam (t - t_ref) would pass ``_REBASE_EXPONENT``.
 
-    When ``mesh`` lies on the grid a + h k, the product weights depend only
-    on the distance in steps, so both sums are dot products with weight
-    tables built once (:func:`_convolution_tables`).  Mesh nodes off that
-    grid (the split scheme's Lobatto nodes) add a sparse correction over
-    the few nodes near them (:class:`_StartGrid`); a step at an off-grid
-    time rebuilds its weights over the whole history.
+    A node within ``tol`` of a mesh point takes that point's value.  Any
+    other node s gets one PECE step over the mesh history before it
+    (:func:`_product_sums`), taken inside the step whose mesh point first
+    passes s, under that step's ``t_ref``; its value is not fed back into
+    the history.
     """
     alpha, lam, a, f = problem.alpha, problem.lam, problem.a, problem.rhs
     rga = rgamma(alpha)
-    npts = len(mesh)
-    grid = _StartGrid(mesh, a, h, alpha)
+    n = len(mesh) - 1
+    nodes = np.asarray(nodes, dtype=float)
+    if not np.all((mesh[0] - tol <= nodes) & (nodes <= mesh[-1] + tol)):
+        raise ValueError("dense-output nodes must lie on the start mesh's span")
+    nearest = np.clip(np.rint((nodes - a) / h), 0, n).astype(np.intp)
+    near = np.abs(mesh[nearest] - nodes) <= tol
+    off = np.flatnonzero(~near)
+    due = np.searchsorted(mesh, nodes[off], side="right")
+    order = np.argsort(due, kind="stable")
+    off, due = off[order].tolist(), due[order].tolist() + [n + 1]
+    s_off = nodes[off]
+    forc_off = np.asarray(_forcing_scaled(problem, s_off), dtype=float)
+    forc_off *= np.exp(-lam * (s_off - a))
 
     teval = mesh.copy()
     if problem.kind == RIEMANN_LIOUVILLE:
@@ -576,71 +478,46 @@ def _adams_pece_scaled(problem: Problem, mesh: np.ndarray, h: float) -> np.ndarr
     # the forcing of u itself; forc[0] is unchanged since mesh[0] = a
     forc *= np.exp(-lam * (mesh - a))
 
-    n, offgrid, corr = grid.n, grid.offgrid, grid.corr
     r1, rl, rc = _convolution_tables(n, alpha)
     hpre = rga * h**alpha
-    u = np.empty(npts)
-    gv = np.empty(npts)
-    gb = gv if grid.uniform else np.zeros(n + 1)
-    gc = np.zeros(len(corr))
+    u = np.empty(n + 1)
+    u_nodes = np.empty(len(nodes))
+    gv = np.empty(n + 1)
     u[0] = forc[0]
     e = math.exp(lam * (t_first - a))
-    gv[0] = gb[0] = e * f(t_first, u[0] / e)
-    if 0 in corr:
-        gc[corr[0]] = gv[0]
+    gv[0] = e * f(t_first, u[0] / e)
 
     t_ref = a
-    lo = hi = 0
-    for m in range(1, npts):
+    j = 0
+    for m in range(1, n + 1):
         T = mesh.item(m)
         if lam * (T - t_ref) > _REBASE_EXPONENT:
-            scale = math.exp(-lam * (T - t_ref))
-            gv[:m] *= scale
-            if gb is not gv:
-                gb *= scale
-            gc *= scale
+            gv[:m] *= math.exp(-lam * (T - t_ref))
             t_ref = T
+        while due[j] == m:
+            s = s_off.item(j)
+            acc_pred, acc, w_end = _product_sums(mesh[:m], s, alpha, gv[:m])
+            decay = math.exp(-lam * (s - t_ref))
+            fs = forc_off.item(j)
+            pred = fs + decay * rga * acc_pred
+            val = fs + decay * rga * (acc + w_end * f(s, pred) / decay)
+            if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
+                raise BlowUpError(m, s, val, "start")
+            u_nodes[off[j]] = val
+            j += 1
         decay = math.exp(-lam * (T - t_ref))
         fm = forc.item(m)
-        q = corr.get(m)
-        if m in offgrid:
-            acc_pred, acc, w_end = _product_sums(mesh, m, alpha, gv)
-            pred = fm + decay * rga * acc_pred
-            gp = f(T, pred) / decay
-            val = fm + decay * rga * (acc + w_end * gp)
-            k = -1
-        else:
-            k = round((T - a) / h)
-            i = n - k
-            if not lo <= k < hi:
-                wp = wc = None  # release the last block's rows first: lowers the peak
-                lo = k
-                hi, wp, wc = grid.rows(k, r1, rl)
-                if wc is not None:  # views of the live correction nodes' history
-                    gcp, gcc = gc[:wp.shape[1]], gc[:wc.shape[1]]
-            scale = decay * hpre
-            acc = r1[i:n].dot(gb[:k])
-            if wc is not None:
-                acc += wp[k - lo].dot(gcp)
-            pred = fm + scale * float(acc)
-            gp = f(T, pred) / decay
-            gb[k] = gp
-            if q is not None:
-                gc[q] = gp
-            acc = rc[i:].dot(gb[1:k + 1]) + rl.item(i) * gb.item(0)
-            if wc is not None:
-                acc += wc[k - lo].dot(gcc)
-            val = fm + scale * float(acc)
+        i = n - m
+        scale = decay * hpre
+        pred = fm + scale * float(r1[i:n].dot(gv[:m]))
+        gv[m] = f(T, pred) / decay
+        val = fm + scale * float(rc[i:].dot(gv[1:m + 1]) + rl.item(i) * gv.item(0))
         if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
             raise BlowUpError(m, T, val, "start")
-        g = f(T, val) / decay
         u[m] = val
-        gv[m] = g
-        if k >= 0:
-            gb[k] = g
-        if q is not None:
-            gc[q] = g
-    return u
+        gv[m] = f(T, val) / decay
+    u_nodes[near] = u[nearest[near]]
+    return u, u_nodes
 
 
 def starting_values(
@@ -663,7 +540,7 @@ def starting_values(
     refine = config.start_refine
     h = tau / refine
     mesh = problem.a + h * np.arange((config.n_interp - 1) * refine + 1)
-    u = _adams_pece_scaled(problem, mesh, h)
+    u = _adams_pece_scaled(problem, mesh, h)[0]
     return [(float(mesh[j * refine]), float(u[j * refine])) for j in range(config.n_interp)]
 
 
@@ -825,7 +702,7 @@ def jpc_step(
     if config.split_t0 is None:
         stepper = _Stepper(problem, config, rule=rule, t_ref=t_ref)
     else:
-        u_start, stepper = _split_start(problem, config, ts, rule, t_ref)
+        u_start, stepper = _split_start(problem, config, rule, t_ref)
         if known < len(u_start):
             raise ValueError("need history past the split scheme's starting run")
     gs = np.empty(known + 1)
@@ -881,31 +758,14 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionTrace:
     return _march(_new_trace(problem, config), u_start, _Stepper(problem, config))
 
 
-def _merge_meshes(base: np.ndarray, extra: np.ndarray, tol: float) -> np.ndarray:
-    merged = np.sort(np.concatenate([base, extra]))
-    keep = np.concatenate([[True], np.diff(merged) > tol])
-    return merged[keep]
-
-
-def _nearest_indices(mesh: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
-    idx = np.searchsorted(mesh, targets)
-    idx = np.clip(idx, 1, len(mesh) - 1)
-    left = np.abs(mesh[idx - 1] - targets) <= np.abs(mesh[idx] - targets)
-    idx = idx - left.astype(int)
-    if np.any(np.abs(mesh[idx] - targets) > tol):
-        raise AssertionError("mesh lookup failed; points not on the mesh")
-    return idx
-
-
 def _split_start(
     problem: Problem,
     config: SolverConfig,
-    times: np.ndarray,
     rule: GaussLobattoRule | None = None,
     t_ref: float | None = None,
 ) -> tuple[np.ndarray, _Stepper]:
-    """Starting run of the split scheme on the grid ``times``: the values at
-    its first nodes, and the stepper carrying the history over ``[a, t0]``."""
+    """Starting run of the split scheme: the values at the first grid nodes,
+    and the stepper carrying the history over ``[a, t0]``."""
     t0 = config.split_t0
     if t0 is None:
         raise ValueError("solve_split requires config.split_t0")
@@ -921,19 +781,14 @@ def _split_start(
     w_hist = 0.5 * (t0 - problem.a) * lob.weights
 
     n_start = max(j0, config.n_interp - 1)
-    h = tau / config.start_refine
-    # 1e-9*tau is far below any legitimate mesh gap but wide enough that a
-    # fixed node coinciding with a grid point cannot leave a degenerate panel
-    mesh = _merge_meshes(
-        problem.a + h * np.arange(n_start * config.start_refine + 1), s_hist, tol=1e-9 * tau
-    )
-    u_mesh = _adams_pece_scaled(problem, mesh, h)
-
-    u_start = u_mesh[_nearest_indices(mesh, times[: n_start + 1], tol=1e-9 * tau)]
-    hist_idx = _nearest_indices(mesh, s_hist, tol=1e-9 * tau)
-    f_hist = np.array(
-        [problem.rhs(float(s), float(u_mesh[im])) for s, im in zip(s_hist, hist_idx)]
-    )
+    refine = config.start_refine
+    h = tau / refine
+    mesh = problem.a + h * np.arange(n_start * refine + 1)
+    # 1e-9*tau is far below any legitimate node gap but wide enough that a
+    # Lobatto node next to a grid node cannot leave a degenerate panel
+    u_mesh, u_hist = _adams_pece_scaled(problem, mesh, h, s_hist, tol=1e-9 * tau)
+    u_start = u_mesh[::refine].copy()
+    f_hist = np.array([problem.rhs(float(s), float(u)) for s, u in zip(s_hist, u_hist)])
     return u_start, _Stepper(problem, config, j0, (s_hist, w_hist, f_hist), rule, t_ref)
 
 
@@ -948,5 +803,5 @@ def solve_split(problem: Problem, config: SolverConfig) -> SolutionTrace:
     :func:`solve` with the Jacobi-weight rule on ``[t0, t]``.
     """
     trace = _new_trace(problem, config)
-    u_start, stepper = _split_start(problem, config, trace.times)
+    u_start, stepper = _split_start(problem, config)
     return _march(trace, u_start, stepper)

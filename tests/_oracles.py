@@ -328,6 +328,6 @@ def solve_reference(problem, config):
         u_start = [u for _, u in solver.starting_values(problem, config)]
         stepper = BlockStepperReference(problem, config)
     else:
-        u_start, split = solver._split_start(problem, config, trace.times)
+        u_start, split = solver._split_start(problem, config)
         stepper = BlockStepperReference(problem, config, split.origin, split.history)
     return solver._march(trace, u_start, stepper)

@@ -64,18 +64,27 @@ class TestSolveCommand:
         assert r.returncode == 4
         assert "offset" in r.stderr
 
-    @pytest.mark.parametrize("rhs, reason", [
-        ("1/(u-1)", "float division by zero"),
-        ("(0-u)^0.5", "'complex'"),  # a negative base to a fractional power
+    @pytest.mark.parametrize("problem, where, reason", [
+        pytest.param(("--rhs", "1/(u-1)"), "right-hand side '1/(u-1)' at t = 0,",
+                     "float division by zero", id="1/(u-1)-float division by zero"),
+        # a negative base to a fractional power
+        pytest.param(("--rhs", "(0-u)^0.5"), "right-hand side '(0-u)^0.5' at t = 0,",
+                     "'complex'", id="(0-u)^0.5-'complex'"),
+        pytest.param(("--rhs=-u", "--exact", "1/t"), "exact solution '1/t' at t = 0:",
+                     "float division by zero", id="exact-1/t-float division by zero"),
+        pytest.param(("--rhs=-u", "--exact", "(0-t)^0.5"),
+                     "exact solution '(0-t)^0.5' at t = 0.05:", "'complex'",
+                     id="exact-(0-t)^0.5-'complex'"),
     ])
-    def test_expression_arithmetic_error_exit_code(self, tmp_path, rhs, reason):
-        r = run_cli("solve", "--alpha", "0.5", "--rhs", rhs, "--init", "1",
+    def test_expression_arithmetic_error_exit_code(self, tmp_path, problem, where, reason):
+        r = run_cli("solve", "--alpha", "0.5", *problem, "--init", "1",
                     "--b", "1", "--steps", "20", "--NI", "3", cwd=tmp_path)
         assert r.returncode == 4
         lines = r.stderr.splitlines()
         assert len(lines) == 1, r.stderr
-        assert lines[0].startswith(f"expression error: right-hand side {rhs!r} at t = 0,")
+        assert lines[0].startswith(f"expression error: {where}")
         assert reason in lines[0]
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         r = run_cli("solve", "--alpha", "0.9", "--rhs", "builtin:example3",

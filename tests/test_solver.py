@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from _oracles import adams_pece_reference, solve_reference
 from tfode.problems import exact_example2, exact_example3, example2, example3
@@ -18,12 +19,8 @@ from tfode.solver import (
     starting_values,
     volterra_forcing,
     _BLOCK,
-    _START_BLOCK_ROWS,
     _adams_pece_scaled,
     _bary_weights,
-    _convolution_tables,
-    _merge_meshes,
-    _StartGrid,
     _Stepper,
     _stencil_weights,
 )
@@ -181,24 +178,45 @@ def _start_problem(kind, alpha, lam=2.0):
 
 
 def _split_start_mesh(problem, steps, t0=0.1, n_tilde=40, refine=64):
-    """The split scheme's start mesh: the refined grid plus the Lobatto nodes."""
+    """The split scheme's start: its uniform refined mesh, its Lobatto nodes,
+    the refined step and the tolerance within which a node is on the mesh."""
     tau = (problem.b - problem.a) / steps
     h = tau / refine
     lob = gauss_lobatto(0.0, 0.0, n_tilde)
     s_hist = 0.5 * (t0 - problem.a) * (lob.nodes + 1.0) + problem.a
-    base = problem.a + h * np.arange(round((t0 - problem.a) / tau) * refine + 1)
-    return _merge_meshes(base, s_hist, tol=1e-9 * tau), h
+    mesh = problem.a + h * np.arange(round((t0 - problem.a) / tau) * refine + 1)
+    return mesh, s_hist, h, 1e-9 * tau
 
 
 class TestAdamsStart:
-    """The convolution start against the O(m^2) reference PECE."""
+    """The convolution start, and its dense output, against the O(m^2)
+    reference PECE."""
 
     @staticmethod
     def _check(problem, mesh, h):
-        got = _adams_pece_scaled(problem, mesh, h)
+        got = _adams_pece_scaled(problem, mesh, h)[0]
         want = adams_pece_reference(problem, mesh)
         assert np.isfinite(want).all()
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @staticmethod
+    def _check_dense(problem, mesh, h, nodes, tol):
+        """u at each node s against one reference PECE over the mesh points
+        before s and s itself, where a mesh point within ``tol`` of s counts
+        as s; returns how many nodes were off the mesh."""
+        u, got = _adams_pece_scaled(problem, mesh, h, nodes, tol)
+        np.testing.assert_allclose(u, adams_pece_reference(problem, mesh), rtol=1e-13, atol=0.0)
+        off = 0
+        for s, value in zip(nodes, got):
+            k = round((s - problem.a) / h)
+            if abs(mesh[k] - s) <= tol:
+                # a node on the mesh takes that mesh point's value
+                assert value == u[k]
+            else:
+                off += 1
+            want = adams_pece_reference(problem, np.append(mesh[mesh < s - tol], s))[-1]
+            assert value == pytest.approx(want, rel=1e-13, abs=0.0), s
+        return off
 
     @pytest.mark.parametrize("kind", ["caputo", "rl"])
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 1.5, 1.8])
@@ -208,44 +226,56 @@ class TestAdamsStart:
 
     @pytest.mark.parametrize("steps", [22, 176])
     def test_split_mesh(self, steps):
-        # at alpha = 0.2 a distance off by round-off near T shows at 1e-5
+        # the split scheme's Lobatto nodes over [0, 0.1]; at alpha = 0.2 a
+        # distance off by round-off near s shows at 1e-5
         problem = example3(0.2, 5.0)
-        mesh, h = _split_start_mesh(problem, steps)
-        assert len(mesh) > (round(0.1 * steps / 1.1) * 64 + 1)
-        self._check(problem, mesh, h)
+        mesh, nodes, h, tol = _split_start_mesh(problem, steps)
+        # a, the midpoint and t0 are on the mesh, every other node is off it
+        assert self._check_dense(problem, mesh, h, nodes, tol) == len(nodes) - 3
 
     def test_nodes_on_and_next_to_grid_nodes(self):
         h = 1e-3
-        base = h * np.arange(201)
+        mesh = h * np.arange(201)
         tol = 1e-9 * 64 * h
-        extra = np.array([
-            base[50],  # coincides: stays a grid node
-            base[120] - 1e-3 * tol,  # replaces grid node 120
-            base[150] + 1e-3 * tol,  # merged away
-            base[37] + 0.3 * h, base[37] + 0.7 * h,  # two in one panel
-            base[90] + 0.5 * h, base[91] + 0.5 * h,  # neighbouring regions
-            base[200] - 1e-3 * tol,  # the mesh ends off the grid
+        nodes = np.array([
+            0.0,  # the first mesh point
+            mesh[50],  # on a mesh point
+            mesh[120] - 1e-3 * tol, mesh[150] + 1e-3 * tol,  # within tol: on it
+            mesh[80] - 3 * tol, mesh[81] + 3 * tol,  # just outside tol
+            mesh[37] + 0.3 * h, mesh[37] + 0.7 * h,  # two in one panel
+            mesh[90] + 0.5 * h, mesh[91] + 0.5 * h,  # in neighbouring panels
+            mesh[200] - 0.4 * h,  # in the last panel
+            mesh[200] + 1e-3 * tol,  # past the end, within tol
         ])
-        mesh = _merge_meshes(base, extra, tol=tol)
-        assert base[120] not in mesh and base[200] not in mesh
         for alpha in (0.2, 1.5):
-            self._check(_start_problem("caputo", alpha), mesh, h)
+            assert self._check_dense(_start_problem("caputo", alpha), mesh, h, nodes, tol) == 7
+
+    def test_nodes_outside_the_mesh_rejected(self):
+        h = 1e-3
+        mesh = h * np.arange(11)
+        for s in (-1e-6, mesh[-1] + 1e-6):
+            with pytest.raises(ValueError):
+                _adams_pece_scaled(_start_problem("caputo", 0.5), mesh, h, np.array([s]), 1e-12)
 
     def test_mesh_without_grid(self):
-        # no mesh node after a lies on the grid, so every step takes the
-        # general product weights
+        # no node lies on the mesh: graded nodes, many to a panel near a,
+        # and nodes at a fixed offset into every panel, in no given order
         problem = _start_problem("caputo", 0.6)
-        for mesh, h in [
-            (0.5 * np.linspace(0.0, 1.0, 201) ** 1.5, 1e-3 * math.pi),
-            (np.append(0.0, 1e-3 * (np.arange(1, 50) + 0.37)), 1e-3),
+        h = 1e-3 * math.pi
+        mesh = h * np.arange(161)
+        for nodes in [
+            0.5 * np.linspace(0.0, 1.0, 201)[1:] ** 1.5,
+            (h * (np.arange(1, 50) + 0.37))[::-1],
         ]:
-            assert (h * np.rint(mesh[1:] / h) != mesh[1:]).all()
-            self._check(problem, mesh, h)
+            assert (h * np.rint(nodes / h) != nodes).all()
+            assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
 
     def test_split_start_peak_memory(self):
-        # the start holds a few arrays as long as its mesh (mesh, forcing,
-        # u, the history by mesh and by grid node, three weight tables) and
-        # short-lived temporaries; rebuilding every weight per step took more
+        # the start holds seven arrays as long as its uniform mesh (mesh,
+        # forcing, u, the history, three weight tables) and, during a PECE
+        # at a Lobatto node, four temporaries as long as its history: 11.6
+        # arrays measured, bounded at 12.5.  Merging the nodes into the mesh,
+        # with correction rows next to them, took 13.0
         problem = example3(0.5, 5.0)
         config = SolverConfig(steps=1760, n_interp=2, split_t0=0.1, n_tilde=40)
         npts = len(_split_start_mesh(problem, 1760)[0])
@@ -256,28 +286,7 @@ class TestAdamsStart:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * npts * 8
-
-    @pytest.mark.parametrize("steps", [22, 1760])
-    def test_correction_blocks_fit_the_budget(self, steps):
-        # a block's rows span only the correction nodes of the regions ended
-        # by its last step, so early blocks hold many steps; none holds more
-        # than _START_BLOCK_ROWS rows of the whole correction's length
-        problem = example3(0.5, 5.0)
-        mesh, h = _split_start_mesh(problem, steps)
-        grid = _StartGrid(mesh, problem.a, h, problem.alpha)
-        r1, rl, _ = _convolution_tables(grid.n, problem.alpha)
-        width = len(grid.corr)
-        k, blocks = 0, 0
-        while k <= grid.n:
-            hi, wp, wc = grid.rows(k, r1, rl)
-            assert k < hi <= grid.n + 1
-            if wc is not None:
-                assert wc.shape[0] == hi - k and wp.shape == (hi - k, wc.shape[1] - 1)
-                assert wc.size <= _START_BLOCK_ROWS * width
-            k, blocks = hi, blocks + 1
-        # blocks of a fixed _START_BLOCK_ROWS steps: about twice as many
-        assert blocks <= 0.6 * math.ceil((grid.n + 1) / _START_BLOCK_ROWS)
+        assert peak < 12.5 * npts * 8
 
     @pytest.mark.parametrize("lam", [1200.0, 2000.0])
     def test_large_tempering_rate(self, lam):
@@ -678,6 +687,18 @@ class TestSolveSplit:
             solve(example3(0.9, 0.0, mu=50.0), SolverConfig(steps=22, n_interp=2, split_t0=0.1))
         assert ei.value.phase == "step" and ei.value.step == 17
         assert "in the step phase at step 17" in str(ei.value)
+
+    def test_start_rebases_before_each_lobatto_node(self):
+        # lam = 3000: the start rebases its history over and over on [0, 0.5];
+        # a Lobatto node's PECE taken under a later reference time than its
+        # own step's overflows.  u = e^{-lam t} erfcx(sqrt(t)) (mu = 1)
+        lam = 3000.0
+        tr = solve(example3(0.5, lam, b=1.0), SolverConfig(steps=20, n_interp=2, split_t0=0.5))
+        exact = np.exp(-lam * tr.times) * erfcx(np.sqrt(tr.times))
+        big = exact > 1e-280
+        assert big.sum() == 5
+        assert np.abs(tr.values[big] / exact[big] - 1.0).max() <= 1e-5
+        assert np.abs(tr.values[~big] - exact[~big]).max() <= 1e-280
 
     def test_misaligned_split_point_rejected(self):
         with pytest.raises(ValueError):
