@@ -11,12 +11,13 @@ kernel singularity; the integrand's RHS values at quadrature times come
 from Lagrange interpolation on ``n_interp`` neighbouring grid nodes, which
 makes ``n_interp`` the design convergence order.  Cost per step does not
 grow with the step index, so a whole solve is O(steps): the quadrature
-positions and stencil weights depend only on the step index, so they are
-precomputed in blocks of consecutive steps.  A step's predictor is then
-one gather of the history and one dot product; the corrector's stencils
-differ only next to the new node, so its sum is the predictor's plus a
-window over the last ``n_interp + 1`` nodes, and each corrector iteration
-is scalar arithmetic plus the right-hand-side call.
+positions and stencil weights depend only on the step index, so one
+vectorised build precomputes them for a block of 32 consecutive steps
+(``_BLOCK``).  A step's predictor is then one gather of the history and one
+dot product; the corrector's stencils differ only next to the new node, so
+its sum is the predictor's plus a window over the last ``n_interp + 1``
+nodes, and each corrector iteration is scalar arithmetic plus the
+right-hand-side call.
 
 The first ``n_interp`` grid values come from a product-trapezoidal
 predictor-corrector (fractional Adams) run on a refined auxiliary grid.
@@ -35,6 +36,7 @@ which is not fed back into the history.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -308,10 +310,15 @@ def _stencil_weights(r: np.ndarray, last, n_points: int, grow: bool = False):
             # den = (n-1)! / prod_{j<n} (j - x), so the node polynomial
             # prod_{0<j<n} (x - j) / (n-1)!, signed to match the (n+1)-point
             # weights, is 1 / (x den)
-            s = np.reciprocal(den * x, out=den)
+            s = np.reciprocal(np.multiply(den, x, out=den), out=den)
+        del den
     node = np.rint(x)
-    near = np.flatnonzero(np.abs(x - node) < 1e-9)
+    # x is done with: it takes the distances to the nearest nodes
+    np.subtract(x, node, out=x)
+    near = np.flatnonzero(np.abs(x, out=x) < 1e-9)
+    del x
     at = node[near]
+    del node
     hit = at < n_points
     lw[:, near[hit]] = np.arange(n_points)[:, None] == at[hit]
     if not grow:
@@ -548,10 +555,31 @@ def starting_values(
 # The predictor-corrector step
 
 #: Consecutive steps whose quadrature stencils and weights are built in one
-#: vectorised pass.  Larger blocks amortise the build over more steps, but
-#: every step of a block holds (n_quad+1) n_interp weights and indices, plus
-#: the build's temporaries, which sets the solve's peak memory at small M.
-_BLOCK = 16
+#: vectorised pass.  A build's numpy calls cost much the same for any block
+#: length, so longer blocks amortise them over more steps.  Each step of a
+#: block holds (n_quad+1) n_interp weights and as many gather indices, 2.35 KB
+#: at n_quad = 20 and n_interp = 7: 75 KB per block, and a build peaks at
+#: 84 KB under tracemalloc, which adds to a solve's peak memory.
+_BLOCK = 32
+
+#: Elements per ufunc buffer while a block is built.  At numpy's default
+#: (8192) a broadcast operation over a whole block copies its broadcast
+#: operands into full-size buffers, which took a build's peak to 1.8 times
+#: the block it builds.
+_BUILD_BUFSIZE = 256
+
+
+@contextlib.contextmanager
+def _ufunc_bufsize(size: int):
+    """Run the body with numpy's ufunc buffers ``size`` elements long."""
+    # numpy >= 2 restores the size on leaving errstate, and with it the
+    # state object that setbufsize made; older numpy needs the finally
+    with np.errstate():
+        old = np.setbufsize(size)
+        try:
+            yield
+        finally:
+            np.setbufsize(old)
 
 
 class _Stepper:
@@ -627,28 +655,35 @@ class _Stepper:
         if lam * (times[hi - 1] - self.t_ref) > _REBASE_EXPONENT:
             self.rebase(gs, lo, float(times[lo]))
         self._c = self._idx = None  # release the last block's first: lowers the peak
-        n = np.arange(lo, hi, dtype=float)
-        span = n - self.origin
-        r = np.multiply.outer(span, self._half_nodes)
-        r += self.origin
-        i0, lw, s = _stencil_weights(r, (n - 1.0)[:, None], n_interp, grow=True)
-        lw *= self._weights_flat[:lw.shape[1]]
-        # step-major rows, each quadrature node's stencil contiguous
-        self._c = lw.T.reshape(len(n), -1)
-        del lw
-        idx = np.repeat(i0.astype(np.intp), n_interp).reshape(len(n), -1)
-        idx += self._offsets
-        self._idx = idx
-        # the moved stencils change the sum by sigma times the window's
-        # (NI+1)-point weights, whose last one multiplies g_n
-        sigma = s @ self.rule.weights
-        self._window = np.multiply.outer(sigma, self._window_weights[:-1])
-        self._w_end = sigma * self._window_weights[-1]
         t = times[lo:hi]
         base = np.exp(-lam * (t - problem.a)) * _forcing_scaled(problem, t)
         if self.history is not None:
             base += self._history_part(t)
         self._base = base
+        n = np.arange(lo, hi, dtype=float)
+        span = n - self.origin
+        r = np.multiply.outer(span, self._half_nodes)
+        r += self.origin
+        # every temporary goes before the next block-sized array is made, so
+        # the peak is the two arrays kept plus the integer starts
+        with _ufunc_bufsize(_BUILD_BUFSIZE):
+            i0, lw, s = _stencil_weights(r, (n - 1.0)[:, None], n_interp, grow=True)
+            del r
+            i0 = i0.astype(np.intp)
+            # the moved stencils change the sum by sigma times the window's
+            # (NI+1)-point weights, whose last one multiplies g_n
+            sigma = s @ self.rule.weights
+            del s
+            lw *= self._weights_flat[:lw.shape[1]]
+            # step-major rows, each quadrature node's stencil contiguous
+            self._c = lw.T.reshape(len(n), -1)
+            del lw
+            idx = np.repeat(i0, n_interp).reshape(len(n), -1)
+            del i0
+            idx += self._offsets
+            self._idx = idx
+        self._window = np.multiply.outer(sigma, self._window_weights[:-1])
+        self._w_end = sigma * self._window_weights[-1]
         self._pref = (0.5 * self.tau * span) ** problem.alpha * self.rga
         self._lo, self._hi = lo, hi
 

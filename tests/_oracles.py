@@ -243,13 +243,17 @@ def _lagrange_weights_reference(r, last, n_points):
 class BlockStepperReference:
     """The JPC step with separate predictor and corrector stencils.
 
-    Per block of ``solver._BLOCK`` steps it builds stencil starts and
-    combined weights w_q l_{q,k} for the predictor (stencils clamped to
-    [0, n-1]) and for the corrector (clamped to [0, n]); a step gathers the
+    Per block of ``BLOCK`` steps, a length of its own rather than the
+    solver's, it builds stencil starts and combined weights w_q l_{q,k} for
+    the predictor (stencils clamped to [0, n-1]) and for the corrector
+    (clamped to [0, n]); a block rebases the history at its start, so it
+    rebases at other steps than the solver does.  A step gathers the
     history through a sliding window once for the predictor and once per
     corrector iteration, with the endpoint's rule weight on the predicted
     g_n.  The split history term is evaluated step by step.
     """
+
+    BLOCK = 16
 
     def __init__(self, problem, config, origin=0, history=None):
         self.problem = problem
@@ -276,7 +280,7 @@ class BlockStepperReference:
 
     def _build_block(self, times, gs, lo):
         problem = self.problem
-        hi = min(lo + solver._BLOCK, len(gs))
+        hi = min(lo + self.BLOCK, len(gs))
         lam = problem.lam
         if lam * (times[hi - 1] - self.t_ref) > solver._REBASE_EXPONENT:
             self.rebase(gs, lo, float(times[lo]))
