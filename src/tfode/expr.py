@@ -20,6 +20,17 @@ what was expected; unknown names raise :class:`UnknownNameError`.  ASTs are
 immutable and evaluation is pure.  :func:`compile` turns an AST into nested
 closures once, for expressions called many times such as a right-hand
 side; :func:`evaluate` compiles and calls, so there is one evaluator.
+
+``compile(node, names, array=True)`` evaluates over numpy arrays instead,
+for an expression wanted at many points at once such as an exact solution
+on a whole grid: ``exp``, ``ln``, ``sin``, ``cos`` and ``^`` are numpy's,
+and ``ml`` takes its array path.  Array evaluation follows numpy's rules,
+so where the scalar function raises (division by zero, overflow, a domain
+error, a complex value) it may instead give inf or nan, or raise on an
+argument that must be a scalar (``gamma``).  A caller that needs the scalar
+function's errors evaluates point by point whenever the array pass raises
+or gives a value that is not finite, as ``SolutionTrace.exact_values``
+does.
 """
 
 from __future__ import annotations
@@ -29,6 +40,8 @@ import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .specfun import gamma as _gamma
 from .specfun import mittag_leffler as _ml
@@ -59,6 +72,15 @@ FUNCTIONS = {
     "pow": (2, lambda x, y: x**y),
     "gamma": (1, _gamma),
     "ml": (3, lambda al, be, z: _ml(al, be, z)),
+}
+
+#: The functions of array evaluation; ``pow``, ``gamma`` and ``ml`` as above.
+ARRAY_FUNCTIONS = {
+    **FUNCTIONS,
+    "exp": (1, np.exp),
+    "ln": (1, np.log),
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
 }
 
 
@@ -261,10 +283,12 @@ def _constant(node: Expr) -> float | None:
     return node.value if isinstance(node, Num) else None
 
 
-def _closure(node: Expr, index: Mapping[str, int]) -> Callable[[tuple], float]:
+def _closure(
+    node: Expr, index: Mapping[str, int], functions: Mapping[str, tuple], convert: Callable
+) -> Callable[[tuple], float]:
     """A function of the value tuple computing ``node`` with ``evaluate``'s
     operations in its order: operands left to right, variables and function
-    results through ``float``.  Constant operands are captured as values."""
+    results through ``convert``.  Constant operands are captured as values."""
     value = _constant(node)
     if value is not None:
         return lambda v: value
@@ -277,42 +301,50 @@ def _closure(node: Expr, index: Mapping[str, int]) -> Callable[[tuple], float]:
                 raise EvalError(message)
 
             return unbound
-        return lambda v: float(v[i])
+        return lambda v: convert(v[i])
     if isinstance(node, Neg):
-        operand = _closure(node.operand, index)
+        operand = _closure(node.operand, index, functions, convert)
         return lambda v: -operand(v)
     if isinstance(node, BinOp):
         op = _BINARY[node.op]
         x, y = _constant(node.left), _constant(node.right)
-        left, right = _closure(node.left, index), _closure(node.right, index)
+        left = _closure(node.left, index, functions, convert)
+        right = _closure(node.right, index, functions, convert)
         if x is not None:
             return lambda v: op(x, right(v))
         if y is not None:
             return lambda v: op(left(v), y)
         return lambda v: op(left(v), right(v))
-    fn = FUNCTIONS[node.func][1]
-    args = [_closure(arg, index) for arg in node.args]
+    fn = functions[node.func][1]
+    args = [_closure(arg, index, functions, convert) for arg in node.args]
     if len(args) == 1:
         (arg,) = args
-        return lambda v: float(fn(arg(v)))
-    return lambda v: float(fn(*[arg(v) for arg in args]))
+        return lambda v: convert(fn(arg(v)))
+    return lambda v: convert(fn(*[arg(v) for arg in args]))
 
 
-def compile(node: Expr, names: Sequence[str]) -> Callable[..., float]:
+def compile(node: Expr, names: Sequence[str], *, array: bool = False) -> Callable[..., float]:
     """Turn an AST into a function of the variables ``names``, in that order.
 
     The tree is walked once, into nested closures, so a call costs one
     Python call per operation.  ``compile(node, names)(*values)`` gives the
     bit-identical result of ``evaluate(node, dict(zip(names, values)))`` and
     raises the same exceptions; a variable missing from ``names`` raises
-    :class:`EvalError` when the function is called, not here.
+    :class:`EvalError` when the function is called, not here.  With
+    ``array``, the values may be numpy arrays and so may the result; see
+    the module docstring for how array evaluation differs.
     """
-    body = _closure(node, {name: i for i, name in enumerate(names)})
+    functions, convert = (ARRAY_FUNCTIONS, _same) if array else (FUNCTIONS, float)
+    body = _closure(node, {name: i for i, name in enumerate(names)}, functions, convert)
 
     def run(*values: float) -> float:
         return body(values)
 
     return run
+
+
+def _same(value):
+    return value
 
 
 def evaluate(node: Expr, bindings: Mapping[str, float]) -> float:

@@ -314,13 +314,19 @@ def load_report_csv(stream) -> list[ConvergenceReport]:
 
 
 def write_trace_csv(stream, trace: SolutionTrace) -> None:
-    """Write a solution trace as ``t,u[,u_exact,abs_error]``."""
-    writer = csv.writer(stream, lineterminator="\n")
+    """Write a solution trace as ``t,u[,u_exact,abs_error]``, in one write.
+
+    The fields are formatted numbers, which CSV never quotes, so the rows
+    are joined directly.
+    """
+    times, values = trace.times.tolist(), trace.values.tolist()
     if trace.problem.exact is not None:
-        writer.writerow(["t", "u", "u_exact", "abs_error"])
-        for t, u, ue in zip(trace.times, trace.values, trace.exact_values()):
-            writer.writerow([f"{t:.16e}", f"{u:.16e}", f"{ue:.16e}", f"{abs(u - ue):.6e}"])
+        rows = [
+            f"{t:.16e},{u:.16e},{ue:.16e},{abs(u - ue):.6e}\n"
+            for t, u, ue in zip(times, values, trace.exact_values().tolist())
+        ]
+        header = "t,u,u_exact,abs_error\n"
     else:
-        writer.writerow(["t", "u"])
-        for t, u in zip(trace.times, trace.values):
-            writer.writerow([f"{t:.16e}", f"{u:.16e}"])
+        rows = [f"{t:.16e},{u:.16e}\n" for t, u in zip(times, values)]
+        header = "t,u\n"
+    stream.write(header + "".join(rows))

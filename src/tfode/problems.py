@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
+
 from . import expr
 from .solver import CAPUTO, Problem
 from .specfun import gamma, mittag_leffler
@@ -33,20 +35,22 @@ __all__ = [
 ]
 
 
-def exact_example2(alpha: float, lam: float, t: float) -> float:
-    """Closed-form solution of ``example2``: e^{-lam t} (t^8 + 9/4 t^alpha)."""
-    if t < 0.0:
+def exact_example2(alpha: float, lam: float, t):
+    """Closed-form solution of ``example2``: e^{-lam t} (t^8 + 9/4 t^alpha),
+    at a time or a numpy array of times."""
+    if np.any(np.less(t, 0.0)):
         raise ValueError("t must be nonnegative")
-    return math.exp(-lam * t) * (t**8 + 2.25 * t**alpha)
+    return np.exp(-lam * t) * (t**8 + 2.25 * t**alpha)
 
 
-def exact_example3(alpha: float, lam: float, mu: float, t: float) -> float:
-    """Closed-form solution of ``example3``: e^{-lam t} E_{alpha,1}(-mu t^alpha)."""
-    if t < 0.0:
+def exact_example3(alpha: float, lam: float, mu: float, t):
+    """Closed-form solution of ``example3``: e^{-lam t} E_{alpha,1}(-mu t^alpha),
+    at a time or a numpy array of times."""
+    if np.any(np.less(t, 0.0)):
         raise ValueError("t must be nonnegative")
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    return math.exp(-lam * t) * mittag_leffler(alpha, 1.0, -mu * t**alpha)
+    return np.exp(-lam * t) * mittag_leffler(alpha, 1.0, -mu * t**alpha)
 
 
 def example2(alpha: float, lam: float, b: float = 1.0) -> Problem:
@@ -162,6 +166,8 @@ def problem_from_spec(
     an expression in t, alpha, lambda, and ``init`` defaults to zeros.
     Expressions are parsed and compiled here, once; an expression whose
     value is not a real number raises :class:`expr.EvalError` when called.
+    An exact-solution expression also takes a numpy array of times, which
+    it evaluates by numpy's rules (see :mod:`tfode.expr`).
     """
     name = _builtin_name(rhs)
     if name is not None:
@@ -202,9 +208,13 @@ def problem_from_spec(
         if exact_name is not None:
             exact_fn = _builtin(exact_name, alpha, lam, b, mu).exact
         else:
-            g = expr.compile(expr.parse(exact), ("t", "alpha", "lambda"))
+            tree = expr.parse(exact)
+            g = expr.compile(tree, ("t", "alpha", "lambda"))
+            g_array = expr.compile(tree, ("t", "alpha", "lambda"), array=True)
 
-            def exact_fn(t: float) -> float:
+            def exact_fn(t):
+                if isinstance(t, np.ndarray):
+                    return g_array(t, alpha, lam)
                 try:
                     return float(g(t, alpha, lam))
                 except _EVAL_FAILURES as exc:

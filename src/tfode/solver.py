@@ -107,7 +107,9 @@ class Problem:
     values ``d^k/dt^k (e^{lam t} u)`` at ``a`` (k = 0..n-1); for the
     Riemann-Liouville kind the values of the RL derivatives of order
     ``alpha - k - 1`` of ``e^{lam t} u`` at ``a``.  ``rhs(t, u)`` must be
-    Lipschitz in ``u`` on the solution's range.
+    Lipschitz in ``u`` on the solution's range.  ``exact``, the solution if
+    known, is called with a time or with an array of times (see
+    :meth:`SolutionTrace.exact_values`).
     """
 
     kind: str
@@ -198,11 +200,30 @@ class SolutionTrace:
         return (self.problem.b - self.problem.a) / self.config.steps
 
     def exact_values(self) -> np.ndarray:
-        """The problem's exact solution at the grid times, evaluated once."""
-        if self.problem.exact is None:
+        """The problem's exact solution at the grid times, evaluated once.
+
+        ``exact`` is called once with the array of times.  If that raises
+        (as a function of one float does), or gives anything but a finite
+        float array of the grid's shape, it is called node by node instead,
+        so the values and errors are those of the scalar calls.
+        """
+        exact = self.problem.exact
+        if exact is None:
             raise ValueError("problem has no exact solution")
         if self._exact is None:
-            self._exact = np.array([self.problem.exact(t) for t in self.times])
+            try:
+                with np.errstate(all="ignore"):
+                    values = np.asarray(exact(self.times))
+            except (ArithmeticError, TypeError, ValueError):
+                values = None
+            if (
+                values is None
+                or values.shape != self.times.shape
+                or values.dtype != np.float64
+                or not np.isfinite(values).all()
+            ):
+                values = np.array([exact(t) for t in self.times])
+            self._exact = values
         return self._exact
 
     def errors(self) -> np.ndarray:

@@ -29,23 +29,57 @@ from tfode.specfun import MittagLefflerError, rgamma
 mp.mp.dps = 50
 
 
-def ml_series(alpha, beta, z, kmax=500):
-    """Mittag-Leffler sum in mpmath arithmetic."""
-    total = mp.mpf(0)
-    for k in range(kmax):
-        total += mp.mpf(z) ** k / mp.gamma(mp.mpf(alpha) * k + mp.mpf(beta))
-    return total
+#: Digits the mpmath Mittag-Leffler oracles keep beyond those they lose.
+_SPARE_DIGITS = 50
+
+
+def ml_series(alpha, beta, z):
+    """Mittag-Leffler sum in mpmath arithmetic, with precision matched to
+    its cancellation: the largest term is about exp(|z|^(1/alpha)) times
+    the size of the result, so the sum carries |z|^(1/alpha) / ln 10 digits
+    on top of ``_SPARE_DIGITS``, as ``benchmarks/reference.py`` does."""
+    radius = abs(float(z))
+    peak = radius ** (1.0 / alpha)
+    with mp.workdps(_SPARE_DIGITS + int(peak / math.log(10.0)) + 1):
+        x = mp.mpf(z)
+        tiny = mp.mpf(10) ** -_SPARE_DIGITS
+        total, power, k = mp.mpf(0), mp.mpf(1), 0
+        while True:
+            term = power * mp.rgamma(mp.mpf(alpha) * k + beta)
+            total += term
+            if k > 2.0 * peak + 2.0 and abs(term) <= tiny * abs(total):
+                return total
+            power *= x
+            k += 1
+
+
+def ml_asymptotic(alpha, beta, z, kmax=5000):
+    """``-sum_k z^-k / Gamma(beta - alpha k)``, the expansion of
+    ``E_{alpha,beta}(z)`` for large negative ``z`` and ``0 < alpha < 1``,
+    where it has no exponential part, in mpmath arithmetic.  The expansion
+    diverges; it is summed until a term is ``_SPARE_DIGITS`` digits below
+    the sum, and raises ``ArithmeticError`` if that takes over ``kmax``
+    terms."""
+    with mp.workdps(2 * _SPARE_DIGITS):
+        x = mp.mpf(z)
+        tiny = mp.mpf(10) ** -_SPARE_DIGITS
+        total = mp.mpf(0)
+        for k in range(1, kmax + 1):
+            term = -mp.rgamma(mp.mpf(beta) - mp.mpf(alpha) * k) / x**k
+            total += term
+            if term != 0 and abs(term) <= tiny * abs(total):
+                return total
+    raise ArithmeticError(f"asymptotic expansion does not settle at alpha={alpha}, z={z}")
 
 
 def _ml_term(z, k, x):
-    """k-th series term z^k / Gamma(x) without overflowing z**k."""
+    """k-th series term z^k / Gamma(x) without overflowing z**k, and from
+    log|Gamma(x)| where 1/Gamma(x) underflows to 0.0."""
     r = rgamma(x)
-    if r == 0.0:
+    if (z == 0.0 and k) or (r == 0.0 and x <= 0.0):
         return 0.0
-    if z == 0.0:
-        return r if k == 0 else 0.0
-    lk = k * math.log(abs(z))
-    if lk < 690.0:
+    lk = 0.0 if z == 0.0 else k * math.log(abs(z))
+    if lk < 690.0 and r != 0.0:
         return z**k * r
     mag = math.exp(lk - math.lgamma(x))
     return -mag if (z < 0.0 and k % 2 == 1) else mag
@@ -54,17 +88,17 @@ def _ml_term(z, k, x):
 def ml_series_reference(alpha, beta, z, zmax=50.0):
     """Mittag-Leffler series in doubles, each coefficient computed per term.
 
-    The same Neumaier sum and stopping rule as ``specfun.mittag_leffler``,
-    so the two agree bit for bit, errors included.
+    The same Neumaier sum, stopping rule and cancellation check as the
+    series in ``specfun.mittag_leffler``, so the two agree bit for bit,
+    errors included, wherever that function uses its series.
     """
     if alpha <= 0.0:
         raise MittagLefflerError(f"alpha must be positive, got {alpha}")
-    if abs(z) > zmax:
-        raise MittagLefflerError(
-            f"|z| = {abs(z)} exceeds the series-reliability bound {zmax}"
-        )
+    if not abs(z) <= zmax:
+        raise MittagLefflerError(f"|z| = {abs(z)} exceeds the supported bound {zmax}")
     total = 0.0
     comp = 0.0
+    mag = 0.0
     small_streak = 0
     for k in range(100_000):
         term = _ml_term(z, k, alpha * k + beta)
@@ -74,10 +108,23 @@ def ml_series_reference(alpha, beta, z, zmax=50.0):
         else:
             comp += (term - t) + total
         total = t
+        mag += abs(term)
         if abs(term) <= 1e-16 * (1.0 + abs(total)):
             small_streak += 1
             if small_streak >= 3:
-                return total + comp
+                total += comp
+                if mag == math.inf:
+                    raise OverflowError(
+                        f"Mittag-Leffler series for alpha={alpha}, beta={beta}, z={z} "
+                        f"overflows"
+                    )
+                if np.finfo(float).eps * mag > 1e-8 * abs(total):
+                    raise MittagLefflerError(
+                        f"Mittag-Leffler series for alpha={alpha}, beta={beta}, z={z} "
+                        f"cancels: its terms sum to {mag:.3g} in magnitude, its value is "
+                        f"{total:.3g}"
+                    )
+                return total
         else:
             small_streak = 0
     raise ArithmeticError(

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from _helpers import cli_env
@@ -57,6 +58,17 @@ class TestSolveCommand:
         )
         assert r.returncode == 0, r.stderr
         assert "max error" in r.stdout
+
+    def test_exact_column_at_large_mittag_leffler_argument(self, tmp_path):
+        # z = -20 t^0.5 reaches -21; the power series alone printed 1.357375e+140
+        r = run_cli(
+            "solve", "--alpha", "0.5", "--lambda", "5", "--rhs=-20*u", "--init", "1",
+            "--b", "1.1", "--steps", "440", "--NI", "2", "--split-t0", "0.1",
+            "--ntilde", "40", "--exact", "exp(-lambda*t)*ml(alpha,1,-20*t^alpha)",
+            cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        assert float(r.stdout.rsplit("=", 1)[1]) <= 1e-4
 
     def test_parse_error_exit_code(self, tmp_path):
         r = run_cli("solve", "--alpha", "0.5", "--rhs", "t +", "--init", "1",
@@ -156,9 +168,14 @@ class TestTablesCommand:
 
 
 class TestSolveExactColumn:
-    def test_exact_solution_evaluated_once_per_node(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("exact", [
+        pytest.param("exp(-lambda*t)*ml(alpha,1,-t^alpha)", id="expression"),
+        pytest.param("builtin:relax", id="builtin"),
+    ])
+    def test_exact_solution_evaluated_once_per_trace(self, tmp_path, monkeypatch, capsys,
+                                                     exact):
         # the trace CSV's u_exact column and the printed max error share
-        # one evaluation of the exact solution
+        # one evaluation of the exact solution, over the whole grid at once
         from tfode import cli
 
         calls = []
@@ -180,11 +197,12 @@ class TestSolveExactColumn:
         code = cli.main([
             "solve", "--alpha", "0.9", "--lambda", "5", "--rhs=-u", "--init", "1",
             "--b", "1.1", "--steps", str(steps), "--NI", "2", "--split-t0", "0.1",
-            "--exact", "exp(-lambda*t)*ml(alpha,1,-t^alpha)", "--out", "t.csv",
+            "--exact", exact, "--out", "t.csv",
         ])
         assert code == 0
         assert "max error" in capsys.readouterr().out
-        assert len(calls) == steps + 1
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 1.1 * np.arange(steps + 1) / steps)
         assert len((tmp_path / "t.csv").read_text().splitlines()) == steps + 2
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,3 +242,47 @@ class TestCompile:
         fn = compile(parse("ml(alpha, 1, t)"), ("t", "alpha"))
         monkeypatch.setattr(expr, "_ml", lambda al, be, z: 42.0)
         assert fn(0.5, 0.9) == 42.0
+
+
+class TestArrayCompile:
+    """``compile(..., array=True)``: one pass over a numpy array of times."""
+
+    T = np.linspace(0.0, 1.1, 45)
+
+    @pytest.mark.parametrize("src", [
+        "exp(-lambda*t)*ml(alpha,1,-20*t^alpha)",
+        "sin(3*t)*cos(t) + ln(1+t) - t^alpha",
+        "pow(t, 2)/gamma(alpha+1) - -t",
+        "2.5",
+    ])
+    def test_matches_scalar_calls(self, src):
+        tree = parse(src)
+        names = ("t", "alpha", "lambda")
+        got = compile(tree, names, array=True)(self.T, 0.5, 5.0)
+        scalar = compile(tree, names)
+        want = np.array([scalar(t, 0.5, 5.0) for t in self.T])
+        # numpy's exp, log, sin, cos and power may differ from math's in the last bit
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_ml_is_called_once_with_the_array(self, monkeypatch):
+        from tfode import expr
+
+        calls = []
+        ml = expr._ml
+
+        def counted(alpha, beta, z):
+            calls.append(z)
+            return ml(alpha, beta, z)
+
+        monkeypatch.setattr(expr, "_ml", counted)
+        compile(parse("ml(alpha, 1, -t)"), ("t", "alpha"), array=True)(self.T, 0.9)
+        assert len(calls) == 1 and calls[0].shape == self.T.shape
+
+    def test_numpy_rules(self):
+        # where the scalar function raises, the array pass gives inf or nan,
+        # or raises on an argument that must be a scalar
+        with np.errstate(all="ignore"):
+            assert np.isinf(compile(parse("1/t"), ("t",), array=True)(self.T)[0])
+            assert np.isnan(compile(parse("(0-t)^0.5"), ("t",), array=True)(self.T)[1])
+        with pytest.raises(TypeError):
+            compile(parse("gamma(t)"), ("t",), array=True)(self.T)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -715,6 +716,41 @@ class TestSolveSplit:
             solve_split(example3(0.9, 5.0), SolverConfig(steps=22, n_interp=2, split_t0=1.2))
 
 
+class TestExactValues:
+    """``SolutionTrace.exact_values`` calls the exact solution once, with
+    the grid, and node by node where that fails."""
+
+    def _trace(self, exact):
+        problem = dataclasses.replace(example3(0.5, 5.0), exact=exact)
+        return solve_split(problem, SolverConfig(steps=22, n_interp=2, split_t0=0.1))
+
+    def test_one_call_with_the_grid(self):
+        calls = []
+
+        def exact(t):
+            calls.append(t)
+            return exact_example3(0.5, 5.0, 1.0, t)
+
+        tr = self._trace(exact)
+        values = tr.exact_values()
+        assert len(calls) == 1 and calls[0] is tr.times
+        assert tr.exact_values() is values and len(calls) == 1
+
+    def test_scalar_only_callable(self):
+        tr = self._trace(lambda t: math.exp(-t))  # raises TypeError on an array
+        assert np.array_equal(tr.exact_values(), [math.exp(-t) for t in tr.times])
+
+    @pytest.mark.parametrize("array_value", [math.inf, math.nan, 1j])
+    def test_unusable_array_values_fall_back(self, array_value):
+        def exact(t):
+            if isinstance(t, np.ndarray):
+                return np.full(t.shape, array_value)
+            return 2.0 * t
+
+        tr = self._trace(exact)
+        assert np.array_equal(tr.exact_values(), 2.0 * tr.times)
+
+
 class TestExactSolutions:
     def test_example2_values(self):
         assert exact_example2(0.5, 2.0, 0.0) == 0.0
@@ -728,6 +764,18 @@ class TestExactSolutions:
         assert exact_example3(0.9, 5.0, 1.0, 1.0) == pytest.approx(
             0.0025339129205161767, abs=1e-14
         )
+
+    def test_array_of_times(self):
+        t = np.linspace(0.0, 1.1, 89)
+        for got, one in (
+            (exact_example2(0.5, 2.0, t), lambda x: exact_example2(0.5, 2.0, x)),
+            (exact_example3(0.5, 5.0, 20.0, t), lambda x: exact_example3(0.5, 5.0, 20.0, x)),
+            (exact_example3(1.8, 5.0, 1.0, t), lambda x: exact_example3(1.8, 5.0, 1.0, x)),
+        ):
+            want = np.array([one(float(x)) for x in t])
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        with pytest.raises(ValueError, match="nonnegative"):
+            exact_example3(0.5, 5.0, 1.0, t - 0.1)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from tfode import specfun
 from tfode.specfun import MittagLefflerError, gamma, mittag_leffler, rgamma
 
-from _oracles import ml_series, ml_series_reference
+from _oracles import ml_asymptotic, ml_series, ml_series_reference
 
 
 class TestGamma:
@@ -92,15 +93,113 @@ class TestMittagLeffler:
         with pytest.raises(MittagLefflerError):
             mittag_leffler(-0.1, 1.0, 0.5)
 
-    def test_large_argument_still_finite(self):
+    def test_large_argument_values(self):
         # exercises the log-scaled term path
         got = mittag_leffler(1.0, 1.0, 50.0)
         assert got == pytest.approx(math.exp(50.0), rel=1e-12)
+        # E_(1/2)(-x) = erfcx(x); the series alone was off by 7e-6, 1.5,
+        # 8e33, 2e144 and 2e273 relative
+        for x in (5.0, 6.0, 10.0, 21.0, 50.0):
+            assert mittag_leffler(0.5, 1.0, -x) == pytest.approx(erfcx(x), rel=1e-13)
+        # the series gave 8.9e-3
+        assert mittag_leffler(0.9, 1.0, -21.0) == pytest.approx(5.450399e-3, rel=1e-6)
+        # the series raised OverflowError
+        want = float(ml_asymptotic(0.2, 1.0, -10.0))
+        assert mittag_leffler(0.2, 1.0, -10.0) == pytest.approx(want, rel=1e-13)
 
     @given(st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=60, deadline=None)
     def test_exp_identity_property(self, z):
         assert abs(mittag_leffler(1.0, 1.0, z) - math.exp(z)) <= 1e-12
+
+
+def _ml_oracle(alpha, beta, z):
+    """E by the mpmath series where its cancellation costs at most 100
+    digits, else by the asymptotic expansion."""
+    if abs(z) ** (1.0 / alpha) / math.log(10.0) <= 100.0:
+        return float(ml_series(alpha, beta, z))
+    return float(ml_asymptotic(alpha, beta, z))
+
+
+class TestMittagLefflerContour:
+    """Garrappa's contour rule, which serves 0 < alpha <= 1 and z < -0.1."""
+
+    def test_half_order_is_erfcx(self):
+        x = np.linspace(0.0, 50.0, 1001)
+        got = mittag_leffler(0.5, 1.0, -x)
+        assert np.all(np.abs(got - erfcx(x)) <= 1e-13 * erfcx(x))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5, 0.8, 0.9, 1.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_against_cancellation_matched_series(self, alpha, beta):
+        # as far out as the mpmath series costs at most 40 extra digits
+        reach = min(specfun.ML_ZMAX, (40.0 * math.log(10.0)) ** alpha)
+        for z in -np.geomspace(0.05, reach, 7):
+            want = float(ml_series(alpha, beta, float(z)))
+            assert mittag_leffler(alpha, beta, float(z)) == pytest.approx(want, rel=1e-13), z
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_against_asymptotic_expansion(self, alpha, beta):
+        # small alpha past the series oracle's reach
+        for z in (-5.0, -10.0, -21.0, -50.0):
+            want = float(ml_asymptotic(alpha, beta, z))
+            assert mittag_leffler(alpha, beta, z) == pytest.approx(want, rel=1e-13), z
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 1.0), (0.9, 2.0), (0.2, 0.5), (1.0, 1.0),
+                                             (1.0, 2.0), (1.8, 1.0)])
+    def test_array_matches_scalar_calls(self, alpha, beta):
+        z = (0.05 * np.arange(-1000, 20)).reshape(3, -1)  # both regions, 0 included
+        got = mittag_leffler(alpha, beta, z)
+        assert got.shape == z.shape
+        want = np.array([[mittag_leffler(alpha, beta, float(x)) for x in row] for row in z])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert mittag_leffler(alpha, beta, z[:, :0]).shape == (3, 0)
+        zero_d = mittag_leffler(alpha, beta, z[0, :1].reshape(()))
+        assert zero_d.shape == () and zero_d == pytest.approx(want[0, 0], rel=1e-13)
+
+    def test_array_errors(self):
+        z = np.linspace(-10.0, 0.0, 11)
+        z[3] = -60.0
+        with pytest.raises(MittagLefflerError, match=r"\|z\| = 60.0 exceeds"):
+            mittag_leffler(0.5, 1.0, z)
+        z[3] = math.nan
+        with pytest.raises(MittagLefflerError):
+            mittag_leffler(0.5, 1.0, z)
+        with pytest.raises(TypeError):
+            mittag_leffler(0.5, 1.0, np.array([-1.0 + 1.0j]))
+
+    def test_nodes_are_cached_with_bounded_keys(self):
+        for i in range(specfun._ML_TABLE_KEYS + 4):
+            mittag_leffler(0.3 + 0.01 * i, 1.0, -2.0)
+        info = specfun._contour_nodes.cache_info()
+        assert info.maxsize == specfun._ML_TABLE_KEYS
+        assert info.currsize <= specfun._ML_TABLE_KEYS
+
+
+class TestMittagLefflerSeriesFailures:
+    """Where the series is kept it fails loudly instead of returning garbage."""
+
+    def test_cancellation_raises(self):
+        # E_1.05(-50) loses about 18 digits to cancellation
+        with pytest.raises(MittagLefflerError, match=r"alpha=1.05, beta=1.0, z=-50.0 cancels"):
+            mittag_leffler(1.05, 1.0, -50.0)
+        # alpha = 1.8 and 2 lose about 4 digits there and keep their values
+        assert mittag_leffler(2.0, 1.0, -50.0) == pytest.approx(math.cos(50.0**0.5), rel=1e-12)
+        assert math.isfinite(mittag_leffler(1.8, 1.0, -50.0))
+
+    def test_underflowing_coefficients_keep_their_terms(self):
+        # 1/Gamma(k/2 + 1) underflows to 0.0 from k = 342 on, where 13^k /
+        # Gamma(k/2 + 1) still peaks near e^169; E_(1/2)(x) = 2 e^(x^2) - erfcx(x)
+        for x in (13.0, 21.0, 26.0):
+            want = 2.0 * math.exp(x * x) - erfcx(x)
+            assert mittag_leffler(0.5, 1.0, x) == pytest.approx(want, rel=1e-12), x
+
+    def test_overflow_raises(self):
+        # E_(1/2)(30) = 2 e^900 and E_0.1(2) = 10 e^1024 are past a double
+        for alpha, z in ((0.5, 30.0), (0.1, 2.0)):
+            with pytest.raises(OverflowError):
+                mittag_leffler(alpha, 1.0, z)
 
 
 def _outcome(fn, *args):
@@ -123,26 +222,44 @@ class TestMittagLefflerTables:
 
     Z = [0.0, -0.0, 1e-300, 0.3, -0.7, 1.0, -1.1, 2.5, -5.0, -12.0, 20.0, -50.0]
 
+    @staticmethod
+    def _series_kept(alpha, z):
+        return alpha > 1.0 or z >= -specfun.ML_SERIES_RADIUS
+
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0, 1.8, 2.0])
     @pytest.mark.parametrize("beta", [1.0, 0.5, 2.0, 0.0, -1.0])
     def test_bit_identical_to_per_term_series(self, empty_tables, alpha, beta):
         # beta = 0 and -1 put the first coefficients on poles of Gamma
         for z in self.Z:
+            if not self._series_kept(alpha, z):
+                continue  # see test_contour_region_values
             want = _outcome(ml_series_reference, alpha, beta, z)
             assert _outcome(mittag_leffler, alpha, beta, z) == want, z
             # and again from the tables the first call grew
             assert _outcome(mittag_leffler, alpha, beta, z) == want, z
 
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("beta", [1.0, 0.5, 2.0, 0.0, -1.0])
+    def test_contour_region_values(self, empty_tables, alpha, beta):
+        # the contour rule's weights grow like s^(alpha - beta): beta = -1
+        # loses most, 4e-13 at alpha = 0.9, z = -50
+        tol = 1e-13 if beta >= 0.0 else 1e-12
+        for z in self.Z:
+            if self._series_kept(alpha, z):
+                continue
+            want = _ml_oracle(alpha, beta, z)
+            assert mittag_leffler(alpha, beta, z) == pytest.approx(want, rel=tol), z
+
     def test_overflow_branch(self, empty_tables):
         # |z|^k overflows from k ~ 227: those terms come from the log Gamma table
-        for z in (-21.0, -20.5, 21.0):
+        for z in (21.0, 20.5, 13.0):
             assert repr(mittag_leffler(0.5, 1.0, z)) == repr(ml_series_reference(0.5, 1.0, z))
         assert len(specfun._LGAMMA_TABLES[(0.5, 1.0)]) > 227
 
     def test_past_the_length_bound(self, empty_tables):
-        # alpha = 0.1 needs coefficients up to k ~ 1700, beyond the tables'
+        # alpha = 0.1 needs coefficients up to k ~ 6000, beyond the tables'
         # length; those are computed per term, overflow branch included
-        for z in (-2.0, 2.0, -1.5):
+        for z in (1.9, 1.8):
             assert repr(mittag_leffler(0.1, 1.0, z)) == repr(ml_series_reference(0.1, 1.0, z))
         assert len(specfun._RGAMMA_TABLES[(0.1, 1.0)]) == specfun._ML_TABLE_LEN
         assert len(specfun._LGAMMA_TABLES[(0.1, 1.0)]) == specfun._ML_TABLE_LEN
@@ -150,7 +267,7 @@ class TestMittagLefflerTables:
     @pytest.mark.parametrize(
         "alpha, beta, z",
         [(-0.1, 1.0, 0.5), (0.0, 1.0, 0.5), (0.5, 1.0, 51.0), (0.5, 1.0, -60.0),
-         (0.1, 1.0, -3.0), (0.05, 1.0, 49.0)],
+         (0.05, 1.0, 49.0), (1.05, 1.0, -50.0), (0.1, 1.0, 2.0)],
     )
     def test_error_paths_unchanged(self, empty_tables, alpha, beta, z):
         want = _outcome(ml_series_reference, alpha, beta, z)
@@ -159,9 +276,11 @@ class TestMittagLefflerTables:
 
     def test_tables_are_bounded(self, empty_tables):
         keys = specfun._ML_TABLE_KEYS
-        alphas = [0.5 + 0.01 * i for i in range(keys + 5)]
+        alphas = [0.4 + 0.01 * i for i in range(keys + 5)]
         for alpha in alphas:
-            mittag_leffler(alpha, 1.0, -40.0)  # reaches the overflow branch
+            # E ~ e^300/alpha: its series runs past alpha k + 1 = 171.6,
+            # where the terms come from the log Gamma table
+            mittag_leffler(alpha, 1.0, 300.0**alpha)
         for store in (specfun._RGAMMA_TABLES, specfun._LGAMMA_TABLES):
             assert len(store) == keys
             assert all(len(table) <= specfun._ML_TABLE_LEN for table in store.values())
@@ -169,13 +288,13 @@ class TestMittagLefflerTables:
         assert list(specfun._RGAMMA_TABLES) == [(a, 1.0) for a in alphas[-keys:]]
 
     def test_tables_grow_lazily(self, empty_tables):
-        mittag_leffler(0.9, 1.0, -1.1)  # about 24 terms
+        mittag_leffler(0.9, 1.0, 1.1)  # about 24 terms
         assert list(specfun._RGAMMA_TABLES) == [(0.9, 1.0)]
         assert len(specfun._RGAMMA_TABLES[(0.9, 1.0)]) == 32
         assert specfun._LGAMMA_TABLES == {}
 
     def test_concurrent_calls_share_one_key(self, empty_tables):
-        zs = [-21.0 * i / 200 for i in range(201)]
+        zs = [21.0 * i / 200 for i in range(201)]
         serial = [repr(ml_series_reference(0.5, 1.0, z)) for z in zs]
         results = [None, None]
 
