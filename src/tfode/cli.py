@@ -9,6 +9,7 @@ value).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -29,7 +30,10 @@ EXIT_BLOWUP = 3
 EXIT_PARSE = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="tfode",
         description="Jacobi predictor-corrector solver for tempered fractional ODEs",

@@ -31,6 +31,10 @@ argument that must be a scalar (``gamma``).  A caller that needs the scalar
 function's errors evaluates point by point whenever the array pass raises
 or gives a value that is not finite, as ``SolutionTrace.exact_values``
 does.
+
+:func:`affine_split` writes an expression that is affine in one variable,
+``p + q*u``, as the two trees ``p`` and ``q``; it is how an expression
+right-hand side declares :attr:`tfode.solver.Problem.affine`.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ __all__ = [
     "parse",
     "compile",
     "evaluate",
+    "affine_split",
 ]
 
 VARIABLES = ("t", "u", "alpha", "lambda")
@@ -351,3 +356,69 @@ def evaluate(node: Expr, bindings: Mapping[str, float]) -> float:
     """Evaluate an AST in IEEE double precision under the given bindings."""
     names = tuple(bindings)
     return compile(node, names)(*[bindings[name] for name in names])
+
+
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def _split(node: Expr, name: str) -> tuple[Expr | None, Expr | None] | None:
+    """(p, q) with node == p + q*name, None standing for a zero part; None
+    when the tree is not affine in ``name`` by the rules of affine_split.
+    A subtree free of ``name`` is its own p."""
+    if isinstance(node, Var) and node.name == name:
+        return None, _ONE
+    if isinstance(node, Neg):
+        parts = _split(node.operand, name)
+        return parts and tuple(None if x is None else Neg(x) for x in parts)
+    if isinstance(node, Call):
+        args = [_split(arg, name) for arg in node.args]
+        return (node, None) if all(x is not None and x[1] is None for x in args) else None
+    if not isinstance(node, BinOp):
+        return node, None
+    left, right = _split(node.left, name), _split(node.right, name)
+    if left is None or right is None:
+        return None
+    if left[1] is None and right[1] is None:
+        return node, None
+    if node.op in "+-":
+        return tuple(_combine(node.op, x, y) for x, y in zip(left, right))
+    # a product or quotient of a term in name and a factor free of it
+    if node.op == "*" and left[1] is None:
+        return tuple(_times(node.left, x) for x in right)
+    if node.op == "*" and right[1] is None:
+        return tuple(_times(node.right, x) for x in left)
+    if node.op == "/" and right[1] is None:
+        return tuple(None if x is None else BinOp("/", x, node.right) for x in left)
+    return None
+
+
+def _combine(op: str, x: Expr | None, y: Expr | None) -> Expr | None:
+    if y is None:
+        return x
+    if x is None:
+        return y if op == "+" else Neg(y)
+    return BinOp(op, x, y)
+
+
+def _times(factor: Expr, x: Expr | None) -> Expr | None:
+    if x is None:
+        return None
+    return factor if x is _ONE else BinOp("*", factor, x)
+
+
+def affine_split(node: Expr, name: str = "u") -> tuple[Expr, Expr] | None:
+    """Trees ``(p, q)`` free of ``name`` with ``node == p + q*name``, or None.
+
+    The split follows the tree: sums and differences of affine terms, an
+    affine term times or divided by a factor free of ``name``, and its
+    negation are affine.  A product or quotient of two terms in ``name``,
+    a power of a term in it (``u^1`` included) and a function of it are
+    not.  p and q reorder the expression's operations, so ``p + q*u`` may
+    differ from it in the last bits.
+    """
+    parts = _split(node, name)
+    if parts is None:
+        return None
+    p, q = parts
+    return (_ZERO if p is None else p), (_ZERO if q is None else q)

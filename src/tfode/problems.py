@@ -68,6 +68,9 @@ def example2(alpha: float, lam: float, b: float = 1.0) -> Problem:
             - u
         )
 
+    def forcing(t):
+        return np.exp(-lam * t) * (c1 * t ** (8.0 - alpha) + t**8 + 2.25 * t**alpha + c2)
+
     n = max(1, math.ceil(alpha))
     return Problem(
         kind=CAPUTO,
@@ -78,6 +81,7 @@ def example2(alpha: float, lam: float, b: float = 1.0) -> Problem:
         init=(0.0,) * n,
         rhs=rhs,
         exact=lambda t: exact_example2(alpha, lam, t),
+        affine=(forcing, lambda t: -1.0),
     )
 
 
@@ -101,6 +105,7 @@ def example3(alpha: float, lam: float, mu: float = 1.0, b: float = 1.1) -> Probl
         init=init,
         rhs=rhs,
         exact=lambda t: exact_example3(alpha, lam, mu, t),
+        affine=(lambda t: 0.0, lambda t: -mu),
     )
 
 
@@ -166,6 +171,9 @@ def problem_from_spec(
     an expression in t, alpha, lambda, and ``init`` defaults to zeros.
     Expressions are parsed and compiled here, once; an expression whose
     value is not a real number raises :class:`expr.EvalError` when called.
+    A right-hand side that is affine in u (:func:`expr.affine_split`) also
+    gives the problem's ``affine`` parts, evaluated with numpy; a built-in
+    keeps its own, also when its data are overridden.
     An exact-solution expression also takes a numpy array of times, which
     it evaluates by numpy's rules (see :mod:`tfode.expr`).
     """
@@ -175,6 +183,7 @@ def problem_from_spec(
         changed = Problem(
             kind=kind, alpha=alpha, lam=lam, a=a, b=problem.b,
             init=problem.init if init is None else init, rhs=problem.rhs,
+            affine=problem.affine,
         )
         overrides = [
             f for f in ("a", "init", "kind") if getattr(changed, f) != getattr(problem, f)
@@ -190,7 +199,13 @@ def problem_from_spec(
         )
         return changed
 
-    f = expr.compile(expr.parse(rhs), ("t", "u", "alpha", "lambda"))
+    rhs_tree = expr.parse(rhs)
+    f = expr.compile(rhs_tree, ("t", "u", "alpha", "lambda"))
+    parts = expr.affine_split(rhs_tree)
+    affine = None
+    if parts is not None:
+        p, q = (expr.compile(part, ("t", "alpha", "lambda"), array=True) for part in parts)
+        affine = (lambda t: p(t, alpha, lam)), (lambda t: q(t, alpha, lam))
 
     def rhs_fn(t: float, u: float) -> float:
         # float() rejects a complex value, e.g. a negative base to a
@@ -224,4 +239,5 @@ def problem_from_spec(
         init = (0.0,) * max(1, math.ceil(alpha))
     return Problem(
         kind=kind, alpha=alpha, lam=lam, a=a, b=b, init=init, rhs=rhs_fn, exact=exact_fn,
+        affine=affine,
     )

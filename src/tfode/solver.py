@@ -22,8 +22,12 @@ right-hand-side call.
 The first ``n_interp`` grid values come from a product-trapezoidal
 predictor-corrector (fractional Adams) run on a refined auxiliary grid.
 On a uniform grid its product weights depend only on the distance in
-steps, so they are tabulated once per start and each start step is two
-dot products (predictor and corrector) plus the right-hand-side calls.
+steps, so they are tabulated once per start, and the start runs in blocks
+of ``_BLOCK`` steps: the history before a block is summed for all of its
+steps at once, one ``np.correlate`` per weight table.  Inside a block, a
+right-hand side declared affine in u (``Problem.affine``) makes the block's
+predictor-corrector steps one unit lower-triangular solve; any other is
+stepped, each step two short dot products plus the right-hand-side calls.
 For solutions that are non-smooth at the start, :func:`solve_split`
 integrates the history over ``[a, t0]`` with a fixed unit-weight
 Gauss-Lobatto rule fed by the same refined starting machinery, and only
@@ -43,6 +47,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from .quadrature import GaussLobattoRule, gauss_lobatto
 from .specfun import rgamma
@@ -110,6 +116,11 @@ class Problem:
     Lipschitz in ``u`` on the solution's range.  ``exact``, the solution if
     known, is called with a time or with an array of times (see
     :meth:`SolutionTrace.exact_values`).
+
+    ``affine``, if given, is ``(p, q)``: functions of an array of times,
+    whose values broadcast against it, with ``rhs(t, u) == p(t) + q(t) * u``.
+    The starting procedure then solves a block of steps at once (see
+    :func:`_adams_pece_scaled`); ``rhs`` still serves everything else.
     """
 
     kind: str
@@ -120,6 +131,7 @@ class Problem:
     init: tuple[float, ...]
     rhs: Callable[[float, float], float]
     exact: Callable[[float], float] | None = None
+    affine: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def __post_init__(self):
         kind = _KIND_ALIASES.get(str(self.kind).lower())
@@ -138,6 +150,10 @@ class Problem:
                 f"expected {self.n} initial value(s) for alpha={self.alpha}, "
                 f"got {len(self.init)}"
             )
+        if self.affine is not None:
+            object.__setattr__(self, "affine", tuple(self.affine))
+            if len(self.affine) != 2:
+                raise ValueError("affine must be a pair (p, q) of functions of t")
 
     @property
     def n(self) -> int:
@@ -396,6 +412,25 @@ def interpolate_values(
 _REBASE_EXPONENT = 300.0
 
 
+#: Distances from which the trapezoid's left weight is summed as a series,
+#: and the number of its terms: past d = 8 the series' ratio is below
+#: (1/15)^2 and six terms reach round-off; nearer, the direct difference
+#: loses at most ~2d ulps.
+_RL_SERIES_FROM = 8
+_RL_SERIES_TERMS = 6
+
+
+@functools.lru_cache(maxsize=16)
+def _rl_series(alpha: float) -> tuple[float, ...]:
+    """Coefficients b_j = binom(alpha-1, 2j+1) / (2 (2j+3)), highest first."""
+    coeffs, binom = [], 1.0
+    for k in range(2 * _RL_SERIES_TERMS):
+        binom *= (alpha - 1.0 - k) / (k + 1)
+        if k % 2 == 0:
+            coeffs.append(binom / (2.0 * (k + 3)))
+    return tuple(reversed(coeffs))
+
+
 def _convolution_tables(n: int, alpha: float):
     """Unit-step product weights on a uniform grid, by distance, reversed.
 
@@ -405,21 +440,53 @@ def _convolution_tables(n: int, alpha: float):
     ``rc[i] = wr[i] + rl[i+1]``, with wr the trapezoid's right weight, is
     the weight of the node e + 1 steps before T, so with g the history, step
     k's sums are ``r1[n-k:n] @ g[:k]`` and ``rc[n-k:] @ g[1:k+1] + rl[n-k] g[0]``.
+
+    No weight is a difference of powers.  With d = e + 1 the panel's far
+    end and c = d - 1/2 its midpoint, in steps before T,
+    ``r1 = (d^a - (d-1)^a)/a = -d^a expm1(a log1p(-1/d))/a``.  ``rl`` is
+    ``r1/2`` plus the integral of (x - c) x^(a-1) over x in [d-1, d], a
+    series in (2c)^-2 from ``_RL_SERIES_FROM`` on; nearer it is
+    ``i2 - (d-1) r1``, with i2 the integral of x^a in r1's form.  And
+    ``wr = r1 - rl``.  Each weight is within a few ulps of its exact value.
     """
-    d = np.arange(n, -1, -1.0)  # d[i] = e + 1
-    pa = d**alpha
+    d = np.arange(n, 0, -1.0)  # d[i] = e + 1 for the n panels
     r1 = np.zeros(n + 1)
-    np.subtract(pa[:-1], pa[1:], out=r1[:-1])
-    r1 /= alpha
-    pa *= d
-    i2 = pa[:-1] - pa[1:]
-    i2 /= alpha + 1.0
-    del pa
     rl = np.zeros(n + 1)
-    np.multiply(d[1:], r1[:-1], out=rl[:-1])
-    np.subtract(i2, rl[:-1], out=rl[:-1])
-    wr = np.multiply(d[:-1], r1[:-1], out=d[:-1])
-    wr -= i2
+    body = r1[:n]
+    lg = rl[:n]  # log1p(-1/d), as long as it is needed
+    np.divide(-1.0, d[:-1], out=lg[:-1])
+    np.log1p(lg[:-1], out=lg[:-1])
+    np.multiply(alpha, lg[:-1], out=body[:-1])
+    np.expm1(body[:-1], out=body[:-1])
+    body[-1:] = -1.0  # d = 1: (d-1)^a = 0
+    body *= d**alpha
+    body /= -alpha
+    far = max(0, n - _RL_SERIES_FROM + 1)  # entries before it have d >= _RL_SERIES_FROM
+    near = d[far:]
+    i2 = np.multiply(alpha + 1.0, lg[far:])
+    np.expm1(i2, out=i2)
+    i2[-1:] = -1.0
+    i2 *= near ** (alpha + 1.0)
+    i2 /= -(alpha + 1.0)
+    np.subtract(i2, (near - 1.0) * body[far:], out=rl[far:n])
+    del i2
+    if far:
+        c = d[:far] - 0.5
+        pc = c ** (alpha - 1.0)
+        w = np.divide(0.5, c, out=c)
+        w2 = w * w
+        b = _rl_series(alpha)
+        acc = np.multiply(b[0], w2)
+        for bj in b[1:-1]:
+            acc += bj
+            acc *= w2
+        acc += b[-1]
+        acc *= w
+        acc *= pc
+        del c, pc, w, w2
+        np.multiply(0.5, body[:far], out=rl[:far])
+        rl[:far] += acc
+    wr = np.subtract(body, rl[:n], out=d)
     wr += rl[1:]
     return r1, rl, wr
 
@@ -457,6 +524,64 @@ def _product_sums(
     return rect, float(wl @ g) + float(wr[:-1] @ g[1:]), wr.item(-1)
 
 
+def _start_block_matrices(r1: np.ndarray, rc: np.ndarray, size: int):
+    """In-block product weights of the start, by row and column.
+
+    Row k, column l < k of ``rect`` holds the rectangle weight of g_l in the
+    predictor at step k, and of ``trap`` the trapezoid weight of g_l in the
+    corrector; both are strictly lower triangular Toeplitz matrices, and the
+    top left corner of each serves a shorter block.
+    """
+    n = len(rc)
+    zeros = np.zeros(size)
+    # first columns: r1[n-k] (r1[n] = 0) and rc[n-1-k] below the diagonal
+    trap = rc[n - size:][::-1].copy()
+    trap[:1] = 0.0
+    return toeplitz(r1[n + 1 - size:][::-1], zeros), toeplitz(trap, zeros)
+
+
+def _affine_block(affine, t, decay, scale, forc, pred0, corr_far, rect, trap, c0):
+    """u over a block of start steps for f = p + q u, in one triangular solve.
+
+    With g = (p + q u) / decay the scaled history, step k's predictor is
+    ``pred0[k] + scale[k] (rect g)[k]`` and its corrector
+    ``forc[k] + scale[k] (corr_far[k] + (trap g)[k] + c0 gp[k])``, where gp
+    is g at the predictor.  Substituting g makes u the solution of one unit
+    lower-triangular system.  Returns u and g, or None when p or q raises or
+    is complex at ``t``, or some u is not finite or past the blow-up limit.
+    A p or q that is not finite makes its step's u so, and gives None too.
+    """
+    b = len(t)
+    with np.errstate(all="ignore"):
+        try:
+            p, q = (np.asarray(fn(t)) for fn in affine)
+            if p.dtype.kind not in "fiu" or q.dtype.kind not in "fiu":
+                return None
+            # a constant broadcasts, values of another shape raise
+            pd, qd = (np.divide(x, decay, out=np.empty(b)) for x in (p, q))
+        except (ArithmeticError, TypeError, ValueError):
+            return None
+        weights = rect[:b, :b] * (c0 * qd * scale)[:, None]
+        weights += trap[:b, :b]
+        weights *= scale[:, None]
+        rhs = qd * pred0
+        rhs += pd
+        rhs *= c0
+        rhs += corr_far
+        rhs *= scale
+        rhs += forc
+        rhs += weights @ pd
+        weights *= -qd  # the unit diagonal is implied, and dtrtrs does not read it
+        # weights is C-ordered, so its transpose is the Fortran-ordered upper
+        # triangle; trans=1 solves with the lower one
+        u, info = _dtrtrs(weights.T, rhs, lower=0, trans=1, unitdiag=1)
+        if info != 0 or not np.abs(u).max() <= _BLOWUP_LIMIT:
+            return None
+    g = qd * u
+    g += pd
+    return u, g
+
+
 def _adams_pece_scaled(
     problem: Problem,
     mesh: np.ndarray,
@@ -469,17 +594,23 @@ def _adams_pece_scaled(
     Works on the uniform ``mesh`` a + h k, k = 0..n, and returns u at the
     mesh points and at the ``nodes`` in [a, mesh[-1]].  One predictor
     (product rectangle) and one corrector (product trapezoid) per step;
-    their product weights depend only on the distance in steps, so both
-    sums are dot products with weight tables built once
-    (:func:`_convolution_tables`).  The history is kept as
-    g_j = e^{lam (t_j - t_ref)} f(t_j, u_j), rebased onto a later ``t_ref``
-    whenever lam (t - t_ref) would pass ``_REBASE_EXPONENT``.
+    their product weights depend only on the distance in steps, so they are
+    tabulated once (:func:`_convolution_tables`).  The history is kept as
+    g_j = e^{lam (t_j - t_ref)} f(t_j, u_j).
+
+    Steps run in blocks of ``_BLOCK``.  For each block, the history before
+    it is summed for all of its steps at once, one ``np.correlate`` per
+    weight table, and ``t_ref`` moves to the block's first mesh point if
+    lam (t - t_ref) would pass ``_REBASE_EXPONENT`` inside the block.  With
+    ``problem.affine`` the block's steps are one triangular solve
+    (:func:`_affine_block`); otherwise, and for a block where p or q fails
+    or the solve leaves the finite range, they are stepped one by one.
 
     A node within ``tol`` of a mesh point takes that point's value.  Any
     other node s gets one PECE step over the mesh history before it
-    (:func:`_product_sums`), taken inside the step whose mesh point first
-    passes s, under that step's ``t_ref``; its value is not fed back into
-    the history.
+    (:func:`_product_sums`), taken once the block holding the last mesh
+    point before s is done, under that block's ``t_ref``; its value is not
+    fed back into the history.
     """
     alpha, lam, a, f = problem.alpha, problem.lam, problem.a, problem.rhs
     rga = rgamma(alpha)
@@ -492,7 +623,7 @@ def _adams_pece_scaled(
     off = np.flatnonzero(~near)
     due = np.searchsorted(mesh, nodes[off], side="right")
     order = np.argsort(due, kind="stable")
-    off, due = off[order].tolist(), due[order].tolist() + [n + 1]
+    off, due = off[order].tolist(), due[order].tolist() + [n + 2]
     s_off = nodes[off]
     forc_off = np.asarray(_forcing_scaled(problem, s_off), dtype=float)
     forc_off *= np.exp(-lam * (s_off - a))
@@ -515,35 +646,63 @@ def _adams_pece_scaled(
     e = math.exp(lam * (t_first - a))
     gv[0] = e * f(t_first, u[0] / e)
 
+    block = min(_BLOCK, n)
+    if lam > 0.0:
+        # a block spans at most _REBASE_EXPONENT in lam (t - t_ref)
+        block = min(block, 1 + int(_REBASE_EXPONENT / (lam * h)))
+    if problem.affine is not None:
+        rect, trap = _start_block_matrices(r1, rc, block)
     t_ref = a
     j = 0
-    for m in range(1, n + 1):
-        T = mesh.item(m)
-        if lam * (T - t_ref) > _REBASE_EXPONENT:
-            gv[:m] *= math.exp(-lam * (T - t_ref))
-            t_ref = T
-        while due[j] == m:
-            s = s_off.item(j)
+    m0 = 1
+    while m0 <= n:
+        m1 = min(m0 + block, n + 1)
+        if lam * (mesh.item(m1 - 1) - t_ref) > _REBASE_EXPONENT:
+            gv[:m0] *= math.exp(-lam * (mesh.item(m0) - t_ref))
+            t_ref = mesh.item(m0)
+        t = mesh[m0:m1]
+        decay = np.exp(-lam * (t - t_ref))
+        scale = decay * hpre
+        # the sums over g_0 .. g_{m0-1} for steps m1-1 down to m0
+        pred_far = np.correlate(r1[n - m1 + 1:n], gv[:m0])[::-1]
+        corr_far = rl[n - m1 + 1:n - m0 + 1][::-1] * gv.item(0)
+        if m0 > 1:
+            corr_far += np.correlate(rc[n - m1 + 1:n - 1], gv[1:m0])[::-1]
+        forc_b = forc[m0:m1]
+        solved = None
+        if problem.affine is not None:
+            solved = _affine_block(
+                problem.affine, t, decay, scale, forc_b, forc_b + scale * pred_far,
+                corr_far, rect, trap, rc.item(n - 1),
+            )
+        if solved is not None:
+            u[m0:m1], gv[m0:m1] = solved
+        else:
+            for k in range(m1 - m0):
+                m = m0 + k
+                T = mesh.item(m)
+                dk = decay.item(k)
+                sk = scale.item(k)
+                fm = forc_b.item(k)
+                pred = fm + sk * (pred_far.item(k) + float(r1[n - k:n].dot(gv[m0:m])))
+                gv[m] = f(T, pred) / dk
+                val = fm + sk * (corr_far.item(k) + float(rc[n - 1 - k:].dot(gv[m0:m + 1])))
+                if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
+                    raise BlowUpError(m, T, val, "start")
+                u[m] = val
+                gv[m] = f(T, val) / dk
+        while due[j] <= m1:
+            m, s = due[j], s_off.item(j)
             acc_pred, acc, w_end = _product_sums(mesh[:m], s, alpha, gv[:m])
-            decay = math.exp(-lam * (s - t_ref))
+            decay_s = math.exp(-lam * (s - t_ref))
             fs = forc_off.item(j)
-            pred = fs + decay * rga * acc_pred
-            val = fs + decay * rga * (acc + w_end * f(s, pred) / decay)
+            pred = fs + decay_s * rga * acc_pred
+            val = fs + decay_s * rga * (acc + w_end * f(s, pred) / decay_s)
             if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
                 raise BlowUpError(m, s, val, "start")
             u_nodes[off[j]] = val
             j += 1
-        decay = math.exp(-lam * (T - t_ref))
-        fm = forc.item(m)
-        i = n - m
-        scale = decay * hpre
-        pred = fm + scale * float(r1[i:n].dot(gv[:m]))
-        gv[m] = f(T, pred) / decay
-        val = fm + scale * float(rc[i:].dot(gv[1:m + 1]) + rl.item(i) * gv.item(0))
-        if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
-            raise BlowUpError(m, T, val, "start")
-        u[m] = val
-        gv[m] = f(T, val) / decay
+        m0 = m1
     u_nodes[near] = u[nearest[near]]
     return u, u_nodes
 

@@ -219,6 +219,25 @@ def monic_recurrence_gs(a, b, kmax):
     return alphas, betas
 
 
+def convolution_tables_reference(n, alpha):
+    """``solver._convolution_tables(n, alpha)`` as mpmath numbers: the
+    differences of powers taken at 50 digits, where they lose at most
+    log10(d^2 / alpha) of them."""
+    a = mp.mpf(alpha)
+
+    def panel(d):
+        d = mp.mpf(d)
+        r1 = (d**a - (d - 1) ** a) / a
+        i2 = (d ** (a + 1) - (d - 1) ** (a + 1)) / (a + 1)
+        return r1, i2 - (d - 1) * r1, d * r1 - i2
+
+    panels = [panel(n - i) for i in range(n)] + [(mp.mpf(0), mp.mpf(0), None)]
+    r1 = [p[0] for p in panels]
+    rl = [p[1] for p in panels]
+    rc = [panels[i][2] + rl[i + 1] for i in range(n)]
+    return r1, rl, rc
+
+
 def adams_pece_reference(problem, mesh):
     """Product-trapezoid PECE on an arbitrary mesh; u at the mesh points.
 

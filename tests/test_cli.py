@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -242,3 +244,97 @@ class TestProblemSpec:
         assert code == 0
         err = float(capsys.readouterr().out.rsplit("=", 1)[1])
         assert err < 1e-3
+
+    def test_affine_parts_from_expression(self):
+        from tfode.problems import problem_from_spec
+
+        t = np.linspace(0.0, 1.0, 5)
+        problem = problem_from_spec(0.5, 2.0, "exp(-lambda*t)*(u - t)", b=1.0)
+        p, q = problem.affine
+        np.testing.assert_allclose(p(t), -np.exp(-2.0 * t) * t, rtol=1e-15)
+        np.testing.assert_allclose(q(t), np.exp(-2.0 * t), rtol=1e-15)
+        for rhs in ("u*u", "u^1", "exp(u)"):
+            assert problem_from_spec(0.5, 2.0, rhs, b=1.0).affine is None
+
+    def test_builtin_override_keeps_affine(self, capsys):
+        from tfode.problems import problem_from_spec
+
+        problem = problem_from_spec(0.5, 2.0, "builtin:example2", b=1.0, init=(1.0,), kind="rl")
+        assert problem.exact is None and problem.affine is not None
+        t = np.linspace(0.1, 1.0, 4)
+        p, q = problem.affine
+        want = [problem.rhs(ti, 0.3) for ti in t]
+        np.testing.assert_allclose(p(t) + q(t) * 0.3, want, rtol=1e-15)
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self, tmp_path, monkeypatch):
+        from tfode import cli
+
+        monkeypatch.chdir(tmp_path)
+        cli._build_parser.cache_clear()
+        argv = ["solve", "--alpha", "0.5", "--rhs=-u", "--init", "1", "--b", "1",
+                "--steps", "10", "--NI", "2"]
+        outputs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            outputs.append((tmp_path / "trace.csv").read_text())
+            # a usage error goes to the stderr of the moment, not of the build
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+                cli.main(["tables", "--which", "9"])
+            assert exc.value.code == 2
+            assert err.getvalue().startswith("usage: tfode tables")
+            assert "argument --which: invalid choice: 9" in err.getvalue()
+        assert outputs[0] == outputs[1]
+        assert cli._build_parser.cache_info().misses == 1
+
+
+class TestAffineStart:
+    """Expression right-hand sides affine in u take the start's block solve;
+    where p or q fails, or the solution leaves the finite range, the start
+    steps as it does for any other right-hand side."""
+
+    ARGV = ["solve", "--alpha", "0.5", "--init", "1", "--b", "1", "--steps", "40", "--NI", "4"]
+
+    def _run(self, tmp_path, monkeypatch, capsys, rhs, out="trace.csv"):
+        from tfode import cli
+
+        monkeypatch.chdir(tmp_path)
+        code = cli.main([*self.ARGV, f"--rhs={rhs}", "--out", out])
+        return code, capsys.readouterr()
+
+    def test_parts_that_need_scalars(self, tmp_path, monkeypatch, capsys):
+        # gamma takes no array: every block is stepped, as for u^1
+        code, _ = self._run(tmp_path, monkeypatch, capsys, "gamma(t+1)*u", "affine.csv")
+        assert code == 0
+        assert self._run(tmp_path, monkeypatch, capsys, "gamma(t+1)*u^1", "loop.csv")[0] == 0
+        text = (tmp_path / "affine.csv").read_text()
+        assert text == (tmp_path / "loop.csv").read_text()
+        t, u = map(float, text.splitlines()[-1].split(","))
+        assert t == 1.0 and u == pytest.approx(4.3081851725678124, rel=1e-13)
+
+    def test_coefficient_singular_inside_the_start(self, tmp_path, monkeypatch, capsys):
+        # q = 1/(t - 0.05) is infinite at a mesh point of the block that
+        # blows up; that block is stepped and stops where the steps do
+        code, out = self._run(tmp_path, monkeypatch, capsys, "u/(t-0.05)")
+        assert code == 3
+        prefix = ("solver blow-up: solution blew up in the start phase at step 117 "
+                  "(t = 0.0457031): u = ")
+        assert out.err.startswith(prefix)
+        assert float(out.err[len(prefix):]) == pytest.approx(1184962698531.9304, rel=1e-12)
+
+    def test_stiff_rhs_blows_up_at_the_second_step(self, tmp_path, monkeypatch, capsys):
+        code, out = self._run(tmp_path, monkeypatch, capsys, "1e5*u")
+        assert code == 3
+        assert out.err.startswith(
+            "solver blow-up: solution blew up in the start phase at step 2 (t = 0.00078125): u = "
+        )
+
+    def test_domain_error_at_a(self, tmp_path, monkeypatch, capsys):
+        code, out = self._run(tmp_path, monkeypatch, capsys, "ln(t)*u")
+        assert code == 4
+        assert out.err == (
+            "expression error: right-hand side 'ln(t)*u' at t = 0, u = 1: math domain error\n"
+        )
+        assert not (tmp_path / "trace.csv").exists()

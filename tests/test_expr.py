@@ -16,6 +16,7 @@ from tfode.expr import (
     Num,
     UnknownNameError,
     Var,
+    affine_split,
     compile,
     evaluate,
     parse,
@@ -286,3 +287,83 @@ class TestArrayCompile:
             assert np.isnan(compile(parse("(0-t)^0.5"), ("t",), array=True)(self.T)[1])
         with pytest.raises(TypeError):
             compile(parse("gamma(t)"), ("t",), array=True)(self.T)
+
+
+def _uses_u(node):
+    if isinstance(node, Var):
+        return node.name == "u"
+    if isinstance(node, Neg):
+        return _uses_u(node.operand)
+    if isinstance(node, BinOp):
+        return _uses_u(node.left) or _uses_u(node.right)
+    if isinstance(node, Call):
+        return any(_uses_u(arg) for arg in node.args)
+    return False
+
+
+class TestAffineSplit:
+    """``affine_split``: p and q with expression == p + q*u."""
+
+    NAMES = ("t", "u", "alpha", "lambda")
+
+    @pytest.mark.parametrize("src", [
+        "-20*u",
+        "u",
+        "-u",
+        "u*-2",
+        "2.5",
+        "t^2 - sin(t)",
+        "u/(t-0.05)",
+        "gamma(t+1)*u",
+        "ln(t+1)*u",
+        "2*(u + t)",
+        "(u + 1)*t/3",
+        "t - 3*u/2 + sin(t)",
+        "(u*2 + 1)/3 - u",
+        "-(u - t)*exp(-lambda*t)",
+        "u*t*t - ml(alpha, 1, -t)",
+        "u - u",
+        "pow(t, alpha)*u + cos(t)",
+    ])
+    def test_affine(self, src):
+        tree = parse(src)
+        p, q = affine_split(tree)
+        assert not _uses_u(p) and not _uses_u(q)
+        f = compile(tree, self.NAMES)
+        pf, qf = (compile(x, ("t", "alpha", "lambda")) for x in (p, q))
+        rng = np.random.default_rng(7)
+        for t, u in zip(rng.uniform(0.1, 2.0, 50), rng.uniform(-3.0, 3.0, 50)):
+            pv, qv = pf(t, 0.7, 2.0), qf(t, 0.7, 2.0)
+            assert abs(f(t, u, 0.7, 2.0) - (pv + qv * u)) <= 1e-14 * (abs(pv) + abs(qv * u) + 1e-300)
+
+    def test_constant_parts_stay_constants(self):
+        assert affine_split(parse("-20*u")) == (Num(0.0), Neg(Num(20.0)))
+        assert affine_split(parse("t")) == (Var("t"), Num(0.0))
+
+    @pytest.mark.parametrize("src", [
+        "u*u", "u^2", "u^1", "u^0", "2^u", "exp(u)", "pow(u, 1)", "1/u", "t/(u+1)",
+        "t*u*u", "(u + 1)/(u + 2)", "sin(u)*t", "u*(u - u)", "ml(alpha, 1, -u)",
+    ])
+    def test_not_affine(self, src):
+        assert affine_split(parse(src)) is None
+
+    def test_other_variable(self):
+        p, q = affine_split(parse("3*t + u"), "t")
+        assert p == Var("u") and q == Num(3.0)
+
+    @pytest.mark.parametrize("name, alpha, lam", [
+        ("example2", 0.5, 2.0), ("example2", 1.5, 0.0), ("example2", 0.3, 6.0),
+        ("example3", 0.2, 5.0), ("example3", 1.8, 10.0),
+    ])
+    def test_builtin_parts_match_rhs(self, name, alpha, lam):
+        from tfode.problems import builtin_problem
+
+        problem = builtin_problem(name, alpha, lam)
+        p, q = problem.affine
+        rng = np.random.default_rng(11)
+        t = rng.uniform(0.0, 1.1, 200)
+        u = rng.uniform(-2.0, 2.0, 200)
+        pv = np.broadcast_to(p(t), t.shape)
+        qv = np.broadcast_to(q(t), t.shape)
+        want = np.array([problem.rhs(ti, ui) for ti, ui in zip(t, u)])
+        assert np.all(np.abs(pv + qv * u - want) <= 1e-15 * (np.abs(pv) + np.abs(qv * u)))

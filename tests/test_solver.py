@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from _oracles import BlockStepperReference, adams_pece_reference, solve_reference
+from _oracles import (
+    BlockStepperReference,
+    adams_pece_reference,
+    convolution_tables_reference,
+    solve_reference,
+)
 from tfode.problems import exact_example2, exact_example3, example2, example3
 from tfode.quadrature import gauss_lobatto
 from tfode.solver import (
@@ -22,6 +27,7 @@ from tfode.solver import (
     _BLOCK,
     _adams_pece_scaled,
     _bary_weights,
+    _convolution_tables,
     _Stepper,
     _stencil_weights,
 )
@@ -169,13 +175,31 @@ class TestStartingValues:
 def _start_problem(kind, alpha, lam=2.0):
     # Riemann-Liouville data of negative order alpha - k - 1 make the
     # forcing unbounded at a; they are left out here, because g_0 / u then
-    # amplifies the ~eps * m cancellation error that any evaluation of the
-    # far product weights carries
+    # amplifies the cancellation error of the far product weights that the
+    # reference takes as differences of powers
     init = [1.0, 0.5][: max(1, math.ceil(alpha))]
     if kind == "rl":
         init = [c if alpha - k - 1 >= 0 else 0.0 for k, c in enumerate(init)]
     return Problem(kind=kind, alpha=alpha, lam=lam, a=0.0, b=1.0, init=tuple(init),
-                   rhs=lambda t, u: math.cos(t) - 0.5 * u)
+                   rhs=lambda t, u: math.cos(t) - 0.5 * u, affine=(np.cos, lambda t: -0.5))
+
+
+def _twins(problem):
+    """The problem as given, whose affine parts make the start solve a block
+    of steps at once, and without them, so that it steps one by one."""
+    assert problem.affine is not None
+    return [problem, dataclasses.replace(problem, affine=None)]
+
+
+def _counting(problem):
+    """The problem with its right-hand side calls counted in ``calls``."""
+    calls = []
+
+    def rhs(t, u):
+        calls.append(t)
+        return problem.rhs(t, u)
+
+    return dataclasses.replace(problem, rhs=rhs), calls
 
 
 def _split_start_mesh(problem, steps, t0=0.1, n_tilde=40, refine=64):
@@ -189,35 +213,59 @@ def _split_start_mesh(problem, steps, t0=0.1, n_tilde=40, refine=64):
     return mesh, s_hist, h, 1e-9 * tau
 
 
+class TestConvolutionTables:
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.5, 0.9, 1.0, 1.5, 1.8, 1.99])
+    def test_against_mpmath(self, alpha):
+        # as differences of powers rl[0] (d = 384) was off by 1.3e-10
+        # relative at alpha = 0.2, and by 6.8e-10 at alpha = 0.05
+        n = 384
+        for got, want in zip(_convolution_tables(n, alpha), convolution_tables_reference(n, alpha)):
+            assert len(got) == len(want)
+            for i, (g, w) in enumerate(zip(got, want)):
+                assert abs(g - w) <= 1e-14 * abs(w), (i, g, float(w))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9])
+    def test_short_tables(self, n):
+        # around the distance where rl's series takes over from the difference
+        for alpha in (0.2, 1.8):
+            for got, want in zip(_convolution_tables(n, alpha), convolution_tables_reference(n, alpha)):
+                np.testing.assert_allclose(got, np.array(want, dtype=float), rtol=1e-14, atol=0.0)
+
+
 class TestAdamsStart:
     """The convolution start, and its dense output, against the O(m^2)
-    reference PECE."""
+    reference PECE, through both of its in-block kernels: each problem has
+    an affine twin, solved a block at a time, and a twin without its affine
+    parts, stepped."""
 
     @staticmethod
     def _check(problem, mesh, h):
-        got = _adams_pece_scaled(problem, mesh, h)[0]
         want = adams_pece_reference(problem, mesh)
         assert np.isfinite(want).all()
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        for twin in _twins(problem):
+            got = _adams_pece_scaled(twin, mesh, h)[0]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @staticmethod
     def _check_dense(problem, mesh, h, nodes, tol):
         """u at each node s against one reference PECE over the mesh points
         before s and s itself, where a mesh point within ``tol`` of s counts
         as s; returns how many nodes were off the mesh."""
-        u, got = _adams_pece_scaled(problem, mesh, h, nodes, tol)
-        np.testing.assert_allclose(u, adams_pece_reference(problem, mesh), rtol=1e-13, atol=0.0)
-        off = 0
-        for s, value in zip(nodes, got):
-            k = round((s - problem.a) / h)
-            if abs(mesh[k] - s) <= tol:
-                # a node on the mesh takes that mesh point's value
-                assert value == u[k]
-            else:
-                off += 1
-            want = adams_pece_reference(problem, np.append(mesh[mesh < s - tol], s))[-1]
-            assert value == pytest.approx(want, rel=1e-13, abs=0.0), s
-        return off
+        u_want = adams_pece_reference(problem, mesh)
+        on = [abs(mesh[round((s - problem.a) / h)] - s) <= tol for s in nodes]
+        node_want = [
+            adams_pece_reference(problem, np.append(mesh[mesh < s - tol], s))[-1]
+            for s in nodes
+        ]
+        for twin in _twins(problem):
+            u, got = _adams_pece_scaled(twin, mesh, h, nodes, tol)
+            np.testing.assert_allclose(u, u_want, rtol=1e-13, atol=0.0)
+            for s, is_on, value, want in zip(nodes, on, got, node_want):
+                if is_on:
+                    # a node on the mesh takes that mesh point's value
+                    assert value == u[round((s - problem.a) / h)]
+                assert value == pytest.approx(want, rel=1e-13, abs=0.0), s
+        return len(nodes) - sum(on)
 
     @pytest.mark.parametrize("kind", ["caputo", "rl"])
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 1.5, 1.8])
@@ -274,9 +322,10 @@ class TestAdamsStart:
     def test_split_start_peak_memory(self):
         # the start holds seven arrays as long as its uniform mesh (mesh,
         # forcing, u, the history, three weight tables) and, during a PECE
-        # at a Lobatto node, four temporaries as long as its history: 11.6
-        # arrays measured, bounded at 12.5.  Merging the nodes into the mesh,
-        # with correction rows next to them, took 13.0
+        # at a Lobatto node, four temporaries as long as its history; with
+        # the two in-block weight matrices of the affine start, 11.8 arrays
+        # measured, bounded at 12.5.  Merging the nodes into the mesh, with
+        # correction rows next to them, took 13.0
         problem = example3(0.5, 5.0)
         config = SolverConfig(steps=1760, n_interp=2, split_t0=0.1, n_tilde=40)
         npts = len(_split_start_mesh(problem, 1760)[0])
@@ -293,19 +342,79 @@ class TestAdamsStart:
     def test_large_tempering_rate(self, lam):
         # lam (NI - 1) tau is past the double range of e^{lam (t - a)}; the
         # start's history is rebased like the steps'
-        tr = solve(example2(0.5, lam), SolverConfig(steps=10, n_interp=7))
-        exact = np.array([exact_example2(0.5, lam, t) for t in tr.times])
-        assert np.abs(tr.values - exact).max() <= 1e-12
+        for twin in _twins(example2(0.5, lam)):
+            tr = solve(twin, SolverConfig(steps=10, n_interp=7))
+            exact = np.array([exact_example2(0.5, lam, t) for t in tr.times])
+            assert np.abs(tr.values - exact).max() <= 1e-12
+
+    def test_blocks_shrink_to_the_rebase_span(self):
+        # lam h = 90: a block may span only 300 / 90 steps before its scaled
+        # history would pass the rebase exponent
+        problem = _start_problem("caputo", 0.5, lam=900.0)
+        h = 0.1
+        mesh = h * np.arange(41)
+        affine, stepped = (_adams_pece_scaled(twin, mesh, h)[0] for twin in _twins(problem))
+        assert np.isfinite(affine).all() and np.abs(affine[1:]).max() > 1e-4
+        np.testing.assert_allclose(affine, stepped, rtol=1e-13, atol=0.0)
 
     def test_blow_up_check_uses_unscaled_solution(self):
         # D^(1/2,50) u = 1: e^{50 t} u passes the blow-up limit inside the
         # start while u = erf(sqrt(50 t)) / sqrt(50) stays below 0.15
         lam = 50.0
         p = Problem(kind="caputo", alpha=0.5, lam=lam, a=0.0, b=1.0, init=(0.0,),
-                    rhs=lambda t, u: 1.0)
-        tr = solve(p, SolverConfig(steps=10, n_interp=7))
-        exact = np.array([math.erf(math.sqrt(lam * t)) / math.sqrt(lam) for t in tr.times])
-        assert np.abs(tr.values - exact).max() <= 0.05
+                    rhs=lambda t, u: 1.0, affine=(lambda t: 1.0, lambda t: 0.0))
+        for twin in _twins(p):
+            tr = solve(twin, SolverConfig(steps=10, n_interp=7))
+            exact = np.array([math.erf(math.sqrt(lam * t)) / math.sqrt(lam) for t in tr.times])
+            assert np.abs(tr.values - exact).max() <= 0.05
+
+    def test_affine_blocks_call_no_rhs(self):
+        # the affine start calls the right-hand side for g_0 alone; the
+        # stepped one twice a step
+        h = 0.1 / 64
+        mesh = h * np.arange(6 * 64 + 1)
+        for twin, want in zip(_twins(_start_problem("caputo", 0.5)), [1, 2 * 6 * 64 + 1]):
+            counted, calls = _counting(twin)
+            _adams_pece_scaled(counted, mesh, h)
+            assert len(calls) == want
+
+    @pytest.mark.parametrize("fault", ["raises", "nan", "complex", "shape"])
+    def test_block_whose_parts_fail_is_stepped(self, fault):
+        # q fails on the third block only: that block is stepped, the others
+        # are solved, and all match the reference
+        problem = _start_problem("caputo", 0.6)
+        h = 1e-3
+        mesh = h * np.arange(201)
+        lo, hi = mesh[2 * _BLOCK + 1], mesh[3 * _BLOCK]
+
+        def q(t):
+            if not (t[0] <= hi and t[-1] >= lo):
+                return np.full_like(t, -0.5)
+            if fault == "raises":
+                raise ZeroDivisionError("float division by zero")
+            if fault == "nan":
+                return np.where(t > 0.07, np.nan, -0.5)
+            if fault == "complex":
+                return np.full_like(t, -0.5) + 0j
+            return np.full(len(t) + 1, -0.5)
+
+        counted, calls = _counting(dataclasses.replace(problem, affine=(np.cos, q)))
+        got = _adams_pece_scaled(counted, mesh, h)[0]
+        np.testing.assert_allclose(got, adams_pece_reference(problem, mesh), rtol=1e-13, atol=0.0)
+        assert calls[1:] == [t for t in mesh[2 * _BLOCK + 1:3 * _BLOCK + 1] for _ in (0, 1)]
+
+    def test_blow_up_in_an_affine_block(self):
+        # D^(1/2) u = 1e5 u leaves the range at the second start step; the
+        # block is redone step by step, so both twins report the same step
+        p = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(1.0,),
+                    rhs=lambda t, u: 1e5 * u, affine=(lambda t: 0.0, lambda t: 1e5))
+        raised = []
+        for twin in _twins(p):
+            with pytest.raises(BlowUpError) as info:
+                solve(twin, SolverConfig(steps=40, n_interp=4))
+            raised.append(info.value)
+        assert [(e.step, e.phase) for e in raised] == [(2, "start")] * 2
+        assert raised[0].value == raised[1].value
 
 
 class TestJpcStep:
@@ -790,3 +899,6 @@ class TestExactSolutions:
         with pytest.raises(ValueError):
             Problem(kind="caputo", alpha=0.5, lam=-1.0, a=0.0, b=1.0, init=(0.0,),
                     rhs=lambda t, u: 0.0)
+        with pytest.raises(ValueError):
+            Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(0.0,),
+                    rhs=lambda t, u: 0.0, affine=(np.zeros_like,))
