@@ -44,11 +44,8 @@ from .solver import (
     SolutionTrace,
     SolverConfig,
     SolverError,
-    interpolate_values,
-    jpc_step,
     solve,
     solve_split,
-    starting_values,
     volterra_forcing,
 )
 from .specfun import gamma, mittag_leffler, rgamma
@@ -73,9 +70,7 @@ __all__ = [
     "example3",
     "gamma",
     "gauss_lobatto",
-    "interpolate_values",
     "jacobi_recurrence",
-    "jpc_step",
     "laplace_symbol_caputo",
     "laplace_symbol_integral",
     "mittag_leffler",
@@ -84,7 +79,6 @@ __all__ = [
     "run_sweep",
     "solve",
     "solve_split",
-    "starting_values",
     "table_sweep",
     "tempered_integral",
     "tempered_power_rule",

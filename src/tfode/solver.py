@@ -19,23 +19,24 @@ its sum is the predictor's plus a window over the last ``n_interp + 1``
 nodes, and each corrector iteration is scalar arithmetic plus the
 right-hand-side call.
 
-The first ``n_interp`` grid values come from a product-trapezoidal
-predictor-corrector (fractional Adams) run on a refined auxiliary grid.
-On a uniform grid its product weights depend only on the distance in
-steps, so they are tabulated once per start, and the start runs in blocks
-of ``_BLOCK`` steps: the history before a block is summed for all of its
-steps at once, one ``np.correlate`` per weight table.  Inside a block, a
-right-hand side declared affine in u (``Problem.affine``) makes the block's
-predictor-corrector steps one unit lower-triangular solve; any other is
-stepped, each step two short dot products plus the right-hand-side calls.
-For solutions that are non-smooth at the start, :func:`solve_split`
-integrates the history over ``[a, t0]`` with a fixed unit-weight
-Gauss-Lobatto rule fed by the same refined starting machinery, and only
-the smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term
-is evaluated for a block of steps at once.  Its start runs on the uniform
-refined grid over ``[a, t0]``; u at each Lobatto node off that grid is
-one more PECE step over the grid history before the node (dense output),
-which is not fed back into the history.
+Both schemes start alike (:func:`_start`): the grid values through
+t_{n_start}, n_start = max(j0, n_interp - 1) with j0 the grid index of the
+split point (0 without one), come from one product-trapezoidal
+predictor-corrector (fractional Adams) run on a refined auxiliary grid, or
+from the exact solution with ``exact_start``.  The run's product weights
+depend only on the distance in steps, so they are tabulated once, and it
+runs in blocks of ``_BLOCK`` steps: the history before a block is summed
+for all of its steps at once, one ``np.correlate`` per weight table.
+Inside a block, a right-hand side declared affine in u (``Problem.affine``)
+makes the block's predictor-corrector steps one unit lower-triangular
+solve; any other is stepped, each step two short dot products plus the
+right-hand-side calls.  For solutions that are non-smooth at the start,
+the split scheme (``split_t0``) integrates the history over ``[a, t0]``
+with a fixed unit-weight Gauss-Lobatto rule, and only the smooth tail
+``[t0, t]`` with the Jacobi-weight rule; that history term is evaluated
+for a block of steps at once.  u at each Lobatto node off the refined grid
+is one more PECE step over the grid history before the node (dense
+output), which is not fed back into the history.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
-from .quadrature import GaussLobattoRule, gauss_lobatto
+from .quadrature import gauss_lobatto
 from .specfun import rgamma
 
 __all__ = [
@@ -60,9 +61,6 @@ __all__ = [
     "SolverError",
     "BlowUpError",
     "volterra_forcing",
-    "interpolate_values",
-    "starting_values",
-    "jpc_step",
     "solve",
     "solve_split",
 ]
@@ -170,8 +168,9 @@ class SolverConfig:
     (the design order).  The starting procedure runs on a grid refined by
     ``start_refine``.  Setting ``split_t0`` switches to the split-interval
     scheme with an ``n_tilde``-degree unit-weight rule on ``[a, split_t0]``.
-    With ``exact_start`` (and a problem that has an exact solution) the
-    starting values are taken from the exact solution instead.
+    With ``exact_start`` the starting values, and with a split the values
+    at the Lobatto nodes, are taken from the problem's exact solution,
+    which it must have.
     """
 
     steps: int
@@ -310,29 +309,29 @@ def _bary_weights(n_points: int) -> np.ndarray:
     return w
 
 
-def _stencil_weights(r: np.ndarray, last, n_points: int, grow: bool = False):
+def _stencil_weights(r: np.ndarray, last, n_points: int):
     """Stencil starts and Lagrange weights for uniform-grid coordinates ``r``.
 
     Stencils are ``n_points`` consecutive indices within [0, last], centred
     on each target as nearly as possible (ties toward earlier nodes);
     targets beyond ``last`` are extrapolated from the clamped stencil.
     ``last`` broadcasts against ``r``.  Returns the starts ``i0`` as floats
-    of ``r``'s shape and the weights ``l`` with the stencil axis first, over
-    the targets in ``r``'s flat order: the interpolant at target p is
-    ``sum_j l[j, p] f[i0.flat[p] + j]``.  A target within 1e-9 of a node
-    gets a one-hot column: it returns the sample.
+    of ``r``'s shape, the weights ``l`` with the stencil axis first, over
+    the targets in ``r``'s flat order, and ``s`` of ``r``'s shape: the
+    interpolant at target p is ``sum_j l[j, p] f[i0.flat[p] + j]``.  A
+    target within 1e-9 of a node gets a one-hot column: it returns the
+    sample.
 
-    With ``grow``, also returns ``s`` of ``r``'s shape.  Where a stencil
-    moves one node right when ``last`` grows by one, its weights over the
-    nodes ``i0 .. i0 + n_points`` change by ``s * _bary_weights(n_points+1)``:
-    two neighbouring interpolants differ by the highest divided difference
-    times a node polynomial, and ``s`` is that polynomial's value.
-    Elsewhere ``s`` is 0.
+    Where a stencil moves one node right when ``last`` grows by one, its
+    weights over the nodes ``i0 .. i0 + n_points`` change by
+    ``s * _bary_weights(n_points+1)``: two neighbouring interpolants differ
+    by the highest divided difference times a node polynomial, and ``s`` is
+    that polynomial's value.  Elsewhere ``s`` is 0.
     """
     i0 = np.ceil(r - 0.5 * n_points)
     np.maximum(i0, 0.0, out=i0)
     top = np.asarray(last, dtype=float) - (n_points - 1)
-    moved = i0 > top if grow else None
+    moved = i0 > top
     np.minimum(i0, top, out=i0)
     # r - i0 is exact (integer i0 <= r), so the distances below are too
     x = (r - i0).reshape(-1)
@@ -343,11 +342,10 @@ def _stencil_weights(r: np.ndarray, last, n_points: int, grow: bool = False):
         lw *= _bary_weights(n_points)
         den = np.add.reduce(lw)
         lw /= den
-        if grow:
-            # den = (n-1)! / prod_{j<n} (j - x), so the node polynomial
-            # prod_{0<j<n} (x - j) / (n-1)!, signed to match the (n+1)-point
-            # weights, is 1 / (x den)
-            s = np.reciprocal(np.multiply(den, x, out=den), out=den)
+        # den = (n-1)! / prod_{j<n} (j - x), so the node polynomial
+        # prod_{0<j<n} (x - j) / (n-1)!, signed to match the (n+1)-point
+        # weights, is 1 / (x den)
+        s = np.reciprocal(np.multiply(den, x, out=den), out=den)
         del den
     node = np.rint(x)
     # x is done with: it takes the distances to the nearest nodes
@@ -358,48 +356,9 @@ def _stencil_weights(r: np.ndarray, last, n_points: int, grow: bool = False):
     del node
     hit = at < n_points
     lw[:, near[hit]] = np.arange(n_points)[:, None] == at[hit]
-    if not grow:
-        return i0, lw
     s = np.where(moved.reshape(-1), s, 0.0)
     s[near[(at >= 1.0) & hit]] = 0.0
     return i0, lw, s.reshape(r.shape)
-
-
-def interpolate_values(
-    times: Sequence[float],
-    values: Sequence[float],
-    s: float,
-    n_points: int,
-    extra: tuple[float, float] | None = None,
-) -> float:
-    """Evaluate the stencil interpolant of uniform-grid samples at ``s``.
-
-    ``extra=(t_next, f_next)`` appends one node one step past the end of
-    ``times`` (the corrector's predicted endpoint).  Raises if fewer than
-    ``n_points`` nodes are available or ``s`` is outside the covered range.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(times) < 2:
-        raise ValueError("need at least two nodes to define the grid")
-    tau = times[1] - times[0]
-    if np.abs(np.diff(times) - tau).max() > 1e-9 * tau:
-        raise ValueError("time nodes must be uniformly spaced")
-    if extra is not None:
-        t_next, f_next = extra
-        if not math.isclose(t_next, times[-1] + tau, rel_tol=0.0, abs_tol=1e-9 * tau):
-            raise ValueError("extra node must sit one step past the last time")
-        times = np.append(times, t_next)
-        values = np.append(values, f_next)
-    if len(times) < n_points:
-        raise ValueError(
-            f"insufficient history: {len(times)} nodes for a {n_points}-point stencil"
-        )
-    if not times[0] - 1e-9 * tau <= s <= times[-1] + 1e-9 * tau:
-        raise ValueError(f"s={s} outside the covered range [{times[0]}, {times[-1]}]")
-    i0, lw = _stencil_weights(np.array([(s - times[0]) / tau]), len(times) - 1, n_points)
-    start = int(i0[0])
-    return float(lw[:, 0] @ values[start:start + n_points])
 
 
 # ---------------------------------------------------------------------------
@@ -707,30 +666,6 @@ def _adams_pece_scaled(
     return u, u_nodes
 
 
-def starting_values(
-    problem: Problem, config: SolverConfig
-) -> list[tuple[float, float]]:
-    """Solution values at the first ``n_interp`` coarse grid nodes.
-
-    Computed with the fractional Adams scheme on a grid refined by
-    ``start_refine`` over ``[a, a + (n_interp-1) tau]`` and sampled back at
-    the coarse nodes; with ``exact_start`` set and an exact solution
-    available, taken from the exact solution instead.
-    """
-    tau = (problem.b - problem.a) / config.steps
-    nodes = problem.a + tau * np.arange(config.n_interp)
-    if config.exact_start and problem.exact is not None:
-        tev = nodes.copy()
-        if problem.kind == RIEMANN_LIOUVILLE:
-            tev[0] += _SINGULAR_SHIFT * tau
-        return [(float(t), float(problem.exact(te))) for t, te in zip(nodes, tev)]
-    refine = config.start_refine
-    h = tau / refine
-    mesh = problem.a + h * np.arange((config.n_interp - 1) * refine + 1)
-    u = _adams_pece_scaled(problem, mesh, h)[0]
-    return [(float(mesh[j * refine]), float(u[j * refine])) for j in range(config.n_interp)]
-
-
 # ---------------------------------------------------------------------------
 # The predictor-corrector step
 
@@ -769,9 +704,9 @@ class _Stepper:
     ``g_i = e^{lam (t_i - t_ref)} f(t_i, u_i)`` (the integrand of the
     Volterra kernel, which is the quantity whose smoothness sets the
     scheme's order); the tempering factor is restored exactly afterwards.
-    ``t_ref`` starts at ``a`` (or the given time) and moves forward, with the
-    history in ``gs`` rescaled, whenever the next block of steps would take
-    the exponent past ``_REBASE_EXPONENT``.
+    ``t_ref`` starts at ``a`` and moves forward, with the history in ``gs``
+    rescaled, whenever the next block of steps would take the exponent past
+    ``_REBASE_EXPONENT``.
 
     Quadrature over ``[t_origin, t_n]`` uses the Jacobi-weight rule; the
     origin is grid index ``origin`` (0, or the split point), and ``history``
@@ -794,17 +729,15 @@ class _Stepper:
         config: SolverConfig,
         origin: int = 0,
         history: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-        rule: GaussLobattoRule | None = None,
-        t_ref: float | None = None,
     ):
         self.problem = problem
         self.config = config
-        self.rule = rule or gauss_lobatto(problem.alpha - 1.0, 0.0, config.n_quad)
+        self.rule = gauss_lobatto(problem.alpha - 1.0, 0.0, config.n_quad)
         self.tau = (problem.b - problem.a) / config.steps
         self.rga = rgamma(problem.alpha)
         self.origin = origin
         self.history = history
-        self.t_ref = problem.a if t_ref is None else t_ref
+        self.t_ref = problem.a
         n_interp = config.n_interp
         self._half_nodes = 0.5 * (self.rule.nodes + 1.0)
         self._weights_flat = np.tile(self.rule.weights, _BLOCK)
@@ -847,7 +780,7 @@ class _Stepper:
         # every temporary goes before the next block-sized array is made, so
         # the peak is the two arrays kept plus the integer starts
         with _ufunc_bufsize(_BUILD_BUFSIZE):
-            i0, lw, s = _stencil_weights(r, (n - 1.0)[:, None], n_interp, grow=True)
+            i0, lw, s = _stencil_weights(r, (n - 1.0)[:, None], n_interp)
             del r
             i0 = i0.astype(np.intp)
             # the moved stencils change the sum by sigma times the window's
@@ -890,43 +823,6 @@ class _Stepper:
         return u_new
 
 
-def jpc_step(
-    problem: Problem,
-    config: SolverConfig,
-    times: Sequence[float],
-    values: Sequence[float],
-    rhs_values: Sequence[float],
-    rule: GaussLobattoRule | None = None,
-) -> float:
-    """One predictor-corrector step: u at the node after the known history.
-
-    ``times``/``values``/``rhs_values`` hold the grid and solution through
-    t_n (with n >= n_interp - 1); returns u_{n+1} at t_{n+1} = t_n + tau.
-    With ``config.split_t0`` set, the step is the split scheme's: its
-    history term over ``[a, t0]`` comes from the same starting run as in
-    :func:`solve_split`, and the known history must reach past that run.
-    """
-    known = len(values)
-    if known != len(rhs_values) or known > len(times) - 1:
-        raise ValueError("history arrays are inconsistent with the grid")
-    if known < config.n_interp:
-        raise ValueError("need at least n_interp known values to step")
-    ts = np.asarray(times, dtype=float)
-    # scaling the history from its last time keeps e^{lam (t - t_ref)} <= 1
-    t_ref = float(ts[known - 1])
-    if config.split_t0 is None:
-        stepper = _Stepper(problem, config, rule=rule, t_ref=t_ref)
-    else:
-        u_start, stepper = _split_start(problem, config, rule, t_ref)
-        if known < len(u_start):
-            raise ValueError("need history past the split scheme's starting run")
-    gs = np.empty(known + 1)
-    gs[:known] = np.exp(problem.lam * (ts[:known] - t_ref)) * np.asarray(
-        rhs_values, dtype=float
-    )
-    return stepper.step(ts, gs, known)
-
-
 # ---------------------------------------------------------------------------
 # Full solves
 
@@ -942,7 +838,7 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
     )
 
 
-def _march(trace: SolutionTrace, u_start: Sequence[float], stepper: _Stepper) -> SolutionTrace:
+def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> SolutionTrace:
     """Fill ``trace``: its first values are ``u_start``, the rest are stepped."""
     problem, times = trace.problem, trace.times
     gs = np.empty(len(times))
@@ -960,51 +856,63 @@ def _march(trace: SolutionTrace, u_start: Sequence[float], stepper: _Stepper) ->
     return trace
 
 
+def _start(problem: Problem, config: SolverConfig) -> tuple[np.ndarray, _Stepper]:
+    """The grid values u_0 .. u_{n_start}, and the stepper that marches on.
+
+    n_start = max(j0, n_interp - 1), with j0 the grid index of ``split_t0``
+    (0 without one).  One fractional-Adams run on a grid refined by
+    ``start_refine`` gives them, and u at the split rule's Lobatto nodes;
+    ``exact_start`` takes both from ``problem.exact``, at a +
+    _SINGULAR_SHIFT tau for t_0 on the Riemann-Liouville kind.
+    """
+    a, t0 = problem.a, config.split_t0
+    tau = (problem.b - a) / config.steps
+    j0, s_hist = 0, np.empty(0)
+    if t0 is not None:
+        if not a < t0 < problem.b:
+            raise ValueError(f"split point {t0} must lie inside ({a}, {problem.b})")
+        j0 = int(round((t0 - a) / tau))
+        if j0 < 1 or abs(a + j0 * tau - t0) > 1e-9 * tau:
+            raise ValueError(f"split point {t0} is not aligned with the step {tau}")
+        lob = gauss_lobatto(0.0, 0.0, config.n_tilde)
+        s_hist = 0.5 * (t0 - a) * (lob.nodes + 1.0) + a
+        w_hist = 0.5 * (t0 - a) * lob.weights
+    n_start = max(j0, config.n_interp - 1)
+    # 1e-9*tau is far below any legitimate node gap but wide enough that a
+    # Lobatto node next to a grid node cannot leave a degenerate panel
+    tol = 1e-9 * tau
+    if config.exact_start:
+        if problem.exact is None:
+            raise ValueError("exact_start needs a problem with an exact solution")
+        grid = a + tau * np.arange(n_start + 1)
+        at = np.rint((s_hist - a) / tau).astype(np.intp)
+        off = np.flatnonzero(np.abs(grid[at] - s_hist) > tol)
+        if problem.kind == RIEMANN_LIOUVILLE:
+            grid[0] += _SINGULAR_SHIFT * tau
+        u_start = np.array([float(problem.exact(t)) for t in grid])
+        u_hist = u_start[at]  # a Lobatto node on the grid takes its value
+        u_hist[off] = [problem.exact(s) for s in s_hist[off].tolist()]
+    else:
+        refine = config.start_refine
+        h = tau / refine
+        mesh = a + h * np.arange(n_start * refine + 1)
+        u_mesh, u_hist = _adams_pece_scaled(problem, mesh, h, s_hist, tol)
+        u_start = u_mesh[::refine].copy()
+    if t0 is None:
+        return u_start, _Stepper(problem, config)
+    f_hist = np.array([problem.rhs(float(s), float(u)) for s, u in zip(s_hist, u_hist)])
+    return u_start, _Stepper(problem, config, j0, (s_hist, w_hist, f_hist))
+
+
 def solve(problem: Problem, config: SolverConfig) -> SolutionTrace:
     """Solve the problem on the uniform grid with the predictor-corrector.
 
-    Dispatches to :func:`solve_split` when ``config.split_t0`` is set.
+    With ``config.split_t0`` set, this is :func:`solve_split`'s scheme.
     Raises :class:`BlowUpError` (naming the step) if the solution leaves
-    the finite range.
+    the finite range, and ``ValueError`` for a bad split point or an
+    ``exact_start`` without an exact solution.
     """
-    if config.split_t0 is not None:
-        return solve_split(problem, config)
-    u_start = [u for _, u in starting_values(problem, config)]
-    return _march(_new_trace(problem, config), u_start, _Stepper(problem, config))
-
-
-def _split_start(
-    problem: Problem,
-    config: SolverConfig,
-    rule: GaussLobattoRule | None = None,
-    t_ref: float | None = None,
-) -> tuple[np.ndarray, _Stepper]:
-    """Starting run of the split scheme: the values at the first grid nodes,
-    and the stepper carrying the history over ``[a, t0]``."""
-    t0 = config.split_t0
-    if t0 is None:
-        raise ValueError("solve_split requires config.split_t0")
-    if not problem.a < t0 < problem.b:
-        raise ValueError(f"split point {t0} must lie inside ({problem.a}, {problem.b})")
-    tau = (problem.b - problem.a) / config.steps
-    j0 = int(round((t0 - problem.a) / tau))
-    if j0 < 1 or abs(problem.a + j0 * tau - t0) > 1e-9 * tau:
-        raise ValueError(f"split point {t0} is not aligned with the step {tau}")
-
-    lob = gauss_lobatto(0.0, 0.0, config.n_tilde)
-    s_hist = 0.5 * (t0 - problem.a) * (lob.nodes + 1.0) + problem.a
-    w_hist = 0.5 * (t0 - problem.a) * lob.weights
-
-    n_start = max(j0, config.n_interp - 1)
-    refine = config.start_refine
-    h = tau / refine
-    mesh = problem.a + h * np.arange(n_start * refine + 1)
-    # 1e-9*tau is far below any legitimate node gap but wide enough that a
-    # Lobatto node next to a grid node cannot leave a degenerate panel
-    u_mesh, u_hist = _adams_pece_scaled(problem, mesh, h, s_hist, tol=1e-9 * tau)
-    u_start = u_mesh[::refine].copy()
-    f_hist = np.array([problem.rhs(float(s), float(u)) for s, u in zip(s_hist, u_hist)])
-    return u_start, _Stepper(problem, config, j0, (s_hist, w_hist, f_hist), rule, t_ref)
+    return _march(_new_trace(problem, config), *_start(problem, config))
 
 
 def solve_split(problem: Problem, config: SolverConfig) -> SolutionTrace:
@@ -1013,10 +921,10 @@ def solve_split(problem: Problem, config: SolverConfig) -> SolutionTrace:
     The history integral over ``[a, t0]`` uses a fixed (n_tilde+1)-point
     unit-weight Gauss-Lobatto rule with the kernel inside the integrand;
     the RHS values at those fixed nodes, and the trace values at the grid
-    nodes up to ``t0``, come from the refined fractional-Adams starting
-    run over ``[a, t0]``.  Beyond ``t0`` the scheme proceeds as in
+    nodes up to ``t0``, come from the start over ``[a, t0]`` (see
+    :func:`_start`).  Beyond ``t0`` the scheme proceeds as in
     :func:`solve` with the Jacobi-weight rule on ``[t0, t]``.
     """
-    trace = _new_trace(problem, config)
-    u_start, stepper = _split_start(problem, config)
-    return _march(trace, u_start, stepper)
+    if config.split_t0 is None:
+        raise ValueError("solve_split requires config.split_t0")
+    return _march(_new_trace(problem, config), *_start(problem, config))

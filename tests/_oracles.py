@@ -10,10 +10,12 @@ mesh at every step.  Two more plain-double references keep earlier forms of
 package code that were replaced by faster ones with the same arithmetic:
 :func:`ml_series_reference`, the Mittag-Leffler series computing every
 coefficient per term, and :func:`evaluate_reference`, the recursive
-expression interpreter.  :class:`BlockStepperReference` keeps the earlier
-JPC step operator, which builds the predictor's and the corrector's
-stencil weights separately and gathers each through a sliding window of
-the history; :func:`solve_reference` runs a solve with it.
+expression interpreter.  :func:`lagrange_reference` interpolates a stencil
+of samples with the Lagrange basis in product form, not with the
+solver's barycentric stencil weights.  :class:`BlockStepperReference`
+keeps the earlier JPC step operator, which builds the predictor's and the
+corrector's stencil weights separately and gathers each through a sliding
+window of the history; :func:`solve_reference` runs a solve with it.
 """
 
 import math
@@ -287,6 +289,27 @@ def adams_pece_reference(problem, mesh):
     return np.exp(-lam * (np.asarray(mesh) - a)) * w
 
 
+def lagrange_basis(x, n_points):
+    """Lagrange basis on the nodes 0..n_points-1 at x, as products."""
+    return np.array([
+        math.prod((x - m) / (j - m) for m in range(n_points) if m != j)
+        for j in range(n_points)
+    ])
+
+
+def lagrange_reference(samples, x, n_points):
+    """The stencil interpolant of ``samples`` at the nodes 0, 1, .. at ``x``.
+
+    The stencil is the ``n_points`` consecutive nodes centred on x as nearly
+    as possible, ties toward earlier nodes, clamped to the samples; past the
+    last sample it extrapolates.  The basis is :func:`lagrange_basis`, so a
+    target on a node returns its sample exactly.
+    """
+    last = len(samples) - 1
+    i0 = min(max(math.ceil(x - 0.5 * n_points), 0), last - n_points + 1)
+    return float(lagrange_basis(x - i0, n_points) @ np.asarray(samples[i0:i0 + n_points]))
+
+
 def _lagrange_weights_reference(r, last, n_points):
     """Stencil starts ``i0`` and weights with a trailing stencil axis: the
     interpolant at ``r[...]`` is ``l[...] @ f[i0[...] : i0[...] + n_points]``."""
@@ -394,10 +417,6 @@ def solve_reference(problem, config):
     """``solver.solve`` with :class:`BlockStepperReference` as the stepper:
     the same start, split history and march."""
     trace = solver._new_trace(problem, config)
-    if config.split_t0 is None:
-        u_start = [u for _, u in solver.starting_values(problem, config)]
-        stepper = BlockStepperReference(problem, config)
-    else:
-        u_start, split = solver._split_start(problem, config)
-        stepper = BlockStepperReference(problem, config, split.origin, split.history)
-    return solver._march(trace, u_start, stepper)
+    u_start, stepper = solver._start(problem, config)
+    reference = BlockStepperReference(problem, config, stepper.origin, stepper.history)
+    return solver._march(trace, u_start, reference)

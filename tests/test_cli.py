@@ -106,6 +106,29 @@ class TestSolveCommand:
                     "--split-t0", "0.013", cwd=tmp_path)
         assert r.returncode == 2
 
+    def test_exact_start_without_exact_solution(self, tmp_path):
+        # it used to fall back to the fractional-Adams start without a word
+        r = run_cli("solve", "--alpha", "0.5", "--rhs=-u", "--init", "1", "--b", "1",
+                    "--steps", "20", "--NI", "3", "--exact-start", cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("configuration error:") and "exact_start" in r.stderr
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_split_exact_start(self, tmp_path):
+        # the split scheme used to ignore --exact-start: the two traces were
+        # byte-identical
+        args = ["solve", "--alpha", "0.5", "--lambda", "5", "--rhs=builtin:relax",
+                "--b", "1.1", "--steps", "176", "--NI", "2", "--split-t0", "0.1"]
+        for extra, out in (([], "adams.csv"), (["--exact-start"], "exact.csv")):
+            r = run_cli(*args, *extra, "--out", out, cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+        adams, exact = (np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+                        for name in ("adams.csv", "exact.csv"))
+        assert not np.array_equal(adams[:, 1], exact[:, 1])
+        # t_0 .. t0 = t_16 come from the exact solution
+        assert np.abs(exact[:17, 3]).max() <= 1e-15
+        assert np.abs(adams[:17, 3]).max() > 1e-9
+
     def test_blow_up_exit_code(self, tmp_path):
         r = run_cli("solve", "--alpha", "0.5", "--rhs", "u*u", "--init", "2",
                     "--b", "4", "--steps", "64", "--NI", "3", cwd=tmp_path)

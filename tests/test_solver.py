@@ -10,6 +10,8 @@ from _oracles import (
     BlockStepperReference,
     adams_pece_reference,
     convolution_tables_reference,
+    lagrange_basis,
+    lagrange_reference,
     solve_reference,
 )
 from tfode.problems import exact_example2, exact_example3, example2, example3
@@ -18,11 +20,8 @@ from tfode.solver import (
     BlowUpError,
     Problem,
     SolverConfig,
-    interpolate_values,
-    jpc_step,
     solve,
     solve_split,
-    starting_values,
     volterra_forcing,
     _BLOCK,
     _adams_pece_scaled,
@@ -73,41 +72,28 @@ class TestForcing:
 
 
 class TestInterpolation:
+    @staticmethod
+    def _interpolant(samples, r, n_points):
+        """The stencil interpolant of samples at nodes 0, 1, .. at each r."""
+        i0, lw, _ = _stencil_weights(np.asarray(r, dtype=float), len(samples) - 1, n_points)
+        starts = i0.astype(int)
+        return np.array([lw[:, p] @ samples[i:i + n_points] for p, i in enumerate(starts)])
+
     def test_quadratic_reproduction(self):
-        times = [0.0, 1.0, 2.0]
-        vals = [t * t for t in times]
-        assert interpolate_values(times, vals, 1.5, 3) == pytest.approx(2.25, abs=1e-14)
+        # inside the nodes, and past the last one from the clamped stencil
+        r = np.array([0.25, 1.5, 2.0, 2.5, 3.0])
+        got = self._interpolant(np.arange(3.0) ** 2, r, 3)
+        np.testing.assert_allclose(got, r**2, rtol=0.0, atol=1e-14)
 
     def test_exact_node_returns_sample(self):
-        times = [0.0, 0.5, 1.0, 1.5]
-        vals = [1.0, -2.0, 7.0, 0.25]
-        for t, v in zip(times, vals):
-            assert interpolate_values(times, vals, t, 3) == v
+        vals = np.array([1.0, -2.0, 7.0, 0.25])
+        for n_points in (2, 3, 4):
+            assert np.array_equal(self._interpolant(vals, np.arange(4.0), n_points), vals)
 
     def test_degree_five_reproduction(self):
-        times = np.linspace(0.0, 1.0, 6)
-        vals = times**5
-        for s in (0.05, 0.37, 0.5, 0.93):
-            got = interpolate_values(times, vals, s, 6)
-            assert got == pytest.approx(s**5, abs=1e-12)
-
-    def test_extra_corrector_node(self):
-        times = np.array([0.0, 1.0, 2.0])
-        vals = times**2
-        got = interpolate_values(times, vals, 2.5, 3, extra=(3.0, 9.0))
-        assert got == pytest.approx(6.25, abs=1e-12)
-
-    def test_insufficient_history(self):
-        with pytest.raises(ValueError):
-            interpolate_values([0.0, 1.0], [0.0, 1.0], 0.5, 3)
-
-    @staticmethod
-    def _lagrange(x, n_points):
-        """Lagrange basis on the nodes 0..n_points-1 at x, as products."""
-        return np.array([
-            math.prod((x - m) / (j - m) for m in range(n_points) if m != j)
-            for j in range(n_points)
-        ])
+        s = np.array([0.05, 0.37, 0.5, 0.93])
+        got = self._interpolant(np.linspace(0.0, 1.0, 6) ** 5, 5.0 * s, 6)
+        np.testing.assert_allclose(got, s**5, rtol=0.0, atol=1e-12)
 
     def test_batched_weights_match_single_points(self):
         # one vectorised build over a (steps x nodes) array of positions, with
@@ -115,15 +101,14 @@ class TestInterpolation:
         fs = np.cos(0.3 * np.arange(12))
         r = np.array([[0.0, 2.5, 4.0, 6.7], [1.2, 3.0, 7.9, 9.0]])
         last = np.array([[7], [9]])
-        i0, lw = _stencil_weights(r, last, 4)
+        i0, lw, _ = _stencil_weights(r, last, 4)
         assert lw.shape == (4, r.size)
         for p, (row, col) in enumerate(np.ndindex(r.shape)):
             start = int(i0[row, col])
             assert 0 <= start <= last[row, 0] - 3
-            assert np.allclose(lw[:, p], self._lagrange(r[row, col] - start, 4), atol=1e-15)
+            assert np.allclose(lw[:, p], lagrange_basis(r[row, col] - start, 4), atol=1e-15)
             got = lw[:, p] @ fs[start:start + 4]
-            want = interpolate_values(np.arange(last[row, 0] + 1.0), fs[:last[row, 0] + 1],
-                                      r[row, col], 4)
+            want = lagrange_reference(fs[:last[row, 0] + 1], r[row, col], 4)
             assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
     @pytest.mark.parametrize("n_points", [2, 3, 4, 7])
@@ -132,8 +117,8 @@ class TestInterpolation:
         # weights change by s times the (n+1)-point weights; elsewhere not
         last = 20.0
         r = np.array([3.0, 10.4, 17.5, 18.25, 19.0, 19.0 + 1e-11, 19.5, 19.999, 20.0, 21.0])
-        i0, lw, s = _stencil_weights(r, last, n_points, grow=True)
-        j0, lw1 = _stencil_weights(r, last + 1.0, n_points)
+        i0, lw, s = _stencil_weights(r, last, n_points)
+        j0, lw1, _ = _stencil_weights(r, last + 1.0, n_points)
         change = s * _bary_weights(n_points + 1)
         for p in range(len(r)):
             if j0[p] == i0[p]:
@@ -149,27 +134,62 @@ class TestInterpolation:
 
 
 class TestStartingValues:
+    """The first n_interp values of a solve, which its start gives."""
+
     def test_zero_rhs_matches_forcing(self):
         p = _const_problem(lam=2.0)
-        cfg = SolverConfig(steps=20, n_interp=4)
-        for t, u in starting_values(p, cfg):
+        tr = solve(p, SolverConfig(steps=20, n_interp=4))
+        for t, u in zip(tr.times[:4], tr.values[:4]):
             assert u == pytest.approx(volterra_forcing(p, t), abs=1e-13)
 
     def test_exact_start_mode(self):
         p = example2(0.5, 2.0)
-        cfg = SolverConfig(steps=20, n_interp=4, exact_start=True)
-        for t, u in starting_values(p, cfg):
-            assert u == exact_example2(0.5, 2.0, t)
+        tr = solve(p, SolverConfig(steps=20, n_interp=4, exact_start=True))
+        for j, u in enumerate(tr.values[:4]):
+            assert u == exact_example2(0.5, 2.0, j * tr.tau)
 
     def test_classical_decay(self):
         # alpha=1, f = -u reduces to u' = -u, u = e^{-t}; the refined
         # predictor-corrector start is second order in the substep
         p = Problem(kind="caputo", alpha=1.0, lam=0.0, a=0.0, b=1.0, init=(1.0,),
                     rhs=lambda t, u: -u)
-        cfg = SolverConfig(steps=10, n_interp=4, start_refine=64)
+        tr = solve(p, SolverConfig(steps=10, n_interp=4, start_refine=64))
         h = 0.1 / 64
-        for t, u in starting_values(p, cfg):
+        for t, u in zip(tr.times[:4], tr.values[:4]):
             assert abs(u - math.exp(-t)) <= h * h * (t + 1e-6)
+
+    def test_exact_start_with_split(self):
+        # the grid values through t0 and the Lobatto nodes' values come from
+        # the exact solution; the split scheme used to ignore exact_start
+        p = example3(0.5, 5.0, b=1.0)
+        config = SolverConfig(steps=32, n_interp=2, split_t0=0.125, exact_start=True)
+        tr = solve(p, config)
+        assert np.array_equal(tr.values[:5], tr.exact_values()[:5])
+        adams = solve(p, dataclasses.replace(config, exact_start=False))
+        assert not np.array_equal(tr.values[5:], adams.values[5:])
+        # the later values move by about the start's error, far below 1e-4
+        assert np.abs(tr.values - adams.values).max() <= 1e-4
+
+    def test_exact_start_rl_shifts_t0_only(self):
+        # u = e^{-t} t^(alpha-1) / Gamma(alpha) is singular at a: t_0 takes
+        # it at the shifted time, and so does the Lobatto node on a
+        alpha = 0.7
+        exact = lambda t: math.exp(-t) * t ** (alpha - 1.0) * rgamma(alpha)
+        p = Problem(kind="rl", alpha=alpha, lam=1.0, a=0.0, b=1.0, init=(1.0,),
+                    rhs=lambda t, u: 0.0, exact=exact)
+        config = SolverConfig(steps=32, n_interp=3, split_t0=0.25, exact_start=True)
+        tr = solve(p, config)
+        assert tr.values[0] == exact(1e-8 * tr.tau)
+        assert np.array_equal(tr.values[1:9], [exact(j * tr.tau) for j in range(1, 9)])
+        with np.errstate(divide="ignore"):
+            assert np.abs(tr.values[9:] - tr.exact_values()[9:]).max() <= 1e-12
+
+    @pytest.mark.parametrize("split_t0", [None, 0.1])
+    def test_exact_start_needs_an_exact_solution(self, split_t0):
+        p = dataclasses.replace(example3(0.5, 5.0), exact=None)
+        config = SolverConfig(steps=22, n_interp=2, split_t0=split_t0, exact_start=True)
+        with pytest.raises(ValueError, match="exact_start"):
+            solve(p, config)
 
 
 def _start_problem(kind, alpha, lam=2.0):
@@ -417,74 +437,9 @@ class TestAdamsStart:
         assert raised[0].value == raised[1].value
 
 
-class TestJpcStep:
-    def test_constant_solution(self):
-        p = _const_problem(lam=0.0)
-        cfg = SolverConfig(steps=10, n_interp=3)
-        times = np.linspace(0.0, 1.0, 11)
-        vals = [1.0, 1.0, 1.0]
-        fs = [0.0, 0.0, 0.0]
-        u3 = jpc_step(p, cfg, times, vals, fs)
-        assert u3 == pytest.approx(1.0, abs=1e-14)
-
-    def test_pure_forcing_decay(self):
-        p = _const_problem(lam=2.0)
-        cfg = SolverConfig(steps=10, n_interp=3)
-        times = np.linspace(0.0, 1.0, 11)
-        vals = [math.exp(-2.0 * t) for t in times[:3]]
-        fs = [0.0, 0.0, 0.0]
-        u3 = jpc_step(p, cfg, times, vals, fs)
-        assert u3 == pytest.approx(math.exp(-2.0 * times[3]), rel=1e-13)
-
-    def test_insufficient_history(self):
-        p = _const_problem()
-        cfg = SolverConfig(steps=10, n_interp=3)
-        with pytest.raises(ValueError):
-            jpc_step(p, cfg, np.linspace(0, 1, 11), [1.0, 1.0], [0.0, 0.0])
-
-
 class TestStepOperator:
-    """The block-precomputed step against one-off steps and polynomials."""
-
-    @staticmethod
-    def _boundary_steps(first, steps):
-        # first step of each block, and its neighbours on both sides
-        picks = set()
-        for lo in range(first, steps + 1, _BLOCK):
-            picks.update(n for n in (lo - 1, lo, lo + 1) if first <= n <= steps)
-        picks.add(steps)
-        return sorted(picks)
-
-    @pytest.mark.parametrize("problem, config", [
-        (example2(0.5, 2.0), SolverConfig(steps=_BLOCK - 4, n_interp=3)),
-        (example2(0.5, 2.0), SolverConfig(steps=3 * _BLOCK + 1, n_interp=7)),
-        (example2(1.5, 6.0), SolverConfig(steps=2 * _BLOCK + 1, n_interp=5,
-                                          corrector_iters=2)),
-        (example3(0.9, 5.0), SolverConfig(steps=88, n_interp=2, split_t0=0.1)),
-    ])
-    def test_jpc_step_reproduces_solve(self, problem, config):
-        tr = solve(problem, config)
-        first = config.n_interp
-        if config.split_t0 is not None:
-            first = round(config.split_t0 / tr.tau) + 1
-        for n in self._boundary_steps(first, config.steps):
-            u = jpc_step(problem, config, tr.times, tr.values[:n], tr.rhs_values[:n])
-            assert u == pytest.approx(tr.values[n], rel=1e-14, abs=0.0)
-
-    def test_jpc_step_large_tempering_rate(self):
-        # the one-off step scales the given history without overflowing
-        problem, config = example2(0.5, 800.0), SolverConfig(steps=160, n_interp=7)
-        tr = solve(problem, config)
-        for n in (40, 150, 160):
-            u = jpc_step(problem, config, tr.times, tr.values[:n], tr.rhs_values[:n])
-            assert u == pytest.approx(tr.values[n], rel=1e-12, abs=0.0)
-
-    def test_split_jpc_step_needs_history_past_start(self):
-        problem = example3(0.9, 5.0)
-        config = SolverConfig(steps=88, n_interp=2, split_t0=0.1)
-        tr = solve(problem, config)
-        with pytest.raises(ValueError):
-            jpc_step(problem, config, tr.times, tr.values[:5], tr.rhs_values[:5])
+    """The block-precomputed step against polynomials, the Lagrange oracle
+    and the reference stepper."""
 
     @pytest.mark.parametrize("n_interp, origin", [(7, 0), (4, 0), (2, 8), (5, 8)])
     def test_block_weights_reproduce_polynomials(self, n_interp, origin):
@@ -529,14 +484,13 @@ class TestStepOperator:
         nodes, wts = stepper.rule.nodes, stepper.rule.weights
         gs = np.random.default_rng(origin + n_interp).standard_normal(steps + 1)
         times = np.linspace(0.0, 1.0, steps + 1)
-        grid = np.arange(steps + 1.0)
         for lo in range(max(origin + 1, n_interp), steps + 1, _BLOCK):
             stepper._build_block(times, gs, lo)
             for k, n in enumerate(range(lo, stepper._hi)):
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
                 pred = stepper._c[k] @ gs[stepper._idx[k]]
                 want = sum(
-                    w * interpolate_values(grid[:n + 1], gs[:n + 1], x, n_interp)
+                    w * lagrange_reference(gs[:n + 1], x, n_interp)
                     for x, w in zip(r[:-1], wts[:-1])
                 ) + wts[-1] * gs[n]
                 got = pred + stepper._window[k] @ gs[n - n_interp:n] + stepper._w_end[k] * gs[n]
@@ -710,7 +664,7 @@ class TestSolve:
 
         def residual(j):
             t = tr.times[j]
-            fhat = lambda s: interpolate_values(tr.times[: j + 1], tr.rhs_values[: j + 1], s, 5)
+            fhat = lambda s: lagrange_reference(tr.rhs_values[: j + 1], s / tau, 5)
             total, x = 0.0, 0.0
             while x < t - tau / 2 - 1e-12:
                 hi = min(x + tau / 2, t - tau / 2)
