@@ -25,18 +25,22 @@ split point (0 without one), come from one product-trapezoidal
 predictor-corrector (fractional Adams) run on a refined auxiliary grid, or
 from the exact solution with ``exact_start``.  The run's product weights
 depend only on the distance in steps, so they are tabulated once, and it
-runs in blocks of ``_BLOCK`` steps: the history before a block is summed
-for all of its steps at once, one ``np.correlate`` per weight table.
-Inside a block, a right-hand side declared affine in u (``Problem.affine``)
-makes the block's predictor-corrector steps one unit lower-triangular
-solve; any other is stepped, each step two short dot products plus the
-right-hand-side calls.  For solutions that are non-smooth at the start,
-the split scheme (``split_t0``) integrates the history over ``[a, t0]``
-with a fixed unit-weight Gauss-Lobatto rule, and only the smooth tail
-``[t0, t]`` with the Jacobi-weight rule; that history term is evaluated
-for a block of steps at once.  u at each Lobatto node off the refined grid
-is one more PECE step over the grid history before the node (dense
-output), which is not fed back into the history.
+runs in blocks of ``_BLOCK`` steps.  A step's sums over the history have
+two tiers: the history since its chunk of ``_CHUNK`` mesh points began is
+summed for all of a block's steps at once, one ``np.correlate`` per weight
+table, and older history reaches it through far sums, to which each
+finished chunk adds by FFT over doubling spans (Hairer, Lubich and
+Schlichte), so that the start costs O(n log n) in its n steps past the near
+tier's O(n _CHUNK).  Inside a block, a right-hand side declared affine in u
+(``Problem.affine``) makes the block's predictor-corrector steps one unit
+lower-triangular solve; any other is stepped, each step two short dot
+products plus the right-hand-side calls.  For solutions that are non-smooth
+at the start, the split scheme (``split_t0``) integrates the history over
+``[a, t0]`` with a fixed unit-weight Gauss-Lobatto rule, and only the
+smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term is
+evaluated for a block of steps at once.  u at each Lobatto node off the
+refined grid is one more PECE step over the grid history before the node
+(dense output), which is not fed back into the history.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import as_strided
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from .quadrature import gauss_lobatto
@@ -370,6 +375,12 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
 #: (exp overflows past ~709) leaves room for the span still to come.
 _REBASE_EXPONENT = 300.0
 
+#: Mesh points per chunk of the start, a multiple of ``_BLOCK``.  A block
+#: sums the history since its chunk began directly, in O(_CHUNK) per step;
+#: older history reaches it through the far sums, pushed by FFT a chunk at
+#: a time (see :func:`_adams_pece_scaled`).
+_CHUNK = 1024
+
 
 #: Distances from which the trapezoid's left weight is summed as a series,
 #: and the number of its terms: past d = 8 the series' ratio is below
@@ -381,122 +392,162 @@ _RL_SERIES_TERMS = 6
 
 @functools.lru_cache(maxsize=16)
 def _rl_series(alpha: float) -> tuple[float, ...]:
-    """Coefficients b_j = binom(alpha-1, 2j+1) / (2 (2j+3)), highest first."""
-    coeffs, binom = [], 1.0
-    for k in range(2 * _RL_SERIES_TERMS):
+    """Coefficients of (rl/r1 - 1/2) / w as a series in w^2, highest
+    first (see :func:`_far_rl`).  Over the panel [c - 1/2, c + 1/2],
+    r1 = c^(a-1) sum_j a_j w^(2j) with a_j = binom(a-1, 2j)/(2j+1), and
+    rl - r1/2 = c^(a-1) w sum_j b_j w^(2j) with b_j = binom(a-1, 2j+1) /
+    (2 (2j+3)); these are the quotient's first ``_RL_SERIES_TERMS``
+    coefficients."""
+    a, b, binom = [1.0], [], 1.0
+    for k in range(2 * _RL_SERIES_TERMS - 1):
         binom *= (alpha - 1.0 - k) / (k + 1)
         if k % 2 == 0:
-            coeffs.append(binom / (2.0 * (k + 3)))
-    return tuple(reversed(coeffs))
+            b.append(binom / (2.0 * (k + 3)))
+        else:
+            a.append(binom / (k + 2))
+    rho = []
+    for k, bk in enumerate(b):
+        rho.append(bk - sum(a[i] * rho[k - i] for i in range(1, k + 1)))
+    return tuple(reversed(rho))
+
+
+def _near_weights(d: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``r1`` and ``rl`` of unit panels whose far ends lie
+    1 < d < ``_RL_SERIES_FROM`` widths before T, in new arrays of d's shape
+    (see :func:`_convolution_tables`): ``r1 = -d^a expm1(a log1p(-1/d))/a``,
+    and ``rl = i2 - (d-1) r1``, with i2 the integral of x^a in r1's form."""
+    lg = np.log1p(-1.0 / d)
+    r1 = np.multiply(alpha, lg)
+    np.expm1(r1, out=r1)
+    r1 *= d**alpha
+    r1 /= -alpha
+    rl = np.multiply(alpha + 1.0, lg, out=lg)
+    np.expm1(rl, out=rl)
+    rl *= d ** (alpha + 1.0)
+    rl /= -(alpha + 1.0)
+    rl -= (d - 1.0) * r1
+    return r1, rl
+
+
+def _far_rl(d: np.ndarray, alpha: float, r1: np.ndarray, rl: np.ndarray) -> None:
+    """``rl`` of unit panels whose far ends lie ``d >= _RL_SERIES_FROM``
+    widths before T, from their ``r1``: with c = d - 1/2 the panel's
+    midpoint and w = 1/(2c), rl - r1/2, the integral of (x - c) x^(a-1) over
+    x in [d-1, d], is r1 w times a series in w^2 (:func:`_rl_series`).
+    ``d`` is overwritten, and one more array as long is made."""
+    c = np.subtract(d, 0.5, out=d)
+    w = np.divide(0.5, c, out=c)
+    w2 = np.multiply(w, w, out=rl)
+    rho = _rl_series(alpha)
+    acc = np.multiply(rho[0], w2)
+    for rj in rho[1:-1]:
+        acc += rj
+        acc *= w2
+    acc += rho[-1]
+    acc *= w
+    acc += 0.5
+    np.multiply(r1, acc, out=rl)
 
 
 def _convolution_tables(n: int, alpha: float):
     """Unit-step product weights on a uniform grid, by distance, reversed.
 
     Entry i belongs to the panel whose right end lies e = n - 1 - i steps
-    before T: the rectangle weight ``r1`` and the trapezoid's left weight
-    ``rl``, in units of h^alpha; entry n (e = -1, a panel after T) is 0.
-    ``rc[i] = wr[i] + rl[i+1]``, with wr the trapezoid's right weight, is
-    the weight of the node e + 1 steps before T, so with g the history, step
-    k's sums are ``r1[n-k:n] @ g[:k]`` and ``rc[n-k:] @ g[1:k+1] + rl[n-k] g[0]``.
+    before T, and whose far end d = e + 1: the rectangle weight ``r1`` and
+    the trapezoid's left weight ``rl``, in units of h^alpha; entry n
+    (e = -1, a panel after T) is 0.  ``rc[i] = wr[i] + rl[i+1]``, with
+    ``wr = r1 - rl`` the trapezoid's right weight, is the weight of the node
+    e + 1 steps before T, so with g the history, step k's sums are
+    ``r1[n-k:n] @ g[:k]`` and ``rc[n-k:] @ g[1:k+1] + rl[n-k] g[0]``.
 
-    No weight is a difference of powers.  With d = e + 1 the panel's far
-    end and c = d - 1/2 its midpoint, in steps before T,
-    ``r1 = (d^a - (d-1)^a)/a = -d^a expm1(a log1p(-1/d))/a``.  ``rl`` is
-    ``r1/2`` plus the integral of (x - c) x^(a-1) over x in [d-1, d], a
-    series in (2c)^-2 from ``_RL_SERIES_FROM`` on; nearer it is
-    ``i2 - (d-1) r1``, with i2 the integral of x^a in r1's form.  And
-    ``wr = r1 - rl``.  Each weight is within a few ulps of its exact value.
+    No weight is a difference of powers:
+    ``r1 = (d^a - (d-1)^a)/a = -d^a expm1(a log1p(-1/d))/a``, and ``rl`` is
+    a series from ``_RL_SERIES_FROM`` on (:func:`_far_rl`) and
+    :func:`_near_weights` nearer, 1/alpha and 1/(alpha+1) at d = 1.  Each
+    weight is within a few ulps of its exact value.
     """
-    d = np.arange(n, 0, -1.0)  # d[i] = e + 1 for the n panels
     r1 = np.zeros(n + 1)
     rl = np.zeros(n + 1)
-    body = r1[:n]
-    lg = rl[:n]  # log1p(-1/d), as long as it is needed
-    np.divide(-1.0, d[:-1], out=lg[:-1])
-    np.log1p(lg[:-1], out=lg[:-1])
-    np.multiply(alpha, lg[:-1], out=body[:-1])
-    np.expm1(body[:-1], out=body[:-1])
-    body[-1:] = -1.0  # d = 1: (d-1)^a = 0
-    body *= d**alpha
-    body /= -alpha
-    far = max(0, n - _RL_SERIES_FROM + 1)  # entries before it have d >= _RL_SERIES_FROM
-    near = d[far:]
-    i2 = np.multiply(alpha + 1.0, lg[far:])
-    np.expm1(i2, out=i2)
-    i2[-1:] = -1.0
-    i2 *= near ** (alpha + 1.0)
-    i2 /= -(alpha + 1.0)
-    np.subtract(i2, (near - 1.0) * body[far:], out=rl[far:n])
-    del i2
-    if far:
-        c = d[:far] - 0.5
-        pc = c ** (alpha - 1.0)
-        w = np.divide(0.5, c, out=c)
-        w2 = w * w
-        b = _rl_series(alpha)
-        acc = np.multiply(b[0], w2)
-        for bj in b[1:-1]:
-            acc += bj
-            acc *= w2
-        acc += b[-1]
-        acc *= w
-        acc *= pc
-        del c, pc, w, w2
-        np.multiply(0.5, body[:far], out=rl[:far])
-        rl[:far] += acc
-    wr = np.subtract(body, rl[:n], out=d)
+    d = np.arange(n, 0, -1.0)
+    far = max(0, n + 1 - _RL_SERIES_FROM)  # entries with d >= _RL_SERIES_FROM
+    df, r1f, rlf = d[:far], r1[:far], rl[:far]
+    lg = np.divide(-1.0, df, out=rlf)
+    np.log1p(lg, out=lg)
+    np.multiply(alpha, lg, out=r1f)
+    np.expm1(r1f, out=r1f)
+    r1f *= np.power(df, alpha, out=rlf)
+    r1f /= -alpha
+    _far_rl(df, alpha, r1f, rlf)
+    if far < n - 1:
+        r1[far:n - 1], rl[far:n - 1] = _near_weights(d[far:n - 1], alpha)
+    if n:
+        r1[n - 1] = 1.0 / alpha
+        rl[n - 1] = 1.0 / (alpha + 1.0)
+    wr = np.subtract(r1[:n], rl[:n], out=d)
     wr += rl[1:]
     return r1, rl, wr
 
 
-def _product_sums(
-    times: np.ndarray, T: float, alpha: float, g: np.ndarray
-) -> tuple[float, float, float]:
-    """Product-weight sums at ``T`` over the history ``g`` at ``times``.
+def _product_sums(g: np.ndarray, theta: float, alpha: float, near: np.ndarray):
+    """Product-weight sums over the history ``g`` on the unit-step mesh
+    0, 1, .., m-1 at T = m - 1 + theta, 0 < theta < 1, in units of
+    step^alpha.
 
-    ``times`` is any increasing mesh before ``T``.  Returns the rectangle
-    (predictor) sum, the trapezoid (corrector) sum without T, and T's
-    trapezoid weight; weights are integrals of (T - s)^(alpha-1) times the
-    panel's constant or hat functions.
+    Returns the rectangle (predictor) sum, the trapezoid (corrector) sum
+    without T, and T's trapezoid weight; weights are integrals of
+    (T - s)^(alpha-1) times the panel's constant or hat functions, as in
+    :func:`_convolution_tables` at d = T - j.  From ``_RL_SERIES_FROM`` on,
+    r1 is the difference of powers ((T-j)^a - (T-j-1)^a)/a: the rounding
+    error of each power enters two neighbouring weights with opposite
+    signs, so in the sums it meets only differences of neighbouring
+    samples.  rl is r1 times the series of :func:`_far_rl`; as a difference
+    of powers it lost ~d^2 ulps, which did not cancel.  Nearer, ``near``
+    holds the weights, rows r1 and rl at d = _RL_SERIES_FROM - 1 + theta
+    down to 1 + theta (:func:`_near_weights`).  The last panel, [m-1, T],
+    is theta wide: its weights are theta^alpha/alpha,
+    theta^alpha/(alpha+1) and the difference of the two.
     """
-    m = len(times)
-    p = np.empty(m + 1)
-    np.subtract(T, times, out=p[:m])
-    p[m] = 0.0
-    pa = p**alpha
-    i1 = pa[:-1] - pa[1:]
-    i1 /= alpha
-    rect = float(i1 @ g)
-    pa *= p
-    i2 = pa[:-1] - pa[1:]
-    i2 /= alpha + 1.0
-    wr = np.multiply(p[:-1], i1, out=pa[:-1])
-    wr -= i2
-    np.multiply(p[1:], i1, out=i1)
-    wl = np.subtract(i2, i1, out=i2)
-    widths = i1
-    np.subtract(times[1:], times[:-1], out=widths[:-1])
-    widths[-1] = p[m - 1]
-    wl /= widths
-    wr /= widths
-    return rect, float(wl @ g) + float(wr[:-1] @ g[1:]), wr.item(-1)
+    m = len(g)
+    far = max(0, m - _RL_SERIES_FROM)  # whole panels with d >= _RL_SERIES_FROM
+    w = np.empty((2, m - 1))  # rows r1 and rl
+    if far:
+        r1, rl = w[0, :far], w[1, :far]
+        # d from m - 1 + theta down to the last far panel's near end
+        d = np.arange(m - 1, _RL_SERIES_FROM - 2, -1.0)
+        d += theta
+        pa = np.power(d, alpha, out=w[1, :far + 1])
+        np.subtract(pa[:-1], pa[1:], out=r1)
+        r1 /= alpha
+        _far_rl(d[:far], alpha, r1, rl)
+        del d
+    w[:, far:] = near[:, far + _RL_SERIES_FROM - m:]
+    r1_last = theta**alpha / alpha
+    rl_last = theta**alpha / (alpha + 1.0)
+    # the sums of r1 and rl with g_j and with g_{j+1}; the right weights are r1 - rl
+    (rect, left), (r1_next, rl_next) = (w @ g[:-1]).tolist(), (w @ g[1:]).tolist()
+    g_last = g.item(-1)
+    corr = left + (r1_next - rl_next) + rl_last * g_last
+    return rect + r1_last * g_last, corr, r1_last - rl_last
 
 
-def _start_block_matrices(r1: np.ndarray, rc: np.ndarray, size: int):
+def _start_block_matrices(r1: np.ndarray, rc: np.ndarray, size: int) -> np.ndarray:
     """In-block product weights of the start, by row and column.
 
-    Row k, column l < k of ``rect`` holds the rectangle weight of g_l in the
-    predictor at step k, and of ``trap`` the trapezoid weight of g_l in the
-    corrector; both are strictly lower triangular Toeplitz matrices, and the
-    top left corner of each serves a shorter block.
+    Row k, column l < k of ``rect``, the first matrix, holds the rectangle
+    weight of g_l in the predictor at step k, and of ``trap``, the second,
+    the trapezoid weight of g_l in the corrector; both are strictly lower
+    triangular Toeplitz matrices, and the top left corner of each serves a
+    shorter block.
     """
     n = len(rc)
-    zeros = np.zeros(size)
     # first columns: r1[n-k] (r1[n] = 0) and rc[n-1-k] below the diagonal
-    trap = rc[n - size:][::-1].copy()
-    trap[:1] = 0.0
-    return toeplitz(r1[n + 1 - size:][::-1], zeros), toeplitz(trap, zeros)
+    cols = np.zeros((2, 2 * size - 1))
+    cols[0, size - 1:] = r1[n + 1 - size:][::-1]
+    cols[1, size:] = rc[n - size:n - 1][::-1]
+    # entry (i, j) of each is its column's entry i - j
+    first = cols[:, size - 1:]
+    step = cols.itemsize
+    return as_strided(first, (2, size, size), (first.strides[0], step, -step)).copy()
 
 
 def _affine_block(affine, t, decay, scale, forc, pred0, corr_far, rect, trap, c0):
@@ -513,32 +564,58 @@ def _affine_block(affine, t, decay, scale, forc, pred0, corr_far, rect, trap, c0
     b = len(t)
     with np.errstate(all="ignore"):
         try:
-            p, q = (np.asarray(fn(t)) for fn in affine)
+            p = np.asarray(affine[0](t))
+            q = np.asarray(affine[1](t))
             if p.dtype.kind not in "fiu" or q.dtype.kind not in "fiu":
                 return None
             # a constant broadcasts, values of another shape raise
-            pd, qd = (np.divide(x, decay, out=np.empty(b)) for x in (p, q))
+            pd = np.divide(p, decay, out=np.empty(b))
+            qd = np.divide(q, decay, out=np.empty(b))
         except (ArithmeticError, TypeError, ValueError):
             return None
-        weights = rect[:b, :b] * (c0 * qd * scale)[:, None]
-        weights += trap[:b, :b]
-        weights *= scale[:, None]
+        # u = rhs + W (pd + qd u) with W = scale (trap + c0 qd scale rect),
+        # formed negated, as the system needs -W qd
+        neg = rect[:b, :b] * (-c0 * qd * scale)[:, None]
+        neg -= trap[:b, :b]
+        neg *= scale[:, None]
         rhs = qd * pred0
         rhs += pd
         rhs *= c0
         rhs += corr_far
         rhs *= scale
         rhs += forc
-        rhs += weights @ pd
-        weights *= -qd  # the unit diagonal is implied, and dtrtrs does not read it
-        # weights is C-ordered, so its transpose is the Fortran-ordered upper
+        rhs -= neg @ pd
+        neg *= qd  # the unit diagonal is implied, and dtrtrs does not read it
+        # neg is C-ordered, so its transpose is the Fortran-ordered upper
         # triangle; trans=1 solves with the lower one
-        u, info = _dtrtrs(weights.T, rhs, lower=0, trans=1, unitdiag=1)
+        u, info = _dtrtrs(neg.T, rhs, lower=0, trans=1, unitdiag=1)
         if info != 0 or not np.abs(u).max() <= _BLOWUP_LIMIT:
             return None
     g = qd * u
     g += pd
     return u, g
+
+
+def _push_far(gv: np.ndarray, u: np.ndarray, r1: np.ndarray, rc: np.ndarray, p: int, size: int):
+    """Add the history g_{p-size} .. g_{p-1} into the far sums of the steps
+    p .. p+size-1 that lie on the mesh: the predictor's, kept in ``u``, and
+    the corrector's, kept in ``gv`` (see :func:`_adams_pece_scaled`).
+
+    Each is one linear convolution of that history with the weights at
+    distances 1 .. size+lt-1, for lt steps, taken by FFT over a period no
+    shorter than those weights: the circular wrap then falls only on
+    outputs below the ones used.
+    """
+    n = len(gv) - 1
+    lt = min(size, n + 1 - p)
+    span = size + lt - 1
+    nfft = next_fast_len(span, real=True)
+    src = rfft(gv[p - size:p], nfft)
+    # the weights at distance d are r1[n - d] and rc[n - 1 - d]
+    for table, end, acc in ((r1, n, u), (rc, n - 1, gv)):
+        spec = rfft(table[end - span:end][::-1], nfft)
+        spec *= src
+        acc[p:p + lt] += irfft(spec, nfft, overwrite_x=True)[size - 1:span]
 
 
 def _adams_pece_scaled(
@@ -557,13 +634,26 @@ def _adams_pece_scaled(
     tabulated once (:func:`_convolution_tables`).  The history is kept as
     g_j = e^{lam (t_j - t_ref)} f(t_j, u_j).
 
-    Steps run in blocks of ``_BLOCK``.  For each block, the history before
-    it is summed for all of its steps at once, one ``np.correlate`` per
-    weight table, and ``t_ref`` moves to the block's first mesh point if
-    lam (t - t_ref) would pass ``_REBASE_EXPONENT`` inside the block.  With
-    ``problem.affine`` the block's steps are one triangular solve
-    (:func:`_affine_block`); otherwise, and for a block where p or q fails
-    or the solve leaves the finite range, they are stepped one by one.
+    The steps after a run in chunks of ``_CHUNK``, each in blocks of
+    ``_BLOCK``, and a step's history sums have two tiers.  The near tier,
+    the history since its chunk began, is summed for all of a block's steps
+    at once, one ``np.correlate`` per weight table.  The far tier comes in
+    two far sums per step, the predictor's and the corrector's, which u[m]
+    and gv[m] hold until step m writes them.  They start with g_0's terms;
+    when chunk i (from 1) is done, its last 2^v chunks, 2^v the largest
+    power of 2 dividing i, are pushed into the far sums of the next 2^v
+    chunks' steps by FFT (:func:`_push_far`).  That counts each point in
+    each later chunk's sums exactly once, as in E. Hairer, C. Lubich and
+    M. Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985, so the far tier
+    costs O(n log n) and the near one O(n _CHUNK).
+
+    The forcing and e^{-lam (t - t_ref)} are set up a chunk at a time.
+    ``t_ref`` moves to a block's first mesh point if lam (t - t_ref) would
+    pass ``_REBASE_EXPONENT`` inside the block, and the history and the far
+    sums are rescaled with it.  With ``problem.affine`` a block's steps are
+    one triangular solve (:func:`_affine_block`); otherwise, and for a block
+    where p or q fails or the solve leaves the finite range, they are
+    stepped one by one.
 
     A node within ``tol`` of a mesh point takes that point's value.  Any
     other node s gets one PECE step over the mesh history before it
@@ -575,35 +665,42 @@ def _adams_pece_scaled(
     rga = rgamma(alpha)
     n = len(mesh) - 1
     nodes = np.asarray(nodes, dtype=float)
-    if not np.all((mesh[0] - tol <= nodes) & (nodes <= mesh[-1] + tol)):
-        raise ValueError("dense-output nodes must lie on the start mesh's span")
-    nearest = np.clip(np.rint((nodes - a) / h), 0, n).astype(np.intp)
-    near = np.abs(mesh[nearest] - nodes) <= tol
-    off = np.flatnonzero(~near)
-    due = np.searchsorted(mesh, nodes[off], side="right")
-    order = np.argsort(due, kind="stable")
-    off, due = off[order].tolist(), due[order].tolist() + [n + 2]
-    s_off = nodes[off]
-    forc_off = np.asarray(_forcing_scaled(problem, s_off), dtype=float)
-    forc_off *= np.exp(-lam * (s_off - a))
-
-    teval = mesh.copy()
-    if problem.kind == RIEMANN_LIOUVILLE:
-        teval[0] = mesh[0] + _SINGULAR_SHIFT * (mesh[1] - mesh[0])
-    forc = np.asarray(_forcing_scaled(problem, teval), dtype=float)
-    t_first = float(teval[0])
-    del teval
-    # the forcing of u itself; forc[0] is unchanged since mesh[0] = a
-    forc *= np.exp(-lam * (mesh - a))
+    off, due = [], [n + 2]
+    if len(nodes):
+        if not np.all((mesh[0] - tol <= nodes) & (nodes <= mesh[-1] + tol)):
+            raise ValueError("dense-output nodes must lie on the start mesh's span")
+        nearest = np.clip(np.rint((nodes - a) / h), 0, n).astype(np.intp)
+        on_mesh = np.abs(mesh[nearest] - nodes) <= tol
+        off = np.flatnonzero(~on_mesh)
+        due = np.searchsorted(mesh, nodes[off], side="right")
+        order = np.argsort(due, kind="stable")
+        off, due = off[order], due[order]
+        s_off = nodes[off]
+        forc_off = np.asarray(_forcing_scaled(problem, s_off), dtype=float)
+        forc_off *= np.exp(-lam * (s_off - a))
+        # each off node's fraction of a step past the last mesh point before
+        # it, and the weights of its panels ending fewer than _RL_SERIES_FROM
+        # steps before it
+        theta_off = (s_off - mesh[due - 1]) / h
+        near_off = np.stack(_near_weights(
+            np.add.outer(theta_off, np.arange(_RL_SERIES_FROM - 1, 0, -1.0)), alpha), axis=1)
+        off, due = off.tolist(), due.tolist() + [n + 2]
 
     r1, rl, rc = _convolution_tables(n, alpha)
     hpre = rga * h**alpha
     u = np.empty(n + 1)
     u_nodes = np.empty(len(nodes))
     gv = np.empty(n + 1)
-    u[0] = forc[0]
+    t_first = mesh.item(0)
+    if problem.kind == RIEMANN_LIOUVILLE:
+        t_first += _SINGULAR_SHIFT * (mesh.item(1) - mesh.item(0))
+    u[0] = _forcing_scaled(problem, t_first)  # the forcing of u itself, as mesh[0] = a
     e = math.exp(lam * (t_first - a))
     gv[0] = e * f(t_first, u[0] / e)
+    # the far sums start with g_0's terms, r1[n-m] g_0 and rl[n-m] g_0
+    np.multiply(r1[:n][::-1], gv.item(0), out=u[1:])
+    np.multiply(rl[:n][::-1], gv.item(0), out=gv[1:])
+    del rl
 
     block = min(_BLOCK, n)
     if lam > 0.0:
@@ -611,58 +708,76 @@ def _adams_pece_scaled(
         block = min(block, 1 + int(_REBASE_EXPONENT / (lam * h)))
     if problem.affine is not None:
         rect, trap = _start_block_matrices(r1, rc, block)
+        c0 = rc.item(n - 1)
     t_ref = a
     j = 0
-    m0 = 1
-    while m0 <= n:
-        m1 = min(m0 + block, n + 1)
-        if lam * (mesh.item(m1 - 1) - t_ref) > _REBASE_EXPONENT:
-            gv[:m0] *= math.exp(-lam * (mesh.item(m0) - t_ref))
-            t_ref = mesh.item(m0)
-        t = mesh[m0:m1]
-        decay = np.exp(-lam * (t - t_ref))
-        scale = decay * hpre
-        # the sums over g_0 .. g_{m0-1} for steps m1-1 down to m0
-        pred_far = np.correlate(r1[n - m1 + 1:n], gv[:m0])[::-1]
-        corr_far = rl[n - m1 + 1:n - m0 + 1][::-1] * gv.item(0)
-        if m0 > 1:
-            corr_far += np.correlate(rc[n - m1 + 1:n - 1], gv[1:m0])[::-1]
-        forc_b = forc[m0:m1]
-        solved = None
-        if problem.affine is not None:
-            solved = _affine_block(
-                problem.affine, t, decay, scale, forc_b, forc_b + scale * pred_far,
-                corr_far, rect, trap, rc.item(n - 1),
-            )
-        if solved is not None:
-            u[m0:m1], gv[m0:m1] = solved
-        else:
-            for k in range(m1 - m0):
-                m = m0 + k
-                T = mesh.item(m)
-                dk = decay.item(k)
-                sk = scale.item(k)
-                fm = forc_b.item(k)
-                pred = fm + sk * (pred_far.item(k) + float(r1[n - k:n].dot(gv[m0:m])))
-                gv[m] = f(T, pred) / dk
-                val = fm + sk * (corr_far.item(k) + float(rc[n - 1 - k:].dot(gv[m0:m + 1])))
+    for lo in range(1, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        t_chunk = mesh[lo:hi]
+        forc = np.exp(-lam * (t_chunk - a))
+        forc *= _forcing_scaled(problem, t_chunk)
+        decay = np.exp(-lam * (t_chunk - t_ref))
+        m0 = lo
+        while m0 < hi:
+            m1 = min(m0 + block, hi)
+            if lam * (mesh.item(m1 - 1) - t_ref) > _REBASE_EXPONENT:
+                rescale = math.exp(-lam * (mesh.item(m0) - t_ref))
+                gv *= rescale  # the history and the corrector's far sums
+                u[m0:] *= rescale
+                t_ref = mesh.item(m0)
+                decay[m0 - lo:] = np.exp(-lam * (t_chunk[m0 - lo:] - t_ref))
+            t = mesh[m0:m1]
+            dec = decay[m0 - lo:m1 - lo]
+            scale = dec * hpre
+            forc_b = forc[m0 - lo:m1 - lo]
+            # the far sums, plus the sums over g_lo .. g_{m0-1}, of steps m0 .. m1-1
+            if m0 > lo:
+                pred_far = np.correlate(r1[n - m1 + lo + 1:n], gv[lo:m0])[::-1]
+                pred_far += u[m0:m1]
+                corr_far = np.correlate(rc[n - m1 + lo:n - 1], gv[lo:m0])[::-1]
+                corr_far += gv[m0:m1]
+            else:
+                pred_far = u[m0:m1].copy()
+                corr_far = gv[m0:m1].copy()
+            solved = None
+            if problem.affine is not None:
+                solved = _affine_block(
+                    problem.affine, t, dec, scale, forc_b, forc_b + scale * pred_far,
+                    corr_far, rect, trap, c0,
+                )
+            if solved is not None:
+                u[m0:m1], gv[m0:m1] = solved
+            else:
+                for k in range(m1 - m0):
+                    m = m0 + k
+                    T = mesh.item(m)
+                    dk = dec.item(k)
+                    sk = scale.item(k)
+                    fm = forc_b.item(k)
+                    pred = fm + sk * (pred_far.item(k) + float(r1[n - k:n].dot(gv[m0:m])))
+                    gv[m] = f(T, pred) / dk
+                    val = fm + sk * (corr_far.item(k) + float(rc[n - 1 - k:].dot(gv[m0:m + 1])))
+                    if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
+                        raise BlowUpError(m, T, val, "start")
+                    u[m] = val
+                    gv[m] = f(T, val) / dk
+            while due[j] <= m1:
+                m, s = due[j], s_off.item(j)
+                acc_pred, acc, w_end = _product_sums(gv[:m], theta_off.item(j), alpha, near_off[j])
+                decay_s = math.exp(-lam * (s - t_ref))
+                fs = forc_off.item(j)
+                pred = fs + decay_s * hpre * acc_pred
+                val = fs + decay_s * hpre * (acc + w_end * f(s, pred) / decay_s)
                 if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
-                    raise BlowUpError(m, T, val, "start")
-                u[m] = val
-                gv[m] = f(T, val) / dk
-        while due[j] <= m1:
-            m, s = due[j], s_off.item(j)
-            acc_pred, acc, w_end = _product_sums(mesh[:m], s, alpha, gv[:m])
-            decay_s = math.exp(-lam * (s - t_ref))
-            fs = forc_off.item(j)
-            pred = fs + decay_s * rga * acc_pred
-            val = fs + decay_s * rga * (acc + w_end * f(s, pred) / decay_s)
-            if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
-                raise BlowUpError(m, s, val, "start")
-            u_nodes[off[j]] = val
-            j += 1
-        m0 = m1
-    u_nodes[near] = u[nearest[near]]
+                    raise BlowUpError(m, s, val, "start")
+                u_nodes[off[j]] = val
+                j += 1
+            m0 = m1
+        if hi <= n:
+            i = hi // _CHUNK  # the chunk's number, as hi = 1 + i _CHUNK
+            _push_far(gv, u, r1, rc, hi, (i & -i) * _CHUNK)
+    if len(nodes):
+        u_nodes[on_mesh] = u[nearest[on_mesh]]
     return u, u_nodes
 
 

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
-The special-function and quadrature oracles are computed with mpmath at
->= 50 significant digits and by construction do not share code paths with
-the package: series are summed directly, moments come from binomial
-expansions, and recurrence coefficients from Gram-Schmidt on monomials.
+The special-function, quadrature and product-weight oracles are computed
+with mpmath at >= 50 significant digits and by construction do not share
+code paths with the package: series are summed directly, moments come from
+binomial expansions, recurrence coefficients from Gram-Schmidt on
+monomials, and product weights from differences of powers.
 The fractional-Adams reference (:func:`adams_pece_reference`) is a plain
 double-precision O(m^2) loop that rebuilds every product weight from the
 mesh at every step.  Two more plain-double references keep earlier forms of
@@ -238,6 +239,30 @@ def convolution_tables_reference(n, alpha):
     rl = [p[1] for p in panels]
     rc = [panels[i][2] + rl[i + 1] for i in range(n)]
     return r1, rl, rc
+
+
+def product_sums_reference(g, theta, alpha):
+    """The sums of ``solver._product_sums`` at 50 digits: each panel's
+    weights as differences of powers of T - j, on the mesh 0, 1, .., m-1
+    with T = m - 1 + theta exactly."""
+    g = np.asarray(g).tolist()
+    m = len(g)
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        p = [m - 1 - j + mp.mpf(theta) for j in range(m)] + [mp.mpf(0)]
+        pa = [x**a for x in p]
+        pa1 = [x * y for x, y in zip(p, pa)]
+        rect = corr = mp.mpf(0)
+        for j, gj in enumerate(g):
+            i1 = (pa[j] - pa[j + 1]) / a
+            i2 = (pa1[j] - pa1[j + 1]) / (a + 1)
+            width = p[j] - p[j + 1]
+            rect += i1 * gj
+            corr += (i2 - p[j + 1] * i1) / width * gj
+            w_right = (p[j] * i1 - i2) / width
+            if j + 1 < m:
+                corr += w_right * g[j + 1]
+        return rect, corr, w_right
 
 
 def adams_pece_reference(problem, mesh):

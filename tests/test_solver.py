@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from _oracles import (
     convolution_tables_reference,
     lagrange_basis,
     lagrange_reference,
+    product_sums_reference,
     solve_reference,
 )
 from tfode.problems import exact_example2, exact_example3, example2, example3
@@ -27,6 +29,9 @@ from tfode.solver import (
     _adams_pece_scaled,
     _bary_weights,
     _convolution_tables,
+    _near_weights,
+    _product_sums,
+    _RL_SERIES_FROM,
     _Stepper,
     _stencil_weights,
 )
@@ -251,6 +256,16 @@ class TestConvolutionTables:
             for got, want in zip(_convolution_tables(n, alpha), convolution_tables_reference(n, alpha)):
                 np.testing.assert_allclose(got, np.array(want, dtype=float), rtol=1e-14, atol=0.0)
 
+    def test_product_sums_against_mpmath(self):
+        # the dense output's sums over M = 1760's split start history, at a
+        # node 0.37 of a step past its last point; as differences of powers
+        # the corrector sum was off by 1.0e-11 relative
+        g = np.random.default_rng(1).uniform(0.5, 1.0, 10240)
+        near = np.array(_near_weights(np.arange(_RL_SERIES_FROM - 1, 0, -1.0) + 0.37, 0.2))
+        got = _product_sums(g, 0.37, 0.2, near)
+        for x, want in zip(got, product_sums_reference(g, 0.37, 0.2)):
+            assert abs(x - want) <= 1e-13 * abs(want)
+
 
 class TestAdamsStart:
     """The convolution start, and its dense output, against the O(m^2)
@@ -339,13 +354,62 @@ class TestAdamsStart:
             assert (h * np.rint(nodes / h) != nodes).all()
             assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
 
+    @pytest.mark.parametrize("kind", ["caputo", "rl"])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.5, 1.8])
+    def test_pushed_far_history(self, monkeypatch, kind, alpha):
+        # 64-point chunks: 23 pushes over five levels, 64 to 1024 points,
+        # reach the far sums of a 1500-step mesh, and the nodes fall after
+        # pushes of 64, 1024 and 128 points, and in the last panel
+        monkeypatch.setattr("tfode.solver._CHUNK", 64)
+        h = 1e-3
+        mesh = h * np.arange(1501)
+        nodes = np.array([mesh[65] + 0.3 * h, mesh[1025] + 0.6 * h, mesh[1409] + 0.5 * h,
+                          mesh[1500] - 0.2 * h])
+        problem = _start_problem(kind, alpha)
+        assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
+
+    def test_pushed_far_history_rebased(self, monkeypatch):
+        # lam t reaches 600: the history is rebased at t = 0.737, inside a
+        # chunk, while far sums from pushes of up to 512 points are pending,
+        # and at t = 1.473; one node falls before the first rebase, one after
+        monkeypatch.setattr("tfode.solver._CHUNK", 64)
+        h = 1e-3
+        mesh = h * np.arange(1501)
+        nodes = np.array([mesh[700] + 0.5 * h, mesh[800] + 0.5 * h])
+        problem = _start_problem("caputo", 0.5, lam=400.0)
+        assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
+
+    def test_cost_near_linear(self):
+        # doubling the start mesh at most 2.5x its time: with the far sums
+        # summed directly over the whole history it took 3.0x
+        problem = _start_problem("caputo", 0.5)
+
+        def seconds(n):
+            # the better of two runs, so that one stall does not count
+            mesh = np.arange(n + 1.0) / n
+            times = []
+            for _ in range(2):
+                t0 = time.perf_counter()
+                _adams_pece_scaled(problem, mesh, 1.0 / n)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        seconds(1024)  # warm caches
+        # the sizes alternate and the median of three pair ratios is taken,
+        # as in criterion 9
+        pairs = [(seconds(10240), seconds(20480)) for _ in range(3)]
+        ratio = sorted(t2 / t1 for t1, t2 in pairs)[1]
+        assert ratio <= 2.5, pairs
+
     def test_split_start_peak_memory(self):
-        # the start holds seven arrays as long as its uniform mesh (mesh,
-        # forcing, u, the history, three weight tables) and, during a PECE
-        # at a Lobatto node, four temporaries as long as its history; with
-        # the two in-block weight matrices of the affine start, 11.8 arrays
-        # measured, bounded at 12.5.  Merging the nodes into the mesh, with
-        # correction rows next to them, took 13.0
+        # the start holds five arrays as long as its uniform mesh (mesh, u,
+        # the history, two weight tables; u and the history hold the far
+        # sums until their steps), and the forcing and decay over one chunk
+        # and the two in-block weight matrices of the affine start.  A PECE
+        # at a Lobatto node adds four temporaries as long as its history,
+        # and an FFT push about as many: 10.1 arrays measured, bounded at
+        # 12.5.  Merging the nodes into the mesh, with correction rows next
+        # to them, took 13.0
         problem = example3(0.5, 5.0)
         config = SolverConfig(steps=1760, n_interp=2, split_t0=0.1, n_tilde=40)
         npts = len(_split_start_mesh(problem, 1760)[0])
