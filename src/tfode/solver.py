@@ -13,11 +13,13 @@ makes ``n_interp`` the design convergence order.  Cost per step does not
 grow with the step index, so a whole solve is O(steps): the quadrature
 positions and stencil weights depend only on the step index, so one
 vectorised build precomputes them for a block of 32 consecutive steps
-(``_BLOCK``).  A step's predictor is then one gather of the history and one
-dot product; the corrector's stencils differ only next to the new node, so
-its sum is the predictor's plus a window over the last ``n_interp + 1``
-nodes, and each corrector iteration is scalar arithmetic plus the
-right-hand-side call.
+(``_BLOCK``).  The weights also carry the kernel's tempering
+e^{-lam (t_n - t_i)} of each sample, a factor of at most 1, so the history
+a step reads is the trace's own f values.  A step's predictor is then one
+gather of that history and one dot product; the corrector's stencils
+differ only next to the new node, so its sum is the predictor's plus a
+window over the last ``n_interp + 1`` nodes, and each corrector iteration
+is scalar arithmetic plus the right-hand-side call.
 
 Both schemes start alike (:func:`_start`): the grid values through
 t_{n_start}, n_start = max(j0, n_interp - 1) with j0 the grid index of the
@@ -370,9 +372,9 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
 # Starting procedure: fractional Adams PECE on an auxiliary mesh
 
 
-#: Largest lam * (t - t_ref) the scaled history may reach before it is
-#: rebased onto a later reference time.  The margin below the double range
-#: (exp overflows past ~709) leaves room for the span still to come.
+#: Largest lam * (t - t_ref) the start's scaled history may reach before it
+#: is rebased onto a later reference time.  The margin below the double
+#: range (exp overflows past ~709) leaves room for the span still to come.
 _REBASE_EXPONENT = 300.0
 
 #: Mesh points per chunk of the start, a multiple of ``_BLOCK``.  A block
@@ -411,12 +413,14 @@ def _rl_series(alpha: float) -> tuple[float, ...]:
     return tuple(reversed(rho))
 
 
-def _near_weights(d: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """``r1`` and ``rl`` of unit panels whose far ends lie
-    1 < d < ``_RL_SERIES_FROM`` widths before T, in new arrays of d's shape
-    (see :func:`_convolution_tables`): ``r1 = -d^a expm1(a log1p(-1/d))/a``,
-    and ``rl = i2 - (d-1) r1``, with i2 the integral of x^a in r1's form."""
-    lg = np.log1p(-1.0 / d)
+def _near_weights(e: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """``r1`` and ``rl`` of unit panels whose near ends lie
+    0 < e < ``_RL_SERIES_FROM`` - 1 widths before T, in new arrays of e's
+    shape (see :func:`_convolution_tables`): with d = e + 1,
+    ``r1 = -d^a expm1(-a log1p(1/e))/a`` and ``rl = i2 - e r1``, with i2 the
+    integral of x^a in r1's form; e keeps its digits where e + 1 would not."""
+    d = e + 1.0
+    lg = -np.log1p(1.0 / e)
     r1 = np.multiply(alpha, lg)
     np.expm1(r1, out=r1)
     r1 *= d**alpha
@@ -425,7 +429,7 @@ def _near_weights(d: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     np.expm1(rl, out=rl)
     rl *= d ** (alpha + 1.0)
     rl /= -(alpha + 1.0)
-    rl -= (d - 1.0) * r1
+    rl -= e * r1
     return r1, rl
 
 
@@ -479,7 +483,7 @@ def _convolution_tables(n: int, alpha: float):
     r1f /= -alpha
     _far_rl(df, alpha, r1f, rlf)
     if far < n - 1:
-        r1[far:n - 1], rl[far:n - 1] = _near_weights(d[far:n - 1], alpha)
+        r1[far:n - 1], rl[far:n - 1] = _near_weights(d[far + 1:n], alpha)  # near ends d - 1
     if n:
         r1[n - 1] = 1.0 / alpha
         rl[n - 1] = 1.0 / (alpha + 1.0)
@@ -502,9 +506,9 @@ def _product_sums(g: np.ndarray, theta: float, alpha: float, near: np.ndarray):
     signs, so in the sums it meets only differences of neighbouring
     samples.  rl is r1 times the series of :func:`_far_rl`; as a difference
     of powers it lost ~d^2 ulps, which did not cancel.  Nearer, ``near``
-    holds the weights, rows r1 and rl at d = _RL_SERIES_FROM - 1 + theta
-    down to 1 + theta (:func:`_near_weights`).  The last panel, [m-1, T],
-    is theta wide: its weights are theta^alpha/alpha,
+    holds rows r1 and rl of the panels ending _RL_SERIES_FROM - 2 + theta
+    down to theta before T (:func:`_near_weights`).  The last panel,
+    [m-1, T], is theta wide: its weights are theta^alpha/alpha,
     theta^alpha/(alpha+1) and the difference of the two.
     """
     m = len(g)
@@ -680,10 +684,10 @@ def _adams_pece_scaled(
         forc_off *= np.exp(-lam * (s_off - a))
         # each off node's fraction of a step past the last mesh point before
         # it, and the weights of its panels ending fewer than _RL_SERIES_FROM
-        # steps before it
+        # steps before it, theta + 6 .. theta steps
         theta_off = (s_off - mesh[due - 1]) / h
         near_off = np.stack(_near_weights(
-            np.add.outer(theta_off, np.arange(_RL_SERIES_FROM - 1, 0, -1.0)), alpha), axis=1)
+            np.add.outer(theta_off, np.arange(_RL_SERIES_FROM - 2, -1, -1.0)), alpha), axis=1)
         off, due = off.tolist(), due.tolist() + [n + 2]
 
     r1, rl, rc = _convolution_tables(n, alpha)
@@ -815,27 +819,26 @@ def _ufunc_bufsize(size: int):
 class _Stepper:
     """Per-solve state for the Jacobi predictor-corrector iteration.
 
-    Interpolation acts on the exponentially scaled samples
-    ``g_i = e^{lam (t_i - t_ref)} f(t_i, u_i)`` (the integrand of the
-    Volterra kernel, which is the quantity whose smoothness sets the
-    scheme's order); the tempering factor is restored exactly afterwards.
-    ``t_ref`` starts at ``a`` and moves forward, with the history in ``gs``
-    rescaled, whenever the next block of steps would take the exponent past
-    ``_REBASE_EXPONENT``.
+    Interpolation acts on the samples e^{-lam (t_n - t_i)} f(t_i, u_i), the
+    integrand of the Volterra kernel, whose smoothness sets the scheme's
+    order.  The history is the f values, and the tempering is in the
+    weights: for stencil node i = i0 + j it is e^{-lam tau (n - i0 - NI + 1)}
+    e^{-lam tau (NI - 1 - j)}, a factor per step and quadrature node and one
+    vector, both at most 1 as the predictor's stencils end at n - 1.
 
     Quadrature over ``[t_origin, t_n]`` uses the Jacobi-weight rule; the
     origin is grid index ``origin`` (0, or the split point), and ``history``
     holds ``(nodes, weights, f)`` of the unit-weight rule over ``[a, t0]``
     for the split scheme.  Each step's quadrature positions and stencils
     depend only on the step index, so they are built ``_BLOCK`` steps at a
-    time.  The predictor's stencils end at g_{n-1}; a step's predictor sum
-    is one gather of the history and one dot with the combined weights
-    ``w_q l_{q,k}``.  The corrector's stencils may reach g_n, and only the
-    tail positions whose predictor stencil was clamped to [n-NI, n-1] move
-    (to [n-NI+1, n]), so its sum is the predictor's plus a correction over
-    the window g_{n-NI..n}.  The window's weight on g_n, the endpoint's
-    rule weight included, is one scalar, so every corrector iteration is
-    scalar arithmetic.
+    time.  The predictor's stencils end at f_{n-1}; a step's predictor sum
+    is one gather of the history and one dot with the combined weights.
+    The corrector's stencils may reach f_n, and only the tail positions
+    whose predictor stencil was clamped to [n-NI, n-1] move (to
+    [n-NI+1, n]), so its sum is the predictor's plus a correction over the
+    window f_{n-NI..n}.  The window's weight on f_n, the endpoint's rule
+    weight included, is one scalar, so every corrector iteration is scalar
+    arithmetic.
     """
 
     def __init__(
@@ -852,12 +855,15 @@ class _Stepper:
         self.rga = rgamma(problem.alpha)
         self.origin = origin
         self.history = history
-        self.t_ref = problem.a
         n_interp = config.n_interp
+        lam_tau = problem.lam * self.tau
         self._half_nodes = 0.5 * (self.rule.nodes + 1.0)
-        self._weights_flat = np.tile(self.rule.weights, _BLOCK)
         self._offsets = np.tile(np.arange(n_interp), len(self.rule.nodes))
-        self._window_weights = _bary_weights(n_interp + 1).ravel()
+        # the tempering of stencil node j, NI-1-j steps before the stencil's last
+        self._stencil_decay = np.exp(-lam_tau * np.arange(n_interp - 1, -1, -1.0))[:, None]
+        # and of the window's nodes, NI .. 0 steps before t_n
+        self._window_weights = _bary_weights(n_interp + 1).ravel() * np.exp(
+            -lam_tau * np.arange(n_interp, -1, -1.0))
         self._lo = self._hi = 0
 
     def _history_part(self, t: np.ndarray) -> np.ndarray:
@@ -870,21 +876,13 @@ class _Stepper:
         kern *= f
         return self.rga * (kern @ weights)
 
-    def rebase(self, gs: np.ndarray, upto: int, t_new: float) -> None:
-        """Move ``t_ref`` to ``t_new``, rescaling the history gs[:upto]."""
-        gs[:upto] *= math.exp(-self.problem.lam * (t_new - self.t_ref))
-        self.t_ref = t_new
-
-    def _build_block(self, times: np.ndarray, gs: np.ndarray, lo: int) -> None:
-        """Precompute steps lo..hi-1, rebasing the history in ``gs`` if due."""
+    def _build_block(self, times: np.ndarray, lo: int) -> None:
+        """Precompute steps lo..hi-1."""
         problem, n_interp = self.problem, self.config.n_interp
-        hi = min(lo + _BLOCK, len(gs))
-        lam = problem.lam
-        if lam * (times[hi - 1] - self.t_ref) > _REBASE_EXPONENT:
-            self.rebase(gs, lo, float(times[lo]))
+        hi = min(lo + _BLOCK, len(times))
         self._c = self._idx = None  # release the last block's first: lowers the peak
         t = times[lo:hi]
-        base = np.exp(-lam * (t - problem.a)) * _forcing_scaled(problem, t)
+        base = np.exp(-problem.lam * (t - problem.a)) * _forcing_scaled(problem, t)
         if self.history is not None:
             base += self._history_part(t)
         self._base = base
@@ -896,13 +894,20 @@ class _Stepper:
         # the peak is the two arrays kept plus the integer starts
         with _ufunc_bufsize(_BUILD_BUFSIZE):
             i0, lw, s = _stencil_weights(r, (n - 1.0)[:, None], n_interp)
-            del r
+            # r takes each stencil's tempering at its last node, n-i0-NI+1
+            # steps before t_n, times the node's rule weight
+            np.subtract((n - (n_interp - 1))[:, None], i0, out=r)
+            r *= -problem.lam * self.tau
+            np.exp(r, out=r)
+            r *= self.rule.weights
             i0 = i0.astype(np.intp)
             # the moved stencils change the sum by sigma times the window's
-            # (NI+1)-point weights, whose last one multiplies g_n
+            # (NI+1)-point weights, whose last one multiplies f_n
             sigma = s @ self.rule.weights
             del s
-            lw *= self._weights_flat[:lw.shape[1]]
+            lw *= r.reshape(-1)
+            del r
+            lw *= self._stencil_decay
             # step-major rows, each quadrature node's stencil contiguous
             self._c = lw.T.reshape(len(n), -1)
             del lw
@@ -915,24 +920,21 @@ class _Stepper:
         self._pref = (0.5 * self.tau * span) ** problem.alpha * self.rga
         self._lo, self._hi = lo, hi
 
-    def step(self, times: np.ndarray, gs: np.ndarray, n1: int) -> float:
-        """Advance to times[n1] given the scaled history gs[0..n1-1]."""
+    def step(self, times: np.ndarray, fs: np.ndarray, n1: int) -> float:
+        """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1]."""
         if not self._lo <= n1 < self._hi:
-            self._build_block(times, gs, n1)
-        problem = self.problem
+            self._build_block(times, n1)
         k = n1 - self._lo
         t_next = times.item(n1)
-        decay = math.exp(-problem.lam * (t_next - self.t_ref))
         base = self._base.item(k)
-        pref = decay * self._pref.item(k)
+        pref = self._pref.item(k)
 
-        acc = float(self._c[k].dot(gs[self._idx[k]]))
+        acc = float(self._c[k].dot(fs[self._idx[k]]))
         u_new = base + pref * acc
-        acc += float(self._window[k].dot(gs[n1 - self.config.n_interp:n1]))
+        acc += float(self._window[k].dot(fs[n1 - self.config.n_interp:n1]))
         w_end = self._w_end.item(k)
         for _ in range(self.config.corrector_iters):
-            g_end = problem.rhs(t_next, u_new) / decay
-            u_new = base + pref * (acc + w_end * g_end)
+            u_new = base + pref * (acc + w_end * self.problem.rhs(t_next, u_new))
         if not math.isfinite(u_new) or abs(u_new) > _BLOWUP_LIMIT:
             raise BlowUpError(n1, t_next, u_new, "step")
         return u_new
@@ -954,20 +956,13 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
 
 
 def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> SolutionTrace:
-    """Fill ``trace``: its first values are ``u_start``, the rest are stepped."""
-    problem, times = trace.problem, trace.times
-    gs = np.empty(len(times))
+    """Fill ``trace``: its first values are ``u_start``, the rest are stepped,
+    each step reading the f values before it from ``trace.rhs_values``."""
+    problem, times, fs = trace.problem, trace.times, trace.rhs_values
     for n1 in range(len(times)):
-        t = float(times[n1])
-        u = float(u_start[n1]) if n1 < len(u_start) else stepper.step(times, gs, n1)
-        f = problem.rhs(t, u)
+        u = float(u_start[n1]) if n1 < len(u_start) else stepper.step(times, fs, n1)
         trace.values[n1] = u
-        trace.rhs_values[n1] = f
-        if problem.lam * (t - stepper.t_ref) > _REBASE_EXPONENT:
-            # the starting values, and a step inside a block whose span
-            # passes the exponent, since a block rebases only at its start
-            stepper.rebase(gs, n1, t)
-        gs[n1] = f * math.exp(problem.lam * (t - stepper.t_ref))
+        fs[n1] = problem.rhs(float(times[n1]), u)
     return trace
 
 

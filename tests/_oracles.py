@@ -16,7 +16,8 @@ of samples with the Lagrange basis in product form, not with the
 solver's barycentric stencil weights.  :class:`BlockStepperReference`
 keeps the earlier JPC step operator, which builds the predictor's and the
 corrector's stencil weights separately and gathers each through a sliding
-window of the history; :func:`solve_reference` runs a solve with it.
+window of an exponentially scaled copy of the history, rebased as it grows;
+:func:`solve_reference` runs a solve with it, through a march of its own.
 """
 
 import math
@@ -360,11 +361,12 @@ class BlockStepperReference:
     Per block of ``BLOCK`` steps, a length of its own rather than the
     solver's, it builds stencil starts and combined weights w_q l_{q,k} for
     the predictor (stencils clamped to [0, n-1]) and for the corrector
-    (clamped to [0, n]); a block rebases the history at its start, so it
-    rebases at other steps than the solver does.  A step gathers the
-    history through a sliding window once for the predictor and once per
-    corrector iteration, with the endpoint's rule weight on the predicted
-    g_n.  The split history term is evaluated step by step.
+    (clamped to [0, n]).  Its history is g_i = e^{lam (t_i - t_ref)} f_i,
+    where the solver reads f_i and tempers through its weights; a block
+    rebases g at its start.  A step gathers the history through a sliding
+    window once for the predictor and once per corrector iteration, with
+    the endpoint's rule weight on the predicted g_n.  The split history
+    term is evaluated step by step.
     """
 
     BLOCK = 16
@@ -439,9 +441,21 @@ class BlockStepperReference:
 
 
 def solve_reference(problem, config):
-    """``solver.solve`` with :class:`BlockStepperReference` as the stepper:
-    the same start, split history and march."""
+    """A solve with :class:`BlockStepperReference` as the stepper: the
+    solver's start and split history, and a march of its own over the
+    scaled history g_i = e^{lam (t_i - t_ref)} f(t_i, u_i), rebased where
+    a step inside a block, or a starting value, takes the exponent past
+    ``solver._REBASE_EXPONENT``."""
     trace = solver._new_trace(problem, config)
     u_start, stepper = solver._start(problem, config)
     reference = BlockStepperReference(problem, config, stepper.origin, stepper.history)
-    return solver._march(trace, u_start, reference)
+    times, lam = trace.times, problem.lam
+    gs = np.empty(len(times))
+    for n1, t in enumerate(times.tolist()):
+        u = float(u_start[n1]) if n1 < len(u_start) else reference.step(times, gs, n1)
+        f = problem.rhs(t, u)
+        trace.values[n1], trace.rhs_values[n1] = u, f
+        if lam * (t - reference.t_ref) > solver._REBASE_EXPONENT:
+            reference.rebase(gs, n1, t)
+        gs[n1] = f * math.exp(lam * (t - reference.t_ref))
+    return trace

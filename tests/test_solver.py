@@ -258,13 +258,21 @@ class TestConvolutionTables:
 
     def test_product_sums_against_mpmath(self):
         # the dense output's sums over M = 1760's split start history, at a
-        # node 0.37 of a step past its last point; as differences of powers
-        # the corrector sum was off by 1.0e-11 relative
-        g = np.random.default_rng(1).uniform(0.5, 1.0, 10240)
-        near = np.array(_near_weights(np.arange(_RL_SERIES_FROM - 1, 0, -1.0) + 0.37, 0.2))
-        got = _product_sums(g, 0.37, 0.2, near)
-        for x, want in zip(got, product_sums_reference(g, 0.37, 0.2)):
-            assert abs(x - want) <= 1e-13 * abs(want)
+        # node 0.37 of a step past its last point, where as differences of
+        # powers the corrector sum was off by 1.0e-11 relative; and over a
+        # short history at nodes just past a mesh point, down to 6.4e-8 of a
+        # step (1e-9 tau at a refinement of 64, where a node snaps onto the
+        # mesh), where near weights from the panels' far ends lost up to
+        # 1.2e-11
+        long = np.random.default_rng(1).uniform(0.5, 1.0, 10240)
+        short = np.random.default_rng(2).uniform(0.5, 1.0, 256)
+        cases = [(long, 0.37, 1e-13)]
+        cases += [(short, theta, 1e-14) for theta in (1e-8, 6.4e-8, 1e-6, 0.37, 0.999)]
+        for g, theta, rtol in cases:
+            near = np.array(_near_weights(np.arange(_RL_SERIES_FROM - 2, -1, -1.0) + theta, 0.2))
+            got = _product_sums(g, theta, 0.2, near)
+            for x, want in zip(got, product_sums_reference(g, theta, 0.2)):
+                assert abs(x - want) <= rtol * abs(want), (len(g), theta)
 
 
 class TestAdamsStart:
@@ -425,7 +433,7 @@ class TestAdamsStart:
     @pytest.mark.parametrize("lam", [1200.0, 2000.0])
     def test_large_tempering_rate(self, lam):
         # lam (NI - 1) tau is past the double range of e^{lam (t - a)}; the
-        # start's history is rebased like the steps'
+        # start's scaled history is rebased onto later reference times
         for twin in _twins(example2(0.5, lam)):
             tr = solve(twin, SolverConfig(steps=10, n_interp=7))
             exact = np.array([exact_example2(0.5, lam, t) for t in tr.times])
@@ -508,31 +516,36 @@ class TestStepOperator:
     @pytest.mark.parametrize("n_interp, origin", [(7, 0), (4, 0), (2, 8), (5, 8)])
     def test_block_weights_reproduce_polynomials(self, n_interp, origin):
         steps = 4 * _BLOCK
-        problem = example2(0.5, 2.0)
+        lam = 2.0
+        problem = example2(0.5, lam)
         config = SolverConfig(steps=steps, n_interp=n_interp)
         stepper = _Stepper(problem, config, origin)
         nodes, wts = stepper.rule.nodes, stepper.rule.weights
         rng = np.random.default_rng(n_interp)
         coef = rng.standard_normal(n_interp)
         poly = lambda x: np.polynomial.polynomial.polyval(x / steps, coef)
-        gs = poly(np.arange(steps + 1.0))
+        fs = poly(np.arange(steps + 1.0))
         times = np.linspace(0.0, 1.0, steps + 1)
+        # the window's tempering, over its nodes NI .. 1 steps before t_n
+        window_decay = np.exp(-lam * stepper.tau * np.arange(n_interp, 0, -1))
         hits = 0
         for lo in range(max(origin + 1, n_interp), steps + 1, _BLOCK):
-            stepper._build_block(times, gs, lo)
+            stepper._build_block(times, lo)
             for k, n in enumerate(range(lo, stepper._hi)):
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
                 # one row per quadrature node, its stencil's NI entries in order
                 idx = stepper._idx[k].reshape(len(r), n_interp)
-                c = stepper._c[k].reshape(len(r), n_interp)
+                # each weight carries the tempering e^{-lam (t_n - t_i)} of
+                # its node; divided out, the rows interpolate
+                c = stepper._c[k].reshape(len(r), n_interp) / np.exp(-lam * (times[n] - times[idx]))
                 assert idx.min() >= 0 and idx.max() <= n - 1
                 assert (np.diff(idx, axis=1) == 1).all()
                 # the predictor over all nodes, its stencils ending at n-1
-                got = (c * gs[idx]).sum(axis=1)
+                got = (c * fs[idx]).sum(axis=1)
                 assert np.allclose(got, wts * poly(r), rtol=0.0, atol=1e-12)
                 # the predictor plus the window, node n included, over the
                 # corrector's nodes
-                window = stepper._window[k] @ gs[n - n_interp:n] + stepper._w_end[k] * gs[n]
+                window = (stepper._window[k] / window_decay) @ fs[n - n_interp:n] + stepper._w_end[k] * fs[n]
                 assert got.sum() + window == pytest.approx(wts @ poly(r), rel=0.0, abs=1e-12)
                 hits += int(((c == 0.0).sum(axis=1) == n_interp - 1).sum())
         assert hits > 0  # the origin node (and x = 0 at even spans) hit the grid
@@ -541,23 +554,27 @@ class TestStepOperator:
     def test_window_gives_the_corrector_stencils(self, n_interp, origin):
         # on data no stencil reproduces, the predictor sum plus the window
         # equals the corrector's quadrature node by node: stencils within
-        # [0, n], and the endpoint's weight on g_n
+        # [0, n], and the endpoint's weight on f_n
         steps = 2 * _BLOCK + 3
-        problem = example2(0.5, 2.0)
+        lam = 2.0
+        problem = example2(0.5, lam)
         stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=n_interp), origin)
         nodes, wts = stepper.rule.nodes, stepper.rule.weights
-        gs = np.random.default_rng(origin + n_interp).standard_normal(steps + 1)
+        fs = np.random.default_rng(origin + n_interp).standard_normal(steps + 1)
         times = np.linspace(0.0, 1.0, steps + 1)
+        window_decay = np.exp(-lam * stepper.tau * np.arange(n_interp, 0, -1))
         for lo in range(max(origin + 1, n_interp), steps + 1, _BLOCK):
-            stepper._build_block(times, gs, lo)
+            stepper._build_block(times, lo)
             for k, n in enumerate(range(lo, stepper._hi)):
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
-                pred = stepper._c[k] @ gs[stepper._idx[k]]
+                idx = stepper._idx[k]
+                pred = (stepper._c[k] / np.exp(-lam * (times[n] - times[idx]))) @ fs[idx]
                 want = sum(
-                    w * lagrange_reference(gs[:n + 1], x, n_interp)
+                    w * lagrange_reference(fs[:n + 1], x, n_interp)
                     for x, w in zip(r[:-1], wts[:-1])
-                ) + wts[-1] * gs[n]
-                got = pred + stepper._window[k] @ gs[n - n_interp:n] + stepper._w_end[k] * gs[n]
+                ) + wts[-1] * fs[n]
+                window = (stepper._window[k] / window_decay) @ fs[n - n_interp:n]
+                got = pred + window + stepper._w_end[k] * fs[n]
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("steps", [
@@ -570,9 +587,10 @@ class TestStepOperator:
     @pytest.mark.parametrize("n_interp", [2, 3, 5, 7])
     @pytest.mark.parametrize("lam", [2.0, 800.0])
     def test_solve_matches_reference_stepper(self, lam, n_interp, corrector_iters, split, steps):
-        # the shared-stencil step against the separate predictor and
-        # corrector stencils it replaced (tests/_oracles.py), built in blocks
-        # of their own length, so the two solves also rebase at different steps
+        # the shared-stencil step, tempered through its weights, against the
+        # separate predictor and corrector stencils it replaced
+        # (tests/_oracles.py), built in blocks of their own length over a
+        # scaled history that is rebased as it grows
         problem = example2(0.5, lam)
         config = SolverConfig(
             steps=steps, n_interp=n_interp, corrector_iters=corrector_iters,
@@ -593,11 +611,10 @@ class TestStepOperator:
         problem = example2(0.5, 2.0)
         stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=7, n_quad=20))
         times = np.linspace(0.0, 1.0, steps + 1)
-        gs = np.ones(steps + 1)
-        stepper._build_block(times, gs, 500)  # warm the caches
+        stepper._build_block(times, 500)  # warm the caches
         tracemalloc.start()
         try:
-            stepper._build_block(times, gs, 500 + _BLOCK)
+            stepper._build_block(times, 500 + _BLOCK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -749,9 +766,9 @@ class TestSolve:
     @pytest.mark.parametrize("lam, steps", [(800.0, 160), (2000.0, 1280)])
     def test_large_tempering_rate(self, lam, steps):
         # lam (b - a) far beyond the double range of e^{lam (t - a)}: the
-        # scaled history is rebased, so the solve neither overflows nor
-        # reports a spurious blow-up, and stays accurate wherever the exact
-        # solution is representable
+        # steps' tempering factors are all at most 1, so the solve neither
+        # overflows nor reports a spurious blow-up, and stays accurate
+        # wherever the exact solution is representable
         tr = solve(example2(0.5, lam), SolverConfig(steps=steps, n_interp=7))
         assert np.isfinite(tr.values).all()
         exact = np.array([exact_example2(0.5, lam, t) for t in tr.times])
@@ -761,9 +778,10 @@ class TestSolve:
         assert np.abs(tr.values[big] / exact[big] - 1.0).max() <= 1e-12
 
     def test_peak_memory_linear_in_steps(self):
-        # the block precompute keeps the solve's working set at a few
-        # grid-length arrays (trace times/values/rhs, scaled history);
-        # precomputing every step's stencils would need over 100
+        # the block precompute keeps the solve's working set at the trace's
+        # three grid-length arrays (times, values, and the f values that the
+        # steps read as their history) plus one block's weights; precomputing
+        # every step's stencils would need over 100
         steps = 20480
         problem, config = example2(0.5, 2.0), SolverConfig(steps=steps, n_interp=7)
         solve(problem, SolverConfig(steps=64, n_interp=7))  # warm the rule cache
@@ -773,7 +791,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * (steps + 1) * 8
+        assert peak < 4 * (steps + 1) * 8
 
     def test_blow_up_detection(self):
         p = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=4.0, init=(2.0,),
