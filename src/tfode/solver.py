@@ -27,10 +27,12 @@ split point (0 without one), come from one product-trapezoidal
 predictor-corrector (fractional Adams) run on a refined auxiliary grid, or
 from the exact solution with ``exact_start``.  The run's product weights
 depend only on the distance in steps, so they are tabulated once, and it
-runs in blocks of ``_BLOCK`` steps.  A step's sums over the history have
-two tiers: the history since its chunk of ``_CHUNK`` mesh points began is
-summed for all of a block's steps at once, one ``np.correlate`` per weight
-table, and older history reaches it through far sums, to which each
+runs in blocks of ``_BLOCK`` steps.  Its history, too, is the f values;
+each sum over it takes the tempering e^{-lam h d} at distance d about a
+pivot of its own, in factors of at most 1.  A step's sums over the history
+have two tiers: the history since its chunk of ``_CHUNK`` mesh points began
+is summed for all of a block's steps at once, one ``np.correlate`` per
+weight table, and older history reaches it through far sums, to which each
 finished chunk adds by FFT over doubling spans (Hairer, Lubich and
 Schlichte), so that the start costs O(n log n) in its n steps past the near
 tier's O(n _CHUNK).  Inside a block, a right-hand side declared affine in u
@@ -41,8 +43,8 @@ at the start, the split scheme (``split_t0``) integrates the history over
 ``[a, t0]`` with a fixed unit-weight Gauss-Lobatto rule, and only the
 smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term is
 evaluated for a block of steps at once.  u at each Lobatto node off the
-refined grid is one more PECE step over the grid history before the node
-(dense output), which is not fed back into the history.
+refined grid is one more PECE step over the finished grid history before
+the node (dense output), which is not fed back into the history.
 """
 
 from __future__ import annotations
@@ -372,11 +374,6 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
 # Starting procedure: fractional Adams PECE on an auxiliary mesh
 
 
-#: Largest lam * (t - t_ref) the start's scaled history may reach before it
-#: is rebased onto a later reference time.  The margin below the double
-#: range (exp overflows past ~709) leaves room for the span still to come.
-_REBASE_EXPONENT = 300.0
-
 #: Mesh points per chunk of the start, a multiple of ``_BLOCK``.  A block
 #: sums the history since its chunk began directly, in O(_CHUNK) per step;
 #: older history reaches it through the far sums, pushed by FFT a chunk at
@@ -535,11 +532,13 @@ def _product_sums(g: np.ndarray, theta: float, alpha: float, near: np.ndarray):
 
 
 def _start_block_matrices(r1: np.ndarray, rc: np.ndarray, size: int) -> np.ndarray:
-    """In-block product weights of the start, by row and column.
+    """In-block product weights of the start, by row and column, from the
+    entries at distances below ``size`` of tables laid out as ``r1`` and
+    ``rc`` of :func:`_convolution_tables`.
 
     Row k, column l < k of ``rect``, the first matrix, holds the rectangle
-    weight of g_l in the predictor at step k, and of ``trap``, the second,
-    the trapezoid weight of g_l in the corrector; both are strictly lower
+    weight of f_l in the predictor at step k, and of ``trap``, the second,
+    the trapezoid weight of f_l in the corrector; both are strictly lower
     triangular Toeplitz matrices, and the top left corner of each serves a
     shorter block.
     """
@@ -554,72 +553,88 @@ def _start_block_matrices(r1: np.ndarray, rc: np.ndarray, size: int) -> np.ndarr
     return as_strided(first, (2, size, size), (first.strides[0], step, -step)).copy()
 
 
-def _affine_block(affine, t, decay, scale, forc, pred0, corr_far, rect, trap, c0):
+def _tempering(d: np.ndarray, lam: float) -> np.ndarray:
+    """e^{-lam d} over the distances ``d``, in place."""
+    d *= -lam
+    return np.exp(d, out=d)
+
+
+def _affine_block(affine, t, hpre, forc, pred0, corr_far, rect, trap, c0):
     """u over a block of start steps for f = p + q u, in one triangular solve.
 
-    With g = (p + q u) / decay the scaled history, step k's predictor is
-    ``pred0[k] + scale[k] (rect g)[k]`` and its corrector
-    ``forc[k] + scale[k] (corr_far[k] + (trap g)[k] + c0 gp[k])``, where gp
-    is g at the predictor.  Substituting g makes u the solution of one unit
-    lower-triangular system.  Returns u and g, or None when p or q raises or
-    is complex at ``t``, or some u is not finite or past the blow-up limit.
-    A p or q that is not finite makes its step's u so, and gives None too.
+    Step k's predictor is ``pred0[k] + hpre (rect f)[k]`` and its corrector
+    ``forc[k] + hpre (corr_far[k] + (trap f)[k] + c0 fp[k])``, where fp is f
+    at the predictor and ``rect`` and ``trap`` hold the tempered in-block
+    weights.  Substituting f = p + q u makes u the solution of one unit
+    lower-triangular system.  Returns u and f, or None when p or q raises,
+    is complex or does not broadcast to ``t``, or some u is not finite or
+    past the blow-up limit.  A p or q that is not finite makes its step's u
+    so, and gives None too.
     """
     b = len(t)
+    p, q = np.empty((2, b))
     with np.errstate(all="ignore"):
         try:
-            p = np.asarray(affine[0](t))
-            q = np.asarray(affine[1](t))
-            if p.dtype.kind not in "fiu" or q.dtype.kind not in "fiu":
+            pt = np.asarray(affine[0](t))
+            qt = np.asarray(affine[1](t))
+            if pt.dtype.kind not in "fiu" or qt.dtype.kind not in "fiu":
                 return None
             # a constant broadcasts, values of another shape raise
-            pd = np.divide(p, decay, out=np.empty(b))
-            qd = np.divide(q, decay, out=np.empty(b))
+            p[...], q[...] = pt, qt
         except (ArithmeticError, TypeError, ValueError):
             return None
-        # u = rhs + W (pd + qd u) with W = scale (trap + c0 qd scale rect),
-        # formed negated, as the system needs -W qd
-        neg = rect[:b, :b] * (-c0 * qd * scale)[:, None]
+        # u = rhs + W (p + q u) with W = hpre (trap + c0 hpre q rect),
+        # formed negated, as the system needs -W q
+        neg = rect[:b, :b] * (-c0 * q * hpre)[:, None]
         neg -= trap[:b, :b]
-        neg *= scale[:, None]
-        rhs = qd * pred0
-        rhs += pd
+        neg *= hpre
+        rhs = q * pred0
+        rhs += p
         rhs *= c0
         rhs += corr_far
-        rhs *= scale
+        rhs *= hpre
         rhs += forc
-        rhs -= neg @ pd
-        neg *= qd  # the unit diagonal is implied, and dtrtrs does not read it
+        rhs -= neg @ p
+        neg *= q  # the unit diagonal is implied, and dtrtrs does not read it
         # neg is C-ordered, so its transpose is the Fortran-ordered upper
         # triangle; trans=1 solves with the lower one
         u, info = _dtrtrs(neg.T, rhs, lower=0, trans=1, unitdiag=1)
         if info != 0 or not np.abs(u).max() <= _BLOWUP_LIMIT:
             return None
-    g = qd * u
-    g += pd
-    return u, g
+    f = q * u
+    f += p
+    return u, f
 
 
-def _push_far(gv: np.ndarray, u: np.ndarray, r1: np.ndarray, rc: np.ndarray, p: int, size: int):
-    """Add the history g_{p-size} .. g_{p-1} into the far sums of the steps
+def _push_far(gv: np.ndarray, u: np.ndarray, r1: np.ndarray, rc: np.ndarray, p: int, size: int,
+              lam_h: float):
+    """Add the history f_{p-size} .. f_{p-1} into the far sums of the steps
     p .. p+size-1 that lie on the mesh: the predictor's, kept in ``u``, and
     the corrector's, kept in ``gv`` (see :func:`_adams_pece_scaled`).
 
     Each is one linear convolution of that history with the weights at
     distances 1 .. size+lt-1, for lt steps, taken by FFT over a period no
     shorter than those weights: the circular wrap then falls only on
-    outputs below the ones used.
+    outputs below the ones used.  The tempering e^{-lam_h d} at distance d
+    is split at the pivot t_{p-1}: f_j goes in times e^{-lam_h (p-1-j)},
+    and step m's sum comes out times e^{-lam_h (m-p+1)}.  Every factor is at
+    most 1, and the terms next to the pivot keep 1, so the FFT's error,
+    relative to its largest term, stays relative to the sums themselves.
     """
     n = len(gv) - 1
     lt = min(size, n + 1 - p)
     span = size + lt - 1
     nfft = next_fast_len(span, real=True)
-    src = rfft(gv[p - size:p], nfft)
+    src = rfft(gv[p - size:p] * _tempering(np.arange(size - 1.0, -1.0, -1.0), lam_h), nfft)
+    temper = _tempering(np.arange(1.0, lt + 1.0), lam_h)
     # the weights at distance d are r1[n - d] and rc[n - 1 - d]
     for table, end, acc in ((r1, n, u), (rc, n - 1, gv)):
         spec = rfft(table[end - span:end][::-1], nfft)
         spec *= src
-        acc[p:p + lt] += irfft(spec, nfft, overwrite_x=True)[size - 1:span]
+        spec = irfft(spec, nfft, overwrite_x=True)[size - 1:span]
+        spec *= temper
+        acc[p:p + lt] += spec
+        del spec  # before the next table's rfft, which would hold both
 
 
 def _adams_pece_scaled(
@@ -629,57 +644,125 @@ def _adams_pece_scaled(
     nodes: Sequence[float] = (),
     tol: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Product-trapezoidal PECE solve of the scaled Volterra equation.
+    """Product-trapezoidal PECE solve of the Volterra equation.
 
     Works on the uniform ``mesh`` a + h k, k = 0..n, and returns u at the
     mesh points and at the ``nodes`` in [a, mesh[-1]].  One predictor
     (product rectangle) and one corrector (product trapezoid) per step;
     their product weights depend only on the distance in steps, so they are
-    tabulated once (:func:`_convolution_tables`).  The history is kept as
-    g_j = e^{lam (t_j - t_ref)} f(t_j, u_j).
+    tabulated once (:func:`_convolution_tables`).  The history is
+    gv[j] = f(t_j, u_j), and the kernel's tempering e^{-lam h d} goes into
+    the weights at distance d, each sum pivoted at a point of its own so
+    that every factor is at most 1.  The name is from when the history was
+    scaled by e^{lam t}; it stays, as ``benchmarks/layers.py`` traces the
+    start by it.
 
     The steps after a run in chunks of ``_CHUNK``, each in blocks of
     ``_BLOCK``, and a step's history sums have two tiers.  The near tier,
     the history since its chunk began, is summed for all of a block's steps
-    at once, one ``np.correlate`` per weight table.  The far tier comes in
-    two far sums per step, the predictor's and the corrector's, which u[m]
-    and gv[m] hold until step m writes them.  They start with g_0's terms;
-    when chunk i (from 1) is done, its last 2^v chunks, 2^v the largest
-    power of 2 dividing i, are pushed into the far sums of the next 2^v
-    chunks' steps by FFT (:func:`_push_far`).  That counts each point in
-    each later chunk's sums exactly once, as in E. Hairer, C. Lubich and
-    M. Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985, so the far tier
-    costs O(n log n) and the near one O(n _CHUNK).
+    at once, one ``np.correlate`` per weight table, pivoted at the block's
+    first step's predecessor.  The far tier comes in two far sums per step,
+    the predictor's and the corrector's, which u[m] and gv[m] hold until
+    step m writes them.  They start with f_0's terms; when chunk i (from 1)
+    is done, its last 2^v chunks, 2^v the largest power of 2 dividing i,
+    are pushed into the far sums of the next 2^v chunks' steps by FFT
+    (:func:`_push_far`).  That counts each point in each later chunk's sums
+    exactly once, as in E. Hairer, C. Lubich and M. Schlichte, SIAM J. Sci.
+    Stat. Comput. 6(3), 1985, so the far tier costs O(n log n) and the near
+    one O(n _CHUNK).
 
-    The forcing and e^{-lam (t - t_ref)} are set up a chunk at a time.
-    ``t_ref`` moves to a block's first mesh point if lam (t - t_ref) would
-    pass ``_REBASE_EXPONENT`` inside the block, and the history and the far
-    sums are rescaled with it.  With ``problem.affine`` a block's steps are
-    one triangular solve (:func:`_affine_block`); otherwise, and for a block
-    where p or q fails or the solve leaves the finite range, they are
-    stepped one by one.
+    The forcing is set up a chunk at a time.  With ``problem.affine`` a
+    block's steps are one triangular solve (:func:`_affine_block`);
+    otherwise, and for a block where p or q fails or the solve leaves the
+    finite range, they are stepped one by one.
 
     A node within ``tol`` of a mesh point takes that point's value.  Any
     other node s gets one PECE step over the mesh history before it
-    (:func:`_product_sums`), taken once the block holding the last mesh
-    point before s is done, under that block's ``t_ref``; its value is not
-    fed back into the history.
+    (:func:`_product_sums`), tempered by e^{-lam (s - t_j)}, once the mesh
+    is done; its value is not fed back into the history.
     """
     alpha, lam, a, f = problem.alpha, problem.lam, problem.a, problem.rhs
-    rga = rgamma(alpha)
     n = len(mesh) - 1
     nodes = np.asarray(nodes, dtype=float)
-    off, due = [], [n + 2]
+    if not np.all((mesh[0] - tol <= nodes) & (nodes <= mesh[-1] + tol)):
+        raise ValueError("dense-output nodes must lie on the start mesh's span")
+
+    r1, rl, rc = _convolution_tables(n, alpha)
+    hpre = rgamma(alpha) * h**alpha
+    u = np.empty(n + 1)
+    gv = np.empty(n + 1)
+    t_first = mesh.item(0)
+    if problem.kind == RIEMANN_LIOUVILLE:
+        t_first += _SINGULAR_SHIFT * (mesh.item(1) - mesh.item(0))
+    u[0] = _forcing_scaled(problem, t_first)  # the forcing of u itself, as mesh[0] = a
+    # f at t_first, times e^{lam (t_first - a)}: the weights temper it from a
+    e = math.exp(lam * (t_first - a))
+    gv[0] = e * f(t_first, u[0] / e)
+    # the far sums start with f_0's terms, r1 and rl at distance m times e^{-lam h m}
+    temper = _tempering(np.arange(1.0, n + 1.0), lam * h)
+    temper *= gv.item(0)
+    np.multiply(r1[:n][::-1], temper, out=u[1:])
+    np.multiply(rl[:n][::-1], temper, out=gv[1:])
+    del rl
+    # e^{-lam h d} for d = 0 .. _CHUNK, and the in-block weights so tempered
+    temper = _tempering(np.arange(_CHUNK + 1.0), lam * h)
+    block = min(_BLOCK, n)
+    r1b = r1[n - block:] * temper[block::-1]
+    rcb = rc[n - block:] * temper[block - 1::-1]
+    if problem.affine is not None:
+        rect, trap = _start_block_matrices(r1b, rcb, block)
+        c0 = rcb.item(block - 1)
+
+    for lo in range(1, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        t_chunk = mesh[lo:hi]
+        forc = np.exp(-lam * (t_chunk - a))
+        forc *= _forcing_scaled(problem, t_chunk)
+        for m0 in range(lo, hi, block):
+            m1 = min(m0 + block, hi)
+            forc_b = forc[m0 - lo:m1 - lo]
+            # the far sums, plus the sums over f_lo .. f_{m0-1} of steps
+            # m0 .. m1-1, pivoted at t_{m0-1}
+            pred_far = u[m0:m1].copy()
+            corr_far = gv[m0:m1].copy()
+            if m0 > lo:
+                src = gv[lo:m0] * temper[m0 - lo - 1::-1]
+                out = temper[1:m1 - m0 + 1]
+                pred_far += out * np.correlate(r1[n - m1 + lo + 1:n], src)[::-1]
+                corr_far += out * np.correlate(rc[n - m1 + lo:n - 1], src)[::-1]
+            solved = None
+            if problem.affine is not None:
+                solved = _affine_block(
+                    problem.affine, mesh[m0:m1], hpre, forc_b, forc_b + hpre * pred_far,
+                    corr_far, rect, trap, c0,
+                )
+            if solved is not None:
+                u[m0:m1], gv[m0:m1] = solved
+                continue
+            for k in range(m1 - m0):
+                m = m0 + k
+                T = mesh.item(m)
+                fm = forc_b.item(k)
+                pred = fm + hpre * (pred_far.item(k) + float(r1b[block - k:block].dot(gv[m0:m])))
+                gv[m] = f(T, pred)
+                val = fm + hpre * (corr_far.item(k) + float(rcb[block - 1 - k:].dot(gv[m0:m + 1])))
+                if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
+                    raise BlowUpError(m, T, val, "start")
+                u[m] = val
+                gv[m] = f(T, val)
+        if hi <= n:
+            i = hi // _CHUNK  # the chunk's number, as hi = 1 + i _CHUNK
+            _push_far(gv, u, r1, rc, hi, (i & -i) * _CHUNK, lam * h)
+
+    del r1, rc  # the dense output makes weights of its own
+    u_nodes = np.empty(len(nodes))
     if len(nodes):
-        if not np.all((mesh[0] - tol <= nodes) & (nodes <= mesh[-1] + tol)):
-            raise ValueError("dense-output nodes must lie on the start mesh's span")
         nearest = np.clip(np.rint((nodes - a) / h), 0, n).astype(np.intp)
         on_mesh = np.abs(mesh[nearest] - nodes) <= tol
+        u_nodes[on_mesh] = u[nearest[on_mesh]]
         off = np.flatnonzero(~on_mesh)
-        due = np.searchsorted(mesh, nodes[off], side="right")
-        order = np.argsort(due, kind="stable")
-        off, due = off[order], due[order]
         s_off = nodes[off]
+        due = np.searchsorted(mesh, s_off, side="right")  # the mesh points before each
         forc_off = np.asarray(_forcing_scaled(problem, s_off), dtype=float)
         forc_off *= np.exp(-lam * (s_off - a))
         # each off node's fraction of a step past the last mesh point before
@@ -688,100 +771,16 @@ def _adams_pece_scaled(
         theta_off = (s_off - mesh[due - 1]) / h
         near_off = np.stack(_near_weights(
             np.add.outer(theta_off, np.arange(_RL_SERIES_FROM - 2, -1, -1.0)), alpha), axis=1)
-        off, due = off.tolist(), due.tolist() + [n + 2]
-
-    r1, rl, rc = _convolution_tables(n, alpha)
-    hpre = rga * h**alpha
-    u = np.empty(n + 1)
-    u_nodes = np.empty(len(nodes))
-    gv = np.empty(n + 1)
-    t_first = mesh.item(0)
-    if problem.kind == RIEMANN_LIOUVILLE:
-        t_first += _SINGULAR_SHIFT * (mesh.item(1) - mesh.item(0))
-    u[0] = _forcing_scaled(problem, t_first)  # the forcing of u itself, as mesh[0] = a
-    e = math.exp(lam * (t_first - a))
-    gv[0] = e * f(t_first, u[0] / e)
-    # the far sums start with g_0's terms, r1[n-m] g_0 and rl[n-m] g_0
-    np.multiply(r1[:n][::-1], gv.item(0), out=u[1:])
-    np.multiply(rl[:n][::-1], gv.item(0), out=gv[1:])
-    del rl
-
-    block = min(_BLOCK, n)
-    if lam > 0.0:
-        # a block spans at most _REBASE_EXPONENT in lam (t - t_ref)
-        block = min(block, 1 + int(_REBASE_EXPONENT / (lam * h)))
-    if problem.affine is not None:
-        rect, trap = _start_block_matrices(r1, rc, block)
-        c0 = rc.item(n - 1)
-    t_ref = a
-    j = 0
-    for lo in range(1, n + 1, _CHUNK):
-        hi = min(lo + _CHUNK, n + 1)
-        t_chunk = mesh[lo:hi]
-        forc = np.exp(-lam * (t_chunk - a))
-        forc *= _forcing_scaled(problem, t_chunk)
-        decay = np.exp(-lam * (t_chunk - t_ref))
-        m0 = lo
-        while m0 < hi:
-            m1 = min(m0 + block, hi)
-            if lam * (mesh.item(m1 - 1) - t_ref) > _REBASE_EXPONENT:
-                rescale = math.exp(-lam * (mesh.item(m0) - t_ref))
-                gv *= rescale  # the history and the corrector's far sums
-                u[m0:] *= rescale
-                t_ref = mesh.item(m0)
-                decay[m0 - lo:] = np.exp(-lam * (t_chunk[m0 - lo:] - t_ref))
-            t = mesh[m0:m1]
-            dec = decay[m0 - lo:m1 - lo]
-            scale = dec * hpre
-            forc_b = forc[m0 - lo:m1 - lo]
-            # the far sums, plus the sums over g_lo .. g_{m0-1}, of steps m0 .. m1-1
-            if m0 > lo:
-                pred_far = np.correlate(r1[n - m1 + lo + 1:n], gv[lo:m0])[::-1]
-                pred_far += u[m0:m1]
-                corr_far = np.correlate(rc[n - m1 + lo:n - 1], gv[lo:m0])[::-1]
-                corr_far += gv[m0:m1]
-            else:
-                pred_far = u[m0:m1].copy()
-                corr_far = gv[m0:m1].copy()
-            solved = None
-            if problem.affine is not None:
-                solved = _affine_block(
-                    problem.affine, t, dec, scale, forc_b, forc_b + scale * pred_far,
-                    corr_far, rect, trap, c0,
-                )
-            if solved is not None:
-                u[m0:m1], gv[m0:m1] = solved
-            else:
-                for k in range(m1 - m0):
-                    m = m0 + k
-                    T = mesh.item(m)
-                    dk = dec.item(k)
-                    sk = scale.item(k)
-                    fm = forc_b.item(k)
-                    pred = fm + sk * (pred_far.item(k) + float(r1[n - k:n].dot(gv[m0:m])))
-                    gv[m] = f(T, pred) / dk
-                    val = fm + sk * (corr_far.item(k) + float(rc[n - 1 - k:].dot(gv[m0:m + 1])))
-                    if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
-                        raise BlowUpError(m, T, val, "start")
-                    u[m] = val
-                    gv[m] = f(T, val) / dk
-            while due[j] <= m1:
-                m, s = due[j], s_off.item(j)
-                acc_pred, acc, w_end = _product_sums(gv[:m], theta_off.item(j), alpha, near_off[j])
-                decay_s = math.exp(-lam * (s - t_ref))
-                fs = forc_off.item(j)
-                pred = fs + decay_s * hpre * acc_pred
-                val = fs + decay_s * hpre * (acc + w_end * f(s, pred) / decay_s)
-                if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
-                    raise BlowUpError(m, s, val, "start")
-                u_nodes[off[j]] = val
-                j += 1
-            m0 = m1
-        if hi <= n:
-            i = hi // _CHUNK  # the chunk's number, as hi = 1 + i _CHUNK
-            _push_far(gv, u, r1, rc, hi, (i & -i) * _CHUNK)
-    if len(nodes):
-        u_nodes[on_mesh] = u[nearest[on_mesh]]
+        for i, s, m, theta, near, fs in zip(off.tolist(), s_off.tolist(), due.tolist(),
+                                            theta_off.tolist(), near_off, forc_off.tolist()):
+            g = _tempering(np.subtract(s, mesh[:m]), lam)
+            g *= gv[:m]
+            acc_pred, acc, w_end = _product_sums(g, theta, alpha, near)
+            pred = fs + hpre * acc_pred
+            val = fs + hpre * (acc + w_end * f(s, pred))
+            if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
+                raise BlowUpError(m, s, val, "start")
+            u_nodes[i] = val
     return u, u_nodes
 
 

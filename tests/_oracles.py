@@ -355,6 +355,11 @@ def _lagrange_weights_reference(r, last, n_points):
     return i0, lw
 
 
+#: Largest lam * (t - t_ref) that :class:`BlockStepperReference`'s scaled
+#: history may reach before it is rebased onto a later reference time.
+_REBASE_EXPONENT = 300.0
+
+
 class BlockStepperReference:
     """The JPC step with separate predictor and corrector stencils.
 
@@ -398,7 +403,7 @@ class BlockStepperReference:
         problem = self.problem
         hi = min(lo + self.BLOCK, len(gs))
         lam = problem.lam
-        if lam * (times[hi - 1] - self.t_ref) > solver._REBASE_EXPONENT:
+        if lam * (times[hi - 1] - self.t_ref) > _REBASE_EXPONENT:
             self.rebase(gs, lo, float(times[lo]))
         n = np.arange(lo, hi)
         span = (n - self.origin)[:, None]
@@ -445,7 +450,7 @@ def solve_reference(problem, config):
     solver's start and split history, and a march of its own over the
     scaled history g_i = e^{lam (t_i - t_ref)} f(t_i, u_i), rebased where
     a step inside a block, or a starting value, takes the exponent past
-    ``solver._REBASE_EXPONENT``."""
+    ``_REBASE_EXPONENT``."""
     trace = solver._new_trace(problem, config)
     u_start, stepper = solver._start(problem, config)
     reference = BlockStepperReference(problem, config, stepper.origin, stepper.history)
@@ -455,7 +460,7 @@ def solve_reference(problem, config):
         u = float(u_start[n1]) if n1 < len(u_start) else reference.step(times, gs, n1)
         f = problem.rhs(t, u)
         trace.values[n1], trace.rhs_values[n1] = u, f
-        if lam * (t - reference.t_ref) > solver._REBASE_EXPONENT:
+        if lam * (t - reference.t_ref) > _REBASE_EXPONENT:
             reference.rebase(gs, n1, t)
         gs[n1] = f * math.exp(lam * (t - reference.t_ref))
     return trace

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from scipy.special import erfcx
 
 from _oracles import (
@@ -290,10 +291,10 @@ class TestAdamsStart:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @staticmethod
-    def _check_dense(problem, mesh, h, nodes, tol):
+    def _check_dense(problem, mesh, h, nodes, tol, rtol=1e-13):
         """u at each node s against one reference PECE over the mesh points
         before s and s itself, where a mesh point within ``tol`` of s counts
-        as s; returns how many nodes were off the mesh."""
+        as s, to ``rtol``; returns how many nodes were off the mesh."""
         u_want = adams_pece_reference(problem, mesh)
         on = [abs(mesh[round((s - problem.a) / h)] - s) <= tol for s in nodes]
         node_want = [
@@ -302,12 +303,12 @@ class TestAdamsStart:
         ]
         for twin in _twins(problem):
             u, got = _adams_pece_scaled(twin, mesh, h, nodes, tol)
-            np.testing.assert_allclose(u, u_want, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(u, u_want, rtol=rtol, atol=0.0)
             for s, is_on, value, want in zip(nodes, on, got, node_want):
                 if is_on:
                     # a node on the mesh takes that mesh point's value
                     assert value == u[round((s - problem.a) / h)]
-                assert value == pytest.approx(want, rel=1e-13, abs=0.0), s
+                assert value == pytest.approx(want, rel=rtol, abs=0.0), s
         return len(nodes) - sum(on)
 
     @pytest.mark.parametrize("kind", ["caputo", "rl"])
@@ -376,16 +377,30 @@ class TestAdamsStart:
         problem = _start_problem(kind, alpha)
         assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
 
-    def test_pushed_far_history_rebased(self, monkeypatch):
-        # lam t reaches 600: the history is rebased at t = 0.737, inside a
-        # chunk, while far sums from pushes of up to 512 points are pending,
-        # and at t = 1.473; one node falls before the first rebase, one after
+    def test_pushed_far_history_at_large_lam(self, monkeypatch):
+        # lam t reaches 600, far past the double range of e^{lam t}: every
+        # sum, near, pushed (up to 1024 points) or at a node, tempers the f
+        # values by factors of at most 1, taken about a pivot of its own
         monkeypatch.setattr("tfode.solver._CHUNK", 64)
         h = 1e-3
         mesh = h * np.arange(1501)
         nodes = np.array([mesh[700] + 0.5 * h, mesh[800] + 0.5 * h])
         problem = _start_problem("caputo", 0.5, lam=400.0)
         assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
+
+    def test_pushed_far_history_of_a_decaying_solution(self, monkeypatch):
+        # u = e^{-400 t} erfcx(sqrt t) falls to 1e-261 on [0, 1.5], and a
+        # push's FFT is accurate to round-off of its largest term.  Pivoted
+        # at the push's last point, that term decays with the sums; with the
+        # weight tables tempered by distance and f untempered, it is of the
+        # order of f next to the push and u came out 1e242 times too large.
+        # 64-point chunks give pushes of up to 1024 points
+        monkeypatch.setattr("tfode.solver._CHUNK", 64)
+        h = 1e-3
+        mesh = h * np.arange(1501)
+        nodes = np.array([mesh[1100] + 0.4 * h, mesh[1490] + 0.7 * h])
+        problem = example3(0.5, 400.0)
+        assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h, rtol=1e-12) == len(nodes)
 
     def test_cost_near_linear(self):
         # doubling the start mesh at most 2.5x its time: with the far sums
@@ -412,12 +427,14 @@ class TestAdamsStart:
     def test_split_start_peak_memory(self):
         # the start holds five arrays as long as its uniform mesh (mesh, u,
         # the history, two weight tables; u and the history hold the far
-        # sums until their steps), and the forcing and decay over one chunk
-        # and the two in-block weight matrices of the affine start.  A PECE
-        # at a Lobatto node adds four temporaries as long as its history,
-        # and an FFT push about as many: 10.1 arrays measured, bounded at
-        # 12.5.  Merging the nodes into the mesh, with correction rows next
-        # to them, took 13.0
+        # sums until their steps), the forcing over one chunk, the
+        # tempering e^{-lam h d} for d up to _CHUNK, and the two in-block
+        # weight matrices of the affine start.  An FFT push adds about four
+        # temporaries as long as the mesh.  The dense output comes after
+        # the weight tables are freed, and a PECE at a Lobatto node adds
+        # five temporaries as long as its history, the tempered history
+        # among them: 9.35 arrays measured, bounded at 12.5.  Merging the
+        # nodes into the mesh, with correction rows next to them, took 13.0
         problem = example3(0.5, 5.0)
         config = SolverConfig(steps=1760, n_interp=2, split_t0=0.1, n_tilde=40)
         npts = len(_split_start_mesh(problem, 1760)[0])
@@ -433,21 +450,35 @@ class TestAdamsStart:
     @pytest.mark.parametrize("lam", [1200.0, 2000.0])
     def test_large_tempering_rate(self, lam):
         # lam (NI - 1) tau is past the double range of e^{lam (t - a)}; the
-        # start's scaled history is rebased onto later reference times
+        # start's sums temper the f values by factors of at most 1
         for twin in _twins(example2(0.5, lam)):
             tr = solve(twin, SolverConfig(steps=10, n_interp=7))
             exact = np.array([exact_example2(0.5, lam, t) for t in tr.times])
             assert np.abs(tr.values - exact).max() <= 1e-12
 
-    def test_blocks_shrink_to_the_rebase_span(self):
-        # lam h = 90: a block may span only 300 / 90 steps before its scaled
-        # history would pass the rebase exponent
+    def test_blocks_at_large_lam_h(self):
+        # lam h = 90: the tempered in-block weights past distance 8 underflow
+        # to 0, and the affine blocks still agree with the stepped ones
         problem = _start_problem("caputo", 0.5, lam=900.0)
         h = 0.1
         mesh = h * np.arange(41)
         affine, stepped = (_adams_pece_scaled(twin, mesh, h)[0] for twin in _twins(problem))
         assert np.isfinite(affine).all() and np.abs(affine[1:]).max() > 1e-4
         np.testing.assert_allclose(affine, stepped, rtol=1e-13, atol=0.0)
+
+    def test_block_length_does_not_depend_on_lam(self, monkeypatch):
+        # lam h = 90, 40 steps: the affine start solves them in two 32-step
+        # blocks; capped at 1 + 300 / (lam h) steps it took ten
+        solves = []
+
+        def dtrtrs(*args, **kwargs):
+            solves.append(args[1].shape)
+            return _dtrtrs(*args, **kwargs)
+
+        monkeypatch.setattr("tfode.solver._dtrtrs", dtrtrs)
+        h = 0.1
+        _adams_pece_scaled(_start_problem("caputo", 0.5, lam=900.0), h * np.arange(41), h)
+        assert solves == [(32,), (8,)]
 
     def test_blow_up_check_uses_unscaled_solution(self):
         # D^(1/2,50) u = 1: e^{50 t} u passes the blow-up limit inside the
@@ -840,10 +871,10 @@ class TestSolveSplit:
         assert ei.value.phase == "step" and ei.value.step == 17
         assert "in the step phase at step 17" in str(ei.value)
 
-    def test_start_rebases_before_each_lobatto_node(self):
-        # lam = 3000: the start rebases its history over and over on [0, 0.5];
-        # a Lobatto node's PECE taken under a later reference time than its
-        # own step's overflows.  u = e^{-lam t} erfcx(sqrt(t)) (mu = 1)
+    def test_start_tempers_each_lobatto_node_history(self):
+        # lam = 3000: e^{lam t} passes the double range at t = 0.24, and each
+        # Lobatto node's PECE tempers the history before it by its own
+        # distances, e^{-lam (s - t_j)}.  u = e^{-lam t} erfcx(sqrt(t)) (mu = 1)
         lam = 3000.0
         tr = solve(example3(0.5, lam, b=1.0), SolverConfig(steps=20, n_interp=2, split_t0=0.5))
         exact = np.exp(-lam * tr.times) * erfcx(np.sqrt(tr.times))
