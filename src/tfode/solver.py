@@ -27,7 +27,7 @@ split point (0 without one), come from one product-trapezoidal
 predictor-corrector (fractional Adams) run on a refined auxiliary grid, or
 from the exact solution with ``exact_start``.  The run's product weights
 depend only on the distance in steps, so they are tabulated once, and it
-runs in blocks of ``_BLOCK`` steps.  Its history, too, is the f values;
+runs in blocks of steps.  Its history, too, is the f values;
 each sum over it takes the tempering e^{-lam h d} at distance d about a
 pivot of its own, in factors of at most 1.  A step's sums over the history
 have two tiers: the history since its chunk of ``_CHUNK`` mesh points began
@@ -36,9 +36,14 @@ weight table, and older history reaches it through far sums, to which each
 finished chunk adds by FFT over doubling spans (Hairer, Lubich and
 Schlichte), so that the start costs O(n log n) in its n steps past the near
 tier's O(n _CHUNK).  Inside a block, a right-hand side declared affine in u
-(``Problem.affine``) makes the block's predictor-corrector steps one unit
-lower-triangular solve; any other is stepped, each step two short dot
-products plus the right-hand-side calls.  For solutions that are non-smooth
+(``Problem.affine``), f = p + q u, makes the block's predictor-corrector
+steps one unit lower-triangular system.  Where q is constant over a chunk,
+that system is Toeplitz: the chunk runs in blocks of ``_RESOLVENT_BLOCK``
+steps, each solved by one convolution with the system's resolvent, which
+is computed once per start.  Where q varies, a block of ``_BLOCK`` steps is
+one dense triangular solve.  Any other right-hand side is stepped, in
+blocks of ``_BLOCK``, each step two short dot products plus the
+right-hand-side calls.  For solutions that are non-smooth
 at the start, the split scheme (``split_t0``) integrates the history over
 ``[a, t0]`` with a fixed unit-weight Gauss-Lobatto rule, and only the
 smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term is
@@ -126,8 +131,10 @@ class Problem:
 
     ``affine``, if given, is ``(p, q)``: functions of an array of times,
     whose values broadcast against it, with ``rhs(t, u) == p(t) + q(t) * u``.
-    The starting procedure then solves a block of steps at once (see
-    :func:`_adams_pece_scaled`); ``rhs`` still serves everything else.
+    The starting procedure then solves a block of steps at once, and a q
+    that is constant (a 0-d value, or one value over a chunk of the start)
+    makes the blocks longer and cheaper (see :func:`_adams_pece_scaled`);
+    ``rhs`` still serves everything else.
     """
 
     kind: str
@@ -380,6 +387,14 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
 #: a time (see :func:`_adams_pece_scaled`).
 _CHUNK = 1024
 
+#: Steps per block of the affine start where q is constant over a chunk, at
+#: least ``_BLOCK`` and capped at ``_CHUNK``: a block is one or two
+#: ``np.convolve`` calls of its length plus vector work (see
+#: :func:`_resolvent_block`).  On the starts of the relax-cli benchmark,
+#: blocks of 64 gained less than 128, and 256 no more; longer blocks hold
+#: more memory.
+_RESOLVENT_BLOCK = 128
+
 
 #: Distances from which the trapezoid's left weight is summed as a series,
 #: and the number of its terms: past d = 8 the series' ratio is below
@@ -560,7 +575,9 @@ def _tempering(d: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _affine_block(affine, t, hpre, forc, pred0, corr_far, rect, trap, c0):
-    """u over a block of start steps for f = p + q u, in one triangular solve.
+    """u over a block of start steps for f = p + q u, in one triangular solve;
+    the start's path for a q that varies over a chunk (a constant q takes
+    :func:`_resolvent_block`).
 
     Step k's predictor is ``pred0[k] + hpre (rect f)[k]`` and its corrector
     ``forc[k] + hpre (corr_far[k] + (trap f)[k] + c0 fp[k])``, where fp is f
@@ -600,6 +617,96 @@ def _affine_block(affine, t, hpre, forc, pred0, corr_far, rect, trap, c0):
         # triangle; trans=1 solves with the lower one
         u, info = _dtrtrs(neg.T, rhs, lower=0, trans=1, unitdiag=1)
         if info != 0 or not np.abs(u).max() <= _BLOWUP_LIMIT:
+            return None
+    f = q * u
+    f += p
+    return u, f
+
+
+def _constant_q_parts(affine, t):
+    """p over the times ``t`` and the one value of q there, for the start's
+    resolvent blocks: p is a float where it is 0-d, else an array of t's
+    shape.  None when q takes more than one value or one that is not
+    finite, or when p or q raises, is complex or does not broadcast to
+    ``t``.  :func:`_affine_block` keeps checks of its own: these would add
+    about 5 microseconds, a fifth of its time, to each of its blocks."""
+    with np.errstate(all="ignore"):
+        try:
+            p = np.asarray(affine[0](t))
+            q = np.asarray(affine[1](t))
+            if p.dtype.kind not in "fiu" or q.dtype.kind not in "fiu":
+                return None
+            # values of t's 1-d shape, or one value, broadcast to t
+            if not {p.shape, q.shape} <= {(), (1,), t.shape}:
+                return None
+        except (ArithmeticError, TypeError, ValueError):
+            return None
+        q0 = q.item(0)
+        if not math.isfinite(q0) or q.ndim and (q != q0).any():
+            return None
+    return (float(p) if p.ndim == 0 else np.broadcast_to(p, t.shape)), float(q0)
+
+
+def _resolvent(q: float, hpre: float, r1b: np.ndarray, rcb: np.ndarray, size: int):
+    """The in-block kernel of the affine start for a constant q, its running
+    sums, and its resolvent, each ``size`` long (see :func:`_resolvent_block`).
+
+    ``r1b`` and ``rcb`` are tempered in-block weights laid out as ``r1`` and
+    ``rc`` of :func:`_convolution_tables`.  With f = p + q u, a block's
+    step k reads u_k = g_k + sum_{l<k} K(k-l) f_l, where
+    K(d) = hpre (C(d) + c0 q hpre R(d)) holds the corrector's weight C at
+    distance d and, through the predictor's f, its weight c0 at distance 0
+    times the predictor's R.  So (1 - q K) * u = g + K * p, with * the
+    convolution, and the resolvent rho is the inverse of 1 - q K as a power series, the first
+    column of the unit lower-triangular Toeplitz matrix's inverse.  Newton
+    doubling, rho <- rho (2 - (1 - q K) rho), doubles the number of its
+    correct terms with two ``np.convolve`` calls.
+    """
+    end = len(rcb)
+    kern = np.zeros(size)
+    kern[1:] = r1b[end - size + 1:end][::-1]
+    kern[1:] *= rcb.item(-1) * q * hpre
+    kern[1:] += rcb[end - size:end - 1][::-1]
+    kern *= hpre
+    a = kern * -q
+    a[0] = 1.0
+    rho = np.empty(size)
+    rho[0] = 1.0
+    k = 1
+    while k < size:
+        m = min(2 * k, size)
+        # a rho - 1 is 0 below k
+        res = np.convolve(a[:m], rho[:k])[k:m]
+        rho[k:m] = np.convolve(rho[:k], res)[:m - k]
+        rho[k:m] *= -1.0
+        k = m
+    return kern, np.cumsum(kern), rho
+
+
+def _resolvent_block(p, q, hpre, forc, pred0, corr_far, c0, kern, cum, rho):
+    """u over a block of start steps for f = p + q u with q constant, as
+    ``rho * (g + K * p)`` (:func:`_resolvent`).
+
+    g is the block's right-hand side without its in-block sums, from
+    ``pred0``, ``forc`` and ``corr_far`` as in :func:`_affine_block`.  A
+    float p makes K * p the running sums ``cum`` times p.  Returns u and f,
+    or None when some u is not finite or past the blow-up limit; a p that
+    is not finite makes u so from its step on.
+    """
+    b = len(forc)
+    with np.errstate(all="ignore"):
+        g = q * pred0
+        g += p
+        g *= c0
+        g += corr_far
+        g *= hpre
+        g += forc
+        if isinstance(p, float):
+            g += p * cum[:b]
+        else:
+            g += np.convolve(kern[:b], p)[:b]
+        u = np.convolve(rho[:b], g)[:b]
+        if not np.abs(u).max() <= _BLOWUP_LIMIT:
             return None
     f = q * u
     f += p
@@ -657,8 +764,8 @@ def _adams_pece_scaled(
     scaled by e^{lam t}; it stays, as ``benchmarks/layers.py`` traces the
     start by it.
 
-    The steps after a run in chunks of ``_CHUNK``, each in blocks of
-    ``_BLOCK``, and a step's history sums have two tiers.  The near tier,
+    The steps after a run in chunks of ``_CHUNK``, each in blocks (see
+    below), and a step's history sums have two tiers.  The near tier,
     the history since its chunk began, is summed for all of a block's steps
     at once, one ``np.correlate`` per weight table, pivoted at the block's
     first step's predecessor.  The far tier comes in two far sums per step,
@@ -671,10 +778,17 @@ def _adams_pece_scaled(
     Stat. Comput. 6(3), 1985, so the far tier costs O(n log n) and the near
     one O(n _CHUNK).
 
-    The forcing is set up a chunk at a time.  With ``problem.affine`` a
-    block's steps are one triangular solve (:func:`_affine_block`);
-    otherwise, and for a block where p or q fails or the solve leaves the
-    finite range, they are stepped one by one.
+    The forcing is set up a chunk at a time, and so are p and q of
+    ``problem.affine``.  Where q is one finite value over a chunk, a
+    block's steps form a unit lower-triangular Toeplitz system, so the
+    chunk runs in blocks of ``_RESOLVENT_BLOCK`` steps (at most
+    ``_CHUNK``), each one or two convolutions with the kernel and resolvent
+    that :func:`_resolvent` makes once for that q (:func:`_resolvent_block`).
+    Where q varies, or p or q fails over the chunk, a block of ``_BLOCK``
+    steps is one dense triangular solve (:func:`_affine_block`), whose
+    matrices are made when a chunk first takes that path.  Without ``problem.affine``, and for a block where p or
+    q fails or the solution leaves the finite range, the steps are stepped
+    one by one.
 
     A node within ``tol`` of a mesh point takes that point's value.  Any
     other node s gets one PECE step over the mesh history before it
@@ -704,20 +818,31 @@ def _adams_pece_scaled(
     np.multiply(r1[:n][::-1], temper, out=u[1:])
     np.multiply(rl[:n][::-1], temper, out=gv[1:])
     del rl
-    # e^{-lam h d} for d = 0 .. _CHUNK, and the in-block weights so tempered
+    # e^{-lam h d} for d = 0 .. _CHUNK, and the in-block weights so tempered,
+    # over the resolvent blocks' length, the longer one
     temper = _tempering(np.arange(_CHUNK + 1.0), lam * h)
-    block = min(_BLOCK, n)
-    r1b = r1[n - block:] * temper[block::-1]
-    rcb = rc[n - block:] * temper[block - 1::-1]
-    if problem.affine is not None:
-        rect, trap = _start_block_matrices(r1b, rcb, block)
-        c0 = rcb.item(block - 1)
+    size, short = min(_RESOLVENT_BLOCK, _CHUNK, n), min(_BLOCK, n)
+    r1b = r1[n - size:] * temper[size::-1]
+    rcb = rc[n - size:] * temper[size - 1::-1]
+    c0 = rcb.item(-1)
+    rect = q_kern = None  # made when a chunk first needs them
 
     for lo in range(1, n + 1, _CHUNK):
         hi = min(lo + _CHUNK, n + 1)
         t_chunk = mesh[lo:hi]
         forc = np.exp(-lam * (t_chunk - a))
         forc *= _forcing_scaled(problem, t_chunk)
+        parts, block = None, short
+        if problem.affine is not None:
+            parts = _constant_q_parts(problem.affine, t_chunk)
+            if parts is not None:
+                p_chunk, q = parts
+                block = size
+                if q != q_kern:
+                    kern, cum, rho = _resolvent(q, hpre, r1b, rcb, size)
+                    q_kern = q
+            elif rect is None:
+                rect, trap = _start_block_matrices(r1b, rcb, short)
         for m0 in range(lo, hi, block):
             m1 = min(m0 + block, hi)
             forc_b = forc[m0 - lo:m1 - lo]
@@ -731,7 +856,11 @@ def _adams_pece_scaled(
                 pred_far += out * np.correlate(r1[n - m1 + lo + 1:n], src)[::-1]
                 corr_far += out * np.correlate(rc[n - m1 + lo:n - 1], src)[::-1]
             solved = None
-            if problem.affine is not None:
+            if parts is not None:
+                p = p_chunk if isinstance(p_chunk, float) else p_chunk[m0 - lo:m1 - lo]
+                solved = _resolvent_block(p, q, hpre, forc_b, forc_b + hpre * pred_far,
+                                          corr_far, c0, kern, cum, rho)
+            elif problem.affine is not None:
                 solved = _affine_block(
                     problem.affine, mesh[m0:m1], hpre, forc_b, forc_b + hpre * pred_far,
                     corr_far, rect, trap, c0,
@@ -743,9 +872,9 @@ def _adams_pece_scaled(
                 m = m0 + k
                 T = mesh.item(m)
                 fm = forc_b.item(k)
-                pred = fm + hpre * (pred_far.item(k) + float(r1b[block - k:block].dot(gv[m0:m])))
+                pred = fm + hpre * (pred_far.item(k) + float(r1b[size - k:size].dot(gv[m0:m])))
                 gv[m] = f(T, pred)
-                val = fm + hpre * (corr_far.item(k) + float(rcb[block - 1 - k:].dot(gv[m0:m + 1])))
+                val = fm + hpre * (corr_far.item(k) + float(rcb[size - 1 - k:].dot(gv[m0:m + 1])))
                 if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
                     raise BlowUpError(m, T, val, "start")
                 u[m] = val

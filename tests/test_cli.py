@@ -326,6 +326,16 @@ class TestParserCache:
         assert cli._build_parser.cache_info().misses == 1
 
 
+class TestStartUp:
+    def test_cli_import_leaves_scipy_signal_out(self, tmp_path):
+        # numpy, scipy.fft and scipy.linalg take about 0.6 s to import, and
+        # scipy.signal would add about 0.8 s more to every tfode command
+        code = "import sys, tfode.cli; sys.exit('scipy.signal' in sys.modules)"
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           cwd=tmp_path, env=cli_env())
+        assert r.returncode == 0, r.stderr
+
+
 class TestAffineStart:
     """Expression right-hand sides affine in u take the start's block solve;
     where p or q fails, or the solution leaves the finite range, the start

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular, toeplitz
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from scipy.special import erfcx
 
@@ -32,6 +33,8 @@ from tfode.solver import (
     _convolution_tables,
     _near_weights,
     _product_sums,
+    _resolvent,
+    _resolvent_block,
     _RL_SERIES_FROM,
     _Stepper,
     _stencil_weights,
@@ -408,33 +411,38 @@ class TestAdamsStart:
         problem = _start_problem("caputo", 0.5)
 
         def seconds(n):
-            # the better of two runs, so that one stall does not count
             mesh = np.arange(n + 1.0) / n
-            times = []
-            for _ in range(2):
-                t0 = time.perf_counter()
-                _adams_pece_scaled(problem, mesh, 1.0 / n)
-                times.append(time.perf_counter() - t0)
-            return min(times)
+            t0 = time.perf_counter()
+            _adams_pece_scaled(problem, mesh, 1.0 / n)
+            return time.perf_counter() - t0
+
+        def pair():
+            # each size the best of three runs, so that a stall or two does
+            # not count; the runs of the two sizes alternate, so that a busy
+            # spell slows both alike
+            runs = [(seconds(10240), seconds(20480)) for _ in range(3)]
+            return min(t1 for t1, _ in runs), min(t2 for _, t2 in runs)
 
         seconds(1024)  # warm caches
-        # the sizes alternate and the median of three pair ratios is taken,
-        # as in criterion 9
-        pairs = [(seconds(10240), seconds(20480)) for _ in range(3)]
-        ratio = sorted(t2 / t1 for t1, t2 in pairs)[1]
+        # the median of five pair ratios is taken, as in criterion 9: with
+        # three, one busy spell on a shared machine failed it at 2.66
+        pairs = [pair() for _ in range(5)]
+        ratio = sorted(t2 / t1 for t1, t2 in pairs)[2]
         assert ratio <= 2.5, pairs
 
     def test_split_start_peak_memory(self):
         # the start holds five arrays as long as its uniform mesh (mesh, u,
         # the history, two weight tables; u and the history hold the far
-        # sums until their steps), the forcing over one chunk, the
-        # tempering e^{-lam h d} for d up to _CHUNK, and the two in-block
-        # weight matrices of the affine start.  An FFT push adds about four
-        # temporaries as long as the mesh.  The dense output comes after
-        # the weight tables are freed, and a PECE at a Lobatto node adds
-        # five temporaries as long as its history, the tempered history
-        # among them: 9.35 arrays measured, bounded at 12.5.  Merging the
-        # nodes into the mesh, with correction rows next to them, took 13.0
+        # sums until their steps), the forcing over one chunk (and p, where
+        # it varies), the tempering e^{-lam h d} for d up to _CHUNK, and, as
+        # q is constant, the affine start's kernel, its running sums and its
+        # resolvent, 128 long each (a q that varies takes two 32 x 32
+        # in-block weight matrices instead).  An FFT push adds about four
+        # temporaries as long as the mesh.  The dense output comes after the
+        # weight tables are freed, and a PECE at a Lobatto node adds five
+        # temporaries as long as its history, the tempered history among
+        # them: 9.24 arrays measured, bounded at 12.5.  Merging the nodes
+        # into the mesh, with correction rows next to them, took 13.0
         problem = example3(0.5, 5.0)
         config = SolverConfig(steps=1760, n_interp=2, split_t0=0.1, n_tilde=40)
         npts = len(_split_start_mesh(problem, 1760)[0])
@@ -467,18 +475,80 @@ class TestAdamsStart:
         np.testing.assert_allclose(affine, stepped, rtol=1e-13, atol=0.0)
 
     def test_block_length_does_not_depend_on_lam(self, monkeypatch):
-        # lam h = 90, 40 steps: the affine start solves them in two 32-step
-        # blocks; capped at 1 + 300 / (lam h) steps it took ten
-        solves = []
+        # lam h = 90, 40 steps: with its constant q the affine start solves
+        # them in one 40-step resolvent block, and a twin whose q varies in
+        # two dense 32-step blocks; capped at 1 + 300 / (lam h) steps it
+        # took ten
+        solves, blocks = [], []
 
         def dtrtrs(*args, **kwargs):
             solves.append(args[1].shape)
             return _dtrtrs(*args, **kwargs)
 
+        def resolvent_block(*args):
+            blocks.append(len(args[3]))
+            return _resolvent_block(*args)
+
         monkeypatch.setattr("tfode.solver._dtrtrs", dtrtrs)
+        monkeypatch.setattr("tfode.solver._resolvent_block", resolvent_block)
         h = 0.1
-        _adams_pece_scaled(_start_problem("caputo", 0.5, lam=900.0), h * np.arange(41), h)
-        assert solves == [(32,), (8,)]
+        mesh = h * np.arange(41)
+        problem = _start_problem("caputo", 0.5, lam=900.0)
+        _adams_pece_scaled(problem, mesh, h)
+        assert (blocks, solves) == ([40], [])
+        del blocks[:]
+        varying = dataclasses.replace(problem, rhs=lambda t, u: math.cos(t) - 0.5 * (1.0 + t) * u,
+                                      affine=(np.cos, lambda t: -0.5 * (1.0 + t)))
+        _adams_pece_scaled(varying, mesh, h)
+        assert (blocks, solves) == ([], [(32,), (8,)])
+
+    @pytest.mark.parametrize("size", [1, 2, 127, 128])
+    def test_resolvent_against_dense_solve(self, size):
+        # rho, the first column of the inverse of the unit lower-triangular
+        # Toeplitz matrix with first column 1, -q K(1), -q K(2), ..., against
+        # a dense triangular solve: for q < 0 and q > 0, with rho bounded or
+        # growing, and at lam h = 90, where the tempered weights underflow
+        # past a few steps.  rho_k sums terms as large as the largest entry
+        # before it, so each entry is held to 1e-14 of that one
+        n = 256
+        for alpha, h, lam_h, q in [
+            (0.5, 1e-5, 0.0, -400.0), (0.5, 1e-5, 0.05, -400.0), (1.5, 1e-3, 0.0, -400.0),
+            (0.2, 1e-5, 0.0, -0.5), (0.5, 1e-3, 0.0, 12.0), (0.2, 1e-5, 0.05, 12.0),
+            (0.2, 1e-3, 0.05, 12.0), (0.5, 1e-3, 90.0, -400.0), (1.5, 1e-5, 90.0, 12.0),
+        ]:
+            r1, _, rc = _convolution_tables(n, alpha)
+            d = np.arange(size, -1, -1.0)
+            r1b = r1[n - size:] * np.exp(-lam_h * d)
+            rcb = rc[n - size:] * np.exp(-lam_h * d[1:])
+            kern, cum, rho = _resolvent(q, rgamma(alpha) * h**alpha, r1b, rcb, size)
+            assert len(rho) == size and kern[0] == 0.0
+            np.testing.assert_array_equal(cum, np.cumsum(kern))
+            column = -q * kern
+            column[0] = 1.0
+            want = solve_triangular(toeplitz(column, np.zeros(size)), np.eye(size)[0],
+                                    lower=True, unit_diagonal=True)
+            assert np.isfinite(want).all()
+            scale = np.maximum.accumulate(np.abs(want))
+            assert (np.abs(rho - want) <= 1e-14 * scale).all(), (alpha, h, lam_h, q)
+
+    @pytest.mark.parametrize("growing", [True, False])
+    def test_constant_q_split_starts(self, growing):
+        # against the stepped twin: u = e^{-5 t} E_(1/2)(12 t^(1/2)) grows to
+        # 2.2e6 over three chunks, and the stiff D^(1/2,5) u = 200 cos t - 400 u
+        # relaxes from 1 to about 0.5 over ten chunks, through FFT pushes
+        if growing:
+            steps, p, q, rhs = 440, (lambda t: 0.0), 12.0, (lambda t, u: 12.0 * u)
+        else:
+            steps, q = 1760, -400.0
+            p, rhs = (lambda t: 200.0 * np.cos(t)), (lambda t, u: 200.0 * math.cos(t) - 400.0 * u)
+        problem = Problem(kind="caputo", alpha=0.5, lam=5.0, a=0.0, b=1.1, init=(1.0,), rhs=rhs,
+                          affine=(p, lambda t: q))
+        mesh, nodes, h, tol = _split_start_mesh(problem, steps)
+        (u, u_nodes), (u_want, nodes_want) = (
+            _adams_pece_scaled(twin, mesh, h, nodes, tol) for twin in _twins(problem))
+        assert (np.abs(u_want).max() > 2e6) == growing
+        np.testing.assert_allclose(u, u_want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(u_nodes, nodes_want, rtol=1e-13, atol=0.0)
 
     def test_blow_up_check_uses_unscaled_solution(self):
         # D^(1/2,50) u = 1: e^{50 t} u passes the blow-up limit inside the
