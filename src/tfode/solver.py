@@ -35,15 +35,13 @@ is summed for all of a block's steps at once, one ``np.correlate`` per
 weight table, and older history reaches it through far sums, to which each
 finished chunk adds by FFT over doubling spans (Hairer, Lubich and
 Schlichte), so that the start costs O(n log n) in its n steps past the near
-tier's O(n _CHUNK).  Inside a block, a right-hand side declared affine in u
-(``Problem.affine``), f = p + q u, makes the block's predictor-corrector
-steps one unit lower-triangular system.  Where q is constant over a chunk,
-that system is Toeplitz: the chunk runs in blocks of ``_RESOLVENT_BLOCK``
-steps, each solved by one convolution with the system's resolvent, which
-is computed once per start.  Where q varies, a block of ``_BLOCK`` steps is
-one dense triangular solve.  Any other right-hand side is stepped, in
-blocks of ``_BLOCK``, each step two short dot products plus the
-right-hand-side calls.  For solutions that are non-smooth
+tier's O(n _CHUNK).  Every block is ``_START_BLOCK`` steps long, and it is
+of one of two kinds.  Where the right-hand side is declared affine in u
+(``Problem.affine``), f = p + q u, with q one value over a chunk, the
+block's predictor-corrector steps are one unit lower-triangular Toeplitz
+system, solved by one convolution with its resolvent, which is computed
+once per start.  Any other block is stepped, each step two short dot
+products plus the right-hand-side calls.  For solutions that are non-smooth
 at the start, the split scheme (``split_t0``) integrates the history over
 ``[a, t0]`` with a fixed unit-weight Gauss-Lobatto rule, and only the
 smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term is
@@ -61,9 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 from .quadrature import gauss_lobatto
 from .specfun import rgamma
@@ -131,9 +127,9 @@ class Problem:
 
     ``affine``, if given, is ``(p, q)``: functions of an array of times,
     whose values broadcast against it, with ``rhs(t, u) == p(t) + q(t) * u``.
-    The starting procedure then solves a block of steps at once, and a q
-    that is constant (a 0-d value, or one value over a chunk of the start)
-    makes the blocks longer and cheaper (see :func:`_adams_pece_scaled`);
+    Where q is constant (a 0-d value, or one value over a chunk of the
+    start), the starting procedure solves a block of steps at once (see
+    :func:`_adams_pece_scaled`); it steps through a q that varies, and
     ``rhs`` still serves everything else.
     """
 
@@ -154,8 +150,10 @@ class Problem:
         object.__setattr__(self, "kind", kind)
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.lam < 0.0:
-            raise ValueError(f"tempering rate must be nonnegative, got {self.lam}")
+        if not math.isfinite(self.lam) or self.lam < 0.0:
+            raise ValueError(f"tempering rate must be finite and nonnegative, got {self.lam}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(f"interval ends must be finite, got [{self.a}, {self.b}]")
         if not self.b > self.a:
             raise ValueError(f"need b > a, got [{self.a}, {self.b}]")
         object.__setattr__(self, "init", tuple(float(c) for c in self.init))
@@ -164,6 +162,8 @@ class Problem:
                 f"expected {self.n} initial value(s) for alpha={self.alpha}, "
                 f"got {len(self.init)}"
             )
+        if not all(map(math.isfinite, self.init)):
+            raise ValueError(f"initial values must be finite, got {self.init}")
         if self.affine is not None:
             object.__setattr__(self, "affine", tuple(self.affine))
             if len(self.affine) != 2:
@@ -381,19 +381,19 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
 # Starting procedure: fractional Adams PECE on an auxiliary mesh
 
 
-#: Mesh points per chunk of the start, a multiple of ``_BLOCK``.  A block
-#: sums the history since its chunk began directly, in O(_CHUNK) per step;
-#: older history reaches it through the far sums, pushed by FFT a chunk at
-#: a time (see :func:`_adams_pece_scaled`).
+#: Mesh points per chunk of the start, a multiple of ``_START_BLOCK`` so
+#: that its blocks are all full.  A block sums the history since its chunk began directly, in O(_CHUNK) per
+#: step; older history reaches it through the far sums, pushed by FFT a
+#: chunk at a time (see :func:`_adams_pece_scaled`).
 _CHUNK = 1024
 
-#: Steps per block of the affine start where q is constant over a chunk, at
-#: least ``_BLOCK`` and capped at ``_CHUNK``: a block is one or two
-#: ``np.convolve`` calls of its length plus vector work (see
-#: :func:`_resolvent_block`).  On the starts of the relax-cli benchmark,
-#: blocks of 64 gained less than 128, and 256 no more; longer blocks hold
-#: more memory.
-_RESOLVENT_BLOCK = 128
+#: Steps per block of the start, capped at ``_CHUNK``.  A resolvent block is
+#: one or two ``np.convolve`` calls of its length plus vector work (see
+#: :func:`_resolvent_block`), and a block of either kind adds one
+#: ``np.correlate`` per weight table for its near sums.  On the starts of
+#: the relax-cli benchmark, resolvent blocks of 64 gained less than 128, and
+#: 256 no more; longer blocks hold more memory.
+_START_BLOCK = 128
 
 
 #: Distances from which the trapezoid's left weight is summed as a series,
@@ -546,81 +546,10 @@ def _product_sums(g: np.ndarray, theta: float, alpha: float, near: np.ndarray):
     return rect + r1_last * g_last, corr, r1_last - rl_last
 
 
-def _start_block_matrices(r1: np.ndarray, rc: np.ndarray, size: int) -> np.ndarray:
-    """In-block product weights of the start, by row and column, from the
-    entries at distances below ``size`` of tables laid out as ``r1`` and
-    ``rc`` of :func:`_convolution_tables`.
-
-    Row k, column l < k of ``rect``, the first matrix, holds the rectangle
-    weight of f_l in the predictor at step k, and of ``trap``, the second,
-    the trapezoid weight of f_l in the corrector; both are strictly lower
-    triangular Toeplitz matrices, and the top left corner of each serves a
-    shorter block.
-    """
-    n = len(rc)
-    # first columns: r1[n-k] (r1[n] = 0) and rc[n-1-k] below the diagonal
-    cols = np.zeros((2, 2 * size - 1))
-    cols[0, size - 1:] = r1[n + 1 - size:][::-1]
-    cols[1, size:] = rc[n - size:n - 1][::-1]
-    # entry (i, j) of each is its column's entry i - j
-    first = cols[:, size - 1:]
-    step = cols.itemsize
-    return as_strided(first, (2, size, size), (first.strides[0], step, -step)).copy()
-
-
 def _tempering(d: np.ndarray, lam: float) -> np.ndarray:
     """e^{-lam d} over the distances ``d``, in place."""
     d *= -lam
     return np.exp(d, out=d)
-
-
-def _affine_block(affine, t, hpre, forc, pred0, corr_far, rect, trap, c0):
-    """u over a block of start steps for f = p + q u, in one triangular solve;
-    the start's path for a q that varies over a chunk (a constant q takes
-    :func:`_resolvent_block`).
-
-    Step k's predictor is ``pred0[k] + hpre (rect f)[k]`` and its corrector
-    ``forc[k] + hpre (corr_far[k] + (trap f)[k] + c0 fp[k])``, where fp is f
-    at the predictor and ``rect`` and ``trap`` hold the tempered in-block
-    weights.  Substituting f = p + q u makes u the solution of one unit
-    lower-triangular system.  Returns u and f, or None when p or q raises,
-    is complex or does not broadcast to ``t``, or some u is not finite or
-    past the blow-up limit.  A p or q that is not finite makes its step's u
-    so, and gives None too.
-    """
-    b = len(t)
-    p, q = np.empty((2, b))
-    with np.errstate(all="ignore"):
-        try:
-            pt = np.asarray(affine[0](t))
-            qt = np.asarray(affine[1](t))
-            if pt.dtype.kind not in "fiu" or qt.dtype.kind not in "fiu":
-                return None
-            # a constant broadcasts, values of another shape raise
-            p[...], q[...] = pt, qt
-        except (ArithmeticError, TypeError, ValueError):
-            return None
-        # u = rhs + W (p + q u) with W = hpre (trap + c0 hpre q rect),
-        # formed negated, as the system needs -W q
-        neg = rect[:b, :b] * (-c0 * q * hpre)[:, None]
-        neg -= trap[:b, :b]
-        neg *= hpre
-        rhs = q * pred0
-        rhs += p
-        rhs *= c0
-        rhs += corr_far
-        rhs *= hpre
-        rhs += forc
-        rhs -= neg @ p
-        neg *= q  # the unit diagonal is implied, and dtrtrs does not read it
-        # neg is C-ordered, so its transpose is the Fortran-ordered upper
-        # triangle; trans=1 solves with the lower one
-        u, info = _dtrtrs(neg.T, rhs, lower=0, trans=1, unitdiag=1)
-        if info != 0 or not np.abs(u).max() <= _BLOWUP_LIMIT:
-            return None
-    f = q * u
-    f += p
-    return u, f
 
 
 def _constant_q_parts(affine, t):
@@ -628,8 +557,7 @@ def _constant_q_parts(affine, t):
     resolvent blocks: p is a float where it is 0-d, else an array of t's
     shape.  None when q takes more than one value or one that is not
     finite, or when p or q raises, is complex or does not broadcast to
-    ``t``.  :func:`_affine_block` keeps checks of its own: these would add
-    about 5 microseconds, a fifth of its time, to each of its blocks."""
+    ``t``; the chunk is then stepped."""
     with np.errstate(all="ignore"):
         try:
             p = np.asarray(affine[0](t))
@@ -687,11 +615,13 @@ def _resolvent_block(p, q, hpre, forc, pred0, corr_far, c0, kern, cum, rho):
     """u over a block of start steps for f = p + q u with q constant, as
     ``rho * (g + K * p)`` (:func:`_resolvent`).
 
-    g is the block's right-hand side without its in-block sums, from
-    ``pred0``, ``forc`` and ``corr_far`` as in :func:`_affine_block`.  A
-    float p makes K * p the running sums ``cum`` times p.  Returns u and f,
-    or None when some u is not finite or past the blow-up limit; a p that
-    is not finite makes u so from its step on.
+    Step k's predictor is ``pred0[k]`` plus hpre times its in-block
+    rectangle sum, and its corrector is ``forc[k]`` plus hpre times
+    ``corr_far[k]``, its in-block trapezoid sum and c0 f at the predictor;
+    g is u less the in-block sums.  A float p makes K * p the running sums
+    ``cum`` times p.  Returns u and f, or None when some u is not finite or
+    past the blow-up limit; a p that is not finite makes u so from its
+    step on.
     """
     b = len(forc)
     with np.errstate(all="ignore"):
@@ -778,17 +708,15 @@ def _adams_pece_scaled(
     Stat. Comput. 6(3), 1985, so the far tier costs O(n log n) and the near
     one O(n _CHUNK).
 
+    A chunk runs in blocks of ``_START_BLOCK`` steps (at most ``_CHUNK``).
     The forcing is set up a chunk at a time, and so are p and q of
     ``problem.affine``.  Where q is one finite value over a chunk, a
-    block's steps form a unit lower-triangular Toeplitz system, so the
-    chunk runs in blocks of ``_RESOLVENT_BLOCK`` steps (at most
-    ``_CHUNK``), each one or two convolutions with the kernel and resolvent
-    that :func:`_resolvent` makes once for that q (:func:`_resolvent_block`).
-    Where q varies, or p or q fails over the chunk, a block of ``_BLOCK``
-    steps is one dense triangular solve (:func:`_affine_block`), whose
-    matrices are made when a chunk first takes that path.  Without ``problem.affine``, and for a block where p or
-    q fails or the solution leaves the finite range, the steps are stepped
-    one by one.
+    block's steps form a unit lower-triangular Toeplitz system, so each
+    block is one or two convolutions with the kernel and resolvent that
+    :func:`_resolvent` makes once for that q (:func:`_resolvent_block`).
+    Without ``problem.affine``, where q varies or p or q fails over the
+    chunk, and for a block whose solution leaves the finite range, the
+    steps are stepped one by one.
 
     A node within ``tol`` of a mesh point takes that point's value.  Any
     other node s gets one PECE step over the mesh history before it
@@ -818,33 +746,27 @@ def _adams_pece_scaled(
     np.multiply(r1[:n][::-1], temper, out=u[1:])
     np.multiply(rl[:n][::-1], temper, out=gv[1:])
     del rl
-    # e^{-lam h d} for d = 0 .. _CHUNK, and the in-block weights so tempered,
-    # over the resolvent blocks' length, the longer one
+    # e^{-lam h d} for d = 0 .. _CHUNK, and the in-block weights so tempered
     temper = _tempering(np.arange(_CHUNK + 1.0), lam * h)
-    size, short = min(_RESOLVENT_BLOCK, _CHUNK, n), min(_BLOCK, n)
+    size = min(_START_BLOCK, _CHUNK, n)
     r1b = r1[n - size:] * temper[size::-1]
     rcb = rc[n - size:] * temper[size - 1::-1]
     c0 = rcb.item(-1)
-    rect = q_kern = None  # made when a chunk first needs them
+    q_kern = None  # the q of the resolvent, made when a chunk first needs it
 
     for lo in range(1, n + 1, _CHUNK):
         hi = min(lo + _CHUNK, n + 1)
         t_chunk = mesh[lo:hi]
         forc = np.exp(-lam * (t_chunk - a))
         forc *= _forcing_scaled(problem, t_chunk)
-        parts, block = None, short
-        if problem.affine is not None:
-            parts = _constant_q_parts(problem.affine, t_chunk)
-            if parts is not None:
-                p_chunk, q = parts
-                block = size
-                if q != q_kern:
-                    kern, cum, rho = _resolvent(q, hpre, r1b, rcb, size)
-                    q_kern = q
-            elif rect is None:
-                rect, trap = _start_block_matrices(r1b, rcb, short)
-        for m0 in range(lo, hi, block):
-            m1 = min(m0 + block, hi)
+        parts = None if problem.affine is None else _constant_q_parts(problem.affine, t_chunk)
+        if parts is not None:
+            p_chunk, q = parts
+            if q != q_kern:
+                kern, cum, rho = _resolvent(q, hpre, r1b, rcb, size)
+                q_kern = q
+        for m0 in range(lo, hi, size):
+            m1 = min(m0 + size, hi)
             forc_b = forc[m0 - lo:m1 - lo]
             # the far sums, plus the sums over f_lo .. f_{m0-1} of steps
             # m0 .. m1-1, pivoted at t_{m0-1}
@@ -855,19 +777,13 @@ def _adams_pece_scaled(
                 out = temper[1:m1 - m0 + 1]
                 pred_far += out * np.correlate(r1[n - m1 + lo + 1:n], src)[::-1]
                 corr_far += out * np.correlate(rc[n - m1 + lo:n - 1], src)[::-1]
-            solved = None
             if parts is not None:
                 p = p_chunk if isinstance(p_chunk, float) else p_chunk[m0 - lo:m1 - lo]
                 solved = _resolvent_block(p, q, hpre, forc_b, forc_b + hpre * pred_far,
                                           corr_far, c0, kern, cum, rho)
-            elif problem.affine is not None:
-                solved = _affine_block(
-                    problem.affine, mesh[m0:m1], hpre, forc_b, forc_b + hpre * pred_far,
-                    corr_far, rect, trap, c0,
-                )
-            if solved is not None:
-                u[m0:m1], gv[m0:m1] = solved
-                continue
+                if solved is not None:
+                    u[m0:m1], gv[m0:m1] = solved
+                    continue
             for k in range(m1 - m0):
                 m = m0 + k
                 T = mesh.item(m)

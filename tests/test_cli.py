@@ -109,6 +109,19 @@ class TestSolveCommand:
                     "--split-t0", "0.013", cwd=tmp_path)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("option, value", [
+        ("--lambda", "nan"), ("--lambda", "inf"), ("--init", "nan"), ("--b", "inf"),
+    ])
+    def test_non_finite_data_is_a_configuration_error(self, tmp_path, option, value):
+        # each used to exit 3, a blow-up in the start phase at step 1
+        args = {"--lambda": "0", "--init": "1", "--b": "1", option: value}
+        r = run_cli("solve", "--alpha", "0.5", "--rhs=-u", "--steps", "40", "--NI", "2",
+                    *(f"{k}={v}" for k, v in args.items()), cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("configuration error:") and "finite" in r.stderr
+        assert "Warning" not in r.stderr
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_exact_start_without_exact_solution(self, tmp_path):
         # it used to fall back to the fractional-Adams start without a word
         r = run_cli("solve", "--alpha", "0.5", "--rhs=-u", "--init", "1", "--b", "1",

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
-from scipy.linalg.lapack import dtrtrs as _dtrtrs
 from scipy.special import erfcx
 
 from _oracles import (
@@ -436,8 +435,8 @@ class TestAdamsStart:
         # sums until their steps), the forcing over one chunk (and p, where
         # it varies), the tempering e^{-lam h d} for d up to _CHUNK, and, as
         # q is constant, the affine start's kernel, its running sums and its
-        # resolvent, 128 long each (a q that varies takes two 32 x 32
-        # in-block weight matrices instead).  An FFT push adds about four
+        # resolvent, 128 long each (a q that varies is stepped, and takes
+        # none of them).  An FFT push adds about four
         # temporaries as long as the mesh.  The dense output comes after the
         # weight tables are freed, and a PECE at a Lobatto node adds five
         # temporaries as long as its history, the tempered history among
@@ -476,31 +475,44 @@ class TestAdamsStart:
 
     def test_block_length_does_not_depend_on_lam(self, monkeypatch):
         # lam h = 90, 40 steps: with its constant q the affine start solves
-        # them in one 40-step resolvent block, and a twin whose q varies in
-        # two dense 32-step blocks; capped at 1 + 300 / (lam h) steps it
-        # took ten
-        solves, blocks = [], []
-
-        def dtrtrs(*args, **kwargs):
-            solves.append(args[1].shape)
-            return _dtrtrs(*args, **kwargs)
+        # them in one 40-step resolvent block (capped at 1 + 300 / (lam h)
+        # steps it took ten); a twin whose q varies is stepped, with two
+        # right-hand side calls a step
+        blocks = []
 
         def resolvent_block(*args):
             blocks.append(len(args[3]))
             return _resolvent_block(*args)
 
-        monkeypatch.setattr("tfode.solver._dtrtrs", dtrtrs)
         monkeypatch.setattr("tfode.solver._resolvent_block", resolvent_block)
         h = 0.1
         mesh = h * np.arange(41)
         problem = _start_problem("caputo", 0.5, lam=900.0)
-        _adams_pece_scaled(problem, mesh, h)
-        assert (blocks, solves) == ([40], [])
+        counted, calls = _counting(problem)
+        _adams_pece_scaled(counted, mesh, h)
+        assert (blocks, len(calls)) == ([40], 1)
         del blocks[:]
         varying = dataclasses.replace(problem, rhs=lambda t, u: math.cos(t) - 0.5 * (1.0 + t) * u,
                                       affine=(np.cos, lambda t: -0.5 * (1.0 + t)))
-        _adams_pece_scaled(varying, mesh, h)
-        assert (blocks, solves) == ([], [(32,), (8,)])
+        counted, calls = _counting(varying)
+        _adams_pece_scaled(counted, mesh, h)
+        assert blocks == [] and calls[1:] == [t for t in mesh[1:] for _ in (0, 1)]
+
+    @pytest.mark.parametrize("kind, alpha", [("caputo", 0.5), ("rl", 1.5)])
+    def test_varying_q_is_stepped_as_without_affine(self, kind, alpha):
+        # a q that varies takes the stepped path of a right-hand side with
+        # no affine parts, so the two starts agree bit for bit, over three
+        # chunks and at the split rule's Lobatto nodes
+        q = lambda t: -10.0 * (1.0 + t)
+        problem = dataclasses.replace(
+            _start_problem(kind, alpha, lam=5.0), b=1.1,
+            rhs=lambda t, u: math.cos(t) + q(t) * u, affine=(np.cos, q))
+        mesh, nodes, h, tol = _split_start_mesh(problem, 440)
+        assert len(mesh) > 2 * 1024
+        (u, u_nodes), (u_want, nodes_want) = (
+            _adams_pece_scaled(twin, mesh, h, nodes, tol) for twin in _twins(problem))
+        np.testing.assert_array_equal(u, u_want)
+        np.testing.assert_array_equal(u_nodes, nodes_want)
 
     @pytest.mark.parametrize("size", [1, 2, 127, 128])
     def test_resolvent_against_dense_solve(self, size):
@@ -572,13 +584,16 @@ class TestAdamsStart:
             assert len(calls) == want
 
     @pytest.mark.parametrize("fault", ["raises", "nan", "complex", "shape"])
-    def test_block_whose_parts_fail_is_stepped(self, fault):
-        # q fails on the third block only: that block is stepped, the others
-        # are solved, and all match the reference
+    def test_block_whose_parts_fail_is_stepped(self, fault, monkeypatch):
+        # in chunks of 64 points, q fails on the third chunk only: that
+        # chunk is stepped, the others are solved, and all match the
+        # reference
+        chunk = 64
+        monkeypatch.setattr("tfode.solver._CHUNK", chunk)
         problem = _start_problem("caputo", 0.6)
         h = 1e-3
         mesh = h * np.arange(201)
-        lo, hi = mesh[2 * _BLOCK + 1], mesh[3 * _BLOCK]
+        lo, hi = mesh[2 * chunk + 1], mesh[3 * chunk]
 
         def q(t):
             if not (t[0] <= hi and t[-1] >= lo):
@@ -594,7 +609,7 @@ class TestAdamsStart:
         counted, calls = _counting(dataclasses.replace(problem, affine=(np.cos, q)))
         got = _adams_pece_scaled(counted, mesh, h)[0]
         np.testing.assert_allclose(got, adams_pece_reference(problem, mesh), rtol=1e-13, atol=0.0)
-        assert calls[1:] == [t for t in mesh[2 * _BLOCK + 1:3 * _BLOCK + 1] for _ in (0, 1)]
+        assert calls[1:] == [t for t in mesh[2 * chunk + 1:3 * chunk + 1] for _ in (0, 1)]
 
     def test_blow_up_in_an_affine_block(self):
         # D^(1/2) u = 1e5 u leaves the range at the second start step; the
@@ -1039,3 +1054,18 @@ class TestExactSolutions:
         with pytest.raises(ValueError):
             Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(0.0,),
                     rhs=lambda t, u: 0.0, affine=(np.zeros_like,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.nan), ("lam", math.inf), ("a", math.nan), ("a", -math.inf),
+        ("b", math.inf), ("b", math.nan), ("init", (math.nan, 0.5)), ("init", (1.0, -math.inf)),
+    ])
+    def test_problem_rejects_non_finite_data(self, field, value):
+        # nan < 0 is False, and a, b and init were not checked: the others
+        # passed (a nan a or b failed only b > a), and the start "blew up"
+        # at its first step or ran to t = inf
+        data = dict(kind="caputo", alpha=1.5, lam=1.0, a=0.0, b=1.0, init=(1.0, 0.5),
+                    rhs=lambda t, u: -u)
+        Problem(**data)
+        data[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            Problem(**data)
