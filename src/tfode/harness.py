@@ -1,12 +1,12 @@
 """Convergence-study harness: step-halving sweeps, error/order reports, CSV.
 
-A :class:`Sweep` names a built-in problem (or defines one inline through
-expression strings), a list of ``alpha`` and ``lambda`` values, and a
-strictly decreasing list of step sizes.  :func:`run_sweep` produces one
-:class:`ConvergenceReport` per (alpha, lambda) pair with the max-norm error
-and the consecutive-halving order for every step size.  The five canned
-table configurations reproduce the reference error tables exactly as
-printed (same T, quadrature degree, stencil size and step lists).
+A :class:`Sweep` holds a problem specification and solver options, lists
+of ``alpha`` and ``lambda`` values, and a strictly decreasing list of step
+sizes.  :func:`run_sweep` produces one :class:`ConvergenceReport` per
+(alpha, lambda) pair with the max-norm error and the consecutive-halving
+order for every step size.  The five canned table configurations reproduce
+the reference error tables exactly as printed (same T, quadrature degree,
+stencil size and step lists).
 
 Everything is deterministic: no randomness, fixed iteration order, fixed
 CSV formatting.  The per-row wall-clock column is kept out of the table
@@ -16,15 +16,16 @@ CSVs so repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
-import io
+import inspect
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .problems import BUILTIN_PREFIX, BUILTIN_PROBLEMS, problem_from_spec
+from .problems import problem_from_spec
 from .solver import BlowUpError, Problem, SolutionTrace, SolverConfig, solve
 
 __all__ = [
@@ -34,83 +35,63 @@ __all__ = [
     "estimate_order",
     "run_sweep",
     "table_sweep",
-    "write_report_csv",
+    "report_csv_text",
     "load_report_csv",
     "write_trace_csv",
     "TABLES",
 ]
 
 
-@dataclass(frozen=True)
+#: The keywords a sweep passes to :func:`problems.problem_from_spec`, but
+#: alpha and lambda, and to :class:`SolverConfig`, but steps.
+SPEC_KEYS = frozenset(inspect.signature(problem_from_spec).parameters) - {"alpha", "lam"}
+OPTION_KEYS = frozenset(f.name for f in fields(SolverConfig)) - {"steps"}
+
+
+@dataclass(frozen=True, init=False)
 class Sweep:
     """One convergence study: a problem family x step sizes.
 
-    Either ``problem`` names a built-in, or ``rhs`` (and optionally
-    ``exact``) give expression strings in the variables t, u, alpha,
-    lambda.  ``taus`` must be strictly decreasing and divide ``b - a``.
+    ``spec`` holds the keywords for :func:`problems.problem_from_spec` and
+    ``options`` those for :class:`SolverConfig`, read-only; every other
+    keyword goes to the one that takes it, also in ``dataclasses.replace``.
+    ``spec`` needs ``rhs``, ``builtin:NAME`` or an expression in t, u,
+    alpha, lambda, and has ``b`` = 1.0 unless given; ``options`` needs
+    ``n_interp``.  ``taus`` must be strictly decreasing and divide ``b - a``.
     """
 
     alphas: tuple[float, ...]
     lambdas: tuple[float, ...]
     taus: tuple[float, ...]
-    n_interp: int
-    problem: str | None = None
-    rhs: str | None = None
-    exact: str | None = None
-    kind: str = "caputo"
-    init: tuple[float, ...] | None = None
-    a: float = 0.0
-    b: float = 1.0
-    mu: float = 1.0
-    n_quad: int = 20
-    split_t0: float | None = None
-    n_tilde: int = 40
-    start_refine: int = 64
-    corrector_iters: int = 1
-    exact_start: bool = False
+    spec: Mapping[str, object]
+    options: Mapping[str, object]
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(x) for x in self.alphas))
-        object.__setattr__(self, "lambdas", tuple(float(x) for x in self.lambdas))
-        object.__setattr__(self, "taus", tuple(float(x) for x in self.taus))
-        if not self.taus or any(
-            t2 >= t1 for t1, t2 in zip(self.taus, self.taus[1:])
-        ):
+    def __init__(self, alphas, lambdas, taus, spec=(), options=(), **given):
+        spec, options = {"b": 1.0, **dict(spec)}, dict(options)
+        for key, value in given.items():
+            if key not in SPEC_KEYS | OPTION_KEYS:
+                raise TypeError(f"Sweep got an unexpected keyword argument {key!r}")
+            (spec if key in SPEC_KEYS else options)[key] = value
+        if "rhs" not in spec or "n_interp" not in options:
+            raise ValueError("a sweep needs rhs= (an expression or builtin:NAME) and n_interp=")
+        taus = tuple(map(float, taus))
+        if not taus or any(t2 >= t1 for t1, t2 in zip(taus, taus[1:])):
             raise ValueError("taus must be non-empty and strictly decreasing")
-        if (self.problem is None) == (self.rhs is None):
-            raise ValueError("give exactly one of problem= (builtin) or rhs= (inline)")
-        if self.problem is not None and self.problem not in BUILTIN_PROBLEMS:
-            raise ValueError(f"unknown builtin problem {self.problem!r}")
-        if self.problem is not None and self.a != 0.0:
-            raise ValueError("builtin problems start at a = 0")
-        if self.init is not None:
-            object.__setattr__(self, "init", tuple(float(c) for c in self.init))
-
-    def steps_for(self, tau: float) -> int:
-        m = (self.b - self.a) / tau
-        steps = round(m)
-        if abs(m - steps) > 1e-9 * max(1.0, steps):
-            raise ValueError(f"tau={tau} does not divide the interval [{self.a}, {self.b}]")
-        return steps
+        values = (tuple(map(float, alphas)), tuple(map(float, lambdas)), taus,
+                  MappingProxyType(spec), MappingProxyType(options))
+        for f, value in zip(fields(self), values):
+            object.__setattr__(self, f.name, value)
 
     def make_problem(self, alpha: float, lam: float) -> Problem:
-        rhs = self.rhs if self.problem is None else BUILTIN_PREFIX + self.problem
-        return problem_from_spec(
-            alpha, lam, rhs, b=self.b, exact=self.exact, kind=self.kind,
-            init=self.init, a=self.a, mu=self.mu,
-        )
+        return problem_from_spec(alpha, lam, **self.spec)
 
-    def make_config(self, tau: float) -> SolverConfig:
-        return SolverConfig(
-            steps=self.steps_for(tau),
-            n_interp=self.n_interp,
-            n_quad=self.n_quad,
-            start_refine=self.start_refine,
-            split_t0=self.split_t0,
-            n_tilde=self.n_tilde,
-            corrector_iters=self.corrector_iters,
-            exact_start=self.exact_start,
-        )
+    def make_config(self, problem: Problem, tau: float) -> SolverConfig:
+        """The solver configuration for steps of ``tau`` over ``problem``'s interval."""
+        m = (problem.b - problem.a) / tau
+        steps = round(m)
+        if abs(m - steps) > 1e-9 * max(1.0, steps):
+            raise ValueError(f"tau={tau} does not divide the interval [{problem.a}, {problem.b}]")
+        return SolverConfig(steps=steps, **self.options)
 
 
 @dataclass
@@ -182,11 +163,10 @@ def run_sweep(sweep: Sweep) -> list[ConvergenceReport]:
             problem = sweep.make_problem(alpha, lam)
             reference = None
             if problem.exact is None:
-                ref_tau = min(sweep.taus) / 4.0
-                reference = solve(problem, sweep.make_config(ref_tau))
+                reference = solve(problem, sweep.make_config(problem, min(sweep.taus) / 4.0))
             rows = []
             for tau in sweep.taus:
-                config = sweep.make_config(tau)
+                config = sweep.make_config(problem, tau)
                 start = time.perf_counter()
                 try:
                     trace = solve(problem, config)
@@ -201,18 +181,7 @@ def run_sweep(sweep: Sweep) -> list[ConvergenceReport]:
                 rows.append(ReportRow(tau=tau, max_error=err, order=None, wall_ms=wall_ms))
             for row, order in zip(rows[1:], estimate_order([r.max_error for r in rows])):
                 row.order = order
-            meta = {
-                "alpha": alpha,
-                "lambda": lam,
-                "n_interp": sweep.n_interp,
-                "n_quad": sweep.n_quad,
-                "split_t0": sweep.split_t0,
-                "n_tilde": sweep.n_tilde,
-                "a": sweep.a,
-                "b": sweep.b,
-                "problem": sweep.problem or sweep.rhs,
-                "error_baseline": "exact" if reference is None else "reference",
-            }
+            meta = {"error_baseline": "exact" if reference is None else "reference"}
             reports.append(ConvergenceReport(alpha=alpha, lam=lam, rows=rows, meta=meta))
     return reports
 
@@ -223,17 +192,19 @@ def run_sweep(sweep: Sweep) -> list[ConvergenceReport]:
 _T123_TAUS = (1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160)
 _T45_TAUS = (1 / 20, 1 / 40, 1 / 80, 1 / 160)
 
+#: The paper's parameters in full, defaults included, so that a change of
+#: default leaves the tables alone
 TABLES: dict[int, Sweep] = {
-    1: Sweep(problem="example2", alphas=(0.5,), lambdas=(0.0, 2.0, 6.0),
+    1: Sweep(rhs="builtin:example2", alphas=(0.5,), lambdas=(0.0, 2.0, 6.0),
              taus=_T123_TAUS, n_interp=7, n_quad=20, b=1.0),
-    2: Sweep(problem="example2", alphas=(1.0,), lambdas=(0.0, 2.0, 6.0),
+    2: Sweep(rhs="builtin:example2", alphas=(1.0,), lambdas=(0.0, 2.0, 6.0),
              taus=_T123_TAUS, n_interp=6, n_quad=20, b=1.0),
-    3: Sweep(problem="example2", alphas=(1.5,), lambdas=(0.0, 2.0, 6.0),
+    3: Sweep(rhs="builtin:example2", alphas=(1.5,), lambdas=(0.0, 2.0, 6.0),
              taus=_T123_TAUS, n_interp=6, n_quad=20, b=1.0),
-    4: Sweep(problem="example3", alphas=(0.2, 0.9, 1.8), lambdas=(5.0,),
+    4: Sweep(rhs="builtin:example3", alphas=(0.2, 0.9, 1.8), lambdas=(5.0,),
              taus=_T45_TAUS, n_interp=2, n_quad=20, b=1.1, mu=1.0,
              split_t0=0.1, n_tilde=40),
-    5: Sweep(problem="example3", alphas=(0.2, 0.9, 1.8), lambdas=(10.0,),
+    5: Sweep(rhs="builtin:example3", alphas=(0.2, 0.9, 1.8), lambdas=(10.0,),
              taus=_T45_TAUS, n_interp=2, n_quad=20, b=1.1, mu=1.0,
              split_t0=0.1, n_tilde=40),
 }
@@ -251,31 +222,19 @@ def table_sweep(which: int) -> Sweep:
 # CSV input/output
 
 
-def write_report_csv(stream, reports: Sequence[ConvergenceReport], *, wall_ms: bool = True) -> None:
-    """Write sweep reports as CSV; fixed formats keep output reproducible."""
-    writer = csv.writer(stream, lineterminator="\n")
-    header = ["alpha", "lambda", "tau", "max_error", "order"]
-    if wall_ms:
-        header.append("wall_ms")
-    writer.writerow(header)
+def report_csv_text(reports: Sequence[ConvergenceReport], *, wall_ms: bool = True) -> str:
+    """Sweep reports as CSV text; fixed formats keep output reproducible.
+
+    The fields are formatted numbers, which CSV never quotes, so the rows
+    are joined directly.
+    """
+    lines = ["alpha,lambda,tau,max_error,order" + (",wall_ms" if wall_ms else "")]
     for rep in reports:
         for row in rep.rows:
-            rec = [
-                f"{rep.alpha:.10g}",
-                f"{rep.lam:.10g}",
-                f"{row.tau:.10g}",
-                f"{row.max_error:.6e}",
-                "" if row.order is None else f"{row.order:.4f}",
-            ]
-            if wall_ms:
-                rec.append(f"{row.wall_ms:.3f}")
-            writer.writerow(rec)
-
-
-def report_csv_text(reports: Sequence[ConvergenceReport], *, wall_ms: bool = True) -> str:
-    buf = io.StringIO()
-    write_report_csv(buf, reports, wall_ms=wall_ms)
-    return buf.getvalue()
+            order = "" if row.order is None else f"{row.order:.4f}"
+            line = f"{rep.alpha:.10g},{rep.lam:.10g},{row.tau:.10g},{row.max_error:.6e},{order}"
+            lines.append(line + (f",{row.wall_ms:.3f}" if wall_ms else ""))
+    return "\n".join(lines) + "\n"
 
 
 def load_report_csv(stream) -> list[ConvergenceReport]:

@@ -14,6 +14,7 @@ expressions, initial data, interval and decay rate.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 
@@ -180,10 +181,8 @@ def problem_from_spec(
     name = _builtin_name(rhs)
     if name is not None:
         problem = _builtin(name, alpha, lam, b, mu)
-        changed = Problem(
-            kind=kind, alpha=alpha, lam=lam, a=a, b=problem.b,
-            init=problem.init if init is None else init, rhs=problem.rhs,
-            affine=problem.affine,
+        changed = dataclasses.replace(
+            problem, kind=kind, a=a, init=problem.init if init is None else init, exact=None
         )
         overrides = [
             f for f in ("a", "init", "kind") if getattr(changed, f) != getattr(problem, f)

@@ -170,11 +170,13 @@ def mittag_leffler(alpha: float, beta: float, z, *, zmax: float = ML_ZMAX):
     """
     if alpha <= 0.0:
         raise MittagLefflerError(f"alpha must be positive, got {alpha}")
+    if not math.isfinite(beta):
+        raise MittagLefflerError(f"beta must be finite, got {beta}")
     if isinstance(z, np.ndarray):
         return _mittag_leffler_array(alpha, beta, z, zmax)
     if not abs(z) <= zmax:
         raise MittagLefflerError(f"|z| = {abs(z)} exceeds the supported bound {zmax}")
-    if alpha <= 1.0 and z < -ML_SERIES_RADIUS:
+    if _contour_serves(alpha, beta) and z < -ML_SERIES_RADIUS:
         return float(_contour(alpha, beta, z))
     return _series(alpha, beta, z)
 
@@ -186,11 +188,19 @@ def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, zmax: float)
         raise TypeError("Mittag-Leffler argument must be real, got a complex array")
     flat = z.astype(float, copy=False).reshape(-1)
     out = np.empty(flat.shape)
-    fast = (flat < -ML_SERIES_RADIUS) & (flat >= -zmax) & (alpha <= 1.0)
-    out[fast] = _contour(alpha, beta, flat[fast])
+    fast = (flat < -ML_SERIES_RADIUS) & (flat >= -zmax) & _contour_serves(alpha, beta)
+    if fast.any():
+        out[fast] = _contour(alpha, beta, flat[fast])
     for i in np.flatnonzero(~fast):
         out[i] = mittag_leffler(alpha, beta, float(flat[i]), zmax=zmax)
     return out.reshape(z.shape)
+
+
+def _contour_serves(alpha: float, beta: float) -> bool:
+    """Whether the contour rule serves (alpha, beta).  Its parameter search
+    takes time linear in beta; past Gamma's overflow, where 1/Gamma(beta)
+    is 0.0, the series serves instead, its terms from log-Gamma."""
+    return alpha <= 1.0 and beta <= GAMMA_OVERFLOW
 
 
 def _contour(alpha: float, beta: float, z):

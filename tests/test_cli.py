@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -397,3 +398,144 @@ class TestAffineStart:
             "expression error: right-hand side 'ln(t)*u' at t = 0, u = 1: math domain error\n"
         )
         assert not (tmp_path / "trace.csv").exists()
+
+
+class _Captured(Exception):
+    """Raised in place of a solve, carrying the problem and configuration."""
+
+
+def _capture(problem, config):
+    raise _Captured(problem, config)
+
+
+class TestOptionsReachTheirDestination:
+    """Each flag of ``tfode solve`` and each key of a sweep config reaches
+    the Problem or the SolverConfig that is solved."""
+
+    SOLVE = ["solve", "--alpha", "0.9", "--lambda", "2", "--rhs", "builtin:relax",
+             "--b", "1.1", "--steps", "22", "--NI", "2"]
+    SWEEP = {"alphas": [0.9], "lambdas": [2], "taus": [0.1], "NI": 2, "T": 1.1}
+
+    @pytest.mark.parametrize("argv, probe, want", [
+        (["--N", "12"], lambda p, c: c.n_quad, 12),
+        (["--NI", "3"], lambda p, c: c.n_interp, 3),
+        (["--steps", "44"], lambda p, c: c.steps, 44),
+        (["--split-t0", "0.1"], lambda p, c: c.split_t0, 0.1),
+        (["--ntilde", "30"], lambda p, c: c.n_tilde, 30),
+        (["--start-refine", "8"], lambda p, c: c.start_refine, 8),
+        (["--corrector-iters", "2"], lambda p, c: c.corrector_iters, 2),
+        (["--exact-start"], lambda p, c: c.exact_start, True),
+        ([], lambda p, c: (c.n_quad, c.split_t0, c.start_refine, c.exact_start),
+         (20, None, 64, False)),
+        (["--alpha", "0.6"], lambda p, c: p.alpha, 0.6),
+        (["--lambda", "3"], lambda p, c: p.lam, 3.0),
+        (["--b", "2.2"], lambda p, c: p.b, 2.2),
+        (["--a", "0.1"], lambda p, c: p.a, 0.1),
+        (["--init", "2"], lambda p, c: p.init, (2.0,)),
+        (["--kind", "rl"], lambda p, c: p.kind, "rl"),
+        (["--mu", "3"], lambda p, c: p.rhs(0.0, 1.0), -3.0),
+        (["--rhs=-2*u"], lambda p, c: p.rhs(0.0, 1.0), -2.0),
+        (["--rhs=-u", "--exact", "exp(-t)"], lambda p, c: p.exact(0.5), math.exp(-0.5)),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_solve(self, monkeypatch, argv, probe, want):
+        from tfode import cli
+
+        monkeypatch.setattr(cli, "solve", _capture)
+        with pytest.raises(_Captured) as exc:
+            cli.main([*self.SOLVE, *argv])
+        assert probe(*exc.value.args) == want
+
+    @pytest.mark.parametrize("keys, flags, probe, want", [
+        ({"N": 12}, [], lambda p, c: c.n_quad, 12),
+        ({"NI": 3}, [], lambda p, c: c.n_interp, 3),
+        ({"taus": [0.05]}, [], lambda p, c: c.steps, 22),
+        ({"split_t0": 0.1}, [], lambda p, c: c.split_t0, 0.1),
+        ({"ntilde": 30}, [], lambda p, c: c.n_tilde, 30),
+        ({"start_refine": 8}, [], lambda p, c: c.start_refine, 8),
+        ({"corrector_iters": 2}, [], lambda p, c: c.corrector_iters, 2),
+        ({"exact_start": True}, [], lambda p, c: c.exact_start, True),
+        ({}, ["--N", "12"], lambda p, c: c.n_quad, 12),
+        ({"NI": 3}, ["--NI", "4"], lambda p, c: c.n_interp, 4),
+        ({"start_refine": 8}, ["--start-refine", "16"], lambda p, c: c.start_refine, 16),
+        ({}, [], lambda p, c: (c.n_quad, c.split_t0, c.start_refine, c.exact_start),
+         (20, None, 64, False)),
+        ({"alphas": [0.6]}, [], lambda p, c: p.alpha, 0.6),
+        ({"lambdas": [3]}, [], lambda p, c: p.lam, 3.0),
+        ({"T": 2.2}, [], lambda p, c: p.b, 2.2),
+        ({"b": 2.2, "T": None}, [], lambda p, c: p.b, 2.2),
+        # the override drops the exact solution: the first solve is the
+        # reference one, at tau/4 over [0.1, 1.1]
+        ({"a": 0.1}, [], lambda p, c: (p.a, c.steps), (0.1, 40)),
+        ({"init": [2]}, [], lambda p, c: p.init, (2.0,)),
+        ({"kind": "rl"}, [], lambda p, c: p.kind, "rl"),
+        ({"mu": 3}, [], lambda p, c: p.rhs(0.0, 1.0), -3.0),
+        ({"problem": None, "rhs": "-2*u", "exact": "exp(-t)"}, [],
+         lambda p, c: (p.rhs(0.0, 1.0), p.exact(0.5)), (-2.0, math.exp(-0.5))),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, (dict, list)) else None)
+    def test_sweep(self, tmp_path, monkeypatch, keys, flags, probe, want):
+        from tfode import cli, harness
+
+        config = {"problem": "relax", **self.SWEEP, **keys}
+        config = {key: value for key, value in config.items() if value is not None}
+        (tmp_path / "sweep.json").write_text(json.dumps(config))
+        monkeypatch.setattr(harness, "solve", _capture)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(_Captured) as exc:
+            cli.main(["sweep", "--config", "sweep.json", *flags])
+        assert probe(*exc.value.args) == want
+
+
+class TestSweepConfigErrors:
+    BASE = {"problem": "example2", "alphas": [0.5], "lambdas": [2.0], "taus": [0.1],
+            "NI": 3, "T": 1.0}
+
+    def _sweep(self, tmp_path, monkeypatch, config):
+        from tfode import cli
+
+        config = {key: value for key, value in config.items() if value is not None}
+        (tmp_path / "sweep.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        return cli.main(["sweep", "--config", "sweep.json"])
+
+    @pytest.mark.parametrize("change, key", [
+        # each of the first three raised an uncaught TypeError: exit 1 and a traceback
+        ({"alphas": 0.5}, "alphas"),
+        ({"NI": "3"}, "NI"),
+        ({"problem": None, "rhs": "-u", "init": 1}, "init"),
+        ({"taus": [0.1, "x"]}, "taus"),
+        ({"N": 20.0}, "N"),
+        ({"exact_start": 1}, "exact_start"),
+        ({"split_t0": "0.1"}, "split_t0"),
+        ({"problem": 2}, "problem"),
+        ({"out": 3}, "out"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+    def test_bad_value_is_a_configuration_error(self, tmp_path, monkeypatch, capsys,
+                                                change, key):
+        assert self._sweep(tmp_path, monkeypatch, {**self.BASE, **change}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: sweep config key {key!r}: expected"), err
+        assert list(tmp_path.iterdir()) == [tmp_path / "sweep.json"]
+
+    @pytest.mark.parametrize("change", [
+        {"rhs": "-u"}, {"b": 1.0}, {"problem": None, "NI": None},
+    ], ids=json.dumps)
+    def test_keys_that_clash_or_are_missing(self, tmp_path, monkeypatch, capsys, change):
+        # problem and rhs, or T and b, name one setting twice
+        assert self._sweep(tmp_path, monkeypatch, {**self.BASE, **change}) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_builtin_interval_start_is_overridden_alike(self, tmp_path, monkeypatch, capsys):
+        # "problem": NAME used to reject an a != 0, while "rhs": "builtin:NAME"
+        # and tfode solve replaced the built-in's a with a note
+        base = {"alphas": [0.9], "lambdas": [1.0], "taus": [0.25, 0.125], "NI": 2,
+                "a": 0.5, "b": 1.5}
+        outputs = []
+        for spelling in ({"problem": "relax"}, {"rhs": "builtin:relax"}):
+            assert self._sweep(tmp_path, monkeypatch, {**base, **spelling}) == 0
+            report = (tmp_path / "report.csv").read_text().splitlines()
+            outputs.append((capsys.readouterr(), [row.rsplit(",", 1)[0] for row in report]))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].err == (
+            "note: overriding a of builtin 'relax'; its exact solution is discarded\n"
+        )
+        assert len(outputs[0][1]) == 3

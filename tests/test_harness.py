@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -10,7 +11,6 @@ from tfode.harness import (
     report_csv_text,
     run_sweep,
     table_sweep,
-    write_report_csv,
     write_trace_csv,
 )
 from tfode.problems import example2
@@ -40,23 +40,43 @@ class TestSweep:
     def test_validation(self):
         with pytest.raises(ValueError):
             Sweep(alphas=(0.5,), lambdas=(0.0,), taus=(0.05, 0.1), n_interp=3,
-                  problem="example2")
+                  rhs="builtin:example2")
         with pytest.raises(ValueError):
             Sweep(alphas=(0.5,), lambdas=(0.0,), taus=(0.1, 0.05), n_interp=3)
         with pytest.raises(ValueError):
-            Sweep(alphas=(0.5,), lambdas=(0.0,), taus=(0.1,), n_interp=3,
-                  problem="nonsense")
+            Sweep(alphas=(0.5,), lambdas=(0.0,), taus=(0.1, 0.05), rhs="-u")
+        # the name of a built-in is checked where the problem is built
+        with pytest.raises(ValueError):
+            run_sweep(Sweep(alphas=(0.5,), lambdas=(0.0,), taus=(0.1,), n_interp=3,
+                            rhs="builtin:nonsense"))
+        with pytest.raises(TypeError, match="'bogus'"):
+            Sweep(alphas=(0.5,), lambdas=(0.0,), taus=(0.1,), n_interp=3, rhs="-u", bogus=1)
+
+    def test_keywords_go_to_spec_or_options(self):
+        sw = Sweep(alphas=[0.5], lambdas=[1], taus=[0.1], rhs="-u", init=(1.0,), a=0.5,
+                   n_interp=3, start_refine=8)
+        assert sw.alphas == (0.5,) and sw.lambdas == (1.0,) and sw.taus == (0.1,)
+        assert dict(sw.spec) == {"rhs": "-u", "init": (1.0,), "a": 0.5, "b": 1.0}
+        assert dict(sw.options) == {"n_interp": 3, "start_refine": 8}
+        with pytest.raises(TypeError):
+            sw.options["n_interp"] = 4
+        # the keywords of replace() are routed alike
+        other = dataclasses.replace(sw, start_refine=16, b=2.0)
+        assert dict(other.options) == {"n_interp": 3, "start_refine": 16}
+        assert other.spec["b"] == 2.0 and other.spec["a"] == 0.5
+        assert other.make_config(other.make_problem(0.5, 1.0), 0.1).start_refine == 16
 
     def test_steps_must_divide(self):
         sw = Sweep(alphas=(0.5,), lambdas=(0.0,), taus=(0.1,), n_interp=3,
-                   problem="example2", b=1.0)
-        assert sw.steps_for(0.1) == 10
+                   rhs="builtin:example2", b=1.0)
+        problem = sw.make_problem(0.5, 0.0)
+        assert sw.make_config(problem, 0.1).steps == 10
         with pytest.raises(ValueError):
-            sw.steps_for(0.3)
+            sw.make_config(problem, 0.3)
 
     def test_run_sweep_builtin(self):
         sw = Sweep(alphas=(0.5,), lambdas=(2.0,), taus=(0.1, 0.05), n_interp=7,
-                   problem="example2", b=1.0)
+                   rhs="builtin:example2", b=1.0)
         reports = run_sweep(sw)
         assert len(reports) == 1
         rep = reports[0]
@@ -95,7 +115,7 @@ class TestSweep:
                         rhs="-u", exact="exp(-lambda*t)*ml(alpha,1,-t^alpha)",
                         init=(1.0,), b=1.1, split_t0=0.1)
         sw_builtin = Sweep(alphas=(0.9,), lambdas=(5.0,), taus=(0.05,), n_interp=2,
-                           problem="example3", b=1.1, split_t0=0.1)
+                           rhs="builtin:example3", b=1.1, split_t0=0.1)
         e1 = run_sweep(sw_expr)[0].rows[0].max_error
         e2 = run_sweep(sw_builtin)[0].rows[0].max_error
         assert e1 == pytest.approx(e2, rel=1e-9)
@@ -104,7 +124,7 @@ class TestSweep:
         # sweeps build problems like tfode solve: initial data given for a
         # builtin replace its own, and its exact solution is dropped
         sw = Sweep(alphas=(0.9,), lambdas=(5.0,), taus=(0.05,), n_interp=2,
-                   problem="example3", init=(2.0,), b=1.1, split_t0=0.1)
+                   rhs="builtin:example3", init=(2.0,), b=1.1, split_t0=0.1)
         problem = sw.make_problem(0.9, 5.0)
         assert problem.init == (2.0,) and problem.exact is None
         assert capsys.readouterr().err == (
@@ -115,12 +135,14 @@ class TestSweep:
 class TestTables:
     def test_table_configs(self):
         t1 = table_sweep(1)
-        assert t1.problem == "example2" and t1.n_interp == 7 and t1.b == 1.0
+        assert t1.spec["rhs"] == "builtin:example2" and t1.options["n_interp"] == 7
+        assert t1.spec["b"] == 1.0
         assert t1.alphas == (0.5,) and t1.lambdas == (0.0, 2.0, 6.0)
         assert t1.taus == (1 / 10, 1 / 20, 1 / 40, 1 / 80, 1 / 160)
         t4 = table_sweep(4)
-        assert t4.problem == "example3" and t4.split_t0 == 0.1 and t4.n_tilde == 40
-        assert t4.alphas == (0.2, 0.9, 1.8) and t4.b == 1.1
+        assert t4.spec["rhs"] == "builtin:example3" and t4.options["split_t0"] == 0.1
+        assert t4.options["n_tilde"] == 40
+        assert t4.alphas == (0.2, 0.9, 1.8) and t4.spec["b"] == 1.1
         with pytest.raises(ValueError):
             table_sweep(6)
 
@@ -128,7 +150,7 @@ class TestTables:
 class TestCsv:
     def _small_reports(self):
         sw = Sweep(alphas=(0.5,), lambdas=(2.0,), taus=(0.1, 0.05), n_interp=7,
-                   problem="example2", b=1.0)
+                   rhs="builtin:example2", b=1.0)
         return run_sweep(sw)
 
     def test_roundtrip_and_consistency(self):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +107,23 @@ class TestMittagLeffler:
         # the series raised OverflowError
         want = float(ml_asymptotic(0.2, 1.0, -10.0))
         assert mittag_leffler(0.2, 1.0, -10.0) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [1e3, 1e5, 1e8, 1e300, math.inf, math.nan])
+    def test_large_or_non_finite_beta_returns_at_once(self, beta):
+        # the contour rule's parameter search took time linear in beta, 0.7 s
+        # at beta = 5e4, and never ended at beta = inf; an array took it even
+        # with no element in the contour region
+        z = np.array([-1.0, -20.0, 0.5])
+        start = time.perf_counter()
+        if math.isfinite(beta):
+            # 1/Gamma(alpha k + beta) underflows for every k
+            assert mittag_leffler(0.5, beta, -1.0) == 0.0
+            assert np.array_equal(mittag_leffler(0.5, beta, z), np.zeros(3))
+        else:
+            for arg in (-1.0, z):
+                with pytest.raises(MittagLefflerError, match="beta must be finite"):
+                    mittag_leffler(0.5, beta, arg)
+        assert time.perf_counter() - start < 0.1
 
     @given(st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=60, deadline=None)
