@@ -133,9 +133,13 @@ def builtin_problem(name: str, alpha: float, lam: float, **kwargs) -> Problem:
 BUILTIN_PREFIX = "builtin:"
 
 
-def _builtin(name: str, alpha: float, lam: float, b: float, mu: float) -> Problem:
+#: The built-ins that take a decay rate ``mu``.
+_MU_BUILTINS = frozenset({"example3", "relax"})
+
+
+def _builtin(name: str, alpha: float, lam: float, b: float, mu: float | None) -> Problem:
     kwargs = {"b": b}
-    if name in ("example3", "relax"):
+    if mu is not None and name in _MU_BUILTINS:
         kwargs["mu"] = mu
     return builtin_problem(name, alpha, lam, **kwargs)
 
@@ -150,6 +154,27 @@ def _builtin_name(text: str) -> str | None:
 _EVAL_FAILURES = (ArithmeticError, TypeError, ValueError)
 
 
+def _exact_from_spec(exact: str, alpha: float, lam: float, b: float, mu: float | None):
+    """The exact solution ``exact`` names: a built-in's, or an expression in
+    t, alpha, lambda, which also takes a numpy array of times."""
+    name = _builtin_name(exact)
+    if name is not None:
+        return _builtin(name, alpha, lam, b, mu).exact
+    tree = expr.parse(exact)
+    g = expr.compile(tree, ("t", "alpha", "lambda"))
+    g_array = expr.compile(tree, ("t", "alpha", "lambda"), array=True)
+
+    def exact_fn(t):
+        if isinstance(t, np.ndarray):
+            return g_array(t, alpha, lam)
+        try:
+            return float(g(t, alpha, lam))
+        except _EVAL_FAILURES as exc:
+            raise expr.EvalError(f"exact solution {exact!r} at t = {t:.6g}: {exc}") from None
+
+    return exact_fn
+
+
 def problem_from_spec(
     alpha: float,
     lam: float,
@@ -160,16 +185,18 @@ def problem_from_spec(
     kind: str = CAPUTO,
     init: tuple[float, ...] | None = None,
     a: float = 0.0,
-    mu: float = 1.0,
+    mu: float | None = None,
 ) -> Problem:
     """A problem from its specification as the CLI and sweeps give it.
 
     ``rhs`` is ``builtin:NAME`` or an expression in t, u, alpha, lambda;
-    ``mu`` is the decay rate of the built-in ``example3``/``relax``.  An
-    ``a``, ``init`` or ``kind`` that differs from a built-in's replaces it
-    and drops the built-in's exact solution, with a note on stderr.  For an
-    expression, ``exact`` is ``builtin:NAME`` (that problem's solution) or
-    an expression in t, alpha, lambda, and ``init`` defaults to zeros.
+    ``mu`` is the decay rate of the built-in ``example3``/``relax``, which
+    has its default, and raises ``ValueError`` unless ``rhs`` or ``exact``
+    names one of them.  ``exact`` is ``builtin:NAME`` (that problem's
+    solution) or an expression in t, alpha, lambda; given, it replaces a
+    built-in's own.  An ``a``, ``init`` or ``kind`` that differs from a
+    built-in's replaces it and drops the built-in's exact solution, with a
+    note on stderr.  For an expression ``rhs``, ``init`` defaults to zeros.
     Expressions are parsed and compiled here, once; an expression whose
     value is not a real number raises :class:`expr.EvalError` when called.
     A right-hand side that is affine in u (:func:`expr.affine_split`) also
@@ -178,15 +205,24 @@ def problem_from_spec(
     An exact-solution expression also takes a numpy array of times, which
     it evaluates by numpy's rules (see :mod:`tfode.expr`).
     """
+    names = {_builtin_name(text) for text in (rhs, exact) if text is not None}
+    if mu is not None and not names & _MU_BUILTINS:
+        raise ValueError(
+            f"mu is read only by builtin {' and '.join(sorted(_MU_BUILTINS))}, and "
+            f"neither rhs {rhs!r} nor exact {exact!r} names one of them"
+        )
     name = _builtin_name(rhs)
     if name is not None:
         problem = _builtin(name, alpha, lam, b, mu)
         changed = dataclasses.replace(
-            problem, kind=kind, a=a, init=problem.init if init is None else init, exact=None
+            problem, kind=kind, a=a, init=problem.init if init is None else init,
+            exact=None if exact is None else _exact_from_spec(exact, alpha, lam, b, mu),
         )
         overrides = [
             f for f in ("a", "init", "kind") if getattr(changed, f) != getattr(problem, f)
         ]
+        if exact is not None:
+            return changed
         if not overrides:
             return problem
         # changed data mean the bundled closed-form solution no longer
@@ -216,24 +252,7 @@ def problem_from_spec(
                 f"right-hand side {rhs!r} at t = {t:.6g}, u = {u:.6g}: {exc}"
             ) from None
 
-    exact_fn = None
-    if exact is not None:
-        exact_name = _builtin_name(exact)
-        if exact_name is not None:
-            exact_fn = _builtin(exact_name, alpha, lam, b, mu).exact
-        else:
-            tree = expr.parse(exact)
-            g = expr.compile(tree, ("t", "alpha", "lambda"))
-            g_array = expr.compile(tree, ("t", "alpha", "lambda"), array=True)
-
-            def exact_fn(t):
-                if isinstance(t, np.ndarray):
-                    return g_array(t, alpha, lam)
-                try:
-                    return float(g(t, alpha, lam))
-                except _EVAL_FAILURES as exc:
-                    raise expr.EvalError(f"exact solution {exact!r} at t = {t:.6g}: {exc}") from None
-
+    exact_fn = None if exact is None else _exact_from_spec(exact, alpha, lam, b, mu)
     if init is None:
         init = (0.0,) * max(1, math.ceil(alpha))
     return Problem(

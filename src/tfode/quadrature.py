@@ -60,18 +60,10 @@ class GaussLobattoRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def npoints(self) -> int:
-        return len(self.nodes)
-
     def apply(self, g: Callable[[float], float]) -> float:
         """Apply the rule to a scalar function on [-1, 1]."""
         vals = np.array([g(z) for z in self.nodes])
         return float(self.weights @ vals)
-
-    def apply_to_values(self, values: np.ndarray) -> float:
-        """Contract the weights with precomputed node values."""
-        return float(self.weights @ values)
 
 
 @lru_cache(maxsize=None)

@@ -1081,4 +1081,4 @@ def solve_split(problem: Problem, config: SolverConfig) -> SolutionTrace:
     """
     if config.split_t0 is None:
         raise ValueError("solve_split requires config.split_t0")
-    return _march(_new_trace(problem, config), *_start(problem, config))
+    return solve(problem, config)

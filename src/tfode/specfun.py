@@ -26,15 +26,13 @@ real ``z`` and covers two regions with two methods:
   :class:`MittagLefflerError` once the cancellation costs more than 8 of
   the 16 digits; where its terms overflow, ``OverflowError``.
 
-The series reads its coefficients 1/Gamma(alpha k + beta), and log|Gamma|
-for the terms whose power z^k or whose Gamma alone would overflow, from
-tables kept per (alpha, beta).  A table grows lazily to the largest k a
-call has needed.  It is an immutable tuple: a call that needs more builds a
-longer one and replaces the stored one under a lock, and never changes a
-table in place, so readers need no lock.  The number of keys and each
-table's length are bounded; terms past the length bound are computed
-directly.  The contour nodes are built on first use per (alpha, beta) and
-kept in a cache with as many keys.
+The series reads its first coefficients 1/Gamma(alpha k + beta) from a
+table of packed doubles kept per (alpha, beta); terms past the table, and
+log|Gamma| for the terms whose power z^k or whose Gamma alone would
+overflow, are computed per term.  The table is short to keep memory low:
+the series of the reference tables and relaxation solves take about 20
+terms at most.  The contour nodes are likewise built on first use per (alpha,
+beta).  Both caches are ``functools.lru_cache``, with as many keys each.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from array import array
 
 import numpy as np
@@ -95,16 +92,19 @@ def rgamma(x: float) -> float:
     return 1.0 / g
 
 
-#: Bounds on the Mittag-Leffler coefficient tables: the number of (alpha,
-#: beta) keys kept, the oldest dropped first, and the length of each table.
-#: 1/Gamma(alpha k + beta) vanishes once alpha k + beta passes ~171.6, so
-#: 1024 entries cover every series with alpha >= 0.17 and beta >= 0.
+#: Bounds on the Mittag-Leffler caches: the number of (alpha, beta) keys
+#: each keeps, and the length of a coefficient table, several times the
+#: longest series the reference tables and relaxation solves sum (about 20
+#: terms); 128 packed doubles take 1 KB a key.
 _ML_TABLE_KEYS = 16
-_ML_TABLE_LEN = 1024
+_ML_TABLE_LEN = 128
 
-_RGAMMA_TABLES: dict[tuple[float, float], tuple[float, ...]] = {}
-_LGAMMA_TABLES: dict[tuple[float, float], tuple[float, ...]] = {}
-_TABLE_LOCK = threading.Lock()
+
+@functools.lru_cache(maxsize=_ML_TABLE_KEYS)
+def _rgamma_table(alpha: float, beta: float) -> array:
+    """1/Gamma(alpha j + beta) for j < ``_ML_TABLE_LEN``, as packed doubles,
+    which are never written after this."""
+    return array("d", (rgamma(alpha * j + beta) for j in range(_ML_TABLE_LEN)))
 
 
 def _lgamma(x: float) -> float:
@@ -114,36 +114,15 @@ def _lgamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _table(store: dict, fn, key: tuple[float, float], k: int) -> tuple[float, ...]:
-    """``fn(alpha j + beta)`` for j = 0, 1, ..., from ``store``, grown past
-    j = ``k`` unless the table is at its length bound.
-
-    A growing call builds a new tuple of the next power-of-two length and
-    replaces the stored one; concurrent growers build equal values, so a
-    lost replacement only costs time.
-    """
-    old = store.get(key, ())
-    if k < len(old) or len(old) >= _ML_TABLE_LEN:
-        return old
-    size = min(_ML_TABLE_LEN, max(16, 1 << k.bit_length()))
-    alpha, beta = key
-    new = old + tuple(fn(alpha * j + beta) for j in range(len(old), size))
-    with _TABLE_LOCK:
-        if key not in store and len(store) >= _ML_TABLE_KEYS:
-            del store[next(iter(store))]
-        if len(store.get(key, ())) < size:
-            store[key] = new
-    return new
-
-
-def mittag_leffler(alpha: float, beta: float, z, *, zmax: float = ML_ZMAX):
+def mittag_leffler(alpha: float, beta: float, z):
     """Two-parameter Mittag-Leffler function ``E_{alpha,beta}(z)``.
 
     ``z`` is a real float or a numpy array of them; an array gives an array
     of the same shape, each element from the method that serves it as a
     float (see the module docstring).  The series is summed with Neumaier
     compensation and stops once the term magnitude stays below
-    ``1e-16 * (1 + |partial sum|)`` for three consecutive terms.
+    ``1e-16 * |partial sum|`` for three consecutive terms, a relative test,
+    so a sum whose leading terms are all tiny is summed in full.
 
     Parameters
     ----------
@@ -152,12 +131,12 @@ def mittag_leffler(alpha: float, beta: float, z, *, zmax: float = ML_ZMAX):
     beta:
         Series offset, any real.
     z:
-        Real argument(s) with ``|z| <= zmax``.
+        Real argument(s) with ``|z| <= ML_ZMAX``.
 
     Raises
     ------
     MittagLefflerError
-        If ``alpha <= 0``, if ``|z| > zmax`` (or ``z`` is NaN), or if the
+        If ``alpha <= 0``, if ``|z| > ML_ZMAX`` (or ``z`` is NaN), or if the
         series cancels: eps times the sum of its terms' magnitudes passes
         1e-8 times the result.
     OverflowError
@@ -173,26 +152,26 @@ def mittag_leffler(alpha: float, beta: float, z, *, zmax: float = ML_ZMAX):
     if not math.isfinite(beta):
         raise MittagLefflerError(f"beta must be finite, got {beta}")
     if isinstance(z, np.ndarray):
-        return _mittag_leffler_array(alpha, beta, z, zmax)
-    if not abs(z) <= zmax:
-        raise MittagLefflerError(f"|z| = {abs(z)} exceeds the supported bound {zmax}")
+        return _mittag_leffler_array(alpha, beta, z)
+    if not abs(z) <= ML_ZMAX:
+        raise MittagLefflerError(f"|z| = {abs(z)} exceeds the supported bound {ML_ZMAX}")
     if _contour_serves(alpha, beta) and z < -ML_SERIES_RADIUS:
         return float(_contour(alpha, beta, z))
     return _series(alpha, beta, z)
 
 
-def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray, zmax: float) -> np.ndarray:
+def _mittag_leffler_array(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """The array form of :func:`mittag_leffler`: the contour region in one
     pass, every other element by the scalar call, which raises its errors."""
     if z.dtype.kind == "c":
         raise TypeError("Mittag-Leffler argument must be real, got a complex array")
     flat = z.astype(float, copy=False).reshape(-1)
     out = np.empty(flat.shape)
-    fast = (flat < -ML_SERIES_RADIUS) & (flat >= -zmax) & _contour_serves(alpha, beta)
+    fast = (flat < -ML_SERIES_RADIUS) & (flat >= -ML_ZMAX) & _contour_serves(alpha, beta)
     if fast.any():
         out[fast] = _contour(alpha, beta, flat[fast])
     for i in np.flatnonzero(~fast):
-        out[i] = mittag_leffler(alpha, beta, float(flat[i]), zmax=zmax)
+        out[i] = mittag_leffler(alpha, beta, float(flat[i]))
     return out.reshape(z.shape)
 
 
@@ -287,10 +266,8 @@ def _contour_nodes(alpha: float, beta: float) -> tuple[array, array, array, arra
 
 
 def _series(alpha: float, beta: float, z: float) -> float:
-    """The power series at real ``z``, from the coefficient tables."""
-    key = (alpha, beta)
-    rg, lg = _RGAMMA_TABLES.get(key, ()), _LGAMMA_TABLES.get(key, ())
-    nr, nl = len(rg), len(lg)
+    """The power series at real ``z``, its first coefficients from the table."""
+    rg = _rgamma_table(alpha, beta)
     zero = z == 0.0
     lz = 0.0 if zero else math.log(abs(z))
     total = 0.0
@@ -298,11 +275,9 @@ def _series(alpha: float, beta: float, z: float) -> float:
     mag = 0.0  # sum of |term|, against which the cancellation is measured
     small_streak = 0
     for k in range(100_000):
-        if k >= nr:
-            rg = _table(_RGAMMA_TABLES, rgamma, key, k)
-            nr = len(rg)
-        r = rg[k] if k < nr else rgamma(alpha * k + beta)
-        if (zero and k) or (r == 0.0 and alpha * k + beta <= 0.0):
+        x = alpha * k + beta
+        r = rg[k] if k < _ML_TABLE_LEN else rgamma(x)
+        if (zero and k) or (r == 0.0 and x <= 0.0):
             term = 0.0  # a power of 0, or a pole of Gamma
         else:
             lk = k * lz
@@ -311,10 +286,7 @@ def _series(alpha: float, beta: float, z: float) -> float:
             else:
                 # z**k alone would overflow, or Gamma(alpha k + beta) does
                 # (1/Gamma is 0.0 from 171.6 on, where z**k may still be large)
-                if k >= nl:
-                    lg = _table(_LGAMMA_TABLES, _lgamma, key, k)
-                    nl = len(lg)
-                m = math.exp(lk - (lg[k] if k < nl else _lgamma(alpha * k + beta)))
+                m = math.exp(lk - _lgamma(x))
                 term = -m if (z < 0.0 and k % 2 == 1) else m
         t = total + term
         if abs(total) >= abs(term):
@@ -323,7 +295,7 @@ def _series(alpha: float, beta: float, z: float) -> float:
             comp += (term - t) + total
         total = t
         mag += abs(term)
-        if abs(term) <= 1e-16 * (1.0 + abs(total)):
+        if abs(term) <= 1e-16 * abs(total):
             small_streak += 1
             if small_streak >= 3:
                 total += comp

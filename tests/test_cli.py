@@ -295,6 +295,32 @@ class TestProblemSpec:
         err = float(capsys.readouterr().out.rsplit("=", 1)[1])
         assert err < 1e-3
 
+    def test_exact_replaces_the_builtins_own(self, tmp_path, monkeypatch, capsys):
+        # the built-in's own solution used to be kept, and the given one
+        # dropped: "max error over t_1..t_M = 6.016599e-10"
+        code = self._solve(tmp_path, monkeypatch, "--alpha", "0.5", "--lambda", "2",
+                           "--rhs", "builtin:example2", "--NI", "7", "--exact", "0*t")
+        assert code == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        err = float(out.out.rsplit("=", 1)[1])
+        _, u, exact, _ = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1).T
+        assert not exact.any()
+        assert err == pytest.approx(np.abs(u[1:]).max(), rel=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ("--rhs", "builtin:example2"),
+        ("--rhs", "builtin:example2", "--exact", "0*t"),
+        ("--rhs=-u", "--init", "1"),
+        ("--rhs=-u", "--init", "1", "--exact", "builtin:example2"),
+    ], ids=" ".join)
+    def test_mu_that_nothing_reads(self, tmp_path, monkeypatch, capsys, argv):
+        # --mu used to be ignored without a word where no built-in reads it
+        code = self._solve(tmp_path, monkeypatch, "--alpha", "0.5", *argv, "--mu", "5")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: mu is read only by")
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_affine_parts_from_expression(self):
         from tfode.problems import problem_from_spec
 
@@ -436,6 +462,7 @@ class TestOptionsReachTheirDestination:
         (["--mu", "3"], lambda p, c: p.rhs(0.0, 1.0), -3.0),
         (["--rhs=-2*u"], lambda p, c: p.rhs(0.0, 1.0), -2.0),
         (["--rhs=-u", "--exact", "exp(-t)"], lambda p, c: p.exact(0.5), math.exp(-0.5)),
+        (["--exact", "exp(-t)"], lambda p, c: p.exact(0.5), math.exp(-0.5)),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_solve(self, monkeypatch, argv, probe, want):
         from tfode import cli
@@ -471,6 +498,8 @@ class TestOptionsReachTheirDestination:
         ({"mu": 3}, [], lambda p, c: p.rhs(0.0, 1.0), -3.0),
         ({"problem": None, "rhs": "-2*u", "exact": "exp(-t)"}, [],
          lambda p, c: (p.rhs(0.0, 1.0), p.exact(0.5)), (-2.0, math.exp(-0.5))),
+        ({"problem": "example2", "exact": "exp(-t)"}, [], lambda p, c: p.exact(0.5),
+         math.exp(-0.5)),
     ], ids=lambda v: json.dumps(v) if isinstance(v, (dict, list)) else None)
     def test_sweep(self, tmp_path, monkeypatch, keys, flags, probe, want):
         from tfode import cli, harness
@@ -523,6 +552,15 @@ class TestSweepConfigErrors:
         # problem and rhs, or T and b, name one setting twice
         assert self._sweep(tmp_path, monkeypatch, {**self.BASE, **change}) == 2
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("change", [
+        {"mu": 5}, {"mu": 5, "exact": "0*t"}, {"problem": None, "rhs": "-u", "mu": 5},
+    ], ids=json.dumps)
+    def test_mu_that_nothing_reads(self, tmp_path, monkeypatch, capsys, change):
+        # "mu" used to be ignored without a word where no built-in reads it
+        assert self._sweep(tmp_path, monkeypatch, {**self.BASE, **change}) == 2
+        assert capsys.readouterr().err.startswith("configuration error: mu is read only by")
+        assert list(tmp_path.iterdir()) == [tmp_path / "sweep.json"]
 
     def test_builtin_interval_start_is_overridden_alike(self, tmp_path, monkeypatch, capsys):
         # "problem": NAME used to reject an a != 0, while "rhs": "builtin:NAME"

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ class TestMittagLeffler:
                     mittag_leffler(0.5, beta, arg)
         assert time.perf_counter() - start < 0.1
 
+    def test_series_with_tiny_leading_terms_is_summed_in_full(self):
+        # an absolute stopping test ended these sums after their first
+        # three terms, all below 1e-16: 6.97e-31, 3.8e-17 and 5.8e-24
+        for alpha, beta, z in [(0.5, 30.0, 10.0), (1.0, 20.0, 30.0), (1.0, 25.0, 30.0)]:
+            want = float(ml_series(alpha, beta, z))
+            assert mittag_leffler(alpha, beta, z) == pytest.approx(want, rel=1e-13, abs=0.0)
+        # a sum of zeros still stops: z = 0 on a pole of Gamma
+        for beta in (0.0, -1.0):
+            assert mittag_leffler(0.5, beta, 0.0) == 0.0
+
     @given(st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=60, deadline=None)
     def test_exp_identity_property(self, z):
@@ -229,10 +240,11 @@ def _outcome(fn, *args):
 
 
 @pytest.fixture
-def empty_tables(monkeypatch):
-    """Fresh coefficient tables, so a test sees them grow from nothing."""
-    monkeypatch.setattr(specfun, "_RGAMMA_TABLES", {})
-    monkeypatch.setattr(specfun, "_LGAMMA_TABLES", {})
+def empty_tables():
+    """A fresh coefficient table cache, so a test sees its tables built."""
+    specfun._rgamma_table.cache_clear()
+    yield
+    specfun._rgamma_table.cache_clear()
 
 
 class TestMittagLefflerTables:
@@ -253,7 +265,7 @@ class TestMittagLefflerTables:
                 continue  # see test_contour_region_values
             want = _outcome(ml_series_reference, alpha, beta, z)
             assert _outcome(mittag_leffler, alpha, beta, z) == want, z
-            # and again from the tables the first call grew
+            # and again from the table the first call built
             assert _outcome(mittag_leffler, alpha, beta, z) == want, z
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0])
@@ -269,18 +281,19 @@ class TestMittagLefflerTables:
             assert mittag_leffler(alpha, beta, z) == pytest.approx(want, rel=tol), z
 
     def test_overflow_branch(self, empty_tables):
-        # |z|^k overflows from k ~ 227: those terms come from the log Gamma table
+        # |z|^k overflows from k ~ 227: those terms take log Gamma per term
         for z in (21.0, 20.5, 13.0):
             assert repr(mittag_leffler(0.5, 1.0, z)) == repr(ml_series_reference(0.5, 1.0, z))
-        assert len(specfun._LGAMMA_TABLES[(0.5, 1.0)]) > 227
+        # the three calls built one table and kept nothing else
+        info = specfun._rgamma_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     def test_past_the_length_bound(self, empty_tables):
-        # alpha = 0.1 needs coefficients up to k ~ 6000, beyond the tables'
+        # alpha = 0.1 needs coefficients up to k ~ 6000, beyond the table's
         # length; those are computed per term, overflow branch included
         for z in (1.9, 1.8):
             assert repr(mittag_leffler(0.1, 1.0, z)) == repr(ml_series_reference(0.1, 1.0, z))
-        assert len(specfun._RGAMMA_TABLES[(0.1, 1.0)]) == specfun._ML_TABLE_LEN
-        assert len(specfun._LGAMMA_TABLES[(0.1, 1.0)]) == specfun._ML_TABLE_LEN
+        assert len(specfun._rgamma_table(0.1, 1.0)) == specfun._ML_TABLE_LEN
 
     @pytest.mark.parametrize(
         "alpha, beta, z",
@@ -297,19 +310,29 @@ class TestMittagLefflerTables:
         alphas = [0.4 + 0.01 * i for i in range(keys + 5)]
         for alpha in alphas:
             # E ~ e^300/alpha: its series runs past alpha k + 1 = 171.6,
-            # where the terms come from the log Gamma table
+            # where the terms take log Gamma per term
             mittag_leffler(alpha, 1.0, 300.0**alpha)
-        for store in (specfun._RGAMMA_TABLES, specfun._LGAMMA_TABLES):
-            assert len(store) == keys
-            assert all(len(table) <= specfun._ML_TABLE_LEN for table in store.values())
-        # the oldest keys went first
-        assert list(specfun._RGAMMA_TABLES) == [(a, 1.0) for a in alphas[-keys:]]
+        info = specfun._rgamma_table.cache_info()
+        assert info.maxsize == keys and info.currsize == keys
+        # the oldest keys went first: the newest are still there, and the
+        # oldest is built again
+        for alpha in alphas[-keys:]:
+            assert len(specfun._rgamma_table(alpha, 1.0)) == specfun._ML_TABLE_LEN
+        assert specfun._rgamma_table.cache_info().misses == info.misses
+        specfun._rgamma_table(alphas[0], 1.0)
+        assert specfun._rgamma_table.cache_info().misses == info.misses + 1
 
-    def test_tables_grow_lazily(self, empty_tables):
-        mittag_leffler(0.9, 1.0, 1.1)  # about 24 terms
-        assert list(specfun._RGAMMA_TABLES) == [(0.9, 1.0)]
-        assert len(specfun._RGAMMA_TABLES[(0.9, 1.0)]) == 32
-        assert specfun._LGAMMA_TABLES == {}
+    def test_first_call_for_a_key_allocates_one_short_table(self, empty_tables):
+        # a tuple of 1024 Python floats takes up to 32 KB a key (16 KB for
+        # this one), and moved the tables benchmark's allocation peak by a third
+        mittag_leffler(0.9, 1.0, 1.1)  # warm the code path on another key
+        tracemalloc.start()
+        try:
+            mittag_leffler(0.8, 1.5, 1.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     def test_concurrent_calls_share_one_key(self, empty_tables):
         zs = [21.0 * i / 200 for i in range(201)]
