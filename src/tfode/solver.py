@@ -186,7 +186,9 @@ class SolverConfig:
     scheme with an ``n_tilde``-degree unit-weight rule on ``[a, split_t0]``.
     With ``exact_start`` the starting values, and with a split the values
     at the Lobatto nodes, are taken from the problem's exact solution,
-    which it must have.
+    which it must have; the start then runs on the grid itself, and a
+    Lobatto node within 1e-9 tau of a grid point takes that point's value,
+    as on the refined grid.
     """
 
     steps: int
@@ -679,12 +681,12 @@ def _adams_pece_scaled(
     mesh: np.ndarray,
     h: float,
     nodes: Sequence[float] = (),
-    tol: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Product-trapezoidal PECE solve of the Volterra equation.
 
     Works on the uniform ``mesh`` a + h k, k = 0..n, and returns u at the
-    mesh points and at the ``nodes`` in [a, mesh[-1]].  One predictor
+    mesh points and at the ``nodes``, which lie strictly off the mesh, in
+    (a, mesh[-1] + h) (:func:`_start` keeps the nodes on it).  One predictor
     (product rectangle) and one corrector (product trapezoid) per step;
     their product weights depend only on the distance in steps, so they are
     tabulated once (:func:`_convolution_tables`).  The history is
@@ -718,16 +720,13 @@ def _adams_pece_scaled(
     chunk, and for a block whose solution leaves the finite range, the
     steps are stepped one by one.
 
-    A node within ``tol`` of a mesh point takes that point's value.  Any
-    other node s gets one PECE step over the mesh history before it
+    Each node s gets one PECE step over the mesh history before it
     (:func:`_product_sums`), tempered by e^{-lam (s - t_j)}, once the mesh
     is done; its value is not fed back into the history.
     """
     alpha, lam, a, f = problem.alpha, problem.lam, problem.a, problem.rhs
     n = len(mesh) - 1
     nodes = np.asarray(nodes, dtype=float)
-    if not np.all((mesh[0] - tol <= nodes) & (nodes <= mesh[-1] + tol)):
-        raise ValueError("dense-output nodes must lie on the start mesh's span")
 
     r1, rl, rc = _convolution_tables(n, alpha)
     hpre = rgamma(alpha) * h**alpha
@@ -802,22 +801,17 @@ def _adams_pece_scaled(
     del r1, rc  # the dense output makes weights of its own
     u_nodes = np.empty(len(nodes))
     if len(nodes):
-        nearest = np.clip(np.rint((nodes - a) / h), 0, n).astype(np.intp)
-        on_mesh = np.abs(mesh[nearest] - nodes) <= tol
-        u_nodes[on_mesh] = u[nearest[on_mesh]]
-        off = np.flatnonzero(~on_mesh)
-        s_off = nodes[off]
-        due = np.searchsorted(mesh, s_off, side="right")  # the mesh points before each
-        forc_off = np.asarray(_forcing_scaled(problem, s_off), dtype=float)
-        forc_off *= np.exp(-lam * (s_off - a))
-        # each off node's fraction of a step past the last mesh point before
-        # it, and the weights of its panels ending fewer than _RL_SERIES_FROM
+        due = np.searchsorted(mesh, nodes, side="right")  # the mesh points before each
+        forc_nodes = np.asarray(_forcing_scaled(problem, nodes), dtype=float)
+        forc_nodes *= np.exp(-lam * (nodes - a))
+        # each node's fraction of a step past the last mesh point before it,
+        # and the weights of its panels ending fewer than _RL_SERIES_FROM
         # steps before it, theta + 6 .. theta steps
-        theta_off = (s_off - mesh[due - 1]) / h
-        near_off = np.stack(_near_weights(
-            np.add.outer(theta_off, np.arange(_RL_SERIES_FROM - 2, -1, -1.0)), alpha), axis=1)
-        for i, s, m, theta, near, fs in zip(off.tolist(), s_off.tolist(), due.tolist(),
-                                            theta_off.tolist(), near_off, forc_off.tolist()):
+        thetas = (nodes - mesh[due - 1]) / h
+        near_nodes = np.stack(_near_weights(
+            np.add.outer(thetas, np.arange(_RL_SERIES_FROM - 2, -1, -1.0)), alpha), axis=1)
+        for i, (s, m, theta, near, fs) in enumerate(zip(
+                nodes.tolist(), due.tolist(), thetas.tolist(), near_nodes, forc_nodes.tolist())):
             g = _tempering(np.subtract(s, mesh[:m]), lam)
             g *= gv[:m]
             acc_pred, acc, w_end = _product_sums(g, theta, alpha, near)
@@ -1014,10 +1008,13 @@ def _start(problem: Problem, config: SolverConfig) -> tuple[np.ndarray, _Stepper
     """The grid values u_0 .. u_{n_start}, and the stepper that marches on.
 
     n_start = max(j0, n_interp - 1), with j0 the grid index of ``split_t0``
-    (0 without one).  One fractional-Adams run on a grid refined by
-    ``start_refine`` gives them, and u at the split rule's Lobatto nodes;
-    ``exact_start`` takes both from ``problem.exact``, at a +
-    _SINGULAR_SHIFT tau for t_0 on the Riemann-Liouville kind.
+    (0 without one).  They and u at the split rule's Lobatto nodes come
+    from one start mesh: the grid refined by ``start_refine``, or the grid
+    itself with ``exact_start``.  A Lobatto node within 1e-9 tau of a mesh
+    point takes that point's value.  The mesh values, and u at the other
+    nodes, come from one fractional-Adams run (:func:`_adams_pece_scaled`),
+    or with ``exact_start`` from ``problem.exact``, at a + _SINGULAR_SHIFT
+    tau for t_0 on the Riemann-Liouville kind.
     """
     a, t0 = problem.a, config.split_t0
     tau = (problem.b - a) / config.steps
@@ -1032,26 +1029,26 @@ def _start(problem: Problem, config: SolverConfig) -> tuple[np.ndarray, _Stepper
         s_hist = 0.5 * (t0 - a) * (lob.nodes + 1.0) + a
         w_hist = 0.5 * (t0 - a) * lob.weights
     n_start = max(j0, config.n_interp - 1)
-    # 1e-9*tau is far below any legitimate node gap but wide enough that a
-    # Lobatto node next to a grid node cannot leave a degenerate panel
-    tol = 1e-9 * tau
+    refine = 1 if config.exact_start else config.start_refine
+    h = tau / refine
+    mesh = a + h * np.arange(n_start * refine + 1)
+    # a Lobatto node within 1e-9 tau of a mesh point takes that point's
+    # value: far below any legitimate node gap, but wide enough that a node
+    # next to a mesh point cannot leave a degenerate panel
+    at = np.clip(np.rint((s_hist - a) / h), 0, len(mesh) - 1).astype(np.intp)
+    off = np.flatnonzero(np.abs(mesh[at] - s_hist) > 1e-9 * tau)
     if config.exact_start:
         if problem.exact is None:
             raise ValueError("exact_start needs a problem with an exact solution")
-        grid = a + tau * np.arange(n_start + 1)
-        at = np.rint((s_hist - a) / tau).astype(np.intp)
-        off = np.flatnonzero(np.abs(grid[at] - s_hist) > tol)
         if problem.kind == RIEMANN_LIOUVILLE:
-            grid[0] += _SINGULAR_SHIFT * tau
-        u_start = np.array([float(problem.exact(t)) for t in grid])
-        u_hist = u_start[at]  # a Lobatto node on the grid takes its value
-        u_hist[off] = [problem.exact(s) for s in s_hist[off].tolist()]
+            mesh[0] += _SINGULAR_SHIFT * tau
+        u_mesh = np.array([float(problem.exact(t)) for t in mesh])
+        u_off = [problem.exact(s) for s in s_hist[off].tolist()]
     else:
-        refine = config.start_refine
-        h = tau / refine
-        mesh = a + h * np.arange(n_start * refine + 1)
-        u_mesh, u_hist = _adams_pece_scaled(problem, mesh, h, s_hist, tol)
-        u_start = u_mesh[::refine].copy()
+        u_mesh, u_off = _adams_pece_scaled(problem, mesh, h, s_hist[off])
+    u_hist = u_mesh[at]
+    u_hist[off] = u_off
+    u_start = u_mesh[::refine].copy()
     if t0 is None:
         return u_start, _Stepper(problem, config)
     f_hist = np.array([problem.rhs(float(s), float(u)) for s, u in zip(s_hist, u_hist)])

@@ -127,18 +127,18 @@ def mittag_leffler(alpha: float, beta: float, z):
     Parameters
     ----------
     alpha:
-        Series exponent step, must be positive.
+        Series exponent step, positive and finite.
     beta:
-        Series offset, any real.
+        Series offset, any finite real.
     z:
         Real argument(s) with ``|z| <= ML_ZMAX``.
 
     Raises
     ------
     MittagLefflerError
-        If ``alpha <= 0``, if ``|z| > ML_ZMAX`` (or ``z`` is NaN), or if the
-        series cancels: eps times the sum of its terms' magnitudes passes
-        1e-8 times the result.
+        If ``alpha <= 0``, if ``alpha`` or ``beta`` is not finite, if
+        ``|z| > ML_ZMAX`` (or ``z`` is NaN), or if the series cancels: eps
+        times the sum of its terms' magnitudes passes 1e-8 times the result.
     OverflowError
         If the series' terms overflow a double (small ``alpha`` together
         with large positive ``z``).
@@ -149,6 +149,8 @@ def mittag_leffler(alpha: float, beta: float, z):
     """
     if alpha <= 0.0:
         raise MittagLefflerError(f"alpha must be positive, got {alpha}")
+    if not math.isfinite(alpha):
+        raise MittagLefflerError(f"alpha must be finite, got {alpha}")
     if not math.isfinite(beta):
         raise MittagLefflerError(f"beta must be finite, got {beta}")
     if isinstance(z, np.ndarray):

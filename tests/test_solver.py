@@ -35,6 +35,8 @@ from tfode.solver import (
     _resolvent,
     _resolvent_block,
     _RL_SERIES_FROM,
+    _SINGULAR_SHIFT,
+    _start,
     _Stepper,
     _stencil_weights,
 )
@@ -72,6 +74,8 @@ class TestForcing:
                     rhs=lambda t, u: 0.0)
         with pytest.raises(ValueError):
             volterra_forcing(p, 0.0)
+        with pytest.raises(ValueError, match="before the lower terminal"):
+            volterra_forcing(p, -0.1)
 
     def test_rl_zero_data_regular_at_start(self):
         p = Problem(kind="rl", alpha=0.5, lam=0.0, a=0.0, b=2.0, init=(0.0,),
@@ -198,6 +202,10 @@ class TestStartingValues:
         config = SolverConfig(steps=22, n_interp=2, split_t0=split_t0, exact_start=True)
         with pytest.raises(ValueError, match="exact_start"):
             solve(p, config)
+        # nor can a trace of it give exact values
+        tr = solve(p, dataclasses.replace(config, exact_start=False))
+        with pytest.raises(ValueError, match="problem has no exact solution"):
+            tr.exact_values()
 
 
 def _start_problem(kind, alpha, lam=2.0):
@@ -232,13 +240,15 @@ def _counting(problem):
 
 def _split_start_mesh(problem, steps, t0=0.1, n_tilde=40, refine=64):
     """The split scheme's start: its uniform refined mesh, its Lobatto nodes,
-    the refined step and the tolerance within which a node is on the mesh."""
+    the refined step and which nodes lie within 1e-9 tau of a mesh point,
+    the ones the start takes from the mesh."""
     tau = (problem.b - problem.a) / steps
     h = tau / refine
     lob = gauss_lobatto(0.0, 0.0, n_tilde)
     s_hist = 0.5 * (t0 - problem.a) * (lob.nodes + 1.0) + problem.a
     mesh = problem.a + h * np.arange(round((t0 - problem.a) / tau) * refine + 1)
-    return mesh, s_hist, h, 1e-9 * tau
+    on = np.abs(mesh[np.rint((s_hist - problem.a) / h).astype(int)] - s_hist) <= 1e-9 * tau
+    return mesh, s_hist, h, on
 
 
 class TestConvolutionTables:
@@ -293,25 +303,19 @@ class TestAdamsStart:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     @staticmethod
-    def _check_dense(problem, mesh, h, nodes, tol, rtol=1e-13):
-        """u at each node s against one reference PECE over the mesh points
-        before s and s itself, where a mesh point within ``tol`` of s counts
-        as s, to ``rtol``; returns how many nodes were off the mesh."""
+    def _check_dense(problem, mesh, h, nodes, rtol=1e-13):
+        """u at each node s, which lies off the mesh, against one reference
+        PECE over the mesh points before s and s itself, to ``rtol``.  The
+        nodes on the mesh never reach the run: :func:`_start` takes them
+        from the mesh (see ``test_start_takes_nodes_on_its_mesh``)."""
+        assert not np.isin(nodes, mesh).any()
         u_want = adams_pece_reference(problem, mesh)
-        on = [abs(mesh[round((s - problem.a) / h)] - s) <= tol for s in nodes]
-        node_want = [
-            adams_pece_reference(problem, np.append(mesh[mesh < s - tol], s))[-1]
-            for s in nodes
-        ]
+        node_want = [adams_pece_reference(problem, np.append(mesh[mesh < s], s))[-1] for s in nodes]
         for twin in _twins(problem):
-            u, got = _adams_pece_scaled(twin, mesh, h, nodes, tol)
+            u, got = _adams_pece_scaled(twin, mesh, h, nodes)
             np.testing.assert_allclose(u, u_want, rtol=rtol, atol=0.0)
-            for s, is_on, value, want in zip(nodes, on, got, node_want):
-                if is_on:
-                    # a node on the mesh takes that mesh point's value
-                    assert value == u[round((s - problem.a) / h)]
+            for s, value, want in zip(nodes, got, node_want):
                 assert value == pytest.approx(want, rel=rtol, abs=0.0), s
-        return len(nodes) - sum(on)
 
     @pytest.mark.parametrize("kind", ["caputo", "rl"])
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.0, 1.5, 1.8])
@@ -324,33 +328,82 @@ class TestAdamsStart:
         # the split scheme's Lobatto nodes over [0, 0.1]; at alpha = 0.2 a
         # distance off by round-off near s shows at 1e-5
         problem = example3(0.2, 5.0)
-        mesh, nodes, h, tol = _split_start_mesh(problem, steps)
+        mesh, nodes, h, on = _split_start_mesh(problem, steps)
         # a, the midpoint and t0 are on the mesh, every other node is off it
-        assert self._check_dense(problem, mesh, h, nodes, tol) == len(nodes) - 3
+        assert np.flatnonzero(on).tolist() == [0, 20, 40]
+        self._check_dense(problem, mesh, h, nodes[~on])
 
     def test_nodes_on_and_next_to_grid_nodes(self):
+        # the nodes off the mesh; those on it, or within 1e-9 tau of it, are
+        # tested through the start in test_start_takes_nodes_on_its_mesh
         h = 1e-3
         mesh = h * np.arange(201)
         tol = 1e-9 * 64 * h
         nodes = np.array([
-            0.0,  # the first mesh point
-            mesh[50],  # on a mesh point
-            mesh[120] - 1e-3 * tol, mesh[150] + 1e-3 * tol,  # within tol: on it
             mesh[80] - 3 * tol, mesh[81] + 3 * tol,  # just outside tol
             mesh[37] + 0.3 * h, mesh[37] + 0.7 * h,  # two in one panel
             mesh[90] + 0.5 * h, mesh[91] + 0.5 * h,  # in neighbouring panels
             mesh[200] - 0.4 * h,  # in the last panel
-            mesh[200] + 1e-3 * tol,  # past the end, within tol
         ])
         for alpha in (0.2, 1.5):
-            assert self._check_dense(_start_problem("caputo", alpha), mesh, h, nodes, tol) == 7
+            self._check_dense(_start_problem("caputo", alpha), mesh, h, nodes)
 
-    def test_nodes_outside_the_mesh_rejected(self):
-        h = 1e-3
-        mesh = h * np.arange(11)
-        for s in (-1e-6, mesh[-1] + 1e-6):
-            with pytest.raises(ValueError):
-                _adams_pece_scaled(_start_problem("caputo", 0.5), mesh, h, np.array([s]), 1e-12)
+    @pytest.mark.parametrize("kind", ["caputo", "rl"])
+    @pytest.mark.parametrize("exact_start", [False, True])
+    def test_start_takes_nodes_on_its_mesh(self, monkeypatch, kind, exact_start):
+        # the split rule's nodes are placed about the start's mesh, the grid
+        # refined 4 times or, with exact_start, the grid itself: a node on a
+        # mesh point, within 1e-9 tau of one on either side or past the
+        # mesh's end, takes that point's value; a node 3e-9 tau from one,
+        # or inside a panel, is passed to the fractional-Adams run, or to
+        # the exact solution
+        steps, refine, t0 = 10, 4, 0.5
+        tau = 1.0 / steps
+        h = tau if exact_start else tau / refine
+        tol = 1e-9 * tau
+        mesh = h * np.arange(round(t0 / h) + 1)
+        end = len(mesh) - 1
+        placed = [  # (node, the mesh point it takes the value of, or None)
+            (0.0, 0), (mesh[2], 2),  # the first mesh point, and another
+            (mesh[3] - 1e-3 * tol, 3), (mesh[4] + 1e-3 * tol, 4),  # within tol
+            (t0 + 1e-3 * tol, end),  # past the end, within tol
+            (mesh[1] - 3 * tol, None), (mesh[2] + 3 * tol, None),  # just outside tol
+            (mesh[3] + 0.3 * h, None), (mesh[3] + 0.7 * h, None),  # inside a panel
+        ]
+        x = np.array([2.0 * s / t0 - 1.0 for s, _ in placed])
+        rule = dataclasses.replace(gauss_lobatto(0.0, 0.0, 2), nodes=x, weights=np.ones_like(x))
+        monkeypatch.setattr("tfode.solver.gauss_lobatto",
+                            lambda a, b, n: rule if n == len(x) - 1 else gauss_lobatto(a, b, n))
+        runs = []
+
+        def adams(*args):
+            runs.append((args, _adams_pece_scaled(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr("tfode.solver._adams_pece_scaled", adams)
+        problem = dataclasses.replace(_start_problem(kind, 0.5), exact=lambda t: math.exp(-t) + t)
+        config = SolverConfig(steps=steps, n_interp=2, start_refine=refine, split_t0=t0,
+                              n_tilde=len(x) - 1, exact_start=exact_start)
+        u_start, stepper = _start(problem, config)
+        s_hist, _, f_hist = stepper.history
+        off = np.array([k is None for _, k in placed])
+        if exact_start:
+            assert runs == []
+            t_mesh = mesh.copy()
+            if kind == "rl":
+                t_mesh[0] += _SINGULAR_SHIFT * tau
+            u_mesh = np.array([problem.exact(t) for t in t_mesh])
+            u_off = [problem.exact(s) for s in s_hist[off]]
+        else:
+            [((_, run_mesh, run_h, run_nodes), (u_mesh, u_off))] = runs
+            np.testing.assert_array_equal(run_mesh, mesh)
+            assert run_h == h
+            np.testing.assert_array_equal(run_nodes, s_hist[off])
+        np.testing.assert_array_equal(u_start, u_mesh[::round(tau / h)])
+        u_want = [u_mesh[k] for _, k in placed if k is not None] + list(u_off)
+        s_want = np.concatenate([s_hist[~off], s_hist[off]])
+        f_want = [problem.rhs(s, u) for s, u in zip(s_want, u_want)]
+        np.testing.assert_array_equal(np.concatenate([f_hist[~off], f_hist[off]]), f_want)
 
     def test_mesh_without_grid(self):
         # no node lies on the mesh: graded nodes, many to a panel near a,
@@ -363,7 +416,7 @@ class TestAdamsStart:
             (h * (np.arange(1, 50) + 0.37))[::-1],
         ]:
             assert (h * np.rint(nodes / h) != nodes).all()
-            assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
+            self._check_dense(problem, mesh, h, nodes)
 
     @pytest.mark.parametrize("kind", ["caputo", "rl"])
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 1.5, 1.8])
@@ -377,7 +430,7 @@ class TestAdamsStart:
         nodes = np.array([mesh[65] + 0.3 * h, mesh[1025] + 0.6 * h, mesh[1409] + 0.5 * h,
                           mesh[1500] - 0.2 * h])
         problem = _start_problem(kind, alpha)
-        assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
+        self._check_dense(problem, mesh, h, nodes)
 
     def test_pushed_far_history_at_large_lam(self, monkeypatch):
         # lam t reaches 600, far past the double range of e^{lam t}: every
@@ -388,7 +441,7 @@ class TestAdamsStart:
         mesh = h * np.arange(1501)
         nodes = np.array([mesh[700] + 0.5 * h, mesh[800] + 0.5 * h])
         problem = _start_problem("caputo", 0.5, lam=400.0)
-        assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h) == len(nodes)
+        self._check_dense(problem, mesh, h, nodes)
 
     def test_pushed_far_history_of_a_decaying_solution(self, monkeypatch):
         # u = e^{-400 t} erfcx(sqrt t) falls to 1e-261 on [0, 1.5], and a
@@ -402,7 +455,7 @@ class TestAdamsStart:
         mesh = h * np.arange(1501)
         nodes = np.array([mesh[1100] + 0.4 * h, mesh[1490] + 0.7 * h])
         problem = example3(0.5, 400.0)
-        assert self._check_dense(problem, mesh, h, nodes, 1e-9 * h, rtol=1e-12) == len(nodes)
+        self._check_dense(problem, mesh, h, nodes, rtol=1e-12)
 
     def test_cost_near_linear(self):
         # doubling the start mesh at most 2.5x its time: with the far sums
@@ -507,10 +560,10 @@ class TestAdamsStart:
         problem = dataclasses.replace(
             _start_problem(kind, alpha, lam=5.0), b=1.1,
             rhs=lambda t, u: math.cos(t) + q(t) * u, affine=(np.cos, q))
-        mesh, nodes, h, tol = _split_start_mesh(problem, 440)
+        mesh, nodes, h, on = _split_start_mesh(problem, 440)
         assert len(mesh) > 2 * 1024
         (u, u_nodes), (u_want, nodes_want) = (
-            _adams_pece_scaled(twin, mesh, h, nodes, tol) for twin in _twins(problem))
+            _adams_pece_scaled(twin, mesh, h, nodes[~on]) for twin in _twins(problem))
         np.testing.assert_array_equal(u, u_want)
         np.testing.assert_array_equal(u_nodes, nodes_want)
 
@@ -555,9 +608,9 @@ class TestAdamsStart:
             p, rhs = (lambda t: 200.0 * np.cos(t)), (lambda t, u: 200.0 * math.cos(t) - 400.0 * u)
         problem = Problem(kind="caputo", alpha=0.5, lam=5.0, a=0.0, b=1.1, init=(1.0,), rhs=rhs,
                           affine=(p, lambda t: q))
-        mesh, nodes, h, tol = _split_start_mesh(problem, steps)
+        mesh, nodes, h, on = _split_start_mesh(problem, steps)
         (u, u_nodes), (u_want, nodes_want) = (
-            _adams_pece_scaled(twin, mesh, h, nodes, tol) for twin in _twins(problem))
+            _adams_pece_scaled(twin, mesh, h, nodes[~on]) for twin in _twins(problem))
         assert (np.abs(u_want).max() > 2e6) == growing
         np.testing.assert_allclose(u, u_want, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(u_nodes, nodes_want, rtol=1e-13, atol=0.0)
@@ -920,6 +973,18 @@ class TestSolve:
         assert ei.value.phase == "start" and ei.value.t < 1 / 16
         assert "in the start phase at step" in str(ei.value)
 
+    @pytest.mark.xfail(strict=True, raises=BlowUpError,
+                       reason="the blow-up limit is the absolute |u| > 1e12")
+    def test_blow_up_limit_scales_with_the_solution(self):
+        # D^(1/2) u = -u decays from u(0) = 1e13, and its trace is 1e13
+        # times the one from u(0) = 1; the start "blew up" at its first step
+        p = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(1.0,),
+                    rhs=lambda t, u: -u)
+        config = SolverConfig(steps=20, n_interp=2)
+        unit = solve(p, config)
+        big = solve(dataclasses.replace(p, init=(1e13,)), config)
+        np.testing.assert_allclose(big.values, 1e13 * unit.values, rtol=1e-12, atol=0.0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(steps=5, n_interp=7)
@@ -927,6 +992,9 @@ class TestSolve:
             SolverConfig(steps=20, n_interp=1)
         with pytest.raises(ValueError):
             SolverConfig(steps=20, n_interp=7, n_quad=5)
+        for field, value in [("start_refine", 0), ("n_tilde", 1), ("corrector_iters", 0)]:
+            with pytest.raises(ValueError, match=f"{field} must be at least"):
+                SolverConfig(steps=20, n_interp=7, **{field: value})
 
 
 class TestSolveSplit:
@@ -975,6 +1043,9 @@ class TestSolveSplit:
     def test_split_point_outside_interval_rejected(self):
         with pytest.raises(ValueError):
             solve_split(example3(0.9, 5.0), SolverConfig(steps=22, n_interp=2, split_t0=1.2))
+        # and a split solve needs a split point
+        with pytest.raises(ValueError, match="requires config.split_t0"):
+            solve_split(example3(0.9, 5.0), SolverConfig(steps=22, n_interp=2))
 
 
 class TestExactValues:
@@ -1054,6 +1125,9 @@ class TestExactSolutions:
         with pytest.raises(ValueError):
             Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(0.0,),
                     rhs=lambda t, u: 0.0, affine=(np.zeros_like,))
+        with pytest.raises(ValueError, match="need b > a"):
+            Problem(kind="caputo", alpha=0.5, lam=0.0, a=1.0, b=1.0, init=(0.0,),
+                    rhs=lambda t, u: 0.0)
 
     @pytest.mark.parametrize("field, value", [
         ("lam", math.nan), ("lam", math.inf), ("a", math.nan), ("a", -math.inf),

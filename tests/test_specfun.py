@@ -126,6 +126,18 @@ class TestMittagLeffler:
                     mittag_leffler(0.5, beta, arg)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_returns_at_once(self, alpha):
+        # the series summed its whole budget of terms, 0.1 s a call, and
+        # then raised ArithmeticError: alpha k + beta is NaN for every k
+        # (alpha 0 is NaN at alpha = inf); an array did the same
+        z = np.array([-0.5, 0.3, -3.0])
+        start = time.perf_counter()
+        for arg in (-0.5, 0.3, -3.0, z):
+            with pytest.raises(MittagLefflerError, match="alpha must be finite"):
+                mittag_leffler(alpha, 1.0, arg)
+        assert time.perf_counter() - start < 0.1
+
     def test_series_with_tiny_leading_terms_is_summed_in_full(self):
         # an absolute stopping test ended these sums after their first
         # three terms, all below 1e-16: 6.97e-31, 3.8e-17 and 5.8e-24
