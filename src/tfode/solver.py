@@ -19,7 +19,10 @@ a step reads is the trace's own f values.  A step's predictor is then one
 gather of that history and one dot product; the corrector's stencils
 differ only next to the new node, so its sum is the predictor's plus a
 window over the last ``n_interp + 1`` nodes, and each corrector iteration
-is scalar arithmetic plus the right-hand-side call.
+is scalar arithmetic plus the right-hand-side call.  That arithmetic is
+:func:`_pece`, the one predictor-corrector step of a solve: the start's
+stepped steps and its steps to the Lobatto nodes take it too, each with
+its own sums, and it holds the one check that u stays in range.
 
 Both schemes start alike (:func:`_start`): the grid values through
 t_{n_start}, n_start = max(j0, n_interp - 1) with j0 the grid index of the
@@ -41,13 +44,13 @@ of one of two kinds.  Where the right-hand side is declared affine in u
 block's predictor-corrector steps are one unit lower-triangular Toeplitz
 system, solved by one convolution with its resolvent, which is computed
 once per start.  Any other block is stepped, each step two short dot
-products plus the right-hand-side calls.  For solutions that are non-smooth
+products and one :func:`_pece` call.  For solutions that are non-smooth
 at the start, the split scheme (``split_t0``) integrates the history over
 ``[a, t0]`` with a fixed unit-weight Gauss-Lobatto rule, and only the
 smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term is
 evaluated for a block of steps at once.  u at each Lobatto node off the
-refined grid is one more PECE step over the finished grid history before
-the node (dense output), which is not fed back into the history.
+refined grid is one more :func:`_pece` step over the finished grid history
+before the node (dense output), which is not fed back into the history.
 """
 
 from __future__ import annotations
@@ -272,12 +275,12 @@ class SolutionTrace:
 # Volterra forcing
 
 
-def _forcing_scaled(problem: Problem, t: np.ndarray | float) -> np.ndarray | float:
-    """Initial-data forcing in the scaled variable w = e^{lam (t-a)} u.
+def _forcing(problem: Problem, t: np.ndarray | float) -> np.ndarray | float:
+    """Initial-data forcing of the Volterra equation for u at the times ``t``.
 
-    Caputo: sum_k c_k e^{-lam a} (t-a)^k / k!.
-    RL:     sum_k g_k e^{-lam a} (t-a)^(alpha-k-1) / Gamma(alpha-k); singular
-    at t = a whenever the highest-order datum is nonzero.
+    e^{-lam (t-a)} times, for Caputo data, sum_k c_k e^{-lam a} (t-a)^k / k!,
+    and for RL data sum_k g_k e^{-lam a} (t-a)^(alpha-k-1) / Gamma(alpha-k),
+    which is singular at t = a whenever the highest-order datum is nonzero.
     """
     dt = np.asarray(t, dtype=float) - problem.a
     scale = math.exp(-problem.lam * problem.a)
@@ -292,6 +295,7 @@ def _forcing_scaled(problem: Problem, t: np.ndarray | float) -> np.ndarray | flo
             if gk != 0.0:
                 expo = problem.alpha - k - 1
                 acc += gk * scale * rgamma(problem.alpha - k) * dt**expo
+    acc *= np.exp(-problem.lam * dt)
     return acc if acc.shape else float(acc)
 
 
@@ -310,8 +314,25 @@ def volterra_forcing(problem: Problem, t: float) -> float:
             for k, gk in enumerate(problem.init)
         ):
             raise ValueError("Riemann-Liouville forcing is singular at t = a")
-    dt = t - problem.a
-    return math.exp(-problem.lam * dt) * float(_forcing_scaled(problem, t))
+    return _forcing(problem, t)
+
+
+def _pece(rhs, t: float, base: float, pref: float, pred: float, corr: float, w_end: float,
+          iters: int, step: int, phase: str) -> float:
+    """One predictor-corrector step to u at time ``t``, every step of a solve.
+
+    The predictor is ``base + pref * pred``; each of ``iters`` corrector
+    passes is ``base + pref * (corr + w_end * rhs(t, u))``, with ``corr``
+    the corrector's sum over the history and ``w_end`` its weight on the
+    new f.  Raises :class:`BlowUpError`, naming ``step`` and ``phase``,
+    unless u is finite and within ``_BLOWUP_LIMIT``.
+    """
+    u = base + pref * pred
+    for _ in range(iters):
+        u = base + pref * (corr + w_end * rhs(t, u))
+    if not math.isfinite(u) or abs(u) > _BLOWUP_LIMIT:
+        raise BlowUpError(step, t, u, phase)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -720,9 +741,10 @@ def _adams_pece_scaled(
     chunk, and for a block whose solution leaves the finite range, the
     steps are stepped one by one.
 
-    Each node s gets one PECE step over the mesh history before it
-    (:func:`_product_sums`), tempered by e^{-lam (s - t_j)}, once the mesh
-    is done; its value is not fed back into the history.
+    A stepped step, and each node s once the mesh is done, is one
+    :func:`_pece` call with one corrector pass; a node's sums are over the
+    mesh history before it (:func:`_product_sums`), tempered by
+    e^{-lam (s - t_j)}, and its value is not fed back into the history.
     """
     alpha, lam, a, f = problem.alpha, problem.lam, problem.a, problem.rhs
     n = len(mesh) - 1
@@ -735,10 +757,12 @@ def _adams_pece_scaled(
     t_first = mesh.item(0)
     if problem.kind == RIEMANN_LIOUVILLE:
         t_first += _SINGULAR_SHIFT * (mesh.item(1) - mesh.item(0))
-    u[0] = _forcing_scaled(problem, t_first)  # the forcing of u itself, as mesh[0] = a
-    # f at t_first, times e^{lam (t_first - a)}: the weights temper it from a
+    # u and f at t_first, each times e^{lam (t_first - a)}: the weights
+    # temper f from a, and u[0] stands at mesh[0] = a
     e = math.exp(lam * (t_first - a))
-    gv[0] = e * f(t_first, u[0] / e)
+    u_first = _forcing(problem, t_first)
+    u[0] = e * u_first
+    gv[0] = e * f(t_first, u_first)
     # the far sums start with f_0's terms, r1 and rl at distance m times e^{-lam h m}
     temper = _tempering(np.arange(1.0, n + 1.0), lam * h)
     temper *= gv.item(0)
@@ -756,8 +780,7 @@ def _adams_pece_scaled(
     for lo in range(1, n + 1, _CHUNK):
         hi = min(lo + _CHUNK, n + 1)
         t_chunk = mesh[lo:hi]
-        forc = np.exp(-lam * (t_chunk - a))
-        forc *= _forcing_scaled(problem, t_chunk)
+        forc = _forcing(problem, t_chunk)
         parts = None if problem.affine is None else _constant_q_parts(problem.affine, t_chunk)
         if parts is not None:
             p_chunk, q = parts
@@ -786,14 +809,10 @@ def _adams_pece_scaled(
             for k in range(m1 - m0):
                 m = m0 + k
                 T = mesh.item(m)
-                fm = forc_b.item(k)
-                pred = fm + hpre * (pred_far.item(k) + float(r1b[size - k:size].dot(gv[m0:m])))
-                gv[m] = f(T, pred)
-                val = fm + hpre * (corr_far.item(k) + float(rcb[size - 1 - k:].dot(gv[m0:m + 1])))
-                if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
-                    raise BlowUpError(m, T, val, "start")
-                u[m] = val
-                gv[m] = f(T, val)
+                pred = pred_far.item(k) + float(r1b[size - k:size].dot(gv[m0:m]))
+                corr = corr_far.item(k) + float(rcb[size - 1 - k:size - 1].dot(gv[m0:m]))
+                u[m] = _pece(f, T, forc_b.item(k), hpre, pred, corr, c0, 1, m, "start")
+                gv[m] = f(T, u.item(m))
         if hi <= n:
             i = hi // _CHUNK  # the chunk's number, as hi = 1 + i _CHUNK
             _push_far(gv, u, r1, rc, hi, (i & -i) * _CHUNK, lam * h)
@@ -802,8 +821,7 @@ def _adams_pece_scaled(
     u_nodes = np.empty(len(nodes))
     if len(nodes):
         due = np.searchsorted(mesh, nodes, side="right")  # the mesh points before each
-        forc_nodes = np.asarray(_forcing_scaled(problem, nodes), dtype=float)
-        forc_nodes *= np.exp(-lam * (nodes - a))
+        forc_nodes = _forcing(problem, nodes)
         # each node's fraction of a step past the last mesh point before it,
         # and the weights of its panels ending fewer than _RL_SERIES_FROM
         # steps before it, theta + 6 .. theta steps
@@ -814,12 +832,7 @@ def _adams_pece_scaled(
                 nodes.tolist(), due.tolist(), thetas.tolist(), near_nodes, forc_nodes.tolist())):
             g = _tempering(np.subtract(s, mesh[:m]), lam)
             g *= gv[:m]
-            acc_pred, acc, w_end = _product_sums(g, theta, alpha, near)
-            pred = fs + hpre * acc_pred
-            val = fs + hpre * (acc + w_end * f(s, pred))
-            if not math.isfinite(val) or abs(val) > _BLOWUP_LIMIT:
-                raise BlowUpError(m, s, val, "start")
-            u_nodes[i] = val
+            u_nodes[i] = _pece(f, s, fs, hpre, *_product_sums(g, theta, alpha, near), 1, m, "start")
     return u, u_nodes
 
 
@@ -876,7 +889,7 @@ class _Stepper:
     [n-NI+1, n]), so its sum is the predictor's plus a correction over the
     window f_{n-NI..n}.  The window's weight on f_n, the endpoint's rule
     weight included, is one scalar, so every corrector iteration is scalar
-    arithmetic.
+    arithmetic (:func:`_pece`).
     """
 
     def __init__(
@@ -920,7 +933,7 @@ class _Stepper:
         hi = min(lo + _BLOCK, len(times))
         self._c = self._idx = None  # release the last block's first: lowers the peak
         t = times[lo:hi]
-        base = np.exp(-problem.lam * (t - problem.a)) * _forcing_scaled(problem, t)
+        base = _forcing(problem, t)
         if self.history is not None:
             base += self._history_part(t)
         self._base = base
@@ -963,19 +976,10 @@ class _Stepper:
         if not self._lo <= n1 < self._hi:
             self._build_block(times, n1)
         k = n1 - self._lo
-        t_next = times.item(n1)
-        base = self._base.item(k)
-        pref = self._pref.item(k)
-
-        acc = float(self._c[k].dot(fs[self._idx[k]]))
-        u_new = base + pref * acc
-        acc += float(self._window[k].dot(fs[n1 - self.config.n_interp:n1]))
-        w_end = self._w_end.item(k)
-        for _ in range(self.config.corrector_iters):
-            u_new = base + pref * (acc + w_end * self.problem.rhs(t_next, u_new))
-        if not math.isfinite(u_new) or abs(u_new) > _BLOWUP_LIMIT:
-            raise BlowUpError(n1, t_next, u_new, "step")
-        return u_new
+        pred = float(self._c[k].dot(fs[self._idx[k]]))
+        corr = pred + float(self._window[k].dot(fs[n1 - self.config.n_interp:n1]))
+        return _pece(self.problem.rhs, times.item(n1), self._base.item(k), self._pref.item(k),
+                     pred, corr, self._w_end.item(k), self.config.corrector_iters, n1, "step")
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,7 @@ class BlockStepperReference:
         )
         self._c *= self.rule.weights[:, None]
         t = times[lo:hi]
-        self._base = np.exp(-lam * (t - problem.a)) * solver._forcing_scaled(problem, t)
+        self._base = solver._forcing(problem, t)
         self._pref = (0.5 * self.tau * span[:, 0]) ** problem.alpha * self.rga
         if gs is not self._gs:
             self._win = sliding_window_view(gs, self.config.n_interp)

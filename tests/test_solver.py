@@ -677,6 +677,24 @@ class TestAdamsStart:
         assert [(e.step, e.phase) for e in raised] == [(2, "start")] * 2
         assert raised[0].value == raised[1].value
 
+    def test_blow_up_at_a_lobatto_node(self):
+        # f is finite at every mesh time and not a number at one Lobatto
+        # node off the mesh: the node's own step reports it, with the index
+        # of the first mesh point past the node, before the split history
+        # carries it into the grid steps
+        steps = 22
+        base = dataclasses.replace(_start_problem("caputo", 0.5), b=1.1)
+        mesh, nodes, _, on = _split_start_mesh(base, steps)
+        s_bad = nodes[~on][5]
+        assert mesh[0] < s_bad < mesh[-1]
+        rhs = lambda t, u: math.nan if t == s_bad else base.rhs(t, u)
+        for twin in _twins(dataclasses.replace(base, rhs=rhs)):
+            with pytest.raises(BlowUpError) as info:
+                solve(twin, SolverConfig(steps=steps, n_interp=2, split_t0=0.1))
+            e = info.value
+            assert (e.step, e.t, e.phase) == (np.searchsorted(mesh, s_bad), s_bad, "start")
+            assert math.isnan(e.value)
+
 
 class TestStepOperator:
     """The block-precomputed step against polynomials, the Lagrange oracle
@@ -813,6 +831,36 @@ class TestSolve:
                 tr = solve(p, SolverConfig(steps=20, n_interp=3))
                 want = np.array([volterra_forcing(p, t) for t in tr.times])
                 assert np.abs(tr.values - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_rhs_calls_per_phase(self, iters, monkeypatch):
+        # D^(1/2) u = -u, stepped through its start: f_0 and two calls a
+        # step over the 2 * 64 steps of the start, f at each of the three
+        # start values and each JPC step's value, and one call per
+        # corrector pass in each of the 18 JPC steps
+        phase = ["march"]
+        calls = dict.fromkeys(["start", "step", "march"], 0)
+
+        def rhs(t, u):
+            calls[phase[-1]] += 1
+            return -u
+
+        def in_phase(name, fn):
+            def run(*args):
+                phase.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    phase.pop()
+            return run
+
+        monkeypatch.setattr("tfode.solver._adams_pece_scaled",
+                            in_phase("start", _adams_pece_scaled))
+        monkeypatch.setattr(_Stepper, "step", in_phase("step", _Stepper.step))
+        problem = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(1.0,), rhs=rhs)
+        solve(problem, SolverConfig(steps=20, n_interp=3, corrector_iters=iters))
+        assert calls == {"start": 1 + 2 * 128, "step": 18 * iters, "march": 3 + 18}
+        assert sum(calls.values()) == {1: 296, 3: 332}[iters]
 
     def test_benchmark_cell(self):
         tr = solve(example2(0.5, 2.0), SolverConfig(steps=40, n_interp=7))
