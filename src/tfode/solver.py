@@ -12,10 +12,11 @@ from Lagrange interpolation on ``n_interp`` neighbouring grid nodes, which
 makes ``n_interp`` the design convergence order.  Cost per step does not
 grow with the step index, so a whole solve is O(steps): the quadrature
 positions and stencil weights depend only on the step index, so one
-vectorised build precomputes them for a block of 32 consecutive steps
-(``_BLOCK``).  The weights also carry the kernel's tempering
-e^{-lam (t_n - t_i)} of each sample, a factor of at most 1, so the history
-a step reads is the trace's own f values.  A step's predictor is then one
+vectorised build precomputes them for a block of consecutive steps, as many
+as fit a budget of ``_BLOCK_BYTES`` (86 KB): 64 steps at NI = 2 and 32 at
+NI = 6 and 7, with n_quad = 20.  The weights also carry the kernel's
+tempering e^{-lam (t_n - t_i)} of each sample, a factor of at most 1, so the
+history a step reads is the trace's own f values.  A step's predictor is then one
 gather of that history and one dot product; the corrector's stencils
 differ only next to the new node, so its sum is the predictor's plus a
 window over the last ``n_interp + 1`` nodes, and each corrector iteration
@@ -839,13 +840,24 @@ def _adams_pece_scaled(
 # ---------------------------------------------------------------------------
 # The predictor-corrector step
 
-#: Consecutive steps whose quadrature stencils and weights are built in one
-#: vectorised pass.  A build's numpy calls cost much the same for any block
-#: length, so longer blocks amortise them over more steps.  Each step of a
-#: block holds (n_quad+1) n_interp weights and as many gather indices, 2.35 KB
-#: at n_quad = 20 and n_interp = 7: 75 KB per block, and a build peaks at
-#: 84 KB under tracemalloc, which adds to a solve's peak memory.
-_BLOCK = 32
+#: Bytes one block build may hold, which sets how many consecutive steps'
+#: quadrature stencils and weights one vectorised pass builds.  A build's
+#: numpy calls cost much the same for any block length, so longer blocks
+#: amortise them over more steps; but a build's peak adds to a solve's.  Per
+#: step and quadrature node a build holds 8-byte values: NI + 6 while its
+#: stencils are made (the weights and six node-sized temporaries), then
+#: 2 NI + 2 (two copies of the weights, or the weights and the gather
+#: indices, with the positions and stencil starts); the split scheme's
+#: history term, made before them, holds 2 (n_tilde + 1) per step.  The
+#: budget is a 32-step block at NI = 7 and n_quad = 20, 16 values a node:
+#: 86 KB, and that build peaks at 84 KB under tracemalloc.  A block is the
+#: most steps whose build fits, in whole eights and at least 32: 64 steps at
+#: NI = 2 and 32 at NI = 6 and 7, with n_quad = 20.  Whole eights keep each
+#: step's arithmetic that of 32-step blocks: a build's BLAS matrix-vector
+#: products (``sigma`` and the history term) sum rows in groups, of 4 in
+#: OpenBLAS, and round the rows left over differently, so a block length that
+#: is not a multiple of the group moves some steps by an ulp.
+_BLOCK_BYTES = 32 * 21 * 16 * 8
 
 #: Elements per ufunc buffer while a block is built.  At numpy's default
 #: (8192) a broadcast operation over a whole block copies its broadcast
@@ -881,9 +893,13 @@ class _Stepper:
     origin is grid index ``origin`` (0, or the split point), and ``history``
     holds ``(nodes, weights, f)`` of the unit-weight rule over ``[a, t0]``
     for the split scheme.  Each step's quadrature positions and stencils
-    depend only on the step index, so they are built ``_BLOCK`` steps at a
-    time.  The predictor's stencils end at f_{n-1}; a step's predictor sum
-    is one gather of the history and one dot with the combined weights.
+    depend only on the step index, so they are built a block of steps at a
+    time: the most steps whose build fits ``_BLOCK_BYTES``, in whole eights
+    and at least 32 (64 at NI = 2 and 32 at NI = 6 and 7, with n_quad = 20
+    and the default n_tilde = 40), fixed once per solve.  Steps run forward
+    one at a time, so a step past the block's end builds the next block
+    from it.  The predictor's stencils end at f_{n-1}; a step's predictor
+    sum is one gather of the history and one dot with the combined weights.
     The corrector's stencils may reach f_n, and only the tail positions
     whose predictor stencil was clamped to [n-NI, n-1] move (to
     [n-NI+1, n]), so its sum is the predictor's plus a correction over the
@@ -900,13 +916,19 @@ class _Stepper:
         history: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
         self.problem = problem
-        self.config = config
         self.rule = gauss_lobatto(problem.alpha - 1.0, 0.0, config.n_quad)
         self.tau = (problem.b - problem.a) / config.steps
         self.rga = rgamma(problem.alpha)
         self.origin = origin
         self.history = history
-        n_interp = config.n_interp
+        # what every step reads, off the problem and config once
+        self.rhs, self.iters = problem.rhs, config.corrector_iters
+        self.n_interp = n_interp = config.n_interp
+        # 8-byte values per step at a build's peak (see _BLOCK_BYTES), and the
+        # most steps that fit, in whole eights
+        per_step = max(len(self.rule.nodes) * max(2 * n_interp + 2, n_interp + 6),
+                       0 if history is None else 2 * len(history[0]))
+        self._block = max(32, _BLOCK_BYTES // (64 * per_step) * 8)
         lam_tau = problem.lam * self.tau
         self._half_nodes = 0.5 * (self.rule.nodes + 1.0)
         self._offsets = np.tile(np.arange(n_interp), len(self.rule.nodes))
@@ -929,8 +951,8 @@ class _Stepper:
 
     def _build_block(self, times: np.ndarray, lo: int) -> None:
         """Precompute steps lo..hi-1."""
-        problem, n_interp = self.problem, self.config.n_interp
-        hi = min(lo + _BLOCK, len(times))
+        problem, n_interp = self.problem, self.n_interp
+        hi = min(lo + self._block, len(times))
         self._c = self._idx = None  # release the last block's first: lowers the peak
         t = times[lo:hi]
         base = _forcing(problem, t)
@@ -972,14 +994,17 @@ class _Stepper:
         self._lo, self._hi = lo, hi
 
     def step(self, times: np.ndarray, fs: np.ndarray, n1: int) -> float:
-        """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1]."""
-        if not self._lo <= n1 < self._hi:
+        """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1].
+
+        Steps come in order, so only a step past the block's end builds.
+        """
+        if n1 >= self._hi:
             self._build_block(times, n1)
         k = n1 - self._lo
         pred = float(self._c[k].dot(fs[self._idx[k]]))
-        corr = pred + float(self._window[k].dot(fs[n1 - self.config.n_interp:n1]))
-        return _pece(self.problem.rhs, times.item(n1), self._base.item(k), self._pref.item(k),
-                     pred, corr, self._w_end.item(k), self.config.corrector_iters, n1, "step")
+        corr = pred + float(self._window[k].dot(fs[n1 - self.n_interp:n1]))
+        return _pece(self.rhs, times.item(n1), self._base.item(k), self._pref.item(k),
+                     pred, corr, self._w_end.item(k), self.iters, n1, "step")
 
 
 # ---------------------------------------------------------------------------
@@ -1000,11 +1025,15 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
 def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> SolutionTrace:
     """Fill ``trace``: its first values are ``u_start``, the rest are stepped,
     each step reading the f values before it from ``trace.rhs_values``."""
-    problem, times, fs = trace.problem, trace.times, trace.rhs_values
-    for n1 in range(len(times)):
-        u = float(u_start[n1]) if n1 < len(u_start) else stepper.step(times, fs, n1)
-        trace.values[n1] = u
-        fs[n1] = problem.rhs(float(times[n1]), u)
+    rhs, times, values, fs = stepper.rhs, trace.times, trace.values, trace.rhs_values
+    for n1, u in enumerate(u_start.tolist()):
+        values[n1] = u
+        fs[n1] = rhs(times.item(n1), u)
+    step = stepper.step
+    for n1 in range(len(u_start), len(times)):
+        u = step(times, fs, n1)
+        values[n1] = u
+        fs[n1] = rhs(times.item(n1), u)
     return trace
 
 

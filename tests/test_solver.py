@@ -26,7 +26,6 @@ from tfode.solver import (
     solve,
     solve_split,
     volterra_forcing,
-    _BLOCK,
     _adams_pece_scaled,
     _bary_weights,
     _convolution_tables,
@@ -702,7 +701,7 @@ class TestStepOperator:
 
     @pytest.mark.parametrize("n_interp, origin", [(7, 0), (4, 0), (2, 8), (5, 8)])
     def test_block_weights_reproduce_polynomials(self, n_interp, origin):
-        steps = 4 * _BLOCK
+        steps = 128
         lam = 2.0
         problem = example2(0.5, lam)
         config = SolverConfig(steps=steps, n_interp=n_interp)
@@ -716,9 +715,11 @@ class TestStepOperator:
         # the window's tempering, over its nodes NI .. 1 steps before t_n
         window_decay = np.exp(-lam * stepper.tau * np.arange(n_interp, 0, -1))
         hits = 0
-        for lo in range(max(origin + 1, n_interp), steps + 1, _BLOCK):
+        lo = max(origin + 1, n_interp)
+        while lo <= steps:
             stepper._build_block(times, lo)
-            for k, n in enumerate(range(lo, stepper._hi)):
+            lo = stepper._hi
+            for k, n in enumerate(range(stepper._lo, lo)):
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
                 # one row per quadrature node, its stencil's NI entries in order
                 idx = stepper._idx[k].reshape(len(r), n_interp)
@@ -742,7 +743,7 @@ class TestStepOperator:
         # on data no stencil reproduces, the predictor sum plus the window
         # equals the corrector's quadrature node by node: stencils within
         # [0, n], and the endpoint's weight on f_n
-        steps = 2 * _BLOCK + 3
+        steps = 67
         lam = 2.0
         problem = example2(0.5, lam)
         stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=n_interp), origin)
@@ -750,9 +751,11 @@ class TestStepOperator:
         fs = np.random.default_rng(origin + n_interp).standard_normal(steps + 1)
         times = np.linspace(0.0, 1.0, steps + 1)
         window_decay = np.exp(-lam * stepper.tau * np.arange(n_interp, 0, -1))
-        for lo in range(max(origin + 1, n_interp), steps + 1, _BLOCK):
+        lo = max(origin + 1, n_interp)
+        while lo <= steps:
             stepper._build_block(times, lo)
-            for k, n in enumerate(range(lo, stepper._hi)):
+            lo = stepper._hi
+            for k, n in enumerate(range(stepper._lo, lo)):
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
                 idx = stepper._idx[k]
                 pred = (stepper._c[k] / np.exp(-lam * (times[n] - times[idx]))) @ fs[idx]
@@ -792,20 +795,72 @@ class TestStepOperator:
 
     def test_block_build_peak_memory(self):
         # one block keeps (n_quad+1) NI weights and indices per step, 75 KB
-        # for the 32 steps here; its build's temporaries stay within a fifth
-        # of that
+        # for the 32 steps of NI = 7 here; its build's temporaries stay
+        # within a fifth of that.  At NI = 2 a split solve's block is 64
+        # steps, whose build, history term included, stays in the same bound
         steps = 1024
         problem = example2(0.5, 2.0)
-        stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=7, n_quad=20))
+        lob = gauss_lobatto(0.0, 0.0, 40)
+        history = (0.05 * (lob.nodes + 1.0), 0.05 * lob.weights, np.ones(41))
         times = np.linspace(0.0, 1.0, steps + 1)
-        stepper._build_block(times, 500)  # warm the caches
-        tracemalloc.start()
-        try:
-            stepper._build_block(times, 500 + _BLOCK)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 90_000
+        for n_interp, origin, split, length in ((7, 0, None, 32), (2, 100, history, 64)):
+            stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=n_interp, n_quad=20),
+                               origin, split)
+            stepper._build_block(times, 500)  # warm the caches
+            tracemalloc.start()
+            try:
+                stepper._build_block(times, stepper._hi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert stepper._hi - stepper._lo == length
+            assert peak < 90_000
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("n_interp", [2, 7])
+    def test_block_length_leaves_results_unchanged(self, n_interp, split, lam, iters,
+                                                   monkeypatch):
+        # each step reads its own row of the block, so blocks of 8 and 32
+        # steps and the derived length give bit-identical traces.  Blocks of
+        # 1 and 7 steps agree to round-off only: BLAS sums the rows of a
+        # build's matrix-vector products in groups of 4 with other rounding
+        # than the rows left over.  A block is built only when a step runs
+        # past the last one's end
+        steps = 150
+        problem = example2(0.5, lam)
+        config = SolverConfig(steps=steps, n_interp=n_interp, corrector_iters=iters,
+                              split_t0=0.08 if split else None)
+        n_start = 12 if split else n_interp - 1
+        init, build = _Stepper.__init__, _Stepper._build_block
+        length, builds = [None], [0]
+
+        def forced_init(self, *args):
+            init(self, *args)
+            if length[0] is not None:
+                self._block = length[0]
+            length[0] = self._block
+
+        def counted_build(self, *args):
+            builds[0] += 1
+            return build(self, *args)
+
+        monkeypatch.setattr(_Stepper, "__init__", forced_init)
+        monkeypatch.setattr(_Stepper, "_build_block", counted_build)
+        traces = {}
+        for forced in (None, 1, 7, 8, 32):
+            length[0], builds[0] = forced, 0
+            trace = solve(problem, config)
+            traces[forced] = np.stack([trace.values, trace.rhs_values])
+            assert builds[0] == -(-(steps - n_start) // length[0])
+            if forced is None:
+                assert length[0] == {2: 64, 7: 32}[n_interp]
+        want = traces[32]
+        for forced in (None, 8):
+            assert traces[forced].tobytes() == want.tobytes()
+        for forced in (1, 7):
+            np.testing.assert_allclose(traces[forced], want, rtol=1e-13, atol=0.0)
 
 
 class TestSolve:
