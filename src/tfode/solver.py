@@ -12,18 +12,18 @@ from Lagrange interpolation on ``n_interp`` neighbouring grid nodes, which
 makes ``n_interp`` the design convergence order.  Cost per step does not
 grow with the step index, so a whole solve is O(steps): the quadrature
 positions and stencil weights depend only on the step index, so one
-vectorised build precomputes them for a block of consecutive steps, as many
-as fit a budget of ``_BLOCK_BYTES`` (86 KB): 64 steps at NI = 2 and 32 at
-NI = 6 and 7, with n_quad = 20.  The weights also carry the kernel's
-tempering e^{-lam (t_n - t_i)} of each sample, a factor of at most 1, so the
-history a step reads is the trace's own f values.  A step's predictor is then one
-gather of that history and one dot product; the corrector's stencils
-differ only next to the new node, so its sum is the predictor's plus a
-window over the last ``n_interp + 1`` nodes, and each corrector iteration
-is scalar arithmetic plus the right-hand-side call.  That arithmetic is
-:func:`_pece`, the one predictor-corrector step of a solve: the start's
-stepped steps and its steps to the Lobatto nodes take it too, each with
-its own sums, and it holds the one check that u stays in range.
+vectorised build precomputes them for a block of consecutive steps, its
+length set by ``_BLOCK_BYTES`` and never changing a result.  The weights
+also carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
+factor of at most 1, so the history a step reads is the trace's own f
+values.  A step's predictor is then one gather of that history and one dot
+product; the corrector's stencils differ only next to the new node, so its
+sum is the predictor's plus a window over the last ``n_interp + 1`` nodes,
+and each corrector iteration is scalar arithmetic plus the right-hand-side
+call.  That arithmetic is :func:`_pece`, the one predictor-corrector step
+of a solve: the start's stepped steps and its steps to the Lobatto nodes
+take it too, each with its own sums, and it holds the one check that u
+stays in range.
 
 Both schemes start alike (:func:`_start`): the grid values through
 t_{n_start}, n_start = max(j0, n_interp - 1) with j0 the grid index of the
@@ -851,12 +851,9 @@ def _adams_pece_scaled(
 #: history term, made before them, holds 2 (n_tilde + 1) per step.  The
 #: budget is a 32-step block at NI = 7 and n_quad = 20, 16 values a node:
 #: 86 KB, and that build peaks at 84 KB under tracemalloc.  A block is the
-#: most steps whose build fits, in whole eights and at least 32: 64 steps at
-#: NI = 2 and 32 at NI = 6 and 7, with n_quad = 20.  Whole eights keep each
-#: step's arithmetic that of 32-step blocks: a build's BLAS matrix-vector
-#: products (``sigma`` and the history term) sum rows in groups, of 4 in
-#: OpenBLAS, and round the rows left over differently, so a block length that
-#: is not a multiple of the group moves some steps by an ulp.
+#: most steps whose build fits, and at least 32: with n_quad = 20, 64, 56,
+#: 51, 42, 36 and 32 steps at NI = 2 to 7.  A build sums each step's row on
+#: its own, so the block length never changes a result.
 _BLOCK_BYTES = 32 * 21 * 16 * 8
 
 #: Elements per ufunc buffer while a block is built.  At numpy's default
@@ -894,12 +891,11 @@ class _Stepper:
     holds ``(nodes, weights, f)`` of the unit-weight rule over ``[a, t0]``
     for the split scheme.  Each step's quadrature positions and stencils
     depend only on the step index, so they are built a block of steps at a
-    time: the most steps whose build fits ``_BLOCK_BYTES``, in whole eights
-    and at least 32 (64 at NI = 2 and 32 at NI = 6 and 7, with n_quad = 20
-    and the default n_tilde = 40), fixed once per solve.  Steps run forward
-    one at a time, so a step past the block's end builds the next block
-    from it.  The predictor's stencils end at f_{n-1}; a step's predictor
-    sum is one gather of the history and one dot with the combined weights.
+    time, of a length fixed once per solve (see ``_BLOCK_BYTES``).  Steps
+    run forward one at a time, so a step past the block's end builds the
+    next block from it.  The predictor's stencils end at f_{n-1}; a step's
+    predictor sum is one gather of the history and one dot with the
+    combined weights.
     The corrector's stencils may reach f_n, and only the tail positions
     whose predictor stencil was clamped to [n-NI, n-1] move (to
     [n-NI+1, n]), so its sum is the predictor's plus a correction over the
@@ -924,11 +920,11 @@ class _Stepper:
         # what every step reads, off the problem and config once
         self.rhs, self.iters = problem.rhs, config.corrector_iters
         self.n_interp = n_interp = config.n_interp
-        # 8-byte values per step at a build's peak (see _BLOCK_BYTES), and the
-        # most steps that fit, in whole eights
+        # 8-byte values per step at a build's peak, and the block length they
+        # give (see _BLOCK_BYTES)
         per_step = max(len(self.rule.nodes) * max(2 * n_interp + 2, n_interp + 6),
                        0 if history is None else 2 * len(history[0]))
-        self._block = max(32, _BLOCK_BYTES // (64 * per_step) * 8)
+        self._block = max(32, _BLOCK_BYTES // (8 * per_step))
         lam_tau = problem.lam * self.tau
         self._half_nodes = 0.5 * (self.rule.nodes + 1.0)
         self._offsets = np.tile(np.arange(n_interp), len(self.rule.nodes))
@@ -947,7 +943,9 @@ class _Stepper:
         span *= -self.problem.lam
         kern *= np.exp(span, out=span)
         kern *= f
-        return self.rga * (kern @ weights)
+        # summed row by row, as in _build_block
+        kern *= weights
+        return self.rga * np.add.reduce(kern, axis=1)
 
     def _build_block(self, times: np.ndarray, lo: int) -> None:
         """Precompute steps lo..hi-1."""
@@ -975,8 +973,11 @@ class _Stepper:
             r *= self.rule.weights
             i0 = i0.astype(np.intp)
             # the moved stencils change the sum by sigma times the window's
-            # (NI+1)-point weights, whose last one multiplies f_n
-            sigma = s @ self.rule.weights
+            # (NI+1)-point weights, whose last one multiplies f_n; summed row
+            # by row, a step's sigma is its own row's whatever the block
+            # length (a BLAS matrix-vector product rounds rows by position)
+            s *= self.rule.weights
+            sigma = np.add.reduce(s, axis=1)
             del s
             lw *= r.reshape(-1)
             del r

@@ -207,14 +207,30 @@ class TestTablesCommand:
     @pytest.mark.parametrize("which", [1, 2, 3, 4, 5])
     def test_tables_byte_for_byte(self, tmp_path, which):
         # tables 4 and 5 have errors of 7.9e-9 and up, so a round-off change
-        # in the solver leaves their 6 printed digits alone; the smallest
-        # errors of tables 1 to 3 are round-off, and an ulp moves them (table
-        # 2's tau = 0.00625 cells move with one in the exact solution).  A
-        # change that moves a cell updates tests/data/ and says so
+        # in the solver leaves their 6 printed digits alone, and they are
+        # pinned byte for byte.  The smallest errors of tables 1 to 3 are
+        # round-off, and an ulp moves them, so they move with the CPU's BLAS
+        # kernels and numpy's SIMD dispatch, by up to 1e-14 across seven such
+        # variants: there alpha, lambda and tau are pinned as text, each
+        # max_error to 3e-14 absolute, and each order is checked against
+        # its errors.  A change that moves a cell updates tests/data/ and
+        # says so
+        from tfode.harness import load_report_csv
+
         r = run_cli("tables", "--which", str(which), cwd=tmp_path)
         assert r.returncode == 0, r.stderr
-        want = (DATA / f"table{which}.csv").read_bytes()
-        assert (tmp_path / f"table{which}.csv").read_bytes() == want
+        got = (tmp_path / f"table{which}.csv").read_text()
+        want = (DATA / f"table{which}.csv").read_text()
+        if which >= 4:
+            assert got == want
+            return
+        load_report_csv(io.StringIO(got))
+        got_rows = [line.split(",") for line in got.splitlines()]
+        want_rows = [line.split(",") for line in want.splitlines()]
+        assert len(got_rows) == len(want_rows) and got_rows[0] == want_rows[0]
+        for g, w in zip(got_rows[1:], want_rows[1:]):
+            assert g[:3] == w[:3]
+            assert abs(float(g[3]) - float(w[3])) <= 3e-14, (g, w)
 
     def test_invalid_table(self, tmp_path):
         r = run_cli("tables", "--which", "9", cwd=tmp_path)

@@ -797,13 +797,15 @@ class TestStepOperator:
         # one block keeps (n_quad+1) NI weights and indices per step, 75 KB
         # for the 32 steps of NI = 7 here; its build's temporaries stay
         # within a fifth of that.  At NI = 2 a split solve's block is 64
-        # steps, whose build, history term included, stays in the same bound
+        # steps, whose build, history term included, stays in the same bound,
+        # as do the 51 steps of NI = 4 and the 36 of NI = 6
         steps = 1024
         problem = example2(0.5, 2.0)
         lob = gauss_lobatto(0.0, 0.0, 40)
         history = (0.05 * (lob.nodes + 1.0), 0.05 * lob.weights, np.ones(41))
         times = np.linspace(0.0, 1.0, steps + 1)
-        for n_interp, origin, split, length in ((7, 0, None, 32), (2, 100, history, 64)):
+        for n_interp, origin, split, length in ((7, 0, None, 32), (2, 100, history, 64),
+                                                (4, 0, None, 51), (6, 100, history, 36)):
             stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=n_interp, n_quad=20),
                                origin, split)
             stepper._build_block(times, 500)  # warm the caches
@@ -819,15 +821,12 @@ class TestStepOperator:
     @pytest.mark.parametrize("iters", [1, 3])
     @pytest.mark.parametrize("lam", [0.0, 5.0])
     @pytest.mark.parametrize("split", [False, True])
-    @pytest.mark.parametrize("n_interp", [2, 7])
+    @pytest.mark.parametrize("n_interp", [2, 6, 7])
     def test_block_length_leaves_results_unchanged(self, n_interp, split, lam, iters,
                                                    monkeypatch):
-        # each step reads its own row of the block, so blocks of 8 and 32
-        # steps and the derived length give bit-identical traces.  Blocks of
-        # 1 and 7 steps agree to round-off only: BLAS sums the rows of a
-        # build's matrix-vector products in groups of 4 with other rounding
-        # than the rows left over.  A block is built only when a step runs
-        # past the last one's end
+        # each step's sums are its own row's, summed row by row, so every
+        # block length gives bit-identical traces.  A block is built only
+        # when a step runs past the last one's end
         steps = 150
         problem = example2(0.5, lam)
         config = SolverConfig(steps=steps, n_interp=n_interp, corrector_iters=iters,
@@ -849,18 +848,16 @@ class TestStepOperator:
         monkeypatch.setattr(_Stepper, "__init__", forced_init)
         monkeypatch.setattr(_Stepper, "_build_block", counted_build)
         traces = {}
-        for forced in (None, 1, 7, 8, 32):
+        for forced in (None, 1, 7, 8, 32, 36):
             length[0], builds[0] = forced, 0
             trace = solve(problem, config)
             traces[forced] = np.stack([trace.values, trace.rhs_values])
             assert builds[0] == -(-(steps - n_start) // length[0])
             if forced is None:
-                assert length[0] == {2: 64, 7: 32}[n_interp]
+                assert length[0] == {2: 64, 6: 36, 7: 32}[n_interp]
         want = traces[32]
-        for forced in (None, 8):
+        for forced in (None, 1, 7, 8, 36):
             assert traces[forced].tobytes() == want.tobytes()
-        for forced in (1, 7):
-            np.testing.assert_allclose(traces[forced], want, rtol=1e-13, atol=0.0)
 
 
 class TestSolve:
