@@ -283,9 +283,11 @@ def _forcing(problem: Problem, t: np.ndarray | float) -> np.ndarray | float:
     and for RL data sum_k g_k e^{-lam a} (t-a)^(alpha-k-1) / Gamma(alpha-k),
     which is singular at t = a whenever the highest-order datum is nonzero.
     """
+    acc = np.zeros(np.shape(t))
+    if not any(problem.init):  # all-zero data: zeros, which need no tempering
+        return acc if acc.shape else 0.0
     dt = np.asarray(t, dtype=float) - problem.a
     scale = math.exp(-problem.lam * problem.a)
-    acc = np.zeros_like(dt)
     if problem.kind == CAPUTO:
         for k, ck in enumerate(problem.init):
             if ck != 0.0:
@@ -355,12 +357,12 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
     Stencils are ``n_points`` consecutive indices within [0, last], centred
     on each target as nearly as possible (ties toward earlier nodes);
     targets beyond ``last`` are extrapolated from the clamped stencil.
-    ``last`` broadcasts against ``r``.  Returns the starts ``i0`` as floats
-    of ``r``'s shape, the weights ``l`` with the stencil axis first, over
-    the targets in ``r``'s flat order, and ``s`` of ``r``'s shape: the
-    interpolant at target p is ``sum_j l[j, p] f[i0.flat[p] + j]``.  A
-    target within 1e-9 of a node gets a one-hot column: it returns the
-    sample.
+    ``last`` is at least ``n_points - 1`` and broadcasts against ``r``.
+    Returns the starts ``i0`` as floats of ``r``'s shape, the weights ``l``
+    with the stencil axis first, over the targets in ``r``'s flat order,
+    and ``s`` of ``r``'s shape: the interpolant at target p is
+    ``sum_j l[j, p] f[i0.flat[p] + j]``.  A target within 1e-9 of a node
+    gets a one-hot column: it returns the sample.
 
     Where a stencil moves one node right when ``last`` grows by one, its
     weights over the nodes ``i0 .. i0 + n_points`` change by
@@ -375,29 +377,32 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
     np.minimum(i0, top, out=i0)
     # r - i0 is exact (integer i0 <= r), so the distances below are too
     x = (r - i0).reshape(-1)
-    # 1/(j - x) rather than 1/(x - j): the sign cancels in the normalisation
-    lw = np.subtract.outer(np.arange(n_points, dtype=float), x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.reciprocal(lw, out=lw)
-        lw *= _bary_weights(n_points)
-        den = np.add.reduce(lw)
-        lw /= den
-        # den = (n-1)! / prod_{j<n} (j - x), so the node polynomial
-        # prod_{0<j<n} (x - j) / (n-1)!, signed to match the (n+1)-point
-        # weights, is 1 / (x den)
-        s = np.reciprocal(np.multiply(den, x, out=den), out=den)
-        del den
+    # a target within 1e-9 of a stencil node (a node past the stencil's end
+    # leaves it extrapolated) gets a one-hot column and s = 0, as a moved
+    # stencil's x is past n_points / 2; its x moves off the node first, so
+    # that no weight below divides by zero
     node = np.rint(x)
-    # x is done with: it takes the distances to the nearest nodes
-    np.subtract(x, node, out=x)
-    near = np.flatnonzero(np.abs(x, out=x) < 1e-9)
-    del x
+    np.minimum(node, n_points - 1, out=node)
+    gap = x - node
+    near = (np.abs(gap, out=gap) < 1e-9).nonzero()[0]
+    del gap
     at = node[near]
     del node
-    hit = at < n_points
-    lw[:, near[hit]] = np.arange(n_points)[:, None] == at[hit]
+    x[near] = 0.5
+    # 1/(j - x) rather than 1/(x - j): the sign cancels in the normalisation
+    lw = np.subtract.outer(np.arange(n_points, dtype=float), x)
+    np.reciprocal(lw, out=lw)
+    lw *= _bary_weights(n_points)
+    den = np.add.reduce(lw)
+    lw /= den
+    # den = (n-1)! / prod_{j<n} (j - x), so the node polynomial
+    # prod_{0<j<n} (x - j) / (n-1)!, signed to match the (n+1)-point
+    # weights, is 1 / (x den)
+    s = np.reciprocal(np.multiply(den, x, out=den), out=den)
+    del den, x
+    lw[:, near] = np.arange(n_points)[:, None] == at
     s = np.where(moved.reshape(-1), s, 0.0)
-    s[near[(at >= 1.0) & hit]] = 0.0
+    s[near] = 0.0
     return i0, lw, s.reshape(r.shape)
 
 
@@ -842,15 +847,18 @@ def _adams_pece_scaled(
 
 #: Bytes one block build may hold, which sets how many consecutive steps'
 #: quadrature stencils and weights one vectorised pass builds.  A build's
-#: numpy calls cost much the same for any block length, so longer blocks
-#: amortise them over more steps; but a build's peak adds to a solve's.  Per
-#: step and quadrature node a build holds 8-byte values: NI + 6 while its
-#: stencils are made (the weights and six node-sized temporaries), then
-#: 2 NI + 2 (two copies of the weights, or the weights and the gather
-#: indices, with the positions and stencil starts); the split scheme's
-#: history term, made before them, holds 2 (n_tilde + 1) per step.  The
-#: budget is a 32-step block at NI = 7 and n_quad = 20, 16 values a node:
-#: 86 KB, and that build peaks at 84 KB under tracemalloc.  A block is the
+#: fixed cost is its some 65 numpy calls: at NI = 7 a one-step block takes
+#: 43 us and a 32-step one 80 us (2-CPU Xeon), against 64 and 100 us when
+#: each build entered its own buffer scope and made more calls.  Longer
+#: blocks amortise that cost over more steps; but a build's peak adds to a
+#: solve's.  Per step and quadrature node a build holds 8-byte values:
+#: NI + 6 while its stencils are made (the weights and six node-sized
+#: temporaries), then 2 NI + 2 (two copies of the weights, or the weights
+#: and the gather indices, with the positions and stencil starts); the
+#: split scheme's history term, made before them, holds 2 (n_tilde + 1) per
+#: step.  The budget is a 32-step block at NI = 7 and n_quad = 20, 16
+#: values a node: 86 KB, and that build peaks at 84 KB under tracemalloc,
+#: in ``_BUILD_BUFSIZE``'s buffer scope.  A block is the
 #: most steps whose build fits, and at least 32: with n_quad = 20, 64, 56,
 #: 51, 42, 36 and 32 steps at NI = 2 to 7.  A build sums each step's row on
 #: its own, so the block length never changes a result.
@@ -859,13 +867,16 @@ _BLOCK_BYTES = 32 * 21 * 16 * 8
 #: Elements per ufunc buffer while a block is built.  At numpy's default
 #: (8192) a broadcast operation over a whole block copies its broadcast
 #: operands into full-size buffers, which took a build's peak to 1.8 times
-#: the block it builds.
+#: the block it builds.  ``_march`` enters this scope once around all of a
+#: solve's JPC steps: entering and leaving it costs some 9 us, a tenth of
+#: a 32-step build.
 _BUILD_BUFSIZE = 256
 
 
 @contextlib.contextmanager
 def _ufunc_bufsize(size: int):
-    """Run the body with numpy's ufunc buffers ``size`` elements long."""
+    """Run the body with numpy's ufunc buffers ``size`` elements long (for
+    the block builds, around the whole step phase: see ``_BUILD_BUFSIZE``)."""
     # numpy >= 2 restores the size on leaving errstate, and with it the
     # state object that setbufsize made; older numpy needs the finally
     with np.errstate():
@@ -891,11 +902,13 @@ class _Stepper:
     holds ``(nodes, weights, f)`` of the unit-weight rule over ``[a, t0]``
     for the split scheme.  Each step's quadrature positions and stencils
     depend only on the step index, so they are built a block of steps at a
-    time, of a length fixed once per solve (see ``_BLOCK_BYTES``).  Steps
+    time, of a length fixed once per solve (see ``_BLOCK_BYTES``), inside
+    the buffer scope that :func:`_march` holds over all the steps.  Steps
     run forward one at a time, so a step past the block's end builds the
-    next block from it.  The predictor's stencils end at f_{n-1}; a step's
-    predictor sum is one gather of the history and one dot with the
-    combined weights.
+    next block from it.  A block's per-step scalars (time, base term,
+    prefactor and endpoint weight) are Python lists, so a step reads plain
+    floats.  The predictor's stencils end at f_{n-1}; a step's predictor
+    sum is one gather of the history and one dot with the combined weights.
     The corrector's stencils may reach f_n, and only the tail positions
     whose predictor stencil was clamped to [n-NI, n-1] move (to
     [n-NI+1, n]), so its sum is the predictor's plus a correction over the
@@ -931,8 +944,9 @@ class _Stepper:
         # the tempering of stencil node j, NI-1-j steps before the stencil's last
         self._stencil_decay = np.exp(-lam_tau * np.arange(n_interp - 1, -1, -1.0))[:, None]
         # and of the window's nodes, NI .. 0 steps before t_n
-        self._window_weights = _bary_weights(n_interp + 1).ravel() * np.exp(
+        window = _bary_weights(n_interp + 1).ravel() * np.exp(
             -lam_tau * np.arange(n_interp, -1, -1.0))
+        self._window_weights, self._end_weight = window[:-1], window.item(-1)
         self._lo = self._hi = 0
 
     def _history_part(self, t: np.ndarray) -> np.ndarray:
@@ -948,50 +962,52 @@ class _Stepper:
         return self.rga * np.add.reduce(kern, axis=1)
 
     def _build_block(self, times: np.ndarray, lo: int) -> None:
-        """Precompute steps lo..hi-1."""
-        problem, n_interp = self.problem, self.n_interp
+        """Precompute steps lo..hi-1, under ``_ufunc_bufsize(_BUILD_BUFSIZE)``."""
+        problem, n_interp, origin = self.problem, self.n_interp, self.origin
         hi = min(lo + self._block, len(times))
-        self._c = self._idx = None  # release the last block's first: lowers the peak
+        # release the last block's first: lowers the peak
+        self._c = self._idx = self._window = self._base = self._pref = self._w_end = None
         t = times[lo:hi]
         base = _forcing(problem, t)
         if self.history is not None:
             base += self._history_part(t)
-        self._base = base
-        n = np.arange(lo, hi, dtype=float)
-        span = n - self.origin
+        span = np.arange(lo - origin, hi - origin, dtype=float)
         r = np.multiply.outer(span, self._half_nodes)
-        r += self.origin
+        if origin:
+            r += origin
+        last = np.arange(lo - 1, hi - 1, dtype=float)[:, None]
         # every temporary goes before the next block-sized array is made, so
         # the peak is the two arrays kept plus the integer starts
-        with _ufunc_bufsize(_BUILD_BUFSIZE):
-            i0, lw, s = _stencil_weights(r, (n - 1.0)[:, None], n_interp)
-            # r takes each stencil's tempering at its last node, n-i0-NI+1
-            # steps before t_n, times the node's rule weight
-            np.subtract((n - (n_interp - 1))[:, None], i0, out=r)
-            r *= -problem.lam * self.tau
-            np.exp(r, out=r)
-            r *= self.rule.weights
-            i0 = i0.astype(np.intp)
-            # the moved stencils change the sum by sigma times the window's
-            # (NI+1)-point weights, whose last one multiplies f_n; summed row
-            # by row, a step's sigma is its own row's whatever the block
-            # length (a BLAS matrix-vector product rounds rows by position)
-            s *= self.rule.weights
-            sigma = np.add.reduce(s, axis=1)
-            del s
-            lw *= r.reshape(-1)
-            del r
-            lw *= self._stencil_decay
-            # step-major rows, each quadrature node's stencil contiguous
-            self._c = lw.T.reshape(len(n), -1)
-            del lw
-            idx = np.repeat(i0, n_interp).reshape(len(n), -1)
-            del i0
-            idx += self._offsets
-            self._idx = idx
-        self._window = np.multiply.outer(sigma, self._window_weights[:-1])
-        self._w_end = sigma * self._window_weights[-1]
-        self._pref = (0.5 * self.tau * span) ** problem.alpha * self.rga
+        i0, lw, s = _stencil_weights(r, last, n_interp)
+        # r takes each stencil's tempering at its last node, n-i0-NI+1
+        # steps before t_n, times the node's rule weight
+        np.subtract(last - (n_interp - 2), i0, out=r)
+        r *= -problem.lam * self.tau
+        np.exp(r, out=r)
+        r *= self.rule.weights
+        i0 = i0.astype(np.intp)
+        # the moved stencils change the sum by sigma times the window's
+        # (NI+1)-point weights, whose last one multiplies f_n; summed row
+        # by row, a step's sigma is its own row's whatever the block
+        # length (a BLAS matrix-vector product rounds rows by position)
+        s *= self.rule.weights
+        sigma = np.add.reduce(s, axis=1)
+        del s
+        lw *= r.reshape(-1)
+        del r
+        lw *= self._stencil_decay
+        # step-major rows, each quadrature node's stencil contiguous
+        self._c = lw.T.reshape(len(span), -1)
+        del lw
+        idx = i0.repeat(n_interp).reshape(len(span), -1)
+        del i0
+        idx += self._offsets
+        self._idx = idx
+        self._window = np.multiply.outer(sigma, self._window_weights)
+        # plain floats, which a step reads faster than array items
+        self._w_end = (sigma * self._end_weight).tolist()
+        self._pref = ((0.5 * self.tau * span) ** problem.alpha * self.rga).tolist()
+        self._base, self._t = base.tolist(), t.tolist()
         self._lo, self._hi = lo, hi
 
     def step(self, times: np.ndarray, fs: np.ndarray, n1: int) -> float:
@@ -1004,8 +1020,8 @@ class _Stepper:
         k = n1 - self._lo
         pred = float(self._c[k].dot(fs[self._idx[k]]))
         corr = pred + float(self._window[k].dot(fs[n1 - self.n_interp:n1]))
-        return _pece(self.rhs, times.item(n1), self._base.item(k), self._pref.item(k),
-                     pred, corr, self._w_end.item(k), self.iters, n1, "step")
+        return _pece(self.rhs, self._t[k], self._base[k], self._pref[k], pred, corr,
+                     self._w_end[k], self.iters, n1, "step")
 
 
 # ---------------------------------------------------------------------------
@@ -1031,10 +1047,12 @@ def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> Solu
         values[n1] = u
         fs[n1] = rhs(times.item(n1), u)
     step = stepper.step
-    for n1 in range(len(u_start), len(times)):
-        u = step(times, fs, n1)
-        values[n1] = u
-        fs[n1] = rhs(times.item(n1), u)
+    # one buffer scope for all the steps' block builds (see _BUILD_BUFSIZE)
+    with _ufunc_bufsize(_BUILD_BUFSIZE):
+        for n1 in range(len(u_start), len(times)):
+            u = step(times, fs, n1)
+            values[n1] = u
+            fs[n1] = rhs(times.item(n1), u)
     return trace
 
 

@@ -36,3 +36,22 @@ def test_traced_split_solve_records_the_solver_layers():
             "quadrature.rule", "problems.rhs"}
     assert want <= names
     assert solver.solve is solve and solver._Stepper.step is step
+
+
+def test_traced_plain_solve_records_one_step_span_per_jpc_step():
+    # solver.steps counts solver.step spans, so it reads as the number of
+    # JPC steps only while each step is one call: a plain solve at NI = 7
+    # starts through u_6 on a mesh refined 64 times (385 points), then takes
+    # one step to each of u_7 .. u_200
+    layers = _load_layers()
+    mods = SimpleNamespace(
+        solver=solver, quadrature=quadrature, problems=problems, expr=expr,
+        harness=harness, cli=cli,
+    )
+    tracer = layers.Tracer()
+    with layers.traced(mods, tracer):
+        problem = problems.example2(0.5, 2.0)
+        solver.solve(problem, solver.SolverConfig(steps=200, n_interp=7))
+    metrics = layers.layer_metrics(tracer.spans)
+    assert metrics["solver.steps"] == 194
+    assert metrics["solver.start_mesh_points"] == 385
