@@ -14,6 +14,7 @@ eigenproblem.  Rules are cached per (a, b, n) and immutable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -87,9 +88,21 @@ def gauss_lobatto(a: float, b: float, n: int) -> GaussLobattoRule:
     for k in range(n):
         pl0, pl1 = pl1, (-1.0 - ak[k]) * pl1 - bk[k] * pl0
         pr0, pr1 = pr1, (1.0 - ak[k]) * pr1 - bk[k] * pr0
-    det = pl1 * pr0 - pr1 * pl0
-    a_star = (-pl1 * pr0 - pr1 * pl0) / det
-    b_star = 2.0 * pl1 * pr1 / det
+    # the products below have opposite signs, so det is no smaller than
+    # either; from n ~ 500 they underflow, and the ratios
+    # rho = pi_n / pi_{n-1} at -1 and +1 (G. H. Golub, SIAM Rev. 15(2),
+    # 1973) give the same pair, with det / (pl0 pr0) = rho_l - rho_r
+    if min(abs(pl1 * pr0), abs(pr1 * pl0)) >= sys.float_info.min:
+        det = pl1 * pr0 - pr1 * pl0
+        a_star = (-pl1 * pr0 - pr1 * pl0) / det
+        b_star = 2.0 * pl1 * pr1 / det
+    else:
+        rl, rr = -1.0 - ak[0], 1.0 - ak[0]
+        for k in range(1, n):
+            rl = (-1.0 - ak[k]) - bk[k] / rl
+            rr = (1.0 - ak[k]) - bk[k] / rr
+        a_star = (rl + rr) / (rr - rl)
+        b_star = 2.0 * rl * rr / (rl - rr)
 
     diag = np.concatenate([ak[:n], [a_star]])
     off = np.sqrt(np.concatenate([bk[1:n], [b_star]]))

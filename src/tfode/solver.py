@@ -17,10 +17,14 @@ length set by ``_BLOCK_BYTES`` and never changing a result.  The weights
 also carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
 factor of at most 1, so the history a step reads is the trace's own f
 values.  A step's predictor is then one gather of that history and one dot
-product; the corrector's stencils differ only next to the new node, so its
-sum is the predictor's plus a window over the last ``n_interp + 1`` nodes,
-and each corrector iteration is scalar arithmetic plus the right-hand-side
-call.  That arithmetic is :func:`_pece`, the one predictor-corrector step
+product, its one numpy call; the corrector's stencils differ only next to
+the new node, so its sum is the predictor's plus a window over the last
+``n_interp + 1`` nodes, a float sum over the last ``n_interp`` f values
+times a factor per step, and each corrector iteration is scalar arithmetic
+plus the right-hand-side call.  Where the right-hand side is declared
+affine in u (``Problem.affine``), f = p + q u, p and q are evaluated over
+spans of ``_PARTS_BLOCKS`` blocks of steps and each f is p + q u, so the
+steps call no right-hand side.  That arithmetic is :func:`_pece`, the one predictor-corrector step
 of a solve: the start's stepped steps and its steps to the Lobatto nodes
 take it too, each with its own sums, and it holds the one check that u
 stays in range.
@@ -59,7 +63,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,8 +139,13 @@ class Problem:
     whose values broadcast against it, with ``rhs(t, u) == p(t) + q(t) * u``.
     Where q is constant (a 0-d value, or one value over a chunk of the
     start), the starting procedure solves a block of steps at once (see
-    :func:`_adams_pece_scaled`); it steps through a q that varies, and
-    ``rhs`` still serves everything else.
+    :func:`_adams_pece_scaled`); it steps through a q that varies.  The JPC
+    steps take f = p + q u, with p and q evaluated over several blocks of
+    steps at once.  Over a start chunk or a block of steps where p or q
+    raises, is complex, has the wrong shape or is not finite, ``rhs``
+    serves instead, and it still
+    serves everything else: f at the start values, at the split rule's
+    Lobatto nodes and in the start's stepped steps.
     """
 
     kind: str
@@ -321,18 +332,24 @@ def volterra_forcing(problem: Problem, t: float) -> float:
 
 
 def _pece(rhs, t: float, base: float, pref: float, pred: float, corr: float, w_end: float,
-          iters: int, step: int, phase: str) -> float:
+          iters: int, step: int, phase: str, p: float = 0.0, q: float | None = None) -> float:
     """One predictor-corrector step to u at time ``t``, every step of a solve.
 
     The predictor is ``base + pref * pred``; each of ``iters`` corrector
-    passes is ``base + pref * (corr + w_end * rhs(t, u))``, with ``corr``
-    the corrector's sum over the history and ``w_end`` its weight on the
-    new f.  Raises :class:`BlowUpError`, naming ``step`` and ``phase``,
+    passes is ``base + pref * (corr + w_end * f)``, with ``corr`` the
+    corrector's sum over the history, ``w_end`` its weight on the new f,
+    and f = ``rhs(t, u)``, or f = p + q u without a call when ``q`` is
+    given (an affine right-hand side, whose p and q at t are ``p`` and
+    ``q``).  Raises :class:`BlowUpError`, naming ``step`` and ``phase``,
     unless u is finite and within ``_BLOWUP_LIMIT``.
     """
     u = base + pref * pred
-    for _ in range(iters):
-        u = base + pref * (corr + w_end * rhs(t, u))
+    if q is None:
+        for _ in range(iters):
+            u = base + pref * (corr + w_end * rhs(t, u))
+    else:
+        for _ in range(iters):
+            u = base + pref * (corr + w_end * (p + q * u))
     if not math.isfinite(u) or abs(u) > _BLOWUP_LIMIT:
         raise BlowUpError(step, t, u, phase)
     return u
@@ -581,26 +598,45 @@ def _tempering(d: np.ndarray, lam: float) -> np.ndarray:
     return np.exp(d, out=d)
 
 
-def _constant_q_parts(affine, t):
-    """p over the times ``t`` and the one value of q there, for the start's
-    resolvent blocks: p is a float where it is 0-d, else an array of t's
-    shape.  None when q takes more than one value or one that is not
-    finite, or when p or q raises, is complex or does not broadcast to
-    ``t``; the chunk is then stepped."""
+def _affine_parts(affine, t: np.ndarray):
+    """p and q of ``Problem.affine`` over the times ``t``, each an array of
+    t's 1-d shape or of one value, for the start's chunks and the steps'
+    spans of blocks.  None when p or q raises, is complex, does not broadcast to
+    ``t`` or is not finite there; the caller then calls the right-hand
+    side."""
     with np.errstate(all="ignore"):
         try:
             p = np.asarray(affine[0](t))
             q = np.asarray(affine[1](t))
-            if p.dtype.kind not in "fiu" or q.dtype.kind not in "fiu":
-                return None
-            # values of t's 1-d shape, or one value, broadcast to t
-            if not {p.shape, q.shape} <= {(), (1,), t.shape}:
-                return None
         except (ArithmeticError, TypeError, ValueError):
             return None
-        q0 = q.item(0)
-        if not math.isfinite(q0) or q.ndim and (q != q0).any():
+    # real values of t's 1-d shape, or one value, which broadcasts to t
+    for v in (p, q):
+        if v.dtype.kind not in "fiu" or v.shape not in ((), (1,), t.shape):
             return None
+        if not (math.isfinite(v) if v.ndim == 0 else np.isfinite(v).all()):
+            return None
+    return p, q
+
+
+def _broadcast_parts(affine, t: np.ndarray):
+    """:func:`_affine_parts` over the times ``t``, each broadcast to t."""
+    parts = _affine_parts(affine, t)
+    return None if parts is None else [np.broadcast_to(v, t.shape) for v in parts]
+
+
+def _constant_q_parts(affine, t):
+    """p over the times ``t`` and the one value of q there, for the start's
+    resolvent blocks: p is a float where it is 0-d, else an array of t's
+    shape.  None when q takes more than one value, or where
+    :func:`_affine_parts` is None; the chunk is then stepped."""
+    parts = _affine_parts(affine, t)
+    if parts is None:
+        return None
+    p, q = parts
+    q0 = q.item(0)
+    if q.ndim and (q != q0).any():
+        return None
     return (float(p) if p.ndim == 0 else np.broadcast_to(p, t.shape)), float(q0)
 
 
@@ -856,7 +892,9 @@ def _adams_pece_scaled(
 #: temporaries), then 2 NI + 2 (two copies of the weights, or the weights
 #: and the gather indices, with the positions and stencil starts); the
 #: split scheme's history term, made before them, holds 2 (n_tilde + 1) per
-#: step.  The budget is a 32-step block at NI = 7 and n_quad = 20, 16
+#: step.  A block keeps a few Python floats per step besides: the per-step
+#: scalars, made after the peak, and p and q where the problem is affine.
+#: The budget is a 32-step block at NI = 7 and n_quad = 20, 16
 #: values a node: 86 KB, and that build peaks at 84 KB under tracemalloc,
 #: in ``_BUILD_BUFSIZE``'s buffer scope.  A block is the
 #: most steps whose build fits, and at least 32: with n_quad = 20, 64, 56,
@@ -871,6 +909,15 @@ _BLOCK_BYTES = 32 * 21 * 16 * 8
 #: solve's JPC steps: entering and leaving it costs some 9 us, a tenth of
 #: a 32-step build.
 _BUILD_BUFSIZE = 256
+
+#: Blocks of JPC steps over which p and q of ``Problem.affine`` are
+#: evaluated at once (see ``_Stepper._block_parts``).  Their cost is mostly
+#: per call: for example2, p and q and their checks took 16 us a 32-step
+#: block when evaluated block by block, near the 64 right-hand-side calls
+#: (about 20 us) that they save, and 7 us a block over spans of 8 blocks
+#: (2-CPU Xeon).  A span holds at most 16 bytes a step, 4 KB at NI = 7 and
+#: n_quad = 20.
+_PARTS_BLOCKS = 8
 
 
 @contextlib.contextmanager
@@ -906,15 +953,22 @@ class _Stepper:
     the buffer scope that :func:`_march` holds over all the steps.  Steps
     run forward one at a time, so a step past the block's end builds the
     next block from it.  A block's per-step scalars (time, base term,
-    prefactor and endpoint weight) are Python lists, so a step reads plain
-    floats.  The predictor's stencils end at f_{n-1}; a step's predictor
-    sum is one gather of the history and one dot with the combined weights.
-    The corrector's stencils may reach f_n, and only the tail positions
-    whose predictor stencil was clamped to [n-NI, n-1] move (to
-    [n-NI+1, n]), so its sum is the predictor's plus a correction over the
-    window f_{n-NI..n}.  The window's weight on f_n, the endpoint's rule
+    prefactor, sigma and endpoint weight, and p and q of an affine
+    right-hand side, from their span of blocks: :meth:`_block_parts`) are
+    Python lists, so a step reads plain floats.  The
+    predictor's stencils end at f_{n-1}; a step's predictor sum is one
+    gather of the history and one dot with the combined weights, the step's
+    one numpy call.  The corrector's stencils may reach f_n, and only the
+    tail positions whose predictor stencil was clamped to [n-NI, n-1] move
+    (to [n-NI+1, n]), so its sum is the predictor's plus a correction over
+    the window f_{n-NI..n}: the step's sigma times the fixed tempered
+    (NI+1)-point weights.  Over f_{n-NI..n-1} that is sigma times a float
+    sum over the last NI f values, which :func:`_march` keeps in a ring;
+    the sum is ``math.fsum``, correctly rounded, so it depends on no BLAS
+    kernel or summation order.  The weight on f_n, the endpoint's rule
     weight included, is one scalar, so every corrector iteration is scalar
-    arithmetic (:func:`_pece`).
+    arithmetic (:func:`_pece`), with f from the right-hand side or, where
+    the block has p and q of ``Problem.affine``, p + q u.
     """
 
     def __init__(
@@ -943,11 +997,13 @@ class _Stepper:
         self._offsets = np.tile(np.arange(n_interp), len(self.rule.nodes))
         # the tempering of stencil node j, NI-1-j steps before the stencil's last
         self._stencil_decay = np.exp(-lam_tau * np.arange(n_interp - 1, -1, -1.0))[:, None]
-        # and of the window's nodes, NI .. 0 steps before t_n
-        window = _bary_weights(n_interp + 1).ravel() * np.exp(
-            -lam_tau * np.arange(n_interp, -1, -1.0))
-        self._window_weights, self._end_weight = window[:-1], window.item(-1)
+        # and of the window's nodes, NI .. 0 steps before t_n, as floats
+        window = (_bary_weights(n_interp + 1).ravel() * np.exp(
+            -lam_tau * np.arange(n_interp, -1, -1.0))).tolist()
+        self._window_weights, self._end_weight = tuple(window[:-1]), window[-1]
         self._lo = self._hi = 0
+        # p and q over the steps _parts_lo .. _parts_hi-1 (see _block_parts)
+        self._parts, self._parts_lo, self._parts_hi = None, 0, 0
 
     def _history_part(self, t: np.ndarray) -> np.ndarray:
         """The split scheme's history term over [a, t0] at the times ``t``."""
@@ -966,7 +1022,11 @@ class _Stepper:
         problem, n_interp, origin = self.problem, self.n_interp, self.origin
         hi = min(lo + self._block, len(times))
         # release the last block's first: lowers the peak
-        self._c = self._idx = self._window = self._base = self._pref = self._w_end = None
+        self._c = self._idx = self._sigma = self._base = self._pref = self._w_end = None
+        # p and q over the block, before its arrays; without them its steps
+        # call the right-hand side
+        parts = self._block_parts(times, lo, hi)
+        self._p, self._q = (None, None) if parts is None else parts
         t = times[lo:hi]
         base = _forcing(problem, t)
         if self.history is not None:
@@ -1003,25 +1063,58 @@ class _Stepper:
         del i0
         idx += self._offsets
         self._idx = idx
-        self._window = np.multiply.outer(sigma, self._window_weights)
         # plain floats, which a step reads faster than array items
+        self._sigma = sigma.tolist()
         self._w_end = (sigma * self._end_weight).tolist()
         self._pref = ((0.5 * self.tau * span) ** problem.alpha * self.rga).tolist()
         self._base, self._t = base.tolist(), t.tolist()
         self._lo, self._hi = lo, hi
 
-    def step(self, times: np.ndarray, fs: np.ndarray, n1: int) -> float:
-        """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1].
+    def _block_parts(self, times: np.ndarray, lo: int, hi: int):
+        """p and q of ``Problem.affine`` over the steps lo..hi-1, as two lists
+        of floats; None without them, or where they fail there (see
+        :func:`_affine_parts`).
 
-        Steps come in order, so only a step past the block's end builds.
+        They are evaluated over ``_PARTS_BLOCKS`` blocks at once, from the
+        first block past the last such span; over a span where they fail,
+        block by block, so that only a block whose own p or q fails calls
+        the right-hand side.
+        """
+        affine = self.problem.affine
+        if affine is None:
+            return None
+        if not self._parts_lo <= lo < hi <= self._parts_hi:
+            self._parts_lo = lo
+            self._parts_hi = min(lo + _PARTS_BLOCKS * self._block, len(times))
+            self._parts = _broadcast_parts(affine, times[lo:self._parts_hi])
+        parts, a = self._parts, lo - self._parts_lo
+        if parts is None:
+            parts, a = _broadcast_parts(affine, times[lo:hi]), 0
+            if parts is None:
+                return None
+        return [v[a:a + hi - lo].tolist() for v in parts]
+
+    def step(self, times: np.ndarray, fs: np.ndarray, ring: deque, n1: int):
+        """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1],
+        whose last ``n_interp`` values ``ring`` holds as floats.
+
+        Returns u and, for a block with affine parts, f = p + q u there;
+        else None in place of f, which the caller takes from the
+        right-hand side.  Steps come in order, so only a step past the
+        block's end builds.
         """
         if n1 >= self._hi:
             self._build_block(times, n1)
         k = n1 - self._lo
         pred = float(self._c[k].dot(fs[self._idx[k]]))
-        corr = pred + float(self._window[k].dot(fs[n1 - self.n_interp:n1]))
-        return _pece(self.rhs, self._t[k], self._base[k], self._pref[k], pred, corr,
-                     self._w_end[k], self.iters, n1, "step")
+        corr = pred + self._sigma[k] * math.fsum(map(mul, self._window_weights, ring))
+        if self._q is None:
+            return _pece(self.rhs, self._t[k], self._base[k], self._pref[k], pred, corr,
+                         self._w_end[k], self.iters, n1, "step"), None
+        p, q = self._p[k], self._q[k]
+        u = _pece(None, self._t[k], self._base[k], self._pref[k], pred, corr,
+                  self._w_end[k], self.iters, n1, "step", p, q)
+        return u, p + q * u
 
 
 # ---------------------------------------------------------------------------
@@ -1041,18 +1134,26 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
 
 def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> SolutionTrace:
     """Fill ``trace``: its first values are ``u_start``, the rest are stepped,
-    each step reading the f values before it from ``trace.rhs_values``."""
+    each step reading the f values before it from ``trace.rhs_values``, and
+    the last ``n_interp`` of them from a ring of floats.  A step's f comes
+    from the step where its block has affine parts, else from the
+    right-hand side here."""
     rhs, times, values, fs = stepper.rhs, trace.times, trace.values, trace.rhs_values
     for n1, u in enumerate(u_start.tolist()):
         values[n1] = u
         fs[n1] = rhs(times.item(n1), u)
-    step = stepper.step
+    n0, step = len(u_start), stepper.step
+    # the last n_interp f values, for the corrector's window
+    ring = deque(fs[n0 - stepper.n_interp:n0].tolist(), maxlen=stepper.n_interp)
     # one buffer scope for all the steps' block builds (see _BUILD_BUFSIZE)
     with _ufunc_bufsize(_BUILD_BUFSIZE):
-        for n1 in range(len(u_start), len(times)):
-            u = step(times, fs, n1)
+        for n1 in range(n0, len(times)):
+            u, f = step(times, fs, ring, n1)
+            if f is None:
+                f = rhs(times.item(n1), u)
             values[n1] = u
-            fs[n1] = rhs(times.item(n1), u)
+            fs[n1] = f
+            ring.append(f)
     return trace
 
 

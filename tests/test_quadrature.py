@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from tfode.quadrature import gauss_lobatto, jacobi_recurrence
 
@@ -96,3 +97,46 @@ class TestGaussLobatto:
     def test_degenerate_degree_rejected(self):
         with pytest.raises(ValueError):
             gauss_lobatto(0.0, 0.0, 0)
+
+
+def _product_form_rule(a, b, n):
+    """The rule as built from the products pi_n(+-1) pi_{n-1}(-+1), the
+    construction every rule used before the ratio form, which still builds
+    every rule whose products stay normal."""
+    ak, bk = np.array([jacobi_recurrence(a, b, k) for k in range(n + 1)]).T
+    pl0, pl1, pr0, pr1 = 0.0, 1.0, 0.0, 1.0
+    for k in range(n):
+        pl0, pl1 = pl1, (-1.0 - ak[k]) * pl1 - bk[k] * pl0
+        pr0, pr1 = pr1, (1.0 - ak[k]) * pr1 - bk[k] * pr0
+    det = pl1 * pr0 - pr1 * pl0
+    diag = np.append(ak[:n], (-pl1 * pr0 - pr1 * pl0) / det)
+    off = np.sqrt(np.append(bk[1:n], 2.0 * pl1 * pr1 / det))
+    nodes, vecs = eigh_tridiagonal(diag, off)
+    nodes[0], nodes[-1] = -1.0, 1.0
+    return nodes, bk[0] * vecs[0, :] ** 2
+
+
+class TestLargeDegree:
+    @pytest.mark.parametrize("a", [-0.8, -0.5, 0.0, 0.5])
+    def test_rules_below_the_switch_are_unchanged(self, a):
+        # the monic values at +-1 shrink like 2^-n, so their products stay
+        # normal to n ~ 500, and the rule is the product form's bit for bit
+        for n in (1, 2, 7, 20, 40, 100, 250, 400):
+            rule = gauss_lobatto(a, 0.0, n)
+            nodes, weights = _product_form_rule(a, 0.0, n)
+            assert rule.nodes.tobytes() == nodes.tobytes(), (a, n)
+            assert rule.weights.tobytes() == weights.tobytes(), (a, n)
+
+    @pytest.mark.parametrize("a", [-0.8, -0.5, 0.0, 0.5])
+    def test_degree_2000_builds(self, a):
+        # the products underflowed from n ~ 530 ("Lobatto node solve
+        # failed") and made the modified matrix not finite from n ~ 600
+        n = 2000
+        rule = gauss_lobatto(a, 0.0, n)
+        assert rule.nodes[0] == -1.0 and rule.nodes[-1] == 1.0
+        assert np.all(np.diff(rule.nodes) > 0) and np.all(rule.weights > 0)
+        m0 = float(jacobi_moment(a, 0.0, 0))
+        assert abs(rule.weights.sum() - m0) <= 1e-14 * m0
+        # the modified matrix still has +-1 as eigenvalues to round-off
+        assert np.allclose(rule.weights @ rule.nodes, float(jacobi_moment(a, 0.0, 1)),
+                           rtol=1e-13, atol=1e-13)

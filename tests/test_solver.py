@@ -223,7 +223,9 @@ def _start_problem(kind, alpha, lam=2.0):
 
 def _twins(problem):
     """The problem as given, whose affine parts make the start solve a block
-    of steps at once, and without them, so that it steps one by one."""
+    of steps at once and the JPC steps take f as p + q u, and without them,
+    so that the start steps one by one and every f is a right-hand-side
+    call."""
     assert problem.affine is not None
     return [problem, dataclasses.replace(problem, affine=None)]
 
@@ -714,8 +716,10 @@ class TestStepOperator:
         poly = lambda x: np.polynomial.polynomial.polyval(x / steps, coef)
         fs = poly(np.arange(steps + 1.0))
         times = np.linspace(0.0, 1.0, steps + 1)
-        # the window's tempering, over its nodes NI .. 1 steps before t_n
-        window_decay = np.exp(-lam * stepper.tau * np.arange(n_interp, 0, -1))
+        # the window's weights, without their tempering over its nodes NI
+        # .. 1 steps before t_n
+        window_weights = np.array(stepper._window_weights) / np.exp(
+            -lam * stepper.tau * np.arange(n_interp, 0, -1))
         hits = 0
         lo = max(origin + 1, n_interp)
         while lo <= steps:
@@ -735,7 +739,8 @@ class TestStepOperator:
                 assert np.allclose(got, wts * poly(r), rtol=0.0, atol=1e-12)
                 # the predictor plus the window, node n included, over the
                 # corrector's nodes
-                window = (stepper._window[k] / window_decay) @ fs[n - n_interp:n] + stepper._w_end[k] * fs[n]
+                window = (stepper._sigma[k] * window_weights @ fs[n - n_interp:n]
+                          + stepper._w_end[k] * fs[n])
                 assert got.sum() + window == pytest.approx(wts @ poly(r), rel=0.0, abs=1e-12)
                 hits += int(((c == 0.0).sum(axis=1) == n_interp - 1).sum())
         assert hits > 0  # the origin node (and x = 0 at even spans) hit the grid
@@ -752,7 +757,8 @@ class TestStepOperator:
         nodes, wts = stepper.rule.nodes, stepper.rule.weights
         fs = np.random.default_rng(origin + n_interp).standard_normal(steps + 1)
         times = np.linspace(0.0, 1.0, steps + 1)
-        window_decay = np.exp(-lam * stepper.tau * np.arange(n_interp, 0, -1))
+        window_weights = np.array(stepper._window_weights) / np.exp(
+            -lam * stepper.tau * np.arange(n_interp, 0, -1))
         lo = max(origin + 1, n_interp)
         while lo <= steps:
             stepper._build_block(times, lo)
@@ -765,7 +771,7 @@ class TestStepOperator:
                     w * lagrange_reference(fs[:n + 1], x, n_interp)
                     for x, w in zip(r[:-1], wts[:-1])
                 ) + wts[-1] * fs[n]
-                window = (stepper._window[k] / window_decay) @ fs[n - n_interp:n]
+                window = stepper._sigma[k] * window_weights @ fs[n - n_interp:n]
                 got = pred + window + stepper._w_end[k] * fs[n]
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -862,6 +868,110 @@ class TestStepOperator:
         want = traces[32]
         for forced in (None, 1, 7, 8, 36):
             assert traces[forced].tobytes() == want.tobytes()
+
+
+def _rhs_calls_by_phase(problem, config, monkeypatch):
+    """Solve ``problem``, and the times at which its right-hand side was
+    called in each phase: the start, the JPC steps and the rest of the
+    march (each step's f, and f at the start values)."""
+    phase = ["march"]
+    calls = {"start": [], "step": [], "march": []}
+
+    def rhs(t, u):
+        calls[phase[-1]].append(t)
+        return problem.rhs(t, u)
+
+    def in_phase(name, fn):
+        def run(*args):
+            phase.append(name)
+            try:
+                return fn(*args)
+            finally:
+                phase.pop()
+        return run
+
+    monkeypatch.setattr("tfode.solver._adams_pece_scaled", in_phase("start", _adams_pece_scaled))
+    monkeypatch.setattr(_Stepper, "step", in_phase("step", _Stepper.step))
+    return solve(dataclasses.replace(problem, rhs=rhs), config), calls
+
+
+class TestAffineSteps:
+    """JPC steps that take f = p + q u from ``Problem.affine``."""
+
+    @pytest.mark.parametrize("iters", [1, 3])
+    def test_affine_steps_call_no_rhs(self, iters, monkeypatch):
+        # D^(1/2) u = -u as in TestSolve.test_rhs_calls_per_phase, with its
+        # affine parts: the start calls the right-hand side for f_0 alone
+        # (one resolvent chunk), the march for f at the three start values,
+        # and the 18 JPC steps not at all
+        problem = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(1.0,),
+                          rhs=lambda t, u: -u, affine=(lambda t: 0.0, lambda t: -1.0))
+        config = SolverConfig(steps=20, n_interp=3, corrector_iters=iters)
+        trace, calls = _rhs_calls_by_phase(problem, config, monkeypatch)
+        assert {k: len(v) for k, v in calls.items()} == {"start": 1, "step": 0, "march": 3}
+        np.testing.assert_array_equal(trace.rhs_values, -trace.values)
+
+    @pytest.mark.parametrize("fault", ["raises", "nan", "complex", "shape"])
+    def test_block_whose_parts_fail_calls_rhs(self, fault, monkeypatch):
+        # NI = 2 steps 2 .. 200 in blocks of 64, in one span of blocks: q
+        # fails over the span, and then over its second block only, whose
+        # steps call the right-hand side, once a step in the step phase and
+        # once in the march, and the solve matches the non-affine twin's
+        steps = 200
+        problem = _start_problem("caputo", 0.6)
+        times = np.linspace(0.0, 1.0, steps + 1)
+        lo, hi = times[66], times[129]
+
+        def q(t):
+            if not (t[0] <= hi and t[-1] >= lo):
+                return np.full_like(t, -0.5)
+            if fault == "raises":
+                raise ZeroDivisionError("float division by zero")
+            if fault == "nan":
+                return np.where(t > 0.5, np.nan, -0.5)
+            if fault == "complex":
+                return np.full_like(t, -0.5) + 0j
+            return np.full(len(t) + 1, -0.5)
+
+        config = SolverConfig(steps=steps, n_interp=2)
+        trace, calls = _rhs_calls_by_phase(
+            dataclasses.replace(problem, affine=(np.cos, q)), config, monkeypatch)
+        block = trace.times[66:130].tolist()
+        assert calls["step"] == block
+        assert calls["march"] == trace.times[:2].tolist() + block
+        want = solve(dataclasses.replace(problem, affine=None), config)
+        np.testing.assert_allclose(trace.values, want.values, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(trace.rhs_values, want.rhs_values, rtol=1e-13, atol=0.0)
+
+    def test_parts_evaluated_per_span_of_blocks(self):
+        # NI = 7 steps 7 .. 600 in blocks of 32: p and q are evaluated once
+        # for the start's one chunk and once for each of the three spans of
+        # 8 blocks (256, 256 and 82 steps)
+        times = []
+
+        def q(t):
+            times.append(np.array(t))
+            return -1.0
+
+        problem = dataclasses.replace(example2(0.5, 2.0),
+                                      affine=(example2(0.5, 2.0).affine[0], q))
+        solve(problem, SolverConfig(steps=600, n_interp=7))
+        assert [len(t) for t in times] == [6 * 64, 256, 256, 82]
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("n_interp", [2, 7])
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda lam: example2(0.5, lam), id="example2"),
+        pytest.param(lambda lam: _start_problem("caputo", 0.5, lam), id="cos"),
+    ])
+    def test_twins_agree(self, make, split, n_interp, lam):
+        # the affine twin's steps (and start) take f from p and q, the
+        # other's from the right-hand side
+        config = SolverConfig(steps=150, n_interp=n_interp, split_t0=0.08 if split else None)
+        affine, plain = (solve(twin, config) for twin in _twins(make(lam)))
+        np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
 
 
 class TestSolve:
