@@ -40,6 +40,7 @@ from .problems import (
 from .quadrature import GaussLobattoRule, gauss_lobatto, jacobi_recurrence
 from .solver import (
     BlowUpError,
+    NegativeOrderDataError,
     Problem,
     SolutionTrace,
     SolverConfig,
@@ -56,6 +57,7 @@ __all__ = [
     "BlowUpError",
     "ConvergenceReport",
     "GaussLobattoRule",
+    "NegativeOrderDataError",
     "Problem",
     "SolutionTrace",
     "SolverConfig",

@@ -3,10 +3,10 @@
 A :class:`Sweep` holds a problem specification and solver options, lists
 of ``alpha`` and ``lambda`` values, and a strictly decreasing list of step
 sizes.  :func:`run_sweep` produces one :class:`ConvergenceReport` per
-(alpha, lambda) pair with the max-norm error and the consecutive-halving
-order for every step size.  The five canned table configurations reproduce
-the reference error tables exactly as printed (same T, quadrature degree,
-stencil size and step lists).
+(alpha, lambda) pair with the max-norm error for every step size and the
+observed order between consecutive ones.  The five canned table
+configurations reproduce the reference error tables exactly as printed
+(same T, quadrature degree, stencil size and step lists).
 
 Everything is deterministic: no randomness, fixed iteration order, fixed
 CSV formatting.  The per-row wall-clock column is kept out of the table
@@ -125,37 +125,81 @@ class ConvergenceReport:
         raise ValueError("report has no computable order entries")
 
 
-def estimate_order(errors: Sequence[float]) -> list[float | None]:
-    """Consecutive log2 error ratios for a halving sequence of step sizes.
+def estimate_order(errors: Sequence[float], taus: Sequence[float]) -> list[float | None]:
+    """Observed orders log(e_prev / e) / log(tau_prev / tau) between the
+    errors of consecutive step sizes ``taus``.
 
-    Entries where either error is non-positive or non-finite are flagged
-    as ``None`` instead of being computed.
+    Entries where either error is non-positive or non-finite, or where the
+    step does not decrease, are flagged as ``None`` instead of being
+    computed.
     """
     out: list[float | None] = []
-    for prev, cur in zip(errors, errors[1:]):
+    for prev, cur, tau_prev, tau in zip(errors, errors[1:], taus, taus[1:]):
         ok = (
             math.isfinite(prev) and math.isfinite(cur) and prev > 0.0 and cur > 0.0
+            and tau_prev > tau
         )
-        out.append(math.log2(prev / cur) if ok else None)
+        out.append(math.log2(prev / cur) / math.log2(tau_prev / tau) if ok else None)
     return out
+
+
+def _max_gap(values: np.ndarray, baseline: np.ndarray) -> float:
+    """Max abs difference over the grid nodes t_1..t_M (t_0 excluded)."""
+    return float(np.abs(values[1:] - baseline[1:]).max())
 
 
 def _max_error_vs_reference(trace: SolutionTrace, reference: SolutionTrace) -> float:
     stride = round(reference.config.steps / trace.config.steps)
     if stride * trace.config.steps != reference.config.steps:
         raise ValueError("reference grid does not refine the trace grid")
-    ref = reference.values[::stride]
-    return float(np.abs(trace.values[1:] - ref[1:]).max())
+    return _max_gap(trace.values, reference.values[::stride])
+
+
+def _strided(times: np.ndarray, finer: tuple[np.ndarray, np.ndarray]) -> np.ndarray | None:
+    """The exact values of a finer grid at ``times``, when ``times`` are that
+    grid's times taken with a stride, bit for bit; else None."""
+    fine_times, fine_exact = finer
+    stride = (len(fine_times) - 1) // (len(times) - 1)
+    if stride and np.array_equal(fine_times[::stride], times):
+        return fine_exact[::stride]
+    return None
+
+
+def _row_error(trace: SolutionTrace, reference: SolutionTrace | None, finer):
+    """A row's max error over t_1..t_M, and the (times, exact values) that
+    coarser rows may take with a stride, or None.
+
+    The error is against ``reference`` where given, else against ``finer``'s
+    exact values where this grid nests in it, else against the exact values
+    the trace evaluates.  Those serve coarser rows unless they came from the
+    node-by-node fallback, where a coarser grid's own array pass may not fall
+    back and so may give other values.
+    """
+    if reference is not None:
+        return _max_error_vs_reference(trace, reference), None
+    exact = None if finer is None else _strided(trace.times, finer)
+    if exact is not None:
+        return _max_gap(trace.values, exact), None
+    err = trace.max_error()
+    return err, None if trace.exact_by_node else (trace.times, trace.exact_values())
 
 
 def run_sweep(sweep: Sweep) -> list[ConvergenceReport]:
     """Run every (alpha, lambda) column of the sweep.
 
-    Columns are solved in the given order and step sizes from coarse to
-    fine, so output is deterministic.  A solver blow-up is recorded as an
-    infinite error for that row and the sweep continues.  Problems without
-    an exact solution are measured against a reference solve at
-    ``min(taus) / 4``.
+    Columns are solved in the given order, and each column's step sizes
+    from fine to coarse; rows are reported in the sweep's order, so output
+    is deterministic.  The exact solution is evaluated once per column, by
+    its finest row that does not blow up, whose ``wall_ms`` includes that
+    evaluation; each coarser row whose grid times are those times taken
+    with a stride, bit for bit, takes those values, and any other row
+    evaluates its own (see :func:`_row_error`).  An exact solution that
+    fails to evaluate therefore fails on the finest grid first.  A solver
+    blow-up is recorded as an infinite error for that row and the sweep
+    continues.  Problems without an exact solution are measured against a
+    reference solve at ``min(taus) / 4``.  Orders are taken between
+    consecutive step sizes, whatever their ratio (see
+    :func:`estimate_order`).
     """
     reports = []
     for alpha in sweep.alphas:
@@ -164,22 +208,20 @@ def run_sweep(sweep: Sweep) -> list[ConvergenceReport]:
             reference = None
             if problem.exact is None:
                 reference = solve(problem, sweep.make_config(problem, min(sweep.taus) / 4.0))
-            rows = []
-            for tau in sweep.taus:
+            rows, finer = [], None
+            for tau in reversed(sweep.taus):
                 config = sweep.make_config(problem, tau)
                 start = time.perf_counter()
                 try:
-                    trace = solve(problem, config)
-                    err = (
-                        trace.max_error()
-                        if reference is None
-                        else _max_error_vs_reference(trace, reference)
-                    )
+                    err, values = _row_error(solve(problem, config), reference, finer)
+                    finer = finer or values
                 except BlowUpError:
                     err = math.inf
                 wall_ms = 1e3 * (time.perf_counter() - start)
                 rows.append(ReportRow(tau=tau, max_error=err, order=None, wall_ms=wall_ms))
-            for row, order in zip(rows[1:], estimate_order([r.max_error for r in rows])):
+            rows.reverse()
+            orders = estimate_order([r.max_error for r in rows], sweep.taus)
+            for row, order in zip(rows[1:], orders):
                 row.order = order
             meta = {"error_baseline": "exact" if reference is None else "reference"}
             reports.append(ConvergenceReport(alpha=alpha, lam=lam, rows=rows, meta=meta))
@@ -258,7 +300,7 @@ def load_report_csv(stream) -> list[ConvergenceReport]:
         )
     reports = []
     for (alpha, lam), rows in grouped.items():
-        recomputed = estimate_order([r.max_error for r in rows])
+        recomputed = estimate_order([r.max_error for r in rows], [r.tau for r in rows])
         for row, expect in zip(rows[1:], recomputed):
             stored = row.order
             if (stored is None) != (expect is None):

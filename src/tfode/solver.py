@@ -80,6 +80,7 @@ __all__ = [
     "SolutionTrace",
     "SolverError",
     "BlowUpError",
+    "NegativeOrderDataError",
     "volterra_forcing",
     "solve",
     "solve_split",
@@ -121,6 +122,12 @@ class BlowUpError(SolverError):
         self.t = t
         self.value = value
         self.phase = phase
+
+
+class NegativeOrderDataError(SolverError, ValueError):
+    """Riemann-Liouville data of negative order with a right-hand side that
+    reads u: u is unbounded at a, and the scheme does not converge on such
+    a problem.  It is also a ``ValueError``, a configuration error."""
 
 
 @dataclass(frozen=True)
@@ -242,6 +249,8 @@ class SolutionTrace:
     problem: Problem
     config: SolverConfig
     _exact: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    #: whether :meth:`exact_values` took the node-by-node fallback
+    exact_by_node: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def tau(self) -> float:
@@ -253,7 +262,8 @@ class SolutionTrace:
         ``exact`` is called once with the array of times.  If that raises
         (as a function of one float does), or gives anything but a finite
         float array of the grid's shape, it is called node by node instead,
-        so the values and errors are those of the scalar calls.
+        so the values and errors are those of the scalar calls, and
+        ``exact_by_node`` is set.
         """
         exact = self.problem.exact
         if exact is None:
@@ -271,6 +281,7 @@ class SolutionTrace:
                 or not np.isfinite(values).all()
             ):
                 values = np.array([exact(t) for t in self.times])
+                self.exact_by_node = True
             self._exact = values
         return self._exact
 
@@ -1208,15 +1219,47 @@ def _start(problem: Problem, config: SolverConfig) -> tuple[np.ndarray, _Stepper
     return u_start, _Stepper(problem, config, j0, (s_hist, w_hist, f_hist))
 
 
+def _check_data(problem: Problem, times: np.ndarray) -> None:
+    """Raise :class:`NegativeOrderDataError` for Riemann-Liouville data of
+    negative order, a g_k != 0 with alpha - k - 1 < 0, when the right-hand
+    side reads u: when q is not zero at every grid time past a where
+    ``problem.affine`` gives it, else when ``rhs`` at t_1 differs at two
+    values of u."""
+    if problem.kind != RIEMANN_LIOUVILLE:
+        return
+    alpha = problem.alpha
+    bad = [(k, g) for k, g in enumerate(problem.init) if g != 0.0 and alpha - k - 1 < 0]
+    if not bad:
+        return
+    parts = None if problem.affine is None else _affine_parts(problem.affine, times[1:])
+    if parts is None:
+        t1 = times.item(1)
+        reads_u = problem.rhs(t1, 1.0) != problem.rhs(t1, 2.0)
+    else:
+        reads_u = bool(np.any(parts[1] != 0.0))
+    if reads_u:
+        k, g = bad[0]
+        raise NegativeOrderDataError(
+            f"Riemann-Liouville datum init[{k}] = {g:g} has negative order "
+            f"alpha - {k + 1} = {alpha - k - 1:.6g}, so u is unbounded at a, and the "
+            f"scheme does not converge where the right-hand side reads u; "
+            f"give init[{k}] = 0, or a right-hand side of t alone"
+        )
+
+
 def solve(problem: Problem, config: SolverConfig) -> SolutionTrace:
     """Solve the problem on the uniform grid with the predictor-corrector.
 
     With ``config.split_t0`` set, this is :func:`solve_split`'s scheme.
     Raises :class:`BlowUpError` (naming the step) if the solution leaves
-    the finite range, and ``ValueError`` for a bad split point or an
-    ``exact_start`` without an exact solution.
+    the finite range, :class:`NegativeOrderDataError` before the start for
+    Riemann-Liouville data of negative order with a right-hand side that
+    reads u (see :func:`_check_data`), and ``ValueError`` for a bad split
+    point or an ``exact_start`` without an exact solution.
     """
-    return _march(_new_trace(problem, config), *_start(problem, config))
+    trace = _new_trace(problem, config)
+    _check_data(problem, trace.times)
+    return _march(trace, *_start(problem, config))
 
 
 def solve_split(problem: Problem, config: SolverConfig) -> SolutionTrace:

@@ -55,3 +55,21 @@ def test_traced_plain_solve_records_one_step_span_per_jpc_step():
     metrics = layers.layer_metrics(tracer.spans)
     assert metrics["solver.steps"] == 194
     assert metrics["solver.start_mesh_points"] == 385
+
+
+def test_traced_table4_sweep_evaluates_mittag_leffler_once_per_column():
+    # each column's exact solution is evaluated on its finest grid, inside
+    # SolutionTrace.errors (the harness.errors span): three columns, three
+    # Mittag-Leffler calls, where per-row evaluation made twelve
+    layers = _load_layers()
+    mods = SimpleNamespace(
+        solver=solver, quadrature=quadrature, problems=problems, expr=expr,
+        harness=harness, cli=cli,
+    )
+    tracer = layers.Tracer()
+    with layers.traced(mods, tracer):
+        harness.run_sweep(harness.TABLES[4])
+    spans = tracer.spans
+    ml = [span for span in spans if span[0] == "specfun.ml"]
+    assert len(ml) == 3
+    assert all(spans[span[3]][0] == "harness.errors" for span in ml)

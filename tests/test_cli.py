@@ -146,6 +146,16 @@ class TestSolveCommand:
         assert np.abs(exact[:17, 3]).max() <= 1e-15
         assert np.abs(adams[:17, 3]).max() > 1e-9
 
+    def test_rl_data_of_negative_order(self, tmp_path):
+        # it used to exit 0 with u = -24.3, -5.07 and -1.34 at t = 0.1, 0.5
+        # and 1, where the solution is 1.046, 0.249 and 0.0774
+        r = run_cli("solve", "--kind", "rl", "--alpha", "0.7", "--lambda", "1", "--rhs=-u",
+                    "--init", "1", "--b", "1", "--steps", "40", "--NI", "4", cwd=tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("configuration error: Riemann-Liouville datum init[0] = 1 "
+                                   "has negative order alpha - 1 = -0.3"), r.stderr
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_blow_up_exit_code(self, tmp_path):
         r = run_cli("solve", "--alpha", "0.5", "--rhs", "u*u", "--init", "2",
                     "--b", "4", "--steps", "64", "--NI", "3", cwd=tmp_path)
@@ -190,6 +200,20 @@ class TestSweepCommand:
         assert r.returncode == 0, r.stderr
         assert (tmp_path / "o.csv").exists()
 
+    def test_failing_exact_names_the_finest_grids_node(self, tmp_path):
+        # the exact solution is evaluated on the finest grid first, so its
+        # first failing node is named, t = 0.025, not the coarser grid's 0.05
+        cfg = {
+            "rhs": "-u", "init": [1], "exact": "1/((t-0.025)*(t-0.05))", "alphas": [0.5],
+            "lambdas": [0], "taus": [0.05, 0.025], "NI": 3, "T": 1.0,
+        }
+        (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+        r = run_cli("sweep", "--config", "sweep.json", cwd=tmp_path)
+        assert r.returncode == 4
+        assert r.stderr.startswith(
+            "expression error: exact solution '1/((t-0.025)*(t-0.05))' at t = 0.025:"), r.stderr
+        assert not (tmp_path / "report.csv").exists()
+
     def test_bad_config_key(self, tmp_path):
         (tmp_path / "sweep.json").write_text(json.dumps({"bogus": 1}))
         r = run_cli("sweep", "--config", "sweep.json", cwd=tmp_path)
@@ -211,11 +235,18 @@ class TestTablesCommand:
         # pinned byte for byte.  The smallest errors of tables 1 to 3 are
         # round-off, and an ulp moves them, so they move with the CPU's BLAS
         # kernels and numpy's SIMD dispatch, by up to 1e-14 across seven such
-        # variants: there alpha, lambda and tau are pinned as text, each
-        # max_error to 3e-14 absolute, and each order is checked against
-        # its errors.  A change that moves a cell updates tests/data/ and
-        # says so
-        from tfode.harness import load_report_csv
+        # variants.  There alpha, lambda and tau are pinned as text, each
+        # order is checked against its errors, and each max_error of
+        # run_sweep is held to 3e-14 absolute of its value at full precision
+        # (tables_max_error.json).  The pin is on those values, not on their
+        # 7 printed digits: one print step of an error above about 3e-8 is
+        # coarser than 3e-14, so a move across a print boundary would fail
+        # on one kernel and pass on another.  The printed cell must be the
+        # run's value formatted with .6e.  The JSON is the one store of those
+        # errors: each max_error cell of the stored CSV must be its value
+        # formatted with .6e, so the two cannot drift apart.  A change that
+        # moves a cell updates both files and says so
+        from tfode.harness import TABLES, load_report_csv, run_sweep
 
         r = run_cli("tables", "--which", str(which), cwd=tmp_path)
         assert r.returncode == 0, r.stderr
@@ -225,12 +256,19 @@ class TestTablesCommand:
             assert got == want
             return
         load_report_csv(io.StringIO(got))
+        errors = [row.max_error for rep in run_sweep(TABLES[which]) for row in rep.rows]
+        pinned = json.loads((DATA / "tables_max_error.json").read_text())[str(which)]
+        assert len(errors) == len(pinned)
+        for err, pin in zip(errors, pinned):
+            assert abs(err - pin) <= 3e-14, (err, pin)
         got_rows = [line.split(",") for line in got.splitlines()]
         want_rows = [line.split(",") for line in want.splitlines()]
-        assert len(got_rows) == len(want_rows) and got_rows[0] == want_rows[0]
-        for g, w in zip(got_rows[1:], want_rows[1:]):
+        assert len(got_rows) == len(want_rows) == len(errors) + 1
+        assert got_rows[0] == want_rows[0]
+        for g, w, err, pin in zip(got_rows[1:], want_rows[1:], errors, pinned):
             assert g[:3] == w[:3]
-            assert abs(float(g[3]) - float(w[3])) <= 3e-14, (g, w)
+            assert g[3] == f"{err:.6e}", (g, err)
+            assert w[3] == f"{pin:.6e}", (w, pin)
 
     def test_invalid_table(self, tmp_path):
         r = run_cli("tables", "--which", "9", cwd=tmp_path)
@@ -286,8 +324,10 @@ class TestProblemSpec:
         return cli.main(["solve", "--b", "1", "--steps", "40", "--NI", "3", *argv])
 
     def test_builtin_override_note(self, tmp_path, monkeypatch, capsys):
-        code = self._solve(tmp_path, monkeypatch, "--alpha", "0.5", "--lambda", "2",
-                           "--rhs", "builtin:example2", "--init", "1", "--kind", "rl")
+        # at alpha 1.5 the data (1, 0) have orders 0.5 and -0.5, and only
+        # the first is nonzero, so the Riemann-Liouville solve runs
+        code = self._solve(tmp_path, monkeypatch, "--alpha", "1.5", "--lambda", "2",
+                           "--rhs", "builtin:example2", "--init", "1,0", "--kind", "rl")
         assert code == 0
         out = capsys.readouterr()
         assert out.err == (

@@ -2,9 +2,12 @@ import dataclasses
 import io
 import math
 
+import numpy as np
 import pytest
 
+from tfode import harness
 from tfode.harness import (
+    TABLES,
     Sweep,
     estimate_order,
     load_report_csv,
@@ -14,26 +17,49 @@ from tfode.harness import (
     write_trace_csv,
 )
 from tfode.problems import example2
-from tfode.solver import SolverConfig, solve
+from tfode.solver import BlowUpError, SolverConfig, solve
 
 
 class TestEstimateOrder:
     def test_clean_halving(self):
-        assert estimate_order([1e-2, 2.5e-3]) == [pytest.approx(2.0)]
+        assert estimate_order([1e-2, 2.5e-3], [0.1, 0.05]) == [pytest.approx(2.0)]
 
     def test_benchmark_pair(self):
-        got = estimate_order([2.3516e-5, 1.4040e-7])
+        got = estimate_order([2.3516e-5, 1.4040e-7], [0.1, 0.05])
         assert got[0] == pytest.approx(7.3879, abs=5e-4)
 
     def test_no_improvement(self):
-        assert estimate_order([1e-3, 1e-3]) == [pytest.approx(0.0)]
+        assert estimate_order([1e-3, 1e-3], [0.1, 0.05]) == [pytest.approx(0.0)]
 
     def test_flagged_entries(self):
-        got = estimate_order([1e-2, 0.0, math.inf, 1e-3])
+        got = estimate_order([1e-2, 0.0, math.inf, 1e-3], [0.1, 0.05, 0.025, 0.0125])
         assert got == [None, None, None]
 
     def test_length(self):
-        assert estimate_order([1.0]) == []
+        assert estimate_order([1.0], [0.1]) == []
+
+    def test_steps_that_do_not_halve(self):
+        # the observed order is log(e_prev / e) / log(tau_prev / tau)
+        got = estimate_order([1e-2, 1e-3, 1e-4], [0.1, 0.04, 0.02])
+        assert got == [pytest.approx(math.log(10.0) / math.log(2.5)),
+                       pytest.approx(math.log2(10.0))]
+        # halving steps give log2(e_prev / e) exactly
+        assert estimate_order([1e-2, 2.5e-3], [0.1, 0.05]) == [math.log2(1e-2 / 2.5e-3)]
+        # a step that does not decrease, as a report CSV may give, has no order
+        assert estimate_order([1e-2, 1e-3], [0.1, 0.1]) == [None]
+
+    def test_sweep_orders_for_steps_that_do_not_halve(self):
+        # these orders used to be log2(e_prev / e): 4.4131 for tau 0.05 -> 0.02
+        sw = Sweep(rhs="builtin:example2", alphas=(0.5,), lambdas=(2.0,),
+                   taus=(0.1, 0.05, 0.02, 0.01), n_interp=3)
+        rep = run_sweep(sw)[0]
+        assert rep.orders == [pytest.approx(3.3097, abs=5e-4), pytest.approx(3.3384, abs=5e-4),
+                              pytest.approx(3.6800, abs=5e-4)]
+        e = rep.errors
+        assert rep.orders[1] == math.log2(e[1] / e[2]) / math.log2(0.05 / 0.02)
+        # the report's order column passes the re-check when read back
+        loaded = load_report_csv(io.StringIO(report_csv_text([rep])))
+        assert loaded[0].orders == [pytest.approx(o, abs=5e-5) for o in rep.orders]
 
 
 class TestSweep:
@@ -130,6 +156,122 @@ class TestSweep:
         assert capsys.readouterr().err == (
             "note: overriding init of builtin 'example3'; its exact solution is discarded\n"
         )
+
+
+def _per_row_errors(sweep):
+    """The sweep's max errors with the exact solution evaluated on each
+    row's own grid, as each row's trace evaluates it."""
+    errors = []
+    for alpha in sweep.alphas:
+        for lam in sweep.lambdas:
+            problem = sweep.make_problem(alpha, lam)
+            for tau in sweep.taus:
+                try:
+                    errors.append(solve(problem, sweep.make_config(problem, tau)).max_error())
+                except BlowUpError:
+                    errors.append(math.inf)
+    return errors
+
+
+def _sweep_errors(sweep):
+    return [row.max_error for rep in run_sweep(sweep) for row in rep.rows]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The arguments of every call of a sweep problem's exact solution."""
+    calls = []
+    build = harness.problem_from_spec
+
+    def counting(*args, **kwargs):
+        problem = build(*args, **kwargs)
+        exact = problem.exact
+
+        def counted(t):
+            calls.append(t)
+            return exact(t)
+
+        return dataclasses.replace(problem, exact=counted)
+
+    monkeypatch.setattr(harness, "problem_from_spec", counting)
+    return calls
+
+
+class TestExactOncePerColumn:
+    """A sweep evaluates each column's exact solution on its finest grid,
+    and a coarser grid whose times are those taken with a stride takes
+    those values."""
+
+    @pytest.mark.parametrize("which", sorted(TABLES))
+    def test_errors_match_per_row_evaluation(self, which):
+        assert _sweep_errors(TABLES[which]) == _per_row_errors(TABLES[which])
+
+    def test_one_call_per_column(self, exact_calls):
+        # per-row evaluation made four calls a column
+        sweep = TABLES[4]
+        run_sweep(sweep)
+        assert len(exact_calls) == len(sweep.alphas) == 3
+        for t in exact_calls:
+            np.testing.assert_array_equal(t, 1.1 * np.arange(177) / 176)  # tau 1/160
+
+    def test_finest_row_that_blows_up(self, monkeypatch, exact_calls):
+        # the next finest row evaluates the values, and the coarsest takes
+        # them with a stride of 2
+        sweep = Sweep(rhs="builtin:example2", alphas=(0.5,), lambdas=(2.0,),
+                      taus=(0.1, 0.05, 0.025), n_interp=4)
+
+        def solve_but_the_finest(problem, config):
+            if config.steps == 40:
+                raise BlowUpError(config.steps, problem.b, math.inf, "step")
+            return solve(problem, config)
+
+        monkeypatch.setattr(harness, "solve", solve_but_the_finest)
+        rep = run_sweep(sweep)[0]
+        assert [len(t) for t in exact_calls] == [21]
+        assert rep.errors[2] == math.inf and rep.orders == [pytest.approx(4, abs=1), None]
+        monkeypatch.setattr(harness, "solve", solve)
+        assert rep.errors[:2] == _per_row_errors(sweep)[:2]
+
+    def test_grids_that_do_not_nest(self, exact_calls):
+        # 16 steps do not divide 20: that row evaluates its own values, and
+        # the 10-step row takes the 20-step row's
+        sweep = Sweep(rhs="builtin:example2", alphas=(0.5,), lambdas=(2.0,),
+                      taus=(0.1, 0.0625, 0.05), n_interp=4)
+        errors = _sweep_errors(sweep)
+        assert [len(t) for t in exact_calls] == [21, 17]
+        assert errors == _per_row_errors(sweep)
+
+    def test_times_that_nest_only_up_to_round_off(self, exact_calls):
+        # over [0, 1.1] the 30-step grid's times, taken every third, miss the
+        # 10-step grid's by an ulp, so that row evaluates its own
+        sweep = Sweep(rhs="builtin:example2", alphas=(0.5,), lambdas=(2.0,),
+                      taus=(0.11, 0.11 / 3), n_interp=4, b=1.1)
+        fine, coarse = (1.1 * np.arange(m + 1) / m for m in (30, 10))
+        assert not np.array_equal(fine[::3], coarse)
+        errors = _sweep_errors(sweep)
+        assert [len(t) for t in exact_calls] == [31, 11]
+        assert errors == _per_row_errors(sweep)
+
+    def test_rows_after_the_node_by_node_fallback(self, monkeypatch):
+        # the finest grid's array pass fails, so its values come node by
+        # node; the coarser grid's own array pass would not fail, and its
+        # values differ from the scalar calls', so it evaluates its own
+        build = harness.problem_from_spec
+
+        def exact(t):
+            if isinstance(t, np.ndarray):
+                if len(t) == 41:
+                    raise ValueError("no array pass on the finest grid")
+                return np.exp(-t)
+            return math.exp(-t) + 1e-3
+
+        monkeypatch.setattr(harness, "problem_from_spec",
+                            lambda *a, **k: dataclasses.replace(build(*a, **k), exact=exact))
+        sweep = Sweep(rhs="-u", init=(1.0,), alphas=(1.0,), lambdas=(0.0,),
+                      taus=(0.05, 0.025), n_interp=3, exact="exp(-t)")
+        errors = _sweep_errors(sweep)
+        assert errors == _per_row_errors(sweep)
+        assert errors[0] < 1e-5 < 1e-4 < errors[1]
 
 
 class TestTables:

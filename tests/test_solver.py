@@ -21,6 +21,7 @@ from tfode.problems import exact_example2, exact_example3, example2, example3
 from tfode.quadrature import gauss_lobatto
 from tfode.solver import (
     BlowUpError,
+    NegativeOrderDataError,
     Problem,
     SolverConfig,
     solve,
@@ -1095,6 +1096,44 @@ class TestSolve:
         want = np.array([volterra_forcing(p, t) for t in tr.times[1:]])
         assert np.abs(tr.values[1:] - want).max() <= 1e-10 * np.abs(want).max()
         assert tr.values[0] > 1e3  # one-sided surrogate near the singularity
+
+    @pytest.mark.parametrize("alpha, init, affine, k, probed", [
+        (0.7, (1.0,), (lambda t: 0.0, lambda t: -1.0), 0, False),
+        (0.7, (1.0,), None, 0, True),
+        # q fails to evaluate, so rhs is probed
+        (0.7, (1.0,), (lambda t: 0.0, lambda t: t / 0.0), 0, True),
+        (1.5, (0.0, 2.0), (lambda t: 0.0, lambda t: -1.0), 1, False),
+        (1.5, (1.0, 2.0), None, 1, True),
+    ])
+    def test_rl_data_of_negative_order(self, alpha, init, affine, k, probed):
+        # D^alpha u = -u with a datum g_k != 0 of negative order alpha - k - 1:
+        # u is unbounded at a, and the solve is refused before the start;
+        # the only right-hand-side calls are the probe's two at t_1
+        calls = []
+
+        def rhs(t, u):
+            calls.append(t)
+            return -u
+
+        p = Problem(kind="rl", alpha=alpha, lam=1.0, a=0.0, b=1.0, init=init, rhs=rhs,
+                    affine=affine)
+        with pytest.raises(NegativeOrderDataError, match=rf"datum init\[{k}\] = {init[k]:g} "
+                           rf"has negative order alpha - {k + 1} = {alpha - k - 1:.6g},"):
+            solve(p, SolverConfig(steps=40, n_interp=4))
+        assert calls == ([0.025] * 2 if probed else [])
+
+    @pytest.mark.parametrize("alpha, init, rhs, affine", [
+        # data of order >= 0: u is bounded at a
+        (1.5, (1.0, 0.0), lambda t, u: -u, (lambda t: 0.0, lambda t: -1.0)),
+        (1.0, (1.0,), lambda t, u: -u, None),
+        # a right-hand side of t alone, declared so by q = 0 or found so
+        (0.7, (1.0,), lambda t, u: math.cos(t), (np.cos, lambda t: 0.0)),
+        (1.5, (0.0, 1.0), lambda t, u: math.cos(t), None),
+    ])
+    def test_rl_data_that_are_solved(self, alpha, init, rhs, affine):
+        p = Problem(kind="rl", alpha=alpha, lam=1.0, a=0.0, b=1.0, init=init, rhs=rhs,
+                    affine=affine)
+        assert np.isfinite(solve(p, SolverConfig(steps=40, n_interp=4)).values[1:]).all()
 
     def test_rl_caputo_coincide_for_zero_data(self):
         rhs = lambda t, u: math.cos(3.0 * t) - u
