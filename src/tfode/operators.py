@@ -35,8 +35,8 @@ __all__ = [
     "laplace_symbol_caputo",
 ]
 
-#: Central-difference step of the numerical-derivative fallback.  Second
-#: order, so the fallback caps operator accuracy near 1e-7.
+#: Step of the numerical-derivative fallback's differences.  Second order,
+#: so the fallback caps operator accuracy near 1e-7.
 FD_STEP = 1e-5
 
 Func = Callable[[float], float]
@@ -51,7 +51,11 @@ def tempered_integral(
     a: float = 0.0,
     n_quad: int = 40,
 ) -> float:
-    """Tempered fractional integral of ``u`` of order ``order > 0`` at ``t > a``."""
+    """Tempered fractional integral of ``u`` of order ``order > 0`` at ``t > a``.
+
+    Raises ``ValueError``, naming the quadrature node, where ``u`` is not
+    finite at one; the rule has a node at ``a``.
+    """
     if order <= 0.0:
         raise ValueError(f"integral order must be positive, got {order}")
     if t <= a:
@@ -62,21 +66,34 @@ def tempered_integral(
     half = 0.5 * (t - a)
     s = half * (rule.nodes + 1.0) + a
     damp = np.exp(lam * half * (rule.nodes - 1.0))
-    vals = np.array([u(si) for si in s])
+    # the nodes are numpy floats, whose overflow or pole gives inf or nan here
+    with np.errstate(all="ignore"):
+        vals = np.array([u(si) for si in s])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise ValueError(
+            f"integrand is not finite at the quadrature node s = {s[bad[0]]:.17g}: "
+            f"{float(vals[bad[0]])!r}"
+        )
     return half**order * rgamma(order) * float(rule.weights @ (damp * vals))
 
 
-def _fd_derivatives(u: Func, order: int, h: float = FD_STEP) -> list[Func]:
-    """Central-difference derivative callables of ``u`` up to ``order`` (1 or 2).
+def _fd_derivatives(u: Func, order: int, a: float, h: float = FD_STEP) -> list[Func]:
+    """Second-order difference derivative callables of ``u`` up to ``order``
+    (1 or 2), which never evaluate ``u`` below the lower terminal ``a``.
 
-    Evaluates ``u`` in an ``h``-neighbourhood of the requested point, which
-    may reach slightly below the lower terminal.
+    Central differences, or one-sided forward ones at points within ``h``
+    of ``a``.
     """
 
     def d1(s: float) -> float:
+        if s - h < a:
+            return (-3.0 * u(s) + 4.0 * u(s + h) - u(s + 2.0 * h)) / (2.0 * h)
         return (u(s + h) - u(s - h)) / (2.0 * h)
 
     def d2(s: float) -> float:
+        if s - h < a:
+            return (2.0 * u(s) - 5.0 * u(s + h) + 4.0 * u(s + 2.0 * h) - u(s + 3.0 * h)) / (h * h)
         return (u(s + h) - 2.0 * u(s) + u(s - h)) / (h * h)
 
     return [d1, d2][:order]
@@ -85,6 +102,7 @@ def _fd_derivatives(u: Func, order: int, h: float = FD_STEP) -> list[Func]:
 def _resolve_derivs(
     u: Func,
     n: int,
+    a: float,
     derivs: Sequence[Func] | None,
     fd_fallback: bool,
 ) -> list[Func]:
@@ -96,7 +114,7 @@ def _resolve_derivs(
         raise ValueError(
             "derivatives of u are required; pass derivs= or enable fd_fallback"
         )
-    return _fd_derivatives(u, n)
+    return _fd_derivatives(u, n, a)
 
 
 def _check_deriv_order(alpha: float) -> int:
@@ -121,11 +139,13 @@ def caputo_derivative(
 
     With ``n = ceil(alpha)`` this is the tempered integral of order
     ``n - alpha`` applied to ``(d/dt + lam)^n u``, expanded by the Leibniz
-    rule over the supplied derivatives of ``u`` (or central-difference
-    approximations when ``fd_fallback`` is enabled).
+    rule over the supplied derivatives of ``u`` (or difference
+    approximations when ``fd_fallback`` is enabled, one-sided near ``a``).
+    Raises ``ValueError`` where that integrand is not finite at a node of
+    the rule, as where a derivative of ``u`` is infinite at ``a``.
     """
     n = _check_deriv_order(alpha)
-    dfuns = _resolve_derivs(u, n, derivs, fd_fallback)
+    dfuns = _resolve_derivs(u, n, a, derivs, fd_fallback)
     coeffs = [math.comb(n, k) * lam ** (n - k) for k in range(n + 1)]
 
     def tempered_nth(s: float) -> float:
@@ -174,7 +194,7 @@ def rl_derivative(
     ``e^{lam t} u`` to be n-fold absolutely continuous near ``a``.
     """
     n = _check_deriv_order(alpha)
-    dfuns = _resolve_derivs(u, n, derivs, fd_fallback)
+    dfuns = _resolve_derivs(u, n, a, derivs, fd_fallback)
     cap = caputo_derivative(
         u, t, alpha=alpha, lam=lam, a=a, derivs=dfuns, n_quad=n_quad
     )

@@ -20,14 +20,14 @@ values.  A step's predictor is then one gather of that history and one dot
 product, its one numpy call; the corrector's stencils differ only next to
 the new node, so its sum is the predictor's plus a window over the last
 ``n_interp + 1`` nodes, a float sum over the last ``n_interp`` f values
-times a factor per step, and each corrector iteration is scalar arithmetic
-plus the right-hand-side call.  Where the right-hand side is declared
-affine in u (``Problem.affine``), f = p + q u, p and q are evaluated over
-spans of ``_PARTS_BLOCKS`` blocks of steps and each f is p + q u, so the
-steps call no right-hand side.  That arithmetic is :func:`_pece`, the one predictor-corrector step
-of a solve: the start's stepped steps and its steps to the Lobatto nodes
-take it too, each with its own sums, and it holds the one check that u
-stays in range.
+times a factor per step, and each corrector iteration is scalar arithmetic.
+A step reads one row of the block's per-step scalars and returns u and f:
+f = p + q u where the right-hand side is declared affine in u
+(``Problem.affine``) and p and q are finite over the step's span of
+``_PARTS_BLOCKS`` blocks, else one right-hand-side call.  That arithmetic
+is :func:`_pece`, the one predictor-corrector step of a solve: the start's
+stepped steps and its steps to the Lobatto nodes take it too, each with
+its own sums, and it holds the one check that u stays in range.
 
 Both schemes start alike (:func:`_start`): the grid values through
 t_{n_start}, n_start = max(j0, n_interp - 1) with j0 the grid index of the
@@ -147,12 +147,12 @@ class Problem:
     Where q is constant (a 0-d value, or one value over a chunk of the
     start), the starting procedure solves a block of steps at once (see
     :func:`_adams_pece_scaled`); it steps through a q that varies.  The JPC
-    steps take f = p + q u, with p and q evaluated over several blocks of
-    steps at once.  Over a start chunk or a block of steps where p or q
-    raises, is complex, has the wrong shape or is not finite, ``rhs``
-    serves instead, and it still
-    serves everything else: f at the start values, at the split rule's
-    Lobatto nodes and in the start's stepped steps.
+    steps take f = p + q u, with p and q evaluated over a span of several
+    blocks of steps at once.  Over a start chunk or a span of blocks where
+    p or q raises, is complex, has the wrong shape or is not finite,
+    ``rhs`` serves instead, and it still serves everything else: f at the
+    start values, at the split rule's Lobatto nodes and in the start's
+    stepped steps.
     """
 
     kind: str
@@ -324,6 +324,14 @@ def _forcing(problem: Problem, t: np.ndarray | float) -> np.ndarray | float:
     return acc if acc.shape else float(acc)
 
 
+def _negative_order_data(problem: Problem) -> list[tuple[int, float]]:
+    """``(k, g_k)`` of each Riemann-Liouville datum of negative order,
+    g_k != 0 with alpha - k - 1 < 0, whose forcing term is singular at a."""
+    if problem.kind != RIEMANN_LIOUVILLE:
+        return []
+    return [(k, g) for k, g in enumerate(problem.init) if g != 0.0 and problem.alpha - k - 1 < 0]
+
+
 def volterra_forcing(problem: Problem, t: float) -> float:
     """Forcing term of the equivalent Volterra equation at time ``t``.
 
@@ -333,12 +341,8 @@ def volterra_forcing(problem: Problem, t: float) -> float:
     """
     if t < problem.a:
         raise ValueError(f"t={t} is before the lower terminal a={problem.a}")
-    if problem.kind == RIEMANN_LIOUVILLE and t == problem.a:
-        if any(
-            gk != 0.0 and problem.alpha - k - 1 < 0
-            for k, gk in enumerate(problem.init)
-        ):
-            raise ValueError("Riemann-Liouville forcing is singular at t = a")
+    if t == problem.a and _negative_order_data(problem):
+        raise ValueError("Riemann-Liouville forcing is singular at t = a")
     return _forcing(problem, t)
 
 
@@ -355,12 +359,8 @@ def _pece(rhs, t: float, base: float, pref: float, pred: float, corr: float, w_e
     unless u is finite and within ``_BLOWUP_LIMIT``.
     """
     u = base + pref * pred
-    if q is None:
-        for _ in range(iters):
-            u = base + pref * (corr + w_end * rhs(t, u))
-    else:
-        for _ in range(iters):
-            u = base + pref * (corr + w_end * (p + q * u))
+    for _ in range(iters):
+        u = base + pref * (corr + w_end * (rhs(t, u) if q is None else p + q * u))
     if not math.isfinite(u) or abs(u) > _BLOWUP_LIMIT:
         raise BlowUpError(step, t, u, phase)
     return u
@@ -630,12 +630,6 @@ def _affine_parts(affine, t: np.ndarray):
     return p, q
 
 
-def _broadcast_parts(affine, t: np.ndarray):
-    """:func:`_affine_parts` over the times ``t``, each broadcast to t."""
-    parts = _affine_parts(affine, t)
-    return None if parts is None else [np.broadcast_to(v, t.shape) for v in parts]
-
-
 def _constant_q_parts(affine, t):
     """p over the times ``t`` and the one value of q there, for the start's
     resolvent blocks: p is a float where it is 0-d, else an array of t's
@@ -903,8 +897,8 @@ def _adams_pece_scaled(
 #: temporaries), then 2 NI + 2 (two copies of the weights, or the weights
 #: and the gather indices, with the positions and stencil starts); the
 #: split scheme's history term, made before them, holds 2 (n_tilde + 1) per
-#: step.  A block keeps a few Python floats per step besides: the per-step
-#: scalars, made after the peak, and p and q where the problem is affine.
+#: step.  A block keeps a row of a few Python floats per step besides, made
+#: after the peak.
 #: The budget is a 32-step block at NI = 7 and n_quad = 20, 16
 #: values a node: 86 KB, and that build peaks at 84 KB under tracemalloc,
 #: in ``_BUILD_BUFSIZE``'s buffer scope.  A block is the
@@ -963,10 +957,8 @@ class _Stepper:
     time, of a length fixed once per solve (see ``_BLOCK_BYTES``), inside
     the buffer scope that :func:`_march` holds over all the steps.  Steps
     run forward one at a time, so a step past the block's end builds the
-    next block from it.  A block's per-step scalars (time, base term,
-    prefactor, sigma and endpoint weight, and p and q of an affine
-    right-hand side, from their span of blocks: :meth:`_block_parts`) are
-    Python lists, so a step reads plain floats.  The
+    next block from it.  A step reads its one row of plain floats
+    (:meth:`_build_block`) and returns u and f.  The
     predictor's stencils end at f_{n-1}; a step's predictor sum is one
     gather of the history and one dot with the combined weights, the step's
     one numpy call.  The corrector's stencils may reach f_n, and only the
@@ -978,8 +970,7 @@ class _Stepper:
     the sum is ``math.fsum``, correctly rounded, so it depends on no BLAS
     kernel or summation order.  The weight on f_n, the endpoint's rule
     weight included, is one scalar, so every corrector iteration is scalar
-    arithmetic (:func:`_pece`), with f from the right-hand side or, where
-    the block has p and q of ``Problem.affine``, p + q u.
+    arithmetic (:func:`_pece`).
     """
 
     def __init__(
@@ -1013,7 +1004,7 @@ class _Stepper:
             -lam_tau * np.arange(n_interp, -1, -1.0))).tolist()
         self._window_weights, self._end_weight = tuple(window[:-1]), window[-1]
         self._lo = self._hi = 0
-        # p and q over the steps _parts_lo .. _parts_hi-1 (see _block_parts)
+        # p and q over the span of steps _parts_lo .. _parts_hi-1 (see _block_parts)
         self._parts, self._parts_lo, self._parts_hi = None, 0, 0
 
     def _history_part(self, t: np.ndarray) -> np.ndarray:
@@ -1029,15 +1020,21 @@ class _Stepper:
         return self.rga * np.add.reduce(kern, axis=1)
 
     def _build_block(self, times: np.ndarray, lo: int) -> None:
-        """Precompute steps lo..hi-1, under ``_ufunc_bufsize(_BUILD_BUFSIZE)``."""
+        """Precompute steps lo..hi-1, under ``_ufunc_bufsize(_BUILD_BUFSIZE)``.
+
+        Besides each step's weights and gather indices, the block yields
+        one row a step, in step order, ``(t, base, pref, sigma, w_end, p,
+        q)``: its time, the forcing and split history, the rule's
+        prefactor, the window's factor and the weight on f_n, and p and q
+        of ``Problem.affine``, both None where the step calls the
+        right-hand side (see :meth:`_block_parts`).
+        """
         problem, n_interp, origin = self.problem, self.n_interp, self.origin
         hi = min(lo + self._block, len(times))
         # release the last block's first: lowers the peak
-        self._c = self._idx = self._sigma = self._base = self._pref = self._w_end = None
-        # p and q over the block, before its arrays; without them its steps
-        # call the right-hand side
-        parts = self._block_parts(times, lo, hi)
-        self._p, self._q = (None, None) if parts is None else parts
+        self._c = self._idx = self._rows = None
+        # p and q over the block, before its arrays
+        parts = self._block_parts(times, lo, hi) or [[None] * (hi - lo)] * 2
         t = times[lo:hi]
         base = _forcing(problem, t)
         if self.history is not None:
@@ -1074,22 +1071,22 @@ class _Stepper:
         del i0
         idx += self._offsets
         self._idx = idx
-        # plain floats, which a step reads faster than array items
-        self._sigma = sigma.tolist()
-        self._w_end = (sigma * self._end_weight).tolist()
-        self._pref = ((0.5 * self.tau * span) ** problem.alpha * self.rga).tolist()
-        self._base, self._t = base.tolist(), t.tolist()
+        # plain floats, which a step reads faster than array items, zipped
+        # into rows as the steps take them: a list of the block's row
+        # tuples would outlive the solve in CPython's tuple free list
+        pref = (0.5 * self.tau * span) ** problem.alpha * self.rga
+        self._rows = zip(t.tolist(), base.tolist(), pref.tolist(), sigma.tolist(),
+                         (sigma * self._end_weight).tolist(), *parts)
         self._lo, self._hi = lo, hi
 
     def _block_parts(self, times: np.ndarray, lo: int, hi: int):
         """p and q of ``Problem.affine`` over the steps lo..hi-1, as two lists
-        of floats; None without them, or where they fail there (see
-        :func:`_affine_parts`).
+        of floats; None without them, or where they fail over the steps'
+        span (see :func:`_affine_parts`).
 
-        They are evaluated over ``_PARTS_BLOCKS`` blocks at once, from the
-        first block past the last such span; over a span where they fail,
-        block by block, so that only a block whose own p or q fails calls
-        the right-hand side.
+        They are evaluated over a span of ``_PARTS_BLOCKS`` blocks at once,
+        from the first block past the last span, and where they fail, all
+        of the span's steps call the right-hand side.
         """
         affine = self.problem.affine
         if affine is None:
@@ -1097,35 +1094,30 @@ class _Stepper:
         if not self._parts_lo <= lo < hi <= self._parts_hi:
             self._parts_lo = lo
             self._parts_hi = min(lo + _PARTS_BLOCKS * self._block, len(times))
-            self._parts = _broadcast_parts(affine, times[lo:self._parts_hi])
-        parts, a = self._parts, lo - self._parts_lo
-        if parts is None:
-            parts, a = _broadcast_parts(affine, times[lo:hi]), 0
-            if parts is None:
-                return None
-        return [v[a:a + hi - lo].tolist() for v in parts]
+            t = times[lo:self._parts_hi]
+            parts = _affine_parts(affine, t)
+            self._parts = None if parts is None else [np.broadcast_to(v, t.shape) for v in parts]
+        if self._parts is None:
+            return None
+        a = lo - self._parts_lo
+        return [v[a:a + hi - lo].tolist() for v in self._parts]
 
     def step(self, times: np.ndarray, fs: np.ndarray, ring: deque, n1: int):
         """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1],
         whose last ``n_interp`` values ``ring`` holds as floats.
 
-        Returns u and, for a block with affine parts, f = p + q u there;
-        else None in place of f, which the caller takes from the
-        right-hand side.  Steps come in order, so only a step past the
-        block's end builds.
+        Returns u and f(t, u): p + q u where the step's row has p and q,
+        else one right-hand-side call.  Steps come in order, so only a step
+        past the block's end builds, and each takes the block's next row.
         """
         if n1 >= self._hi:
             self._build_block(times, n1)
         k = n1 - self._lo
+        t, base, pref, sigma, w_end, p, q = next(self._rows)
         pred = float(self._c[k].dot(fs[self._idx[k]]))
-        corr = pred + self._sigma[k] * math.fsum(map(mul, self._window_weights, ring))
-        if self._q is None:
-            return _pece(self.rhs, self._t[k], self._base[k], self._pref[k], pred, corr,
-                         self._w_end[k], self.iters, n1, "step"), None
-        p, q = self._p[k], self._q[k]
-        u = _pece(None, self._t[k], self._base[k], self._pref[k], pred, corr,
-                  self._w_end[k], self.iters, n1, "step", p, q)
-        return u, p + q * u
+        corr = pred + sigma * math.fsum(map(mul, self._window_weights, ring))
+        u = _pece(self.rhs, t, base, pref, pred, corr, w_end, self.iters, n1, "step", p, q)
+        return u, (self.rhs(t, u) if q is None else p + q * u)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,9 +1138,7 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
 def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> SolutionTrace:
     """Fill ``trace``: its first values are ``u_start``, the rest are stepped,
     each step reading the f values before it from ``trace.rhs_values``, and
-    the last ``n_interp`` of them from a ring of floats.  A step's f comes
-    from the step where its block has affine parts, else from the
-    right-hand side here."""
+    the last ``n_interp`` of them from a ring of floats."""
     rhs, times, values, fs = stepper.rhs, trace.times, trace.values, trace.rhs_values
     for n1, u in enumerate(u_start.tolist()):
         values[n1] = u
@@ -1160,8 +1150,6 @@ def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> Solu
     with _ufunc_bufsize(_BUILD_BUFSIZE):
         for n1 in range(n0, len(times)):
             u, f = step(times, fs, ring, n1)
-            if f is None:
-                f = rhs(times.item(n1), u)
             values[n1] = u
             fs[n1] = f
             ring.append(f)
@@ -1221,14 +1209,11 @@ def _start(problem: Problem, config: SolverConfig) -> tuple[np.ndarray, _Stepper
 
 def _check_data(problem: Problem, times: np.ndarray) -> None:
     """Raise :class:`NegativeOrderDataError` for Riemann-Liouville data of
-    negative order, a g_k != 0 with alpha - k - 1 < 0, when the right-hand
-    side reads u: when q is not zero at every grid time past a where
+    negative order (:func:`_negative_order_data`) when the right-hand side
+    reads u: when q is not zero at every grid time past a where
     ``problem.affine`` gives it, else when ``rhs`` at t_1 differs at two
     values of u."""
-    if problem.kind != RIEMANN_LIOUVILLE:
-        return
-    alpha = problem.alpha
-    bad = [(k, g) for k, g in enumerate(problem.init) if g != 0.0 and alpha - k - 1 < 0]
+    bad = _negative_order_data(problem)
     if not bad:
         return
     parts = None if problem.affine is None else _affine_parts(problem.affine, times[1:])
@@ -1241,7 +1226,7 @@ def _check_data(problem: Problem, times: np.ndarray) -> None:
         k, g = bad[0]
         raise NegativeOrderDataError(
             f"Riemann-Liouville datum init[{k}] = {g:g} has negative order "
-            f"alpha - {k + 1} = {alpha - k - 1:.6g}, so u is unbounded at a, and the "
+            f"alpha - {k + 1} = {problem.alpha - k - 1:.6g}, so u is unbounded at a, and the "
             f"scheme does not converge where the right-hand side reads u; "
             f"give init[{k}] = 0, or a right-hand side of t alone"
         )

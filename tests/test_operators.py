@@ -70,6 +70,22 @@ class TestCaputoDerivative:
         got = caputo_derivative(u, 1.0, alpha=0.5, lam=lam)
         assert got == pytest.approx(0.38881005132535511, abs=1e-7)
 
+    def test_fd_fallback_one_sided_at_lower_terminal(self):
+        # the rule has a node at a = 0, where a central difference would
+        # read t^1.5 at -1e-5; the one-sided one stays in the domain
+        got = caputo_derivative(lambda t: t**1.5, 1.0, alpha=0.5)
+        assert got == pytest.approx(gamma(2.5) / gamma(2.0), rel=1e-5)
+
+    def test_fd_fallback_never_reads_below_lower_terminal(self):
+        # math.sqrt raises below 0; its value is finite, though its
+        # accuracy is not claimed, as u' is infinite at a
+        assert math.isfinite(caputo_derivative(math.sqrt, 1.0, alpha=0.5))
+
+    def test_infinite_integrand_at_lower_terminal_raises(self):
+        # u' = 0.3 t^-0.7 is infinite at the rule's node a = 0
+        with pytest.raises(ValueError, match="not finite at the quadrature node s = 0"):
+            caputo_derivative(lambda t: t**0.3, 1.0, alpha=0.5, derivs=[lambda t: 0.3 * t**-0.7])
+
     def test_fallback_disabled_raises(self):
         with pytest.raises(ValueError):
             caputo_derivative(lambda t: t, 1.0, alpha=0.5, fd_fallback=False)

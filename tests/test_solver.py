@@ -17,7 +17,13 @@ from _oracles import (
     product_sums_reference,
     solve_reference,
 )
-from tfode.problems import exact_example2, exact_example3, example2, example3
+from tfode.problems import (
+    exact_example2,
+    exact_example3,
+    example2,
+    example3,
+    problem_from_spec,
+)
 from tfode.quadrature import gauss_lobatto
 from tfode.solver import (
     BlowUpError,
@@ -726,7 +732,9 @@ class TestStepOperator:
         while lo <= steps:
             stepper._build_block(times, lo)
             lo = stepper._hi
+            rows = list(stepper._rows)
             for k, n in enumerate(range(stepper._lo, lo)):
+                sigma, w_end = rows[k][3:5]
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
                 # one row per quadrature node, its stencil's NI entries in order
                 idx = stepper._idx[k].reshape(len(r), n_interp)
@@ -740,8 +748,7 @@ class TestStepOperator:
                 assert np.allclose(got, wts * poly(r), rtol=0.0, atol=1e-12)
                 # the predictor plus the window, node n included, over the
                 # corrector's nodes
-                window = (stepper._sigma[k] * window_weights @ fs[n - n_interp:n]
-                          + stepper._w_end[k] * fs[n])
+                window = sigma * window_weights @ fs[n - n_interp:n] + w_end * fs[n]
                 assert got.sum() + window == pytest.approx(wts @ poly(r), rel=0.0, abs=1e-12)
                 hits += int(((c == 0.0).sum(axis=1) == n_interp - 1).sum())
         assert hits > 0  # the origin node (and x = 0 at even spans) hit the grid
@@ -764,7 +771,9 @@ class TestStepOperator:
         while lo <= steps:
             stepper._build_block(times, lo)
             lo = stepper._hi
+            rows = list(stepper._rows)
             for k, n in enumerate(range(stepper._lo, lo)):
+                sigma, w_end = rows[k][3:5]
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
                 idx = stepper._idx[k]
                 pred = (stepper._c[k] / np.exp(-lam * (times[n] - times[idx]))) @ fs[idx]
@@ -772,8 +781,8 @@ class TestStepOperator:
                     w * lagrange_reference(fs[:n + 1], x, n_interp)
                     for x, w in zip(r[:-1], wts[:-1])
                 ) + wts[-1] * fs[n]
-                window = stepper._sigma[k] * window_weights @ fs[n - n_interp:n]
-                got = pred + window + stepper._w_end[k] * fs[n]
+                window = sigma * window_weights @ fs[n - n_interp:n]
+                got = pred + window + w_end * fs[n]
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("steps", [
@@ -873,8 +882,8 @@ class TestStepOperator:
 
 def _rhs_calls_by_phase(problem, config, monkeypatch):
     """Solve ``problem``, and the times at which its right-hand side was
-    called in each phase: the start, the JPC steps and the rest of the
-    march (each step's f, and f at the start values)."""
+    called in each phase: the start, the JPC steps (each corrector pass
+    and the step's f) and the rest of the march (f at the start values)."""
     phase = ["march"]
     calls = {"start": [], "step": [], "march": []}
 
@@ -915,9 +924,9 @@ class TestAffineSteps:
     @pytest.mark.parametrize("fault", ["raises", "nan", "complex", "shape"])
     def test_block_whose_parts_fail_calls_rhs(self, fault, monkeypatch):
         # NI = 2 steps 2 .. 200 in blocks of 64, in one span of blocks: q
-        # fails over the span, and then over its second block only, whose
-        # steps call the right-hand side, once a step in the step phase and
-        # once in the march, and the solve matches the non-affine twin's
+        # fails over the span, so every step calls the right-hand side twice
+        # in the step phase, for its corrector pass and for its f, and the
+        # solve matches the non-affine twin's
         steps = 200
         problem = _start_problem("caputo", 0.6)
         times = np.linspace(0.0, 1.0, steps + 1)
@@ -937,9 +946,8 @@ class TestAffineSteps:
         config = SolverConfig(steps=steps, n_interp=2)
         trace, calls = _rhs_calls_by_phase(
             dataclasses.replace(problem, affine=(np.cos, q)), config, monkeypatch)
-        block = trace.times[66:130].tolist()
-        assert calls["step"] == block
-        assert calls["march"] == trace.times[:2].tolist() + block
+        assert calls["step"] == [t for t in trace.times[2:].tolist() for _ in (0, 1)]
+        assert calls["march"] == trace.times[:2].tolist()
         want = solve(dataclasses.replace(problem, affine=None), config)
         np.testing.assert_allclose(trace.values, want.values, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(trace.rhs_values, want.rhs_values, rtol=1e-13, atol=0.0)
@@ -959,6 +967,26 @@ class TestAffineSteps:
         solve(problem, SolverConfig(steps=600, n_interp=7))
         assert [len(t) for t in times] == [6 * 64, 256, 256, 82]
 
+    @pytest.mark.parametrize("init", [(1.0,), (0.0,)])
+    @pytest.mark.parametrize("rhs", ["u/(t-0.5)", "exp(800*t)*u", "1e300*t*1e300*u",
+                                     "ln(t-0.3)*u + 1", "(t-0.4)^0.5*u"])
+    def test_expression_parts_fail_where_rhs_does(self, rhs, init):
+        # an expression's array parts fail only where its scalar value
+        # raises or u leaves the range, so a span of steps that calls the
+        # right-hand side for want of p and q fails as the twin without
+        # them does: u/(t-0.5) at t = 0.5 in the JPC steps, exp(800*t)*u
+        # in the start from u(0) = 1 and in the steps from 0, the others in
+        # the start
+        problem = problem_from_spec(0.5, 0.0, rhs, b=1.0, init=init)
+        assert problem.affine is not None
+        config = SolverConfig(steps=200, n_interp=3)
+        raised = []
+        for twin in (problem, dataclasses.replace(problem, affine=None)):
+            with pytest.raises(Exception) as info:
+                solve(twin, config)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+
     @pytest.mark.parametrize("lam", [0.0, 5.0])
     @pytest.mark.parametrize("n_interp", [2, 7])
     @pytest.mark.parametrize("split", [False, True])
@@ -968,11 +996,14 @@ class TestAffineSteps:
     ])
     def test_twins_agree(self, make, split, n_interp, lam):
         # the affine twin's steps (and start) take f from p and q, the
-        # other's from the right-hand side
-        config = SolverConfig(steps=150, n_interp=n_interp, split_t0=0.08 if split else None)
-        affine, plain = (solve(twin, config) for twin in _twins(make(lam)))
-        np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
+        # other's from the right-hand side, in each of one or three
+        # corrector passes and for the step's own f
+        for iters in (1, 3):
+            config = SolverConfig(steps=150, n_interp=n_interp, corrector_iters=iters,
+                                  split_t0=0.08 if split else None)
+            affine, plain = (solve(twin, config) for twin in _twins(make(lam)))
+            np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
 
 
 class TestSolve:
@@ -1003,8 +1034,8 @@ class TestSolve:
     def test_rhs_calls_per_phase(self, iters, monkeypatch):
         # D^(1/2) u = -u, stepped through its start: f_0 and two calls a
         # step over the 2 * 64 steps of the start, f at each of the three
-        # start values and each JPC step's value, and one call per
-        # corrector pass in each of the 18 JPC steps
+        # start values, and in each of the 18 JPC steps one call per
+        # corrector pass and one for the step's f
         phase = ["march"]
         calls = dict.fromkeys(["start", "step", "march"], 0)
 
@@ -1026,7 +1057,7 @@ class TestSolve:
         monkeypatch.setattr(_Stepper, "step", in_phase("step", _Stepper.step))
         problem = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(1.0,), rhs=rhs)
         solve(problem, SolverConfig(steps=20, n_interp=3, corrector_iters=iters))
-        assert calls == {"start": 1 + 2 * 128, "step": 18 * iters, "march": 3 + 18}
+        assert calls == {"start": 1 + 2 * 128, "step": 18 * iters + 18, "march": 3}
         assert sum(calls.values()) == {1: 296, 3: 332}[iters]
 
     def test_benchmark_cell(self):
