@@ -197,7 +197,9 @@ def run_sweep(sweep: Sweep) -> list[ConvergenceReport]:
     fails to evaluate therefore fails on the finest grid first.  A solver
     blow-up is recorded as an infinite error for that row and the sweep
     continues.  Problems without an exact solution are measured against a
-    reference solve at ``min(taus) / 4``.  Orders are taken between
+    reference solve at ``min(taus) / 4``; a blow-up there ends the sweep
+    with a ``BlowUpError`` whose message names that solve's step size, its
+    step count and the column.  Orders are taken between
     consecutive step sizes, whatever their ratio (see
     :func:`estimate_order`).
     """
@@ -207,7 +209,16 @@ def run_sweep(sweep: Sweep) -> list[ConvergenceReport]:
             problem = sweep.make_problem(alpha, lam)
             reference = None
             if problem.exact is None:
-                reference = solve(problem, sweep.make_config(problem, min(sweep.taus) / 4.0))
+                ref_tau = min(sweep.taus) / 4.0
+                ref_config = sweep.make_config(problem, ref_tau)
+                try:
+                    reference = solve(problem, ref_config)
+                except BlowUpError as exc:
+                    # the config never names this grid, so the message does
+                    exc.args = (f"the reference solve at tau = min(taus)/4 = {ref_tau:.6g} "
+                                f"({ref_config.steps} steps) of the column alpha = {alpha:g}, "
+                                f"lambda = {lam:g}: {exc}",)
+                    raise
             rows, finer = [], None
             for tau in reversed(sweep.taus):
                 config = sweep.make_config(problem, tau)

@@ -6,9 +6,15 @@ and tempering rate ``lam >= 0``:
 * ``tempered_integral``     -- (1/Gamma(s)) int_a^t e^{-lam (t-s)} (t-s)^{s-1} u ds
 * ``caputo_derivative``     -- tempered derivative with differentiation inside
   the singular integral
-* ``rl_derivative``         -- Riemann-Liouville flavour, computed from the
-  Caputo value plus the closed-form lower-terminal correction
+* ``rl_derivative``         -- Riemann-Liouville flavour: the Caputo value
+  plus the n lower-terminal terms, each tempered from ``a``,
+  e^{-lam (t-a)} (t-a)^{k-alpha} / Gamma(k-alpha+1) [(d/dt + lam)^k u](a)
 * ``variant_rl_derivative`` -- RL flavour minus the zero-frequency terms
+
+Both derivatives, with ``n = ceil(alpha)``, are built on the tempered
+derivatives (d/dt + lam)^k u = sum_j C(k, j) lam^(k-j) u^(j), evaluated in
+one place from ``[u, u', ..., u^(n)]``: the caller's ``derivs``, or, up to
+order 2, second-order differences.
 
 Integrals are mapped to [-1, 1] and evaluated with a Gauss-Lobatto rule
 whose Jacobi weight absorbs the kernel singularity, so accuracy is spectral
@@ -99,29 +105,40 @@ def _fd_derivatives(u: Func, order: int, a: float, h: float = FD_STEP) -> list[F
     return [d1, d2][:order]
 
 
-def _resolve_derivs(
-    u: Func,
-    n: int,
-    a: float,
-    derivs: Sequence[Func] | None,
-    fd_fallback: bool,
+def _derivatives(
+    u: Func, alpha: float, a: float, derivs: Sequence[Func] | None, fd_fallback: bool
 ) -> list[Func]:
-    if derivs is not None:
-        if len(derivs) < n:
-            raise ValueError(f"need derivatives up to order {n}, got {len(derivs)}")
-        return list(derivs[:n])
-    if not fd_fallback:
-        raise ValueError(
-            "derivatives of u are required; pass derivs= or enable fd_fallback"
-        )
-    return _fd_derivatives(u, n, a)
-
-
-def _check_deriv_order(alpha: float) -> int:
+    """Check the order ``alpha`` and return ``[u, u', ..., u^(n)]`` with
+    ``n = ceil(alpha)``: the given ``derivs``, or the difference fallback's."""
     n = math.ceil(alpha)
     if alpha <= 0.0 or alpha == n:
         raise ValueError(f"derivative order must be non-integer and positive, got {alpha}")
-    return n
+    if derivs is not None:
+        if len(derivs) < n:
+            raise ValueError(f"need derivatives up to order {n}, got {len(derivs)}")
+        return [u, *derivs[:n]]
+    if not fd_fallback:
+        raise ValueError("derivatives of u are required; pass derivs= or enable fd_fallback")
+    if n > 2:
+        raise ValueError(f"the difference fallback gives derivatives up to order 2 only; "
+                         f"alpha={alpha} needs order {n}, so pass derivs=")
+    return [u, *_fd_derivatives(u, n, a)]
+
+
+def _tempered(ds: Sequence[Func], k: int, lam: float, s: float) -> float:
+    """``((d/ds + lam)^k u)(s) = sum_j C(k, j) lam^(k-j) u^(j)(s)`` from
+    ``ds = [u, u', ...]``."""
+    return sum(math.comb(k, j) * lam ** (k - j) * ds[j](s) for j in range(k + 1))
+
+
+def _caputo(
+    ds: Sequence[Func], t: float, alpha: float, lam: float, a: float, n_quad: int
+) -> float:
+    """The Caputo derivative from ``ds = [u, ..., u^(n)]``: the tempered
+    integral of order ``n - alpha`` of ``(d/ds + lam)^n u``."""
+    n = len(ds) - 1
+    integrand = lambda s: _tempered(ds, n, lam, s)
+    return tempered_integral(integrand, t, order=n - alpha, lam=lam, a=a, n_quad=n_quad)
 
 
 def caputo_derivative(
@@ -139,37 +156,16 @@ def caputo_derivative(
 
     With ``n = ceil(alpha)`` this is the tempered integral of order
     ``n - alpha`` applied to ``(d/dt + lam)^n u``, expanded by the Leibniz
-    rule over the supplied derivatives of ``u`` (or difference
-    approximations when ``fd_fallback`` is enabled, one-sided near ``a``).
-    Raises ``ValueError`` where that integrand is not finite at a node of
-    the rule, as where a derivative of ``u`` is infinite at ``a``.
+    rule over the supplied derivatives of ``u``, or, when ``fd_fallback``
+    is enabled, over difference approximations (one-sided near ``a``, up to
+    order 2, so ``alpha < 2``).  Raises ``ValueError`` where that integrand
+    is not finite at a node of the rule, as where a supplied derivative of
+    ``u`` is infinite at ``a``.  The fallback cannot see such a derivative:
+    its one-sided difference at ``a`` is finite, so for ``u = sqrt`` the
+    value is silently wrong (14% at ``alpha = 0.5``); pass ``derivs`` for
+    such ``u``.
     """
-    n = _check_deriv_order(alpha)
-    dfuns = _resolve_derivs(u, n, a, derivs, fd_fallback)
-    coeffs = [math.comb(n, k) * lam ** (n - k) for k in range(n + 1)]
-
-    def tempered_nth(s: float) -> float:
-        acc = coeffs[0] * u(s)
-        for k in range(1, n + 1):
-            acc += coeffs[k] * dfuns[k - 1](s)
-        return acc
-
-    return tempered_integral(tempered_nth, t, order=n - alpha, lam=lam, a=a, n_quad=n_quad)
-
-
-def _exp_scaled_derivs_at(
-    u: Func, dfuns: Sequence[Func], lam: float, a: float, upto: int
-) -> list[float]:
-    """Values of d^k/dt^k (e^{lam t} u) at t=a for k = 0..upto."""
-    # d^k(e^{lam t}u)/dt^k = e^{lam t} sum_j C(k,j) lam^(k-j) u^(j)
-    out = []
-    uvals = [u(a)] + [d(a) for d in dfuns[:upto]]
-    for k in range(upto + 1):
-        out.append(
-            math.exp(lam * a)
-            * sum(math.comb(k, j) * lam ** (k - j) * uvals[j] for j in range(k + 1))
-        )
-    return out
+    return _caputo(_derivatives(u, alpha, a, derivs, fd_fallback), t, alpha, lam, a, n_quad)
 
 
 def rl_derivative(
@@ -185,25 +181,20 @@ def rl_derivative(
 ) -> float:
     """Riemann-Liouville tempered fractional derivative at ``t > a``.
 
-    Equals the Caputo value plus the lower-terminal correction
+    Equals the Caputo value plus the lower-terminal terms
 
-        sum_{k<n} e^{-lam t} (t-a)^{k-alpha} / Gamma(k-alpha+1)
-                  * [d^k/dt^k (e^{lam t} u)]_{t=a},
+        sum_{k<n} e^{-lam (t-a)} (t-a)^{k-alpha} / Gamma(k-alpha+1)
+                  * [(d/dt + lam)^k u](a),
 
     which avoids differentiating a singular integral numerically.  Requires
     ``e^{lam t} u`` to be n-fold absolutely continuous near ``a``.
     """
-    n = _check_deriv_order(alpha)
-    dfuns = _resolve_derivs(u, n, a, derivs, fd_fallback)
-    cap = caputo_derivative(
-        u, t, alpha=alpha, lam=lam, a=a, derivs=dfuns, n_quad=n_quad
+    ds = _derivatives(u, alpha, a, derivs, fd_fallback)
+    return _caputo(ds, t, alpha, lam, a, n_quad) + sum(
+        math.exp(-lam * (t - a)) * (t - a) ** (k - alpha) * rgamma(k - alpha + 1)
+        * _tempered(ds, k, lam, a)
+        for k in range(len(ds) - 1)
     )
-    vka = _exp_scaled_derivs_at(u, dfuns, lam, a, n - 1)
-    corr = sum(
-        math.exp(-lam * t) * (t - a) ** (k - alpha) * rgamma(k - alpha + 1) * vka[k]
-        for k in range(n)
-    )
-    return cap + corr
 
 
 def variant_rl_derivative(
@@ -223,17 +214,14 @@ def variant_rl_derivative(
     ``1 < alpha < 2`` returns ``rl - alpha lam^(alpha-1) u'(t) - lam^alpha u(t)``.
     The (1, 2) branch needs the analytic first derivative of ``u``.
     """
-    n = _check_deriv_order(alpha)
-    if n > 2:
+    # integer and non-positive orders fail in rl_derivative's check
+    if alpha > 2.0 and alpha != math.ceil(alpha):
         raise ValueError("variant derivative is defined for orders in (0,1) or (1,2)")
-    if n == 2 and (derivs is None or len(derivs) < 1):
+    if 1.0 < alpha < 2.0 and (derivs is None or len(derivs) < 1):
         raise ValueError("orders in (1,2) require the analytic first derivative")
-    rl = rl_derivative(
-        u, t, alpha=alpha, lam=lam, a=a, derivs=derivs, n_quad=n_quad,
-        fd_fallback=fd_fallback,
-    )
-    out = rl - lam**alpha * u(t)
-    if n == 2:
+    out = rl_derivative(u, t, alpha=alpha, lam=lam, a=a, derivs=derivs, n_quad=n_quad,
+                        fd_fallback=fd_fallback) - lam**alpha * u(t)
+    if alpha > 1.0:
         out -= alpha * lam ** (alpha - 1.0) * derivs[0](t)
     return out
 

@@ -214,6 +214,22 @@ class TestSweepCommand:
             "expression error: exact solution '1/((t-0.025)*(t-0.05))' at t = 0.025:"), r.stderr
         assert not (tmp_path / "report.csv").exists()
 
+    def test_reference_blow_up_names_the_reference_solve(self, tmp_path):
+        # no exact solution, so the column is measured against a solve at
+        # min(taus)/4, 10240 steps, which diverges though both rows would not
+        cfg = {
+            "rhs": "-16*u", "init": [1.0], "alphas": [0.5], "lambdas": [0.0],
+            "taus": [0.0015625, 0.000390625], "NI": 2, "b": 1.0,
+        }
+        (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+        r = run_cli("sweep", "--config", "sweep.json", cwd=tmp_path)
+        assert r.returncode == 3
+        assert r.stderr.startswith(
+            "solver blow-up: the reference solve at tau = min(taus)/4 = 9.76563e-05 "
+            "(10240 steps) of the column alpha = 0.5, lambda = 0: "
+            "solution blew up in the step phase at step 10071"), r.stderr
+        assert not (tmp_path / "report.csv").exists()
+
     def test_bad_config_key(self, tmp_path):
         (tmp_path / "sweep.json").write_text(json.dumps({"bogus": 1}))
         r = run_cli("sweep", "--config", "sweep.json", cwd=tmp_path)

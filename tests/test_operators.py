@@ -166,6 +166,75 @@ class TestVariantDerivative:
         assert got == pytest.approx(want, rel=1e-11)
 
 
+DERIVATIVES = [caputo_derivative, rl_derivative, variant_rl_derivative]
+
+
+class TestDerivativeChecks:
+    """The order and derivative checks that the three derivatives share."""
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("op", DERIVATIVES)
+    def test_order_must_be_non_integer_and_positive(self, op, alpha):
+        with pytest.raises(ValueError, match="^derivative order must be non-integer and positive"):
+            op(lambda t: t, 1.0, alpha=alpha, derivs=[lambda t: 1.0, lambda t: 0.0])
+
+    @pytest.mark.parametrize("op", DERIVATIVES)
+    def test_fallback_disabled_without_derivs(self, op):
+        with pytest.raises(ValueError, match="^derivatives of u are required; pass derivs= "
+                                             "or enable fd_fallback$"):
+            op(lambda t: t, 1.0, alpha=0.5, fd_fallback=False)
+
+    @pytest.mark.parametrize("op", DERIVATIVES)
+    def test_too_few_derivs(self, op):
+        with pytest.raises(ValueError, match="^need derivatives up to order 2, got 1$"):
+            op(lambda t: t, 1.0, alpha=1.5, derivs=[lambda t: 1.0])
+
+    @pytest.mark.parametrize("op", [caputo_derivative, rl_derivative])
+    def test_fallback_past_order_two(self, op):
+        with pytest.raises(ValueError, match=r"up to order 2 only; alpha=2\.5 needs order 3"):
+            op(lambda t: t * t, 1.0, alpha=2.5)
+
+    def test_variant_names_its_own_orders_first(self):
+        for derivs in (None, [lambda t: 2 * t, lambda t: 2.0, lambda t: 0.0]):
+            with pytest.raises(ValueError, match=r"^variant derivative is defined for orders "
+                                                 r"in \(0,1\) or \(1,2\)$"):
+                variant_rl_derivative(lambda t: t * t, 1.0, alpha=2.5, derivs=derivs)
+
+    def test_order_above_two_with_derivs(self):
+        # u = t^2: its third derivative vanishes, and RL is the terminal
+        # term u''(0) t^(2-alpha) / Gamma(3-alpha) = Gamma(3)/Gamma(1/2) at t = 1
+        derivs = [lambda t: 2 * t, lambda t: 2.0, lambda t: 0.0]
+        assert caputo_derivative(lambda t: t * t, 1.0, alpha=2.5, derivs=derivs) == 0.0
+        assert rl_derivative(lambda t: t * t, 1.0, alpha=2.5, derivs=derivs) == 1.1283791670955126
+
+
+class TestLargeTemperingAtTheTerminal:
+    # u = e^{-lam (t-a)} with lam a = 1000: (d/dt + lam) u = 0, so RL is
+    # its terminal term e^{-lam (t-a)} (t-a)^(-1/2) / Gamma(1/2), a normal
+    # double, though e^{lam a} is not
+    LAM, A, T = 1000.0, 1.0, 1.5
+    WANT = math.exp(-500.0) / (math.sqrt(0.5) * math.sqrt(math.pi))
+
+    @staticmethod
+    def u(t):
+        return math.exp(-1000.0 * (t - 1.0))
+
+    @staticmethod
+    def du(t):
+        return -1000.0 * math.exp(-1000.0 * (t - 1.0))
+
+    def test_rl(self):
+        got = rl_derivative(self.u, self.T, alpha=0.5, lam=self.LAM, a=self.A, derivs=[self.du])
+        assert got == pytest.approx(self.WANT, rel=1e-14, abs=0.0)
+
+    def test_variant(self):
+        got = variant_rl_derivative(
+            self.u, self.T, alpha=0.5, lam=self.LAM, a=self.A, derivs=[self.du]
+        )
+        want = self.WANT - math.sqrt(self.LAM) * self.u(self.T)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 class TestPowerRule:
     def test_table_value(self):
         got = tempered_power_rule(0.5, 2.0, 8.0, 1.0)
