@@ -70,6 +70,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import solve_toeplitz
 
 from .quadrature import gauss_lobatto
 from .specfun import rgamma
@@ -655,10 +656,9 @@ def _resolvent(q: float, hpre: float, r1b: np.ndarray, rcb: np.ndarray, size: in
     K(d) = hpre (C(d) + c0 q hpre R(d)) holds the corrector's weight C at
     distance d and, through the predictor's f, its weight c0 at distance 0
     times the predictor's R.  So (1 - q K) * u = g + K * p, with * the
-    convolution, and the resolvent rho is the inverse of 1 - q K as a power series, the first
-    column of the unit lower-triangular Toeplitz matrix's inverse.  Newton
-    doubling, rho <- rho (2 - (1 - q K) rho), doubles the number of its
-    correct terms with two ``np.convolve`` calls.
+    convolution.  The resolvent rho is the first column of (1 - q K)^-1,
+    from scipy's Toeplitz solver (Levinson recursion: O(size^2) time,
+    O(size) memory).
     """
     end = len(rcb)
     kern = np.zeros(size)
@@ -668,16 +668,9 @@ def _resolvent(q: float, hpre: float, r1b: np.ndarray, rcb: np.ndarray, size: in
     kern *= hpre
     a = kern * -q
     a[0] = 1.0
-    rho = np.empty(size)
-    rho[0] = 1.0
-    k = 1
-    while k < size:
-        m = min(2 * k, size)
-        # a rho - 1 is 0 below k
-        res = np.convolve(a[:m], rho[:k])[k:m]
-        rho[k:m] = np.convolve(rho[:k], res)[:m - k]
-        rho[k:m] *= -1.0
-        k = m
+    unit = np.zeros(size)
+    unit[0] = 1.0
+    rho = solve_toeplitz((a, unit), unit, check_finite=False)
     return kern, np.cumsum(kern), rho
 
 

@@ -687,6 +687,28 @@ class TestAdamsStart:
         assert [(e.step, e.phase) for e in raised] == [(2, "start")] * 2
         assert raised[0].value == raised[1].value
 
+    def test_blow_up_with_a_huge_finite_resolvent(self, monkeypatch):
+        # the stiff decaying D^(1/2,5) u = -400 u at q hpre = -1.41: rho
+        # stays finite but passes 1e77, the affine block is rejected and
+        # stepped again, so both twins blow up at the same step and value
+        rhos = []
+
+        def resolvent(*args):
+            parts = _resolvent(*args)
+            rhos.append(parts[2])
+            return parts
+
+        monkeypatch.setattr("tfode.solver._resolvent", resolvent)
+        problem = problem_from_spec(0.5, 5.0, "-400*u", b=1.1, init=(1.0,))
+        raised = []
+        for twin in _twins(problem):
+            with pytest.raises(BlowUpError) as info:
+                solve(twin, SolverConfig(steps=440, n_interp=2, split_t0=0.1, n_tilde=40))
+            raised.append(info.value)
+        assert len(rhos) == 1 and np.isfinite(rhos[0]).all() and np.abs(rhos[0]).max() > 1e77
+        assert [(e.step, e.phase) for e in raised] == [(20, "start")] * 2
+        assert raised[0].value == raised[1].value == pytest.approx(1465579151584.475, rel=1e-12)
+
     def test_blow_up_at_a_lobatto_node(self):
         # f is finite at every mesh time and not a number at one Lobatto
         # node off the mesh: the node's own step reports it, with the index
