@@ -13,8 +13,8 @@ and tempering rate ``lam >= 0``:
 
 Both derivatives, with ``n = ceil(alpha)``, are built on the tempered
 derivatives (d/dt + lam)^k u = sum_j C(k, j) lam^(k-j) u^(j), evaluated in
-one place from ``[u, u', ..., u^(n)]``: the caller's ``derivs``, or, up to
-order 2, second-order differences.
+one place from ``u`` and the caller's ``derivs = [u', ..., u^(n)]``, which
+are required.
 
 Integrals are mapped to [-1, 1] and evaluated with a Gauss-Lobatto rule
 whose Jacobi weight absorbs the kernel singularity, so accuracy is spectral
@@ -41,11 +41,19 @@ __all__ = [
     "laplace_symbol_caputo",
 ]
 
-#: Step of the numerical-derivative fallback's differences.  Second order,
-#: so the fallback caps operator accuracy near 1e-7.
-FD_STEP = 1e-5
-
 Func = Callable[[float], float]
+
+
+def _at(u: Func, s: float) -> float:
+    """``u(s)`` at a quadrature node ``s``, or a ``ValueError`` naming the node
+    where ``u`` raises an arithmetic or domain error there or is not finite."""
+    try:
+        val = u(s)
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(f"integrand raises at the quadrature node s = {s:.17g}: {exc!r}") from exc
+    if not np.isfinite(val):
+        raise ValueError(f"integrand is not finite at the quadrature node s = {s:.17g}: {val}")
+    return val
 
 
 def tempered_integral(
@@ -59,11 +67,18 @@ def tempered_integral(
 ) -> float:
     """Tempered fractional integral of ``u`` of order ``order > 0`` at ``t > a``.
 
-    Raises ``ValueError``, naming the quadrature node, where ``u`` is not
-    finite at one; the rule has a node at ``a``.
+    Raises ``ValueError`` where ``order``, ``t`` or ``a`` is not finite or
+    ``lam`` is not finite and nonnegative, and, naming the quadrature node,
+    where ``u`` is not finite at one or raises an ``ArithmeticError`` or
+    ``ValueError`` there; the rule has a node at ``a``.
     """
-    if order <= 0.0:
-        raise ValueError(f"integral order must be positive, got {order}")
+    if not 0.0 < order < math.inf:
+        raise ValueError(f"integral order must be positive and finite, got {order}")
+    for name, x in (("evaluation point t", t), ("lower terminal a", a)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"tempering rate must be finite and nonnegative, got {lam}")
     if t <= a:
         raise ValueError(f"evaluation point t={t} must exceed the lower terminal a={a}")
     if n_quad < 2:
@@ -74,55 +89,20 @@ def tempered_integral(
     damp = np.exp(lam * half * (rule.nodes - 1.0))
     # the nodes are numpy floats, whose overflow or pole gives inf or nan here
     with np.errstate(all="ignore"):
-        vals = np.array([u(si) for si in s])
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if len(bad):
-        raise ValueError(
-            f"integrand is not finite at the quadrature node s = {s[bad[0]]:.17g}: "
-            f"{float(vals[bad[0]])!r}"
-        )
+        vals = np.array([_at(u, si) for si in s])
     return half**order * rgamma(order) * float(rule.weights @ (damp * vals))
 
 
-def _fd_derivatives(u: Func, order: int, a: float, h: float = FD_STEP) -> list[Func]:
-    """Second-order difference derivative callables of ``u`` up to ``order``
-    (1 or 2), which never evaluate ``u`` below the lower terminal ``a``.
-
-    Central differences, or one-sided forward ones at points within ``h``
-    of ``a``.
-    """
-
-    def d1(s: float) -> float:
-        if s - h < a:
-            return (-3.0 * u(s) + 4.0 * u(s + h) - u(s + 2.0 * h)) / (2.0 * h)
-        return (u(s + h) - u(s - h)) / (2.0 * h)
-
-    def d2(s: float) -> float:
-        if s - h < a:
-            return (2.0 * u(s) - 5.0 * u(s + h) + 4.0 * u(s + 2.0 * h) - u(s + 3.0 * h)) / (h * h)
-        return (u(s + h) - 2.0 * u(s) + u(s - h)) / (h * h)
-
-    return [d1, d2][:order]
-
-
-def _derivatives(
-    u: Func, alpha: float, a: float, derivs: Sequence[Func] | None, fd_fallback: bool
-) -> list[Func]:
+def _derivatives(u: Func, alpha: float, derivs: Sequence[Func] | None) -> list[Func]:
     """Check the order ``alpha`` and return ``[u, u', ..., u^(n)]`` with
-    ``n = ceil(alpha)``: the given ``derivs``, or the difference fallback's."""
+    ``n = ceil(alpha)`` from the caller's ``derivs``."""
     n = math.ceil(alpha)
     if alpha <= 0.0 or alpha == n:
         raise ValueError(f"derivative order must be non-integer and positive, got {alpha}")
-    if derivs is not None:
-        if len(derivs) < n:
-            raise ValueError(f"need derivatives up to order {n}, got {len(derivs)}")
-        return [u, *derivs[:n]]
-    if not fd_fallback:
-        raise ValueError("derivatives of u are required; pass derivs= or enable fd_fallback")
-    if n > 2:
-        raise ValueError(f"the difference fallback gives derivatives up to order 2 only; "
-                         f"alpha={alpha} needs order {n}, so pass derivs=")
-    return [u, *_fd_derivatives(u, n, a)]
+    got = 0 if derivs is None else len(derivs)
+    if got < n:
+        raise ValueError(f"need derivatives up to order {n}, got {got}")
+    return [u, *derivs[:n]]
 
 
 def _tempered(ds: Sequence[Func], k: int, lam: float, s: float) -> float:
@@ -150,22 +130,18 @@ def caputo_derivative(
     a: float = 0.0,
     derivs: Sequence[Func] | None = None,
     n_quad: int = 40,
-    fd_fallback: bool = True,
 ) -> float:
     """Caputo tempered fractional derivative of order ``alpha`` at ``t > a``.
 
     With ``n = ceil(alpha)`` this is the tempered integral of order
     ``n - alpha`` applied to ``(d/dt + lam)^n u``, expanded by the Leibniz
-    rule over the supplied derivatives of ``u``, or, when ``fd_fallback``
-    is enabled, over difference approximations (one-sided near ``a``, up to
-    order 2, so ``alpha < 2``).  Raises ``ValueError`` where that integrand
-    is not finite at a node of the rule, as where a supplied derivative of
-    ``u`` is infinite at ``a``.  The fallback cannot see such a derivative:
-    its one-sided difference at ``a`` is finite, so for ``u = sqrt`` the
-    value is silently wrong (14% at ``alpha = 0.5``); pass ``derivs`` for
-    such ``u``.
+    rule over ``derivs = [u', ..., u^(n)]``, which the caller must supply:
+    a missing or short ``derivs`` raises ``ValueError``.  So does an
+    integrand that is not finite or raises at a node of the rule, as where
+    a supplied derivative of ``u`` is infinite at ``a``; the error names
+    the node.
     """
-    return _caputo(_derivatives(u, alpha, a, derivs, fd_fallback), t, alpha, lam, a, n_quad)
+    return _caputo(_derivatives(u, alpha, derivs), t, alpha, lam, a, n_quad)
 
 
 def rl_derivative(
@@ -177,7 +153,6 @@ def rl_derivative(
     a: float = 0.0,
     derivs: Sequence[Func] | None = None,
     n_quad: int = 40,
-    fd_fallback: bool = True,
 ) -> float:
     """Riemann-Liouville tempered fractional derivative at ``t > a``.
 
@@ -189,7 +164,7 @@ def rl_derivative(
     which avoids differentiating a singular integral numerically.  Requires
     ``e^{lam t} u`` to be n-fold absolutely continuous near ``a``.
     """
-    ds = _derivatives(u, alpha, a, derivs, fd_fallback)
+    ds = _derivatives(u, alpha, derivs)
     return _caputo(ds, t, alpha, lam, a, n_quad) + sum(
         math.exp(-lam * (t - a)) * (t - a) ** (k - alpha) * rgamma(k - alpha + 1)
         * _tempered(ds, k, lam, a)
@@ -206,21 +181,18 @@ def variant_rl_derivative(
     a: float = 0.0,
     derivs: Sequence[Func] | None = None,
     n_quad: int = 40,
-    fd_fallback: bool = True,
 ) -> float:
     """Variant of the RL tempered derivative with the zero-mode removed.
 
     For ``0 < alpha < 1`` returns ``rl - lam^alpha u(t)``; for
     ``1 < alpha < 2`` returns ``rl - alpha lam^(alpha-1) u'(t) - lam^alpha u(t)``.
-    The (1, 2) branch needs the analytic first derivative of ``u``.
     """
-    # integer and non-positive orders fail in rl_derivative's check
+    # integer and non-positive orders, and a short derivs, fail in
+    # rl_derivative's checks
     if alpha > 2.0 and alpha != math.ceil(alpha):
         raise ValueError("variant derivative is defined for orders in (0,1) or (1,2)")
-    if 1.0 < alpha < 2.0 and (derivs is None or len(derivs) < 1):
-        raise ValueError("orders in (1,2) require the analytic first derivative")
-    out = rl_derivative(u, t, alpha=alpha, lam=lam, a=a, derivs=derivs, n_quad=n_quad,
-                        fd_fallback=fd_fallback) - lam**alpha * u(t)
+    out = rl_derivative(u, t, alpha=alpha, lam=lam, a=a, derivs=derivs,
+                        n_quad=n_quad) - lam**alpha * u(t)
     if alpha > 1.0:
         out -= alpha * lam ** (alpha - 1.0) * derivs[0](t)
     return out

@@ -39,6 +39,22 @@ class TestTemperedIntegral:
         with pytest.raises(ValueError):
             tempered_integral(lambda s: 1.0, 1.0, order=-0.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"t": math.inf}, "evaluation point t must be finite, got inf"),
+        ({"t": math.nan}, "evaluation point t must be finite, got nan"),
+        ({"a": -math.inf}, "lower terminal a must be finite, got -inf"),
+        ({"lam": math.inf}, "tempering rate must be finite and nonnegative, got inf"),
+        ({"lam": math.nan}, "tempering rate must be finite and nonnegative, got nan"),
+        ({"lam": -2.0}, "tempering rate must be finite and nonnegative, got -2.0"),
+        ({"order": math.nan}, "integral order must be positive and finite, got nan"),
+        ({"order": math.inf}, "integral order must be positive and finite, got inf"),
+    ], ids=["t-inf", "t-nan", "a-inf", "lam-inf", "lam-nan", "lam-negative", "order-nan",
+            "order-inf"])
+    def test_non_finite_arguments_and_negative_rate_raise(self, kwargs, message):
+        args = {"t": 1.0, "order": 0.5, "lam": 1.0, "a": 0.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tempered_integral(lambda s: 1.0, args.pop("t"), **args)
+
     def test_integral_bound_for_unit_function(self):
         # |I u| <= (b-a)^sigma / Gamma(sigma+1) for u = 1 on [0, 1], lam >= 0
         for sigma in (0.3, 0.5, 1.5):
@@ -64,31 +80,33 @@ class TestCaputoDerivative:
         got = caputo_derivative(u, 1.0, alpha=0.5, lam=lam, derivs=[du])
         assert got == pytest.approx(0.38881005132535511, abs=1e-12)
 
-    def test_fd_fallback_accuracy(self):
-        lam = 2.0
-        u = lambda t: math.exp(-lam * t) * t**8
-        got = caputo_derivative(u, 1.0, alpha=0.5, lam=lam)
-        assert got == pytest.approx(0.38881005132535511, abs=1e-7)
-
-    def test_fd_fallback_one_sided_at_lower_terminal(self):
-        # the rule has a node at a = 0, where a central difference would
-        # read t^1.5 at -1e-5; the one-sided one stays in the domain
-        got = caputo_derivative(lambda t: t**1.5, 1.0, alpha=0.5)
+    def test_data_not_smooth_at_lower_terminal(self):
+        # u' = 1.5 t^0.5 is finite at the rule's node a = 0 but not smooth
+        # there, which costs accuracy (3.9e-6 relative at n_quad = 40)
+        got = caputo_derivative(lambda t: t**1.5, 1.0, alpha=0.5, derivs=[lambda t: 1.5 * t**0.5])
         assert got == pytest.approx(gamma(2.5) / gamma(2.0), rel=1e-5)
 
-    def test_fd_fallback_never_reads_below_lower_terminal(self):
-        # math.sqrt raises below 0; its value is finite, though its
-        # accuracy is not claimed, as u' is infinite at a
-        assert math.isfinite(caputo_derivative(math.sqrt, 1.0, alpha=0.5))
+    def test_sqrt_without_derivs_raises(self):
+        # without derivs there is no u' to integrate; a value computed
+        # anyway (1.0131 against Gamma(1.5) = 0.88623) would be wrong
+        with pytest.raises(ValueError, match="^need derivatives up to order 1, got 0$"):
+            caputo_derivative(math.sqrt, 1.0, alpha=0.5)
+
+    @pytest.mark.parametrize("du", [
+        lambda t: 0.5 / math.sqrt(t),
+        lambda t: 0.5 * float(t) ** -0.5,
+        lambda t: math.log(t),
+    ], ids=["division", "negative-power", "log"])
+    def test_derivative_raising_at_lower_terminal_names_the_node(self, du):
+        message = "^integrand raises at the quadrature node s = 0: "
+        with pytest.raises(ValueError, match=message) as info:
+            caputo_derivative(math.sqrt, 1.0, alpha=0.5, derivs=[du])
+        assert isinstance(info.value.__cause__, (ArithmeticError, ValueError))
 
     def test_infinite_integrand_at_lower_terminal_raises(self):
         # u' = 0.3 t^-0.7 is infinite at the rule's node a = 0
         with pytest.raises(ValueError, match="not finite at the quadrature node s = 0"):
             caputo_derivative(lambda t: t**0.3, 1.0, alpha=0.5, derivs=[lambda t: 0.3 * t**-0.7])
-
-    def test_fallback_disabled_raises(self):
-        with pytest.raises(ValueError):
-            caputo_derivative(lambda t: t, 1.0, alpha=0.5, fd_fallback=False)
 
     def test_vanishes_at_lower_terminal(self):
         # tempered Caputo of a constant -> 0 as t -> a, bounded by
@@ -180,9 +198,9 @@ class TestDerivativeChecks:
 
     @pytest.mark.parametrize("op", DERIVATIVES)
     def test_fallback_disabled_without_derivs(self, op):
-        with pytest.raises(ValueError, match="^derivatives of u are required; pass derivs= "
-                                             "or enable fd_fallback$"):
-            op(lambda t: t, 1.0, alpha=0.5, fd_fallback=False)
+        # derivs is the only source of u'
+        with pytest.raises(ValueError, match="^need derivatives up to order 1, got 0$"):
+            op(lambda t: t, 1.0, alpha=0.5)
 
     @pytest.mark.parametrize("op", DERIVATIVES)
     def test_too_few_derivs(self, op):
@@ -191,7 +209,7 @@ class TestDerivativeChecks:
 
     @pytest.mark.parametrize("op", [caputo_derivative, rl_derivative])
     def test_fallback_past_order_two(self, op):
-        with pytest.raises(ValueError, match=r"up to order 2 only; alpha=2\.5 needs order 3"):
+        with pytest.raises(ValueError, match="^need derivatives up to order 3, got 0$"):
             op(lambda t: t * t, 1.0, alpha=2.5)
 
     def test_variant_names_its_own_orders_first(self):

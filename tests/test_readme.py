@@ -1,5 +1,5 @@
-"""README's library quick start and its ``tfode solve`` examples run as
-written, so the documented calls keep working."""
+"""README's library quick start, its operator example and its ``tfode solve``
+examples run as written, so the documented calls keep working."""
 
 import pathlib
 import re
@@ -24,6 +24,13 @@ def test_library_quick_start():
     trace, config = namespace["trace"], namespace["config"]
     assert trace.values.shape == (config.steps + 1,)
     assert np.isfinite(trace.values).all()
+
+
+def test_library_operator_example():
+    namespace = {}
+    exec(_code_blocks("## Library quick start", "python")[1], namespace)
+    for name in ("val", "der"):
+        assert type(namespace[name]) is float and np.isfinite(namespace[name])
 
 
 def test_cli_solve_examples(tmp_path, monkeypatch, capsys):
