@@ -96,9 +96,9 @@ def tempered_integral(
 def _derivatives(u: Func, alpha: float, derivs: Sequence[Func] | None) -> list[Func]:
     """Check the order ``alpha`` and return ``[u, u', ..., u^(n)]`` with
     ``n = ceil(alpha)`` from the caller's ``derivs``."""
-    n = math.ceil(alpha)
-    if alpha <= 0.0 or alpha == n:
+    if not (math.isfinite(alpha) and alpha > 0.0) or alpha == math.ceil(alpha):
         raise ValueError(f"derivative order must be non-integer and positive, got {alpha}")
+    n = math.ceil(alpha)
     got = 0 if derivs is None else len(derivs)
     if got < n:
         raise ValueError(f"need derivatives up to order {n}, got {got}")
@@ -187,9 +187,9 @@ def variant_rl_derivative(
     For ``0 < alpha < 1`` returns ``rl - lam^alpha u(t)``; for
     ``1 < alpha < 2`` returns ``rl - alpha lam^(alpha-1) u'(t) - lam^alpha u(t)``.
     """
-    # integer and non-positive orders, and a short derivs, fail in
-    # rl_derivative's checks
-    if alpha > 2.0 and alpha != math.ceil(alpha):
+    # integer, non-positive and non-finite orders, and a short derivs,
+    # fail in rl_derivative's checks
+    if 2.0 < alpha < math.inf and alpha != math.ceil(alpha):
         raise ValueError("variant derivative is defined for orders in (0,1) or (1,2)")
     out = rl_derivative(u, t, alpha=alpha, lam=lam, a=a, derivs=derivs,
                         n_quad=n_quad) - lam**alpha * u(t)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-__all__ = ["GaussLobattoRule", "jacobi_recurrence", "gauss_lobatto"]
+__all__ = ["GaussLobattoRule", "jacobi_recurrence", "gauss_lobatto", "exp_sum"]
 
 
 def jacobi_recurrence(a: float, b: float, k: int) -> tuple[float, float]:
@@ -116,3 +116,25 @@ def gauss_lobatto(a: float, b: float, n: int) -> GaussLobattoRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return GaussLobattoRule(a=a, b=b, nodes=nodes, weights=weights)
+
+
+def exp_sum(alpha: float, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents ``s`` and weights ``w`` with ``sum(w * exp(-s y))`` equal to
+    ``y^(alpha-1)`` within about 3e-15 relative over ``lo <= y <= hi``,
+    for 0 < alpha < 1: about 145 terms at hi / lo = 512.
+
+    They are a quadrature of ``y^(alpha-1) = int_0^inf s^-alpha e^{-s y} ds
+    / Gamma(1-alpha)``: on [0, 1/hi] the 9-point Lobatto rule for the
+    weight ``s^-alpha``, and beyond it panels four times as long as the
+    last, each a 17-point Legendre-Lobatto rule, until e^{-s lo} < e^{-40}.
+    """
+    s0 = 1.0 / hi
+    jac, leg = gauss_lobatto(0.0, -alpha, 8), gauss_lobatto(0.0, 0.0, 16)
+    start = s0 * 4.0 ** np.arange(max(1, math.ceil(math.log(40.0 * hi / lo, 4.0))))
+    half = 1.5 * start  # half of each panel [start, 4 start]
+    s = np.concatenate([0.5 * s0 * (jac.nodes + 1.0),
+                        (np.multiply.outer(half, leg.nodes) + (start + half)[:, None]).ravel()])
+    w = np.concatenate([(0.5 * s0) ** (1.0 - alpha) * jac.weights,
+                        np.multiply.outer(half, leg.weights).ravel()])
+    w[len(jac.nodes):] *= s[len(jac.nodes):] ** -alpha
+    return s, w / math.gamma(1.0 - alpha)

@@ -13,7 +13,11 @@ makes ``n_interp`` the design convergence order.  Cost per step does not
 grow with the step index, so a whole solve is O(steps): the quadrature
 positions and stencil weights depend only on the step index, so one
 vectorised build precomputes them for a block of consecutive steps, its
-length set by ``_BLOCK_BYTES`` and never changing a result.  The weights
+length set by ``_BLOCK_BYTES`` and never changing a result.  Past
+``_FAR_FROM`` n_quad^2 steps from the origin (0 < alpha < 1) the rule
+covers only the last 2 n_quad steps, with weights built once per solve, and
+the older history comes through far sums of decaying exponentials (see
+:class:`_Stepper`).  The weights
 also carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
 factor of at most 1, so the history a step reads is the trace's own f
 values.  A step's predictor is then one gather of that history and one dot
@@ -65,14 +69,16 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import solve_toeplitz
 
-from .quadrature import gauss_lobatto
+from .quadrature import exp_sum, gauss_lobatto
 from .specfun import rgamma
 
 __all__ = [
@@ -917,6 +923,28 @@ _BUILD_BUFSIZE = 256
 #: n_quad = 20.
 _PARTS_BLOCKS = 8
 
+#: The JPC steps take the near window and the far sums (``_Stepper._far_block``)
+#: once n - origin > _FAR_FROM n_quad^2, for 0 < alpha < 1.  Past about
+#: n_quad^2 steps the whole-span rule's nodes next to t_n lie farther apart
+#: than a step, and its corrector's weight on f_n stops shrinking with tau.
+#: On D^alpha u = -mu u (alpha 0.5 and 0.8, mu 1 and 16, NI = 2, M = 640,
+#: 2560 and 10240) 0.41, 0.5 and 1 gave the same max errors in all 12
+#: cells, and 2 gave 3.1e6 at alpha = 0.5, mu = 16, M = 640.  No table
+#: solve (n - origin <= 160) reaches 0.5 n_quad^2.
+_FAR_FROM = 0.5
+
+#: Steps of the near window per quadrature degree: K = _NEAR_PER_DEGREE n_quad.
+#: In those cells K = n_quad gave the same errors, and 4 n_quad 0.135
+#: against 0.097 at alpha = 0.5, mu = 16, M = 640.
+_NEAR_PER_DEGREE = 2
+
+#: Steps per far-sum block at most, and at most K + 1 - NI + (NI-1)//2, so
+#: that every sample a block's far sums read is known at its first step.  A
+#: block's far sums are one (block x exponentials) and one
+#: (block x (block + NI - 1)) product, and moving the state on one more; at
+#: NI = 7 and 20480 steps (145 exponentials) the tables hold some 60 KB.
+_FAR_BLOCK = 32
+
 
 @contextlib.contextmanager
 def _ufunc_bufsize(size: int):
@@ -942,19 +970,37 @@ class _Stepper:
     e^{-lam tau (NI - 1 - j)}, a factor per step and quadrature node and one
     vector, both at most 1 as the predictor's stencils end at n - 1.
 
-    Quadrature over ``[t_origin, t_n]`` uses the Jacobi-weight rule; the
-    origin is grid index ``origin`` (0, or the split point), and ``history``
-    holds ``(nodes, weights, f)`` of the unit-weight rule over ``[a, t0]``
-    for the split scheme.  Each step's quadrature positions and stencils
-    depend only on the step index, so they are built a block of steps at a
-    time, of a length fixed once per solve (see ``_BLOCK_BYTES``), inside
-    the buffer scope that :func:`_march` holds over all the steps.  Steps
-    run forward one at a time, so a step past the block's end builds the
-    next block from it.  A step reads its one row of plain floats
-    (:meth:`_build_block`) and returns u and f.  The
-    predictor's stencils end at f_{n-1}; a step's predictor sum is one
-    gather of the history and one dot with the combined weights, the step's
-    one numpy call.  The corrector's stencils may reach f_n, and only the
+    The origin is grid index ``origin`` (0, or the split point), and
+    ``history`` holds ``(nodes, weights, f)`` of the unit-weight rule over
+    ``[a, t0]`` for the split scheme.  The steps come in two regimes.
+
+    - While n - origin <= ``_FAR_FROM`` n_quad^2 (and for every step when
+      alpha >= 1), quadrature over ``[t_origin, t_n]`` uses the
+      Jacobi-weight rule.  Each step's quadrature positions and stencils
+      depend only on the step index, so they are built a block of steps at
+      a time, of a length fixed once per solve (see ``_BLOCK_BYTES``), the
+      last block ending at the switch, inside the buffer scope that
+      :func:`_march` holds over all the steps (:meth:`_build_block`).
+    - Past it the rule's nodes next to t_n would lie farther apart than a
+      step, so the history splits at t_n - K tau, K = ``_NEAR_PER_DEGREE``
+      n_quad.  The near window keeps the Jacobi-weight rule over the last K
+      steps; its nodes sit at fixed offsets from n, so its stencils,
+      tempering and rule weights fold into one weight vector over
+      f_{n-K-NI} .. f_{n-1}, with sigma and w_end, built once per solve.
+      The far part is a sum over f with weights that depend on the distance
+      only, the product integral of the grid's interpolant, taken as a sum
+      of about 145 decaying exponentials (:func:`exp_sum`) in blocks of up
+      to ``_FAR_BLOCK`` steps (:meth:`_far_setup`, :meth:`_far_block`).
+      Its tables hold (block + NI) values per exponential, some 60 KB at
+      NI = 7 and 20480 steps, and are made only when a solve reaches the
+      switch.
+
+    Steps run forward one at a time, so a step past the block's end builds
+    the next block from it.  A step reads its one row of plain floats and
+    returns u and f.  The predictor's stencils end at f_{n-1}; a step's
+    predictor sum is one dot of the weights with the history, gathered by
+    index or, past the switch, sliced: the step's one numpy call.  The
+    corrector's stencils may reach f_n, and only the
     tail positions whose predictor stencil was clamped to [n-NI, n-1] move
     (to [n-NI+1, n]), so its sum is the predictor's plus a correction over
     the window f_{n-NI..n}: the step's sigma times the fixed tempered
@@ -999,6 +1045,15 @@ class _Stepper:
         self._lo = self._hi = 0
         # p and q over the span of steps _parts_lo .. _parts_hi-1 (see _block_parts)
         self._parts, self._parts_lo, self._parts_hi = None, 0, 0
+        # the first step of the near window and far sums, whose set-up waits
+        # for it (see _far_block); none for alpha >= 1, whose kernel is no
+        # sum of decaying exponentials
+        self._near_steps = _NEAR_PER_DEGREE * config.n_quad
+        self._switch = origin + 1 + max(int(_FAR_FROM * config.n_quad**2),
+                                        self._near_steps + n_interp)
+        if problem.alpha >= 1.0:
+            self._switch = math.inf
+        self._far = None
 
     def _history_part(self, t: np.ndarray) -> np.ndarray:
         """The split scheme's history term over [a, t0] at the times ``t``."""
@@ -1024,6 +1079,8 @@ class _Stepper:
         """
         problem, n_interp, origin = self.problem, self.n_interp, self.origin
         hi = min(lo + self._block, len(times))
+        if lo < self._switch:
+            hi = min(hi, self._switch)
         # release the last block's first: lowers the peak
         self._c = self._idx = self._rows = None
         # p and q over the block, before its arrays
@@ -1072,13 +1129,141 @@ class _Stepper:
                          (sigma * self._end_weight).tolist(), *parts)
         self._lo, self._hi = lo, hi
 
+    def _far_setup(self, times: np.ndarray, fs: np.ndarray, lo: int) -> None:
+        """The near window's weights and the far sums' tables, once per
+        solve, and the far sums' state over the panels origin .. lo-K-1.
+
+        The far part of step n is the integral over [t_origin, t_n - K tau]
+        of the grid's NI-point interpolant of the samples
+        e^{-lam tau (n-j)} f_j (each target's stencil as in
+        :func:`_stencil_weights`) against (n-x)^(alpha-1), in steps, which
+        :func:`exp_sum` gives as sum_m w_m e^{-s_m (n-x)}.  The state H_m
+        is that integral of e^{-s_m (k-x)} over the unit panels before k,
+        its samples tempered to k + NI - 1, so that every factor is at most
+        1.  A panel [p, p+1] adds E f over its samples f_{p-h} .. f_{p-h+NI},
+        with E the integrals of e^{-s_m (p+1-x)} times the Lagrange weights,
+        and one more panel multiplies H by rho_m = e^{-s_m - lam tau}.
+        """
+        problem, ni, tau, K = self.problem, self.n_interp, self.tau, self._near_steps
+        h = (ni - 1) // 2
+        B = min(_FAR_BLOCK, K + h + 1 - ni)  # so a block's samples are all known
+        lt = problem.lam * tau
+        # the near window: the Jacobi-weight rule over the last K steps, as
+        # one weight vector over f_{n-K-NI} .. f_{n-1}
+        i0, lw, s = _stencil_weights(ni + K * self._half_nodes, K + ni - 1.0, ni)
+        lw *= self.rule.weights
+        near = np.bincount((i0.astype(np.intp) + np.arange(ni)[:, None]).ravel(), lw.ravel(),
+                           K + ni)
+        near *= np.exp(-lt * np.arange(K + ni, 0.0, -1.0))
+        sigma = float(self.rule.weights @ s)
+        sig, w = exp_sum(problem.alpha, K, len(times) - 1 - self.origin)
+        # E[p] of the panels p = 0 .. h over the samples 0 .. NI: clamped at
+        # 0 for p < h, and that of every later panel for p = h.  A target's
+        # stencil may change at the panel's midpoint, so each half takes a
+        # 10-point Gauss-Legendre rule
+        g, wg = np.polynomial.legendre.leggauss(10)
+        y = np.concatenate([0.25 * (g + 1.0), 0.25 * (g + 3.0)])
+        j0, lw, _ = _stencil_weights(np.add.outer(np.arange(h + 1.0), y), 3.0 * ni, ni)
+        lag = np.zeros((h + 1, len(y), ni + 1))
+        lag[np.arange(h + 1)[:, None, None], np.arange(len(y))[:, None],
+            j0.astype(np.intp)[:, :, None] + np.arange(ni)] = lw.T.reshape(h + 1, len(y), ni)
+        E = np.multiply.outer(sig, y - 1.0)
+        np.exp(E, out=E)
+        E *= 0.25 * np.tile(wg, 2)
+        E = E @ lag
+        del lag, lw, j0
+        # a later panel's E with its samples' tempering to the pivot
+        Et = E[h] * np.exp(-lt * np.arange(ni + h, h - 1.0, -1.0))
+        # H from the origin to lo - K: a panel at a time while clamped at 0
+        # or short of a whole number of blocks to go, then a block at a time
+        rho, H = np.exp(-sig - lt), np.zeros(len(sig))
+        k, end = self.origin, lo - K
+        while k < end and (k < h or (end - k) % B):
+            b0 = max(0, k - h)
+            H *= rho
+            H += E[min(k, h)] @ (fs[b0:b0 + ni + 1]
+                                 * np.exp(-lt * np.arange(k + ni - b0, k - b0 - 1.0, -1.0)))
+            k += 1
+        del E
+        # rho^d for d < B and H's decay over a block, rho^B: each an exp,
+        # as a power would scale rho's rounding error by d, and H's decay
+        # compounds it
+        rpow = np.multiply.outer(sig + lt, np.arange(0.0, -B, -1.0))
+        np.exp(rpow, out=rpow)
+        decay = np.exp(-B * (sig + lt))
+        hank = np.add.outer(np.arange(B - 1, -1, -1), np.arange(ni + 1))
+        for k in range(k, end, B):
+            H *= decay
+            H += self._panel_sums(fs[k - h:k - h + B + ni], Et, rpow, hank)
+        # step lo+b of a block reads H at k = lo - K as sum_m c_m rho_m^b H_m,
+        # and the panels k .. k+b-1 through G, over f_{k-h} .. f_{k-h+B+NI-2}
+        c = self.rga * tau**problem.alpha * w * np.exp(-sig * K - lt * (K + 1 - ni))
+        # G[b, l + j] sums V[j, b - l - 1] over l < b, with
+        # V[j, d] = sum_m c_m rho_m^d Et[m, j]: with V[j] after B - 1
+        # zeros, the window that ends at B - 1 + b, reversed
+        V = np.zeros((ni + 1, 2 * B - 2))
+        V[:, B - 1:] = (Et * c[:, None]).T @ rpow[:, :B - 1]
+        G = np.zeros((B, B + ni - 1))
+        for j, v in enumerate(V):
+            G[:, j:j + B - 1] += sliding_window_view(v, B - 1)[:, ::-1]
+        self._H = H
+        self._far = (near, (0.5 * tau * K) ** problem.alpha * self.rga, sigma,
+                     sigma * self._end_weight, c, rpow, Et, G, decay, hank, h)
+
+    def _far_block(self, times: np.ndarray, fs: np.ndarray, lo: int) -> None:
+        """Steps lo..hi-1 past the switch, in rows as :meth:`_build_block`'s.
+
+        A step's predictor is the near window's one weight vector over
+        f_{n-K-NI} .. f_{n-1}, and its base adds the far sums.  They come a
+        block of B steps at a time, from the switch on: at its first step H
+        moves on to the block's lo - K, and the block's far sums are taken
+        from it.  The steps run to the block's end, or the end of the span
+        of p and q (:meth:`_block_parts`), if that is sooner.
+        """
+        self._c = self._idx = self._rows = None
+        if self._far is None:
+            self._far_setup(times, fs, lo)
+        near, pref, sigma, w_end, c, rpow, Et, G, decay, hank, h = self._far
+        B, ni = len(hank), self.n_interp
+        at = (lo - self._switch) % B
+        if not at:
+            k = lo - self._near_steps - h
+            if lo > self._switch:
+                self._H *= decay
+                self._H += self._panel_sums(fs[k - B:k + ni], Et, rpow, hank)
+            self._far_sums = (c * self._H) @ rpow
+            self._far_sums += G @ fs[k:k + B + ni - 1]
+        hi = min(lo - at + B, len(times))
+        if lo < self._parts_hi:
+            hi = min(hi, self._parts_hi)
+        parts = self._block_parts(times, lo, hi) or [[None] * (hi - lo)] * 2
+        t = times[lo:hi]
+        base = _forcing(self.problem, t)
+        if self.history is not None:
+            base += self._history_part(t)
+        base += self._far_sums[at:at + hi - lo]
+        self._c = [near] * (hi - lo)
+        self._idx = [slice(n - len(near), n) for n in range(lo, hi)]
+        self._rows = zip(t.tolist(), base.tolist(), repeat(pref), repeat(sigma), repeat(w_end),
+                         *parts)
+        self._lo, self._hi = lo, hi
+
+    @staticmethod
+    def _panel_sums(f: np.ndarray, Et: np.ndarray, rpow: np.ndarray, hank: np.ndarray):
+        """What B panels in a row add to H besides its decay (see
+        :meth:`_far_setup`): the sum over l of rho^(B-1-l) Et times panel
+        l's samples.  ``f`` holds the B + NI samples, and row l of ``hank``
+        indexes panel B-1-l's."""
+        return np.einsum("mj,mj->m", rpow @ f[hank], Et)
+
     def _block_parts(self, times: np.ndarray, lo: int, hi: int):
         """p and q of ``Problem.affine`` over the steps lo..hi-1, as two lists
         of floats; None without them, or where they fail over the steps'
         span (see :func:`_affine_parts`).
 
         They are evaluated over a span of ``_PARTS_BLOCKS`` blocks at once,
-        from the first block past the last span, and where they fail, all
+        or of the steps lo..hi-1 if longer, from the first block past the
+        last span, and where they fail, all
         of the span's steps call the right-hand side.
         """
         affine = self.problem.affine
@@ -1086,7 +1271,7 @@ class _Stepper:
             return None
         if not self._parts_lo <= lo < hi <= self._parts_hi:
             self._parts_lo = lo
-            self._parts_hi = min(lo + _PARTS_BLOCKS * self._block, len(times))
+            self._parts_hi = min(max(lo + _PARTS_BLOCKS * self._block, hi), len(times))
             t = times[lo:self._parts_hi]
             parts = _affine_parts(affine, t)
             self._parts = None if parts is None else [np.broadcast_to(v, t.shape) for v in parts]
@@ -1104,7 +1289,10 @@ class _Stepper:
         past the block's end builds, and each takes the block's next row.
         """
         if n1 >= self._hi:
-            self._build_block(times, n1)
+            if n1 < self._switch:
+                self._build_block(times, n1)
+            else:
+                self._far_block(times, fs, n1)
         k = n1 - self._lo
         t, base, pref, sigma, w_end, p, q = next(self._rows)
         pred = float(self._c[k].dot(fs[self._idx[k]]))

@@ -216,18 +216,21 @@ class TestSweepCommand:
 
     def test_reference_blow_up_names_the_reference_solve(self, tmp_path):
         # no exact solution, so the column is measured against a solve at
-        # min(taus)/4, 10240 steps, which diverges though both rows would not
+        # min(taus)/4, 2560 steps, which diverges though both rows would not
+        # (max |u| 3.6 and 1.1e3): for 1 < alpha < 2 the steps keep the
+        # whole-span rule, whose N = 2 nodes stop resolving the last step
+        # after a few steps
         cfg = {
-            "rhs": "-16*u", "init": [1.0], "alphas": [0.5], "lambdas": [0.0],
-            "taus": [0.0015625, 0.000390625], "NI": 2, "b": 1.0,
+            "rhs": "-16*u", "init": [1.0, 0.0], "alphas": [1.5], "lambdas": [0.0],
+            "taus": [0.003125, 0.0015625], "NI": 2, "N": 2, "b": 1.0,
         }
         (tmp_path / "sweep.json").write_text(json.dumps(cfg))
         r = run_cli("sweep", "--config", "sweep.json", cwd=tmp_path)
         assert r.returncode == 3
         assert r.stderr.startswith(
-            "solver blow-up: the reference solve at tau = min(taus)/4 = 9.76563e-05 "
-            "(10240 steps) of the column alpha = 0.5, lambda = 0: "
-            "solution blew up in the step phase at step 10071"), r.stderr
+            "solver blow-up: the reference solve at tau = min(taus)/4 = 0.000390625 "
+            "(2560 steps) of the column alpha = 1.5, lambda = 0: "
+            "solution blew up in the step phase at step 2524"), r.stderr
         assert not (tmp_path / "report.csv").exists()
 
     def test_bad_config_key(self, tmp_path):

@@ -196,6 +196,14 @@ class TestDerivativeChecks:
         with pytest.raises(ValueError, match="^derivative order must be non-integer and positive"):
             op(lambda t: t, 1.0, alpha=alpha, derivs=[lambda t: 1.0, lambda t: 0.0])
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("op", DERIVATIVES)
+    def test_order_must_be_finite(self, op, alpha):
+        # the order is checked before ceil(alpha), which raises its own
+        # ValueError for nan and OverflowError for an infinity
+        with pytest.raises(ValueError, match="^derivative order must be non-integer and positive"):
+            op(math.sin, 1.0, alpha=alpha, derivs=[math.cos])
+
     @pytest.mark.parametrize("op", DERIVATIVES)
     def test_fallback_disabled_without_derivs(self, op):
         # derivs is the only source of u'

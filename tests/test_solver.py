@@ -12,6 +12,7 @@ from _oracles import (
     BlockStepperReference,
     adams_pece_reference,
     convolution_tables_reference,
+    jacobi_moment,
     lagrange_basis,
     lagrange_reference,
     product_sums_reference,
@@ -48,7 +49,7 @@ from tfode.solver import (
     _stencil_weights,
     _ufunc_bufsize,
 )
-from tfode.specfun import gamma, rgamma
+from tfode.specfun import gamma, mittag_leffler, rgamma
 
 
 def _const_problem(alpha=0.5, lam=0.0, c0=1.0, b=1.0):
@@ -1026,6 +1027,172 @@ class TestAffineSteps:
             affine, plain = (solve(twin, config) for twin in _twins(make(lam)))
             np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
+
+
+def _relaxation_error(alpha, mu, steps, lam=0.0, **config):
+    """Max error of D^(alpha,lam) u = -mu u, u(0) = 1, NI = 2, against
+    e^{-lam t} E_alpha(-mu t^alpha), on [0, 1.1] with a split, else [0, 1]."""
+    b = 1.1 if config.get("split_t0") else 1.0
+    problem = Problem(kind="caputo", alpha=alpha, lam=lam, a=0.0, b=b, init=(1.0,),
+                      rhs=lambda t, u: -mu * u, affine=(lambda t: 0.0, lambda t: -mu))
+    trace = solve(problem, SolverConfig(steps=steps, n_interp=2, **config))
+    exact = np.exp(-lam * trace.times) * mittag_leffler(alpha, 1.0, -mu * trace.times**alpha)
+    return float(np.abs(trace.values - exact)[1:].max())
+
+
+def _far_rows(stepper, times, fs, n):
+    """Run the stepper's far blocks from its switch, with a set-up of their
+    own, over the history ``fs`` to the block holding step n; return that
+    step's row and its predictor's weights and slice."""
+    lo, stepper._far = stepper._switch, None
+    while True:
+        stepper._far_block(times, fs, lo)
+        rows = list(stepper._rows)
+        if n < stepper._hi:
+            k = n - stepper._lo
+            return rows[k], stepper._c[k], stepper._idx[k]
+        lo = stepper._hi
+
+
+class TestFarHistory:
+    """JPC steps past n - origin > c n_quad^2 (0 < alpha < 1): the near
+    window's rule over the last K steps, and far sums over the rest, with
+    weights built once per solve."""
+
+    def test_relaxation_converges_as_m_grows(self):
+        # the whole-span rule gave 3.1e-2, 7.4e-2 and 6.9e-2 at these M
+        errs = [_relaxation_error(0.8, 16.0, m) for m in (640, 2560, 10240)]
+        assert errs[1] <= errs[0] and errs[2] <= errs[0]
+        assert errs[2] < 1e-5
+
+    def test_half_order_relaxation_is_accurate_or_fails_loudly(self):
+        # the whole-span rule returned an error of 9.4e9 without a word
+        try:
+            err = _relaxation_error(0.5, 16.0, 2560)
+        except BlowUpError:
+            return
+        assert err <= 0.05
+
+    def test_split_relaxation_is_accurate_or_fails_loudly(self):
+        # alpha = 0.5, lam = 0, mu = 20 through the split scheme at 704
+        # steps, which gave 9.5e7 on the whole-span rule; 4.8e-5 here
+        try:
+            err = _relaxation_error(0.5, 20.0, 704, split_t0=0.1, n_tilde=40)
+        except BlowUpError:
+            return
+        assert err <= 1e-4
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("n_interp, origin", [(2, 0), (4, 0), (7, 0), (3, 6), (5, 9)])
+    def test_weights_integrate_polynomials(self, n_interp, origin, lam):
+        # f_j = e^{lam (t_n - t_j)} z_j^k with z the position on [t_origin,
+        # t_n] mapped to [-1, 1], k < NI: the tempered samples are a
+        # polynomial, which every stencil reproduces, so the near and far
+        # weights together give its Jacobi moment, in the predictor and in
+        # the corrector.  n_quad = 8 makes the switch 33 steps past the
+        # origin, and the steps below lie in the first far block and later
+        steps, alpha = 400, 0.6
+        problem = Problem(kind="caputo", alpha=alpha, lam=lam, a=0.0, b=1.0, init=(0.0,),
+                          rhs=lambda t, u: 0.0)
+        stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=n_interp, n_quad=8),
+                           origin)
+        assert stepper._switch == origin + 33
+        times = np.linspace(0.0, 1.0, steps + 1)
+        for n in (stepper._switch, stepper._switch + 17, 250, steps):
+            span = times[n] - times[origin]
+            scale = rgamma(alpha) * (span / 2) ** alpha
+            for k in range(n_interp):
+                z = 2.0 * (times - times[origin]) / span - 1.0
+                fs = np.exp(lam * (times[n] - times)) * z**k
+                (t, base, pref, sigma, w_end, _, _), c, idx = _far_rows(
+                    stepper, times, fs, n)
+                want = float(jacobi_moment(alpha - 1.0, 0.0, k)) * scale
+                pred = base + pref * (c @ fs[idx])
+                window = sigma * np.dot(stepper._window_weights, fs[n - n_interp:n])
+                corr = pred + pref * (window + w_end * fs[n])
+                assert t == times[n]
+                assert pred == pytest.approx(want, rel=0.0, abs=1e-13 * scale), (n, k)
+                assert corr == pytest.approx(want, rel=0.0, abs=1e-13 * scale), (n, k)
+
+    @pytest.mark.parametrize("n_interp, origin", [(3, 0), (4, 0), (7, 5)])
+    def test_far_sums_against_the_interpolant(self, n_interp, origin):
+        # on data no stencil reproduces, the far sums are the integral of
+        # the oracle's stencil interpolant of e^{-lam (t_n - t_j)} f_j
+        # against the kernel over [t_origin, t_n - K tau], by a 12-point
+        # Gauss-Legendre rule on each half step
+        steps, alpha, lam = 160, 0.3, 3.0
+        problem = Problem(kind="caputo", alpha=alpha, lam=lam, a=0.0, b=1.0, init=(0.0,),
+                          rhs=lambda t, u: 0.0)
+        stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=n_interp, n_quad=8),
+                           origin)
+        times = np.linspace(0.0, 1.0, steps + 1)
+        fs = np.random.default_rng(n_interp).standard_normal(steps + 1)
+        g, wg = np.polynomial.legendre.leggauss(12)
+        K = stepper._near_steps
+        for n in (stepper._switch + 3, 100, steps):
+            samples = fs[:n] * np.exp(-lam * stepper.tau * np.arange(n, 0, -1.0))
+            want = 0.0
+            for x0 in np.arange(origin, n - K, 0.5):
+                for x, wx in zip(x0 + 0.25 * (g + 1.0), 0.25 * wg):
+                    want += wx * (n - x) ** (alpha - 1.0) * lagrange_reference(samples, x, n_interp)
+            want *= rgamma(alpha) * stepper.tau**alpha
+            (_, base, *_), _, _ = _far_rows(stepper, times, fs, n)
+            assert base == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("n_interp", [2, 7])
+    def test_block_length_leaves_results_unchanged(self, n_interp, split, lam, monkeypatch):
+        # the whole-span rule's blocks end at the switch, and the far sums
+        # come in blocks of their own from it, so a forced block length
+        # leaves the steps past the switch bit-identical too
+        problem = example2(0.5, lam)
+        config = SolverConfig(steps=150, n_interp=n_interp, n_quad=8,
+                              split_t0=0.08 if split else None)
+        init = _Stepper.__init__
+        length = [None]
+
+        def forced_init(self, *args):
+            init(self, *args)
+            assert self._switch < 100
+            if length[0] is not None:
+                self._block = length[0]
+
+        monkeypatch.setattr(_Stepper, "__init__", forced_init)
+        traces = []
+        for forced in (None, 1, 7, 36):
+            length[0] = forced
+            trace = solve(problem, config)
+            traces.append(np.stack([trace.values, trace.rhs_values]).tobytes())
+        assert len(set(traces)) == 1
+
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("n_interp", [2, 7])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_twins_agree(self, split, n_interp, lam):
+        # as TestAffineSteps.test_twins_agree, past the switch
+        for iters in (1, 3):
+            config = SolverConfig(steps=150, n_interp=n_interp, n_quad=8, corrector_iters=iters,
+                                  split_t0=0.08 if split else None)
+            twins = _twins(_start_problem("caputo", 0.5, lam))
+            affine, plain = (solve(twin, config) for twin in twins)
+            np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha, n_quad, built", [(0.5, 20, 0), (1.5, 8, 0), (0.5, 8, 1)])
+    def test_set_up_only_past_the_switch(self, alpha, n_quad, built, monkeypatch):
+        # 150 steps stay within 0.5 n_quad^2 = 200 at the default n_quad,
+        # and 1 < alpha < 2 keeps the whole-span rule
+        setups = []
+        setup = _Stepper._far_setup
+
+        def counted(self, *args):
+            setups.append(args[-1])
+            return setup(self, *args)
+
+        monkeypatch.setattr(_Stepper, "_far_setup", counted)
+        solve(_start_problem("caputo", alpha), SolverConfig(steps=150, n_interp=3, n_quad=n_quad))
+        assert setups == [33] * built
 
 
 class TestSolve:
