@@ -16,8 +16,9 @@ vectorised build precomputes them for a block of consecutive steps, its
 length set by ``_BLOCK_BYTES`` and never changing a result.  Past
 ``_FAR_FROM`` n_quad^2 steps from the origin (0 < alpha < 1) the rule
 covers only the last 2 n_quad steps, with weights built once per solve, and
-the older history comes through far sums of decaying exponentials (see
-:class:`_Stepper`).  The weights
+the older history comes through far sums of decaying exponentials; there a
+block of steps with ``Problem.affine`` and one value of q is one Toeplitz
+system, solved at once (see :class:`_Stepper`).  The weights
 also carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
 factor of at most 1, so the history a step reads is the trace's own f
 values.  A step's predictor is then one gather of that history and one dot
@@ -31,7 +32,9 @@ f = p + q u where the right-hand side is declared affine in u
 ``_PARTS_BLOCKS`` blocks, else one right-hand-side call.  That arithmetic
 is :func:`_pece`, the one predictor-corrector step of a solve: the start's
 stepped steps and its steps to the Lobatto nodes take it too, each with
-its own sums, and it holds the one check that u stays in range.
+its own sums, and it holds the check that u stays in range, which a block
+solved at once makes of its whole u (:func:`_in_range`) before it is
+taken again step by step.
 
 Both schemes start alike (:func:`_start`): the grid values through
 t_{n_start}, n_start = max(j0, n_interp - 1) with j0 the grid index of the
@@ -652,6 +655,26 @@ def _constant_q_parts(affine, t):
     return (float(p) if p.ndim == 0 else np.broadcast_to(p, t.shape)), float(q0)
 
 
+def _toeplitz_resolvent(kern: np.ndarray, q: float, size: int) -> np.ndarray:
+    """The first ``size`` values of the resolvent of ``kern``, whose entry d
+    is the weight at distance d (entry 0 unused): the first column of
+    (1 - q K)^-1, K the strictly lower-triangular Toeplitz matrix of
+    ``kern``, from scipy's Toeplitz solver (Levinson recursion: O(size^2)
+    time, O(size) memory).  With x_k = g_k + q sum_{l<k} K(k-l) x_l over a
+    block, x = rho * g, * the convolution."""
+    a = kern[:size] * -q
+    a[0] = 1.0
+    unit = np.zeros(size)
+    unit[0] = 1.0
+    return solve_toeplitz((a, unit), unit, check_finite=False)
+
+
+def _in_range(u: np.ndarray) -> bool:
+    """Whether every u of a solved block is finite and within
+    ``_BLOWUP_LIMIT``, the check that :func:`_pece` makes of one u."""
+    return bool(np.abs(u).max() <= _BLOWUP_LIMIT)
+
+
 def _resolvent(q: float, hpre: float, r1b: np.ndarray, rcb: np.ndarray, size: int):
     """The in-block kernel of the affine start for a constant q, its running
     sums, and its resolvent, each ``size`` long (see :func:`_resolvent_block`).
@@ -662,9 +685,7 @@ def _resolvent(q: float, hpre: float, r1b: np.ndarray, rcb: np.ndarray, size: in
     K(d) = hpre (C(d) + c0 q hpre R(d)) holds the corrector's weight C at
     distance d and, through the predictor's f, its weight c0 at distance 0
     times the predictor's R.  So (1 - q K) * u = g + K * p, with * the
-    convolution.  The resolvent rho is the first column of (1 - q K)^-1,
-    from scipy's Toeplitz solver (Levinson recursion: O(size^2) time,
-    O(size) memory).
+    convolution, and rho is the resolvent of K (:func:`_toeplitz_resolvent`).
     """
     end = len(rcb)
     kern = np.zeros(size)
@@ -672,12 +693,7 @@ def _resolvent(q: float, hpre: float, r1b: np.ndarray, rcb: np.ndarray, size: in
     kern[1:] *= rcb.item(-1) * q * hpre
     kern[1:] += rcb[end - size:end - 1][::-1]
     kern *= hpre
-    a = kern * -q
-    a[0] = 1.0
-    unit = np.zeros(size)
-    unit[0] = 1.0
-    rho = solve_toeplitz((a, unit), unit, check_finite=False)
-    return kern, np.cumsum(kern), rho
+    return kern, np.cumsum(kern), _toeplitz_resolvent(kern, q, size)
 
 
 def _resolvent_block(p, q, hpre, forc, pred0, corr_far, c0, kern, cum, rho):
@@ -705,7 +721,7 @@ def _resolvent_block(p, q, hpre, forc, pred0, corr_far, c0, kern, cum, rho):
         else:
             g += np.convolve(kern[:b], p)[:b]
         u = np.convolve(rho[:b], g)[:b]
-        if not np.abs(u).max() <= _BLOWUP_LIMIT:
+        if not _in_range(u):
             return None
     f = q * u
     f += p
@@ -943,6 +959,7 @@ _NEAR_PER_DEGREE = 2
 #: block's far sums are one (block x exponentials) and one
 #: (block x (block + NI - 1)) product, and moving the state on one more; at
 #: NI = 7 and 20480 steps (145 exponentials) the tables hold some 60 KB.
+#: An affine block with one q is solved at once (``_Stepper._solve_far_block``).
 _FAR_BLOCK = 32
 
 
@@ -993,10 +1010,16 @@ class _Stepper:
       to ``_FAR_BLOCK`` steps (:meth:`_far_setup`, :meth:`_far_block`).
       Its tables hold (block + NI) values per exponential, some 60 KB at
       NI = 7 and 20480 steps, and are made only when a solve reaches the
-      switch.
+      switch.  Where p and q of ``Problem.affine`` hold over a whole far
+      block, with one value of q, its steps' u and f are a fixed linear
+      recurrence in the f values, solved for the block at once by
+      convolutions with its K + NI weights and their resolvent, made once
+      per q (:meth:`_solve_far_block`), in O(block + K + NI) memory; a
+      block whose solution leaves the range is taken step by step.
 
     Steps run forward one at a time, so a step past the block's end builds
-    the next block from it.  A step reads its one row of plain floats and
+    the next block from it.  A step of a block solved at once returns its
+    u and f; any other step reads its one row of plain floats and
     returns u and f.  The predictor's stencils end at f_{n-1}; a step's
     predictor sum is one dot of the weights with the history, gathered by
     index or, past the switch, sliced: the step's one numpy call.  The
@@ -1054,6 +1077,10 @@ class _Stepper:
         if problem.alpha >= 1.0:
             self._switch = math.inf
         self._far = None
+        # a far block solved at once, as (u, f) pairs, and the q of the
+        # taps and resolvent it was solved with (see _solve_far_block)
+        self._solved = None
+        self._taps_q = self._taps = None
 
     def _history_part(self, t: np.ndarray) -> np.ndarray:
         """The split scheme's history term over [a, t0] at the times ``t``."""
@@ -1082,9 +1109,9 @@ class _Stepper:
         if lo < self._switch:
             hi = min(hi, self._switch)
         # release the last block's first: lowers the peak
-        self._c = self._idx = self._rows = None
+        self._c = self._idx = self._rows = self._solved = None
         # p and q over the block, before its arrays
-        parts = self._block_parts(times, lo, hi) or [[None] * (hi - lo)] * 2
+        parts = self._row_parts(self._block_parts(times, lo, hi), hi - lo)
         t = times[lo:hi]
         base = _forcing(problem, t)
         if self.history is not None:
@@ -1211,42 +1238,100 @@ class _Stepper:
                      sigma * self._end_weight, c, rpow, Et, G, decay, hank, h)
 
     def _far_block(self, times: np.ndarray, fs: np.ndarray, lo: int) -> None:
-        """Steps lo..hi-1 past the switch, in rows as :meth:`_build_block`'s.
+        """Steps lo..hi-1 past the switch: a far block of B steps from the
+        switch on, the last one cut at the grid's end.
 
         A step's predictor is the near window's one weight vector over
-        f_{n-K-NI} .. f_{n-1}, and its base adds the far sums.  They come a
-        block of B steps at a time, from the switch on: at its first step H
-        moves on to the block's lo - K, and the block's far sums are taken
-        from it.  The steps run to the block's end, or the end of the span
-        of p and q (:meth:`_block_parts`), if that is sooner.
+        f_{n-K-NI} .. f_{n-1}, and its base adds the far sums.  At the
+        block's first step H moves on to lo - K, and the block's far sums
+        are taken from it.  Where p and q of ``Problem.affine`` hold over
+        the whole block, with one value of q, its steps are solved at once
+        (:meth:`_solve_far_block`); otherwise, or where that solution leaves
+        the range, they take rows as :meth:`_build_block`'s.
         """
-        self._c = self._idx = self._rows = None
+        self._c = self._idx = self._rows = self._solved = None
         if self._far is None:
             self._far_setup(times, fs, lo)
         near, pref, sigma, w_end, c, rpow, Et, G, decay, hank, h = self._far
         B, ni = len(hank), self.n_interp
-        at = (lo - self._switch) % B
-        if not at:
-            k = lo - self._near_steps - h
-            if lo > self._switch:
-                self._H *= decay
-                self._H += self._panel_sums(fs[k - B:k + ni], Et, rpow, hank)
-            self._far_sums = (c * self._H) @ rpow
-            self._far_sums += G @ fs[k:k + B + ni - 1]
-        hi = min(lo - at + B, len(times))
-        if lo < self._parts_hi:
-            hi = min(hi, self._parts_hi)
-        parts = self._block_parts(times, lo, hi) or [[None] * (hi - lo)] * 2
+        k = lo - self._near_steps - h
+        if lo > self._switch:
+            self._H *= decay
+            self._H += self._panel_sums(fs[k - B:k + ni], Et, rpow, hank)
+        hi = min(lo + B, len(times))
+        self._lo, self._hi = lo, hi
+        far = (c * self._H) @ rpow
+        far += G @ fs[k:k + B + ni - 1]
         t = times[lo:hi]
         base = _forcing(self.problem, t)
         if self.history is not None:
             base += self._history_part(t)
-        base += self._far_sums[at:at + hi - lo]
+        base += far[:hi - lo]
+        parts = self._block_parts(times, lo, hi)
+        if parts is not None:
+            p, q = parts
+            q0 = q.item(0)
+            if (q == q0).all():
+                self._solved = self._solve_far_block(fs, lo, base, p, q0)
+                if self._solved is not None:
+                    return
         self._c = [near] * (hi - lo)
         self._idx = [slice(n - len(near), n) for n in range(lo, hi)]
         self._rows = zip(t.tolist(), base.tolist(), repeat(pref), repeat(sigma), repeat(w_end),
-                         *parts)
-        self._lo, self._hi = lo, hi
+                         *self._row_parts(parts, hi - lo))
+
+    def _far_taps(self, q: float):
+        """For f = p + q u with q one value: the factors of base and p in u
+        past the switch, u's weights d on the f values at distances
+        0 .. K + NI (d_0 = 0) and the resolvent of d over a far block (see
+        :meth:`_solve_far_block`)."""
+        near, pref, sigma, w_end, *_, hank, _ = self._far
+        kappa = pref * w_end
+        g = kappa * q
+        s = sum(g**k for k in range(self.iters))
+        gs = g**self.iters + s
+        d = np.zeros(len(near) + 1)
+        np.multiply(near[::-1], gs * pref, out=d[1:])
+        d[1:self.n_interp + 1] += np.array(self._window_weights[::-1]) * (s * pref * sigma)
+        return gs, s * kappa, d, _toeplitz_resolvent(d, q, len(hank))
+
+    def _solve_far_block(self, fs: np.ndarray, lo: int, base: np.ndarray, p: np.ndarray,
+                         q: float):
+        """u and f of the far block's steps from lo at once, for
+        f = p + q u with q one value: an iterator of (u, f) pairs, or None
+        when some u is not finite or past the blow-up limit.
+
+        With kappa = pref w_end, g = kappa q, i = ``corrector_iters`` and
+        S = sum_{k<i} g^k, a step's :func:`_pece` gives
+        u_n = (g^i + S)(base_n + pref pred_n) + S (pref sigma W_n + kappa p_n),
+        with pred_n the near window's predictor sum and W_n the window's
+        sum.  Both are fixed weights on the f values before n, so
+        u_n = b_n + sum_{j=1}^{K+NI} d_j f_{n-j}, and f = p + q u makes
+        f_n = p_n + q b_n + q sum_j d_j f_{n-j} one lower-triangular
+        Toeplitz system over the block (:meth:`_far_taps`).  The f values
+        before lo enter through one convolution with d, the block's f is the
+        resolvent of d times the rest, u adds one more convolution of d with
+        the block's f, and f is p + q u, as a step's.
+        """
+        if q != self._taps_q:
+            self._taps_q, self._taps = q, self._far_taps(q)
+        gs, sk, d, rho = self._taps
+        b, J = len(base), len(d) - 1
+        with np.errstate(all="ignore"):
+            # u less the block's own f: b_n and the sums over f before lo
+            u0 = np.convolve(fs[lo - J:lo], d)[J:J + b]
+            u0 += gs * base
+            u0 += sk * p
+            f = q * u0
+            f += p
+            f = np.convolve(rho[:b], f)[:b]
+            u = np.convolve(d[:b], f)[:b]
+            u += u0
+            if not _in_range(u):
+                return None
+            f = q * u
+            f += p
+        return zip(u.tolist(), f.tolist())
 
     @staticmethod
     def _panel_sums(f: np.ndarray, Et: np.ndarray, rpow: np.ndarray, hank: np.ndarray):
@@ -1257,9 +1342,9 @@ class _Stepper:
         return np.einsum("mj,mj->m", rpow @ f[hank], Et)
 
     def _block_parts(self, times: np.ndarray, lo: int, hi: int):
-        """p and q of ``Problem.affine`` over the steps lo..hi-1, as two lists
-        of floats; None without them, or where they fail over the steps'
-        span (see :func:`_affine_parts`).
+        """p and q of ``Problem.affine`` over the steps lo..hi-1, as two
+        arrays; None without them, or where they fail over the steps' span
+        (see :func:`_affine_parts`).
 
         They are evaluated over a span of ``_PARTS_BLOCKS`` blocks at once,
         or of the steps lo..hi-1 if longer, from the first block past the
@@ -1278,21 +1363,30 @@ class _Stepper:
         if self._parts is None:
             return None
         a = lo - self._parts_lo
-        return [v[a:a + hi - lo].tolist() for v in self._parts]
+        return [v[a:a + hi - lo] for v in self._parts]
+
+    @staticmethod
+    def _row_parts(parts, size: int):
+        """p and q of a block's rows, as two lists of floats, or of None
+        where the steps call the right-hand side (``parts`` None)."""
+        return [[None] * size] * 2 if parts is None else [v.tolist() for v in parts]
 
     def step(self, times: np.ndarray, fs: np.ndarray, ring: deque, n1: int):
         """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1],
         whose last ``n_interp`` values ``ring`` holds as floats.
 
-        Returns u and f(t, u): p + q u where the step's row has p and q,
-        else one right-hand-side call.  Steps come in order, so only a step
-        past the block's end builds, and each takes the block's next row.
+        Returns u and f(t, u): the next pair of a far block solved at
+        once, else p + q u where the step's row has p and q, else one
+        right-hand-side call.  Steps come in order, so only a step past the
+        block's end builds, and each takes the block's next pair or row.
         """
         if n1 >= self._hi:
             if n1 < self._switch:
                 self._build_block(times, n1)
             else:
                 self._far_block(times, fs, n1)
+        if self._solved is not None:
+            return next(self._solved)
         k = n1 - self._lo
         t, base, pref, sigma, w_end, p, q = next(self._rows)
         pred = float(self._c[k].dot(fs[self._idx[k]]))

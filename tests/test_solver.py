@@ -978,7 +978,10 @@ class TestAffineSteps:
     def test_parts_evaluated_per_span_of_blocks(self):
         # NI = 7 steps 7 .. 600 in blocks of 32: p and q are evaluated once
         # for the start's one chunk and once for each of the three spans of
-        # 8 blocks (256, 256 and 82 steps)
+        # 8 blocks (256, 256 and 112 steps).  Past the switch at step 201 a
+        # block is a whole far block: the one over steps 233 .. 264 runs
+        # past the first span's last step, 262, so the second span starts
+        # at 233, and the third at 489 runs to the grid's end
         times = []
 
         def q(t):
@@ -988,7 +991,7 @@ class TestAffineSteps:
         problem = dataclasses.replace(example2(0.5, 2.0),
                                       affine=(example2(0.5, 2.0).affine[0], q))
         solve(problem, SolverConfig(steps=600, n_interp=7))
-        assert [len(t) for t in times] == [6 * 64, 256, 256, 82]
+        assert [len(t) for t in times] == [6 * 64, 256, 256, 112]
 
     @pytest.mark.parametrize("init", [(1.0,), (0.0,)])
     @pytest.mark.parametrize("rhs", ["u/(t-0.5)", "exp(800*t)*u", "1e300*t*1e300*u",
@@ -1178,6 +1181,63 @@ class TestFarHistory:
             affine, plain = (solve(twin, config) for twin in twins)
             np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda lam: example2(0.5, lam), id="example2"),
+        pytest.param(lambda lam: Problem(kind="caputo", alpha=0.5, lam=lam, a=0.0, b=1.0,
+                                         init=(1.0,), rhs=lambda t, u: math.cos(t),
+                                         affine=(np.cos, lambda t: 0.0)), id="q0"),
+    ])
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("iters", [1, 3])
+    @pytest.mark.parametrize("n_interp", [2, 3, 7])
+    def test_resolvent_blocks_agree_with_stepped_twin(self, n_interp, iters, lam, split, make,
+                                                      monkeypatch):
+        # with one q over a far block the affine twin solves the block at
+        # once, through the resolvent of its steps' weights; the twin
+        # without affine parts takes every step through _pece
+        solved = []
+        solve_block = _Stepper._solve_far_block
+
+        def counted(self, *args):
+            solved.append(solve_block(self, *args) is not None)
+            return solve_block(self, *args)
+
+        monkeypatch.setattr(_Stepper, "_solve_far_block", counted)
+        config = SolverConfig(steps=150, n_interp=n_interp, n_quad=8, corrector_iters=iters,
+                              split_t0=0.08 if split else None)
+        affine, plain = (solve(twin, config) for twin in _twins(make(lam)))
+        assert len(solved) >= 6 and all(solved)
+        np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
+
+    def test_varying_q_is_stepped_as_without_affine(self):
+        # q = -10 (1 + t) varies over every far block past the switch at
+        # step 201, so the affine twin takes each step through _pece with
+        # f = 0 + q u, which is the right-hand side's value: the traces are
+        # byte-identical
+        problem = problem_from_spec(0.5, 0.0, "-10*(1+t)*u", b=1.0, init=(1.0,))
+        assert problem.affine is not None
+        config = SolverConfig(steps=440, n_interp=3)
+        affine, plain = (solve(twin, config) for twin in _twins(problem))
+        assert np.stack([affine.values, affine.rhs_values]).tobytes() == \
+            np.stack([plain.values, plain.rhs_values]).tobytes()
+
+    def test_blow_up_in_a_resolvent_block_names_its_step(self):
+        # D^(1/2) u = 7.4 u grows past the blow-up limit at step 1968 of
+        # 4000, inside a far block: the block's solution fails its check,
+        # and its steps are taken through _pece, which names the step as
+        # the twin without affine parts does
+        problem = problem_from_spec(0.5, 0.0, "7.4*u", b=1.0, init=(1.0,))
+        raised = []
+        for twin in _twins(problem):
+            with pytest.raises(BlowUpError) as info:
+                solve(twin, SolverConfig(steps=4000, n_interp=2))
+            raised.append(info.value)
+        for err in raised:
+            assert (err.phase, err.step) == ("step", 1968)
+        assert raised[0].value == pytest.approx(raised[1].value, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("alpha, n_quad, built", [(0.5, 20, 0), (1.5, 8, 0), (0.5, 8, 1)])
     def test_set_up_only_past_the_switch(self, alpha, n_quad, built, monkeypatch):
