@@ -18,7 +18,7 @@ length set by ``_BLOCK_BYTES`` and never changing a result.  Past
 covers only the last 2 n_quad steps, with weights built once per solve, and
 the older history comes through far sums of decaying exponentials; there a
 block of steps with ``Problem.affine`` and one value of q is one Toeplitz
-system, solved at once (see :class:`_Stepper`).  The weights
+system, solved and handed back at once (see :class:`_Stepper`).  The weights
 also carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
 factor of at most 1, so the history a step reads is the trace's own f
 values.  A step's predictor is then one gather of that history and one dot
@@ -640,6 +640,14 @@ def _affine_parts(affine, t: np.ndarray):
     return p, q
 
 
+def _one_value(q: np.ndarray) -> float | None:
+    """The one value that q of :func:`_affine_parts` takes, as a float, or
+    None where it takes more than one: the test of the start's resolvent
+    blocks and of the steps' far blocks solved at once."""
+    q0 = q.item(0)
+    return None if q.ndim and (q != q0).any() else float(q0)
+
+
 def _constant_q_parts(affine, t):
     """p over the times ``t`` and the one value of q there, for the start's
     resolvent blocks: p is a float where it is 0-d, else an array of t's
@@ -649,10 +657,10 @@ def _constant_q_parts(affine, t):
     if parts is None:
         return None
     p, q = parts
-    q0 = q.item(0)
-    if q.ndim and (q != q0).any():
+    q0 = _one_value(q)
+    if q0 is None:
         return None
-    return (float(p) if p.ndim == 0 else np.broadcast_to(p, t.shape)), float(q0)
+    return (float(p) if p.ndim == 0 else np.broadcast_to(p, t.shape)), q0
 
 
 def _toeplitz_resolvent(kern: np.ndarray, q: float, size: int) -> np.ndarray:
@@ -959,7 +967,8 @@ _NEAR_PER_DEGREE = 2
 #: block's far sums are one (block x exponentials) and one
 #: (block x (block + NI - 1)) product, and moving the state on one more; at
 #: NI = 7 and 20480 steps (145 exponentials) the tables hold some 60 KB.
-#: An affine block with one q is solved at once (``_Stepper._solve_far_block``).
+#: An affine block with one q is solved at once (``_Stepper._solve_far_block``)
+#: and written into the trace as one slice (:func:`_march`).
 _FAR_BLOCK = 32
 
 
@@ -1011,15 +1020,16 @@ class _Stepper:
       Its tables hold (block + NI) values per exponential, some 60 KB at
       NI = 7 and 20480 steps, and are made only when a solve reaches the
       switch.  Where p and q of ``Problem.affine`` hold over a whole far
-      block, with one value of q, its steps' u and f are a fixed linear
-      recurrence in the f values, solved for the block at once by
-      convolutions with its K + NI weights and their resolvent, made once
-      per q (:meth:`_solve_far_block`), in O(block + K + NI) memory; a
-      block whose solution leaves the range is taken step by step.
+      block, with one value of q over its span of p and q, its steps' u and
+      f are a fixed linear recurrence in the f values, solved for the block
+      at once by convolutions with its K + NI weights and with their
+      product with their resolvent, made once per q
+      (:meth:`_solve_far_block`), in O(block + K + NI) memory; a block
+      whose solution leaves the range is taken step by step.
 
-    Steps run forward one at a time, so a step past the block's end builds
-    the next block from it.  A step of a block solved at once returns its
-    u and f; any other step reads its one row of plain floats and
+    Steps run forward, so a step past the block's end builds the next block
+    from it.  A block solved at once is one step call, which returns its u
+    and f arrays; any other step reads its one row of plain floats and
     returns u and f.  The predictor's stencils end at f_{n-1}; a step's
     predictor sum is one dot of the weights with the history, gathered by
     index or, past the switch, sliced: the step's one numpy call.  The
@@ -1077,9 +1087,8 @@ class _Stepper:
         if problem.alpha >= 1.0:
             self._switch = math.inf
         self._far = None
-        # a far block solved at once, as (u, f) pairs, and the q of the
-        # taps and resolvent it was solved with (see _solve_far_block)
-        self._solved = None
+        # the q of the taps that far blocks are solved at once with (see
+        # _solve_far_block)
         self._taps_q = self._taps = None
 
     def _history_part(self, t: np.ndarray) -> np.ndarray:
@@ -1109,7 +1118,7 @@ class _Stepper:
         if lo < self._switch:
             hi = min(hi, self._switch)
         # release the last block's first: lowers the peak
-        self._c = self._idx = self._rows = self._solved = None
+        self._c = self._idx = self._rows = None
         # p and q over the block, before its arrays
         parts = self._row_parts(self._block_parts(times, lo, hi), hi - lo)
         t = times[lo:hi]
@@ -1245,11 +1254,13 @@ class _Stepper:
         f_{n-K-NI} .. f_{n-1}, and its base adds the far sums.  At the
         block's first step H moves on to lo - K, and the block's far sums
         are taken from it.  Where p and q of ``Problem.affine`` hold over
-        the whole block, with one value of q, its steps are solved at once
-        (:meth:`_solve_far_block`); otherwise, or where that solution leaves
-        the range, they take rows as :meth:`_build_block`'s.
+        the whole block, with one value of q over their span
+        (:meth:`_block_parts`), its steps are solved at once
+        (:meth:`_solve_far_block`) and their u and f arrays returned;
+        otherwise, or where that solution leaves the range, they take rows
+        as :meth:`_build_block`'s, and the result is None.
         """
-        self._c = self._idx = self._rows = self._solved = None
+        self._c = self._idx = self._rows = None
         if self._far is None:
             self._far_setup(times, fs, lo)
         near, pref, sigma, w_end, c, rpow, Et, G, decay, hank, h = self._far
@@ -1268,13 +1279,10 @@ class _Stepper:
             base += self._history_part(t)
         base += far[:hi - lo]
         parts = self._block_parts(times, lo, hi)
-        if parts is not None:
-            p, q = parts
-            q0 = q.item(0)
-            if (q == q0).all():
-                self._solved = self._solve_far_block(fs, lo, base, p, q0)
-                if self._solved is not None:
-                    return
+        if parts is not None and parts[2] is not None:
+            solved = self._solve_far_block(fs, lo, base, parts[0], parts[2])
+            if solved is not None:
+                return solved
         self._c = [near] * (hi - lo)
         self._idx = [slice(n - len(near), n) for n in range(lo, hi)]
         self._rows = zip(t.tolist(), base.tolist(), repeat(pref), repeat(sigma), repeat(w_end),
@@ -1283,8 +1291,10 @@ class _Stepper:
     def _far_taps(self, q: float):
         """For f = p + q u with q one value: the factors of base and p in u
         past the switch, u's weights d on the f values at distances
-        0 .. K + NI (d_0 = 0) and the resolvent of d over a far block (see
-        :meth:`_solve_far_block`)."""
+        0 .. K + NI (d_0 = 0), and e = d * rho over a far block, rho the
+        resolvent of d (:func:`_toeplitz_resolvent`) and * the convolution:
+        the product of two lower-triangular Toeplitz matrices is that of
+        their convolution (see :meth:`_solve_far_block`)."""
         near, pref, sigma, w_end, *_, hank, _ = self._far
         kappa = pref * w_end
         g = kappa * q
@@ -1293,13 +1303,14 @@ class _Stepper:
         d = np.zeros(len(near) + 1)
         np.multiply(near[::-1], gs * pref, out=d[1:])
         d[1:self.n_interp + 1] += np.array(self._window_weights[::-1]) * (s * pref * sigma)
-        return gs, s * kappa, d, _toeplitz_resolvent(d, q, len(hank))
+        B = len(hank)
+        return gs, s * kappa, d, np.convolve(d[:B], _toeplitz_resolvent(d, q, B))[:B]
 
     def _solve_far_block(self, fs: np.ndarray, lo: int, base: np.ndarray, p: np.ndarray,
                          q: float):
         """u and f of the far block's steps from lo at once, for
-        f = p + q u with q one value: an iterator of (u, f) pairs, or None
-        when some u is not finite or past the blow-up limit.
+        f = p + q u with q one value: two arrays, or None when some u is
+        not finite or past the blow-up limit.
 
         With kappa = pref w_end, g = kappa q, i = ``corrector_iters`` and
         S = sum_{k<i} g^k, a step's :func:`_pece` gives
@@ -1309,13 +1320,13 @@ class _Stepper:
         u_n = b_n + sum_{j=1}^{K+NI} d_j f_{n-j}, and f = p + q u makes
         f_n = p_n + q b_n + q sum_j d_j f_{n-j} one lower-triangular
         Toeplitz system over the block (:meth:`_far_taps`).  The f values
-        before lo enter through one convolution with d, the block's f is the
-        resolvent of d times the rest, u adds one more convolution of d with
-        the block's f, and f is p + q u, as a step's.
+        before lo enter u0 through one convolution with d; the block's f is
+        rho * (p + q u0), and u = u0 + d * f = u0 + e * (p + q u0), the
+        block's one more convolution; f is p + q u, as a step's.
         """
         if q != self._taps_q:
             self._taps_q, self._taps = q, self._far_taps(q)
-        gs, sk, d, rho = self._taps
+        gs, sk, d, e = self._taps
         b, J = len(base), len(d) - 1
         with np.errstate(all="ignore"):
             # u less the block's own f: b_n and the sums over f before lo
@@ -1324,14 +1335,13 @@ class _Stepper:
             u0 += sk * p
             f = q * u0
             f += p
-            f = np.convolve(rho[:b], f)[:b]
-            u = np.convolve(d[:b], f)[:b]
+            u = np.convolve(e[:b], f)[:b]
             u += u0
             if not _in_range(u):
                 return None
             f = q * u
             f += p
-        return zip(u.tolist(), f.tolist())
+        return u, f
 
     @staticmethod
     def _panel_sums(f: np.ndarray, Et: np.ndarray, rpow: np.ndarray, hank: np.ndarray):
@@ -1343,8 +1353,9 @@ class _Stepper:
 
     def _block_parts(self, times: np.ndarray, lo: int, hi: int):
         """p and q of ``Problem.affine`` over the steps lo..hi-1, as two
-        arrays; None without them, or where they fail over the steps' span
-        (see :func:`_affine_parts`).
+        arrays, and the one value of q over their span, None where it takes
+        more than one (:func:`_one_value`); None without them, or where they
+        fail over the steps' span (see :func:`_affine_parts`).
 
         They are evaluated over a span of ``_PARTS_BLOCKS`` blocks at once,
         or of the steps lo..hi-1 if longer, from the first block past the
@@ -1359,34 +1370,37 @@ class _Stepper:
             self._parts_hi = min(max(lo + _PARTS_BLOCKS * self._block, hi), len(times))
             t = times[lo:self._parts_hi]
             parts = _affine_parts(affine, t)
-            self._parts = None if parts is None else [np.broadcast_to(v, t.shape) for v in parts]
+            self._parts = None if parts is None else (
+                *(np.broadcast_to(v, t.shape) for v in parts), _one_value(parts[1]))
         if self._parts is None:
             return None
+        p, q, q0 = self._parts
         a = lo - self._parts_lo
-        return [v[a:a + hi - lo] for v in self._parts]
+        return p[a:a + hi - lo], q[a:a + hi - lo], q0
 
     @staticmethod
     def _row_parts(parts, size: int):
         """p and q of a block's rows, as two lists of floats, or of None
         where the steps call the right-hand side (``parts`` None)."""
-        return [[None] * size] * 2 if parts is None else [v.tolist() for v in parts]
+        return [[None] * size] * 2 if parts is None else [v.tolist() for v in parts[:2]]
 
     def step(self, times: np.ndarray, fs: np.ndarray, ring: deque, n1: int):
         """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1],
         whose last ``n_interp`` values ``ring`` holds as floats.
 
-        Returns u and f(t, u): the next pair of a far block solved at
-        once, else p + q u where the step's row has p and q, else one
-        right-hand-side call.  Steps come in order, so only a step past the
-        block's end builds, and each takes the block's next pair or row.
+        Returns u and f(t, u): the u and f arrays of the far block from n1
+        where it is solved at once, else one step's, with f = p + q u where
+        the step's row has p and q, else one right-hand-side call.  Steps
+        come in order, so only a step past the block's end builds, and each
+        other step takes the block's next row.
         """
         if n1 >= self._hi:
             if n1 < self._switch:
                 self._build_block(times, n1)
             else:
-                self._far_block(times, fs, n1)
-        if self._solved is not None:
-            return next(self._solved)
+                solved = self._far_block(times, fs, n1)
+                if solved is not None:
+                    return solved
         k = n1 - self._lo
         t, base, pref, sigma, w_end, p, q = next(self._rows)
         pred = float(self._c[k].dot(fs[self._idx[k]]))
@@ -1413,21 +1427,31 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
 def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> SolutionTrace:
     """Fill ``trace``: its first values are ``u_start``, the rest are stepped,
     each step reading the f values before it from ``trace.rhs_values``, and
-    the last ``n_interp`` of them from a ring of floats."""
+    the last ``n_interp`` of them from a ring of floats.  A far block solved
+    at once comes from one step call as two arrays, written as slices, its
+    last ``n_interp`` f values into the ring."""
     rhs, times, values, fs = stepper.rhs, trace.times, trace.values, trace.rhs_values
     for n1, u in enumerate(u_start.tolist()):
         values[n1] = u
         fs[n1] = rhs(times.item(n1), u)
-    n0, step = len(u_start), stepper.step
+    n1, end, step, ni = len(u_start), len(times), stepper.step, stepper.n_interp
     # the last n_interp f values, for the corrector's window
-    ring = deque(fs[n0 - stepper.n_interp:n0].tolist(), maxlen=stepper.n_interp)
+    ring = deque(fs[n1 - ni:n1].tolist(), maxlen=ni)
     # one buffer scope for all the steps' block builds (see _BUILD_BUFSIZE)
     with _ufunc_bufsize(_BUILD_BUFSIZE):
-        for n1 in range(n0, len(times)):
+        while n1 < end:
             u, f = step(times, fs, ring, n1)
-            values[n1] = u
-            fs[n1] = f
-            ring.append(f)
+            if isinstance(u, np.ndarray):
+                n2 = n1 + len(u)
+                values[n1:n2] = u
+                fs[n1:n2] = f
+                ring.extend(f[-ni:].tolist())
+                n1 = n2
+            else:
+                values[n1] = u
+                fs[n1] = f
+                ring.append(f)
+                n1 += 1
     return trace
 
 

@@ -1212,6 +1212,45 @@ class TestFarHistory:
         np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
+    @pytest.mark.parametrize("case", ["q-varies-late", "short-last-block"])
+    def test_slice_written_blocks_agree_with_stepped_twin(self, case, lam, monkeypatch):
+        # a far block solved at once is written into the trace as slices,
+        # and its last NI f values into the ring that the next stepped row
+        # reads.  q = -0.5 up to t = 0.6 and varying past it: at 1280 steps
+        # the spans of p and q up to step 745 hold one q, so their far
+        # blocks are solved at once, and the rows from there are stepped.
+        # At 2539 steps the switch is at 201 and the last far block holds
+        # 2339 - 73 * 32 = 3 steps, fewer than NI = 7
+        blocks = []
+        far_block = _Stepper._far_block
+
+        def recorded(self, times, fs, lo):
+            solved = far_block(self, times, fs, lo)
+            blocks.append((lo, self._hi, solved is not None))
+            return solved
+
+        monkeypatch.setattr(_Stepper, "_far_block", recorded)
+        if case == "q-varies-late":
+            problem = Problem(kind="caputo", alpha=0.5, lam=lam, a=0.0, b=1.0, init=(1.0,),
+                              rhs=lambda t, u: math.cos(t) - (0.5 + max(t - 0.6, 0.0)) * u,
+                              affine=(np.cos, lambda t: -0.5 - np.maximum(t - 0.6, 0.0)))
+            steps = 1280
+        else:
+            problem, steps = example2(0.5, lam), 2539
+        config = SolverConfig(steps=steps, n_interp=7)
+        with_parts, without = _twins(problem)
+        affine = solve(with_parts, config)
+        (lo, hi, _), solved = blocks[-1], [ok for *_, ok in blocks]
+        plain = solve(without, config)
+        if case == "q-varies-late":
+            assert solved[0] and not solved[-1]
+            assert solved == sorted(solved, reverse=True)
+        else:
+            assert all(solved) and (lo, hi) == (2537, 2540)
+        np.testing.assert_allclose(affine.values, plain.values, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(affine.rhs_values, plain.rhs_values, rtol=1e-13, atol=0.0)
+
     def test_varying_q_is_stepped_as_without_affine(self):
         # q = -10 (1 + t) varies over every far block past the switch at
         # step 201, so the affine twin takes each step through _pece with
