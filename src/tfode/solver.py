@@ -18,7 +18,8 @@ length set by ``_BLOCK_BYTES`` and never changing a result.  Past
 covers only the last 2 n_quad steps, with weights built once per solve, and
 the older history comes through far sums of decaying exponentials; there a
 block of steps with ``Problem.affine`` and one value of q is one Toeplitz
-system, solved and handed back at once (see :class:`_Stepper`).  The weights
+system, solved and handed back at once (see :class:`_Stepper`), as the
+start's blocks are (:func:`_solve_affine_block`).  The weights
 also carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
 factor of at most 1, so the history a step reads is the trace's own f
 values.  A step's predictor is then one gather of that history and one dot
@@ -33,8 +34,8 @@ f = p + q u where the right-hand side is declared affine in u
 is :func:`_pece`, the one predictor-corrector step of a solve: the start's
 stepped steps and its steps to the Lobatto nodes take it too, each with
 its own sums, and it holds the check that u stays in range, which a block
-solved at once makes of its whole u (:func:`_in_range`) before it is
-taken again step by step.
+solved at once makes of its whole u (:func:`_solve_affine_block`) before
+it is taken again step by step.
 
 Both schemes start alike (:func:`_start`): the grid values through
 t_{n_start}, n_start = max(j0, n_interp - 1) with j0 the grid index of the
@@ -54,13 +55,14 @@ tier's O(n _CHUNK).  Every block is ``_START_BLOCK`` steps long, and it is
 of one of two kinds.  Where the right-hand side is declared affine in u
 (``Problem.affine``), f = p + q u, with q one value over a chunk, the
 block's predictor-corrector steps are one unit lower-triangular Toeplitz
-system, solved by one convolution with its resolvent, which is computed
-once per start.  Any other block is stepped, each step two short dot
-products and one :func:`_pece` call.  For solutions that are non-smooth
-at the start, the split scheme (``split_t0``) integrates the history over
-``[a, t0]`` with a fixed unit-weight Gauss-Lobatto rule, and only the
-smooth tail ``[t0, t]`` with the Jacobi-weight rule; that history term is
-evaluated for a block of steps at once.  u at each Lobatto node off the
+system, solved by one convolution with taps made once per value of q, the
+same solve as the far blocks' (:func:`_solve_affine_block`).  Any other
+block is stepped, each step two short dot products and one :func:`_pece`
+call.  For solutions that are non-smooth at the start, the split scheme
+(``split_t0``) integrates the history over ``[a, t0]`` with a fixed
+unit-weight Gauss-Lobatto rule, and only the smooth tail ``[t0, t]`` with
+the Jacobi-weight rule; that history term is evaluated for a block of
+steps at once.  u at each Lobatto node off the
 refined grid is one more :func:`_pece` step over the finished grid history
 before the node (dense output), which is not fed back into the history.
 """
@@ -154,11 +156,14 @@ class Problem:
 
     ``affine``, if given, is ``(p, q)``: functions of an array of times,
     whose values broadcast against it, with ``rhs(t, u) == p(t) + q(t) * u``.
-    Where q is constant (a 0-d value, or one value over a chunk of the
-    start), the starting procedure solves a block of steps at once (see
-    :func:`_adams_pece_scaled`); it steps through a q that varies.  The JPC
-    steps take f = p + q u, with p and q evaluated over a span of several
-    blocks of steps at once.  Over a start chunk or a span of blocks where
+    The JPC steps take f = p + q u, with p and q evaluated over a span of
+    several blocks of steps at once, and the start evaluates them a chunk
+    at a time.  Where q takes one value over a start chunk or over a span
+    of blocks past the switch to far sums (a 0-d q, or see
+    :func:`_one_value`), a block of steps there is solved at once, the
+    start's and the far steps' through one solve
+    (:func:`_solve_affine_block`); a q that varies is stepped.  Over a
+    start chunk or a span of blocks where
     p or q raises, is complex, has the wrong shape or is not finite,
     ``rhs`` serves instead, and it still serves everything else: f at the
     start values, at the split rule's Lobatto nodes and in the start's
@@ -454,11 +459,11 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
 #: chunk at a time (see :func:`_adams_pece_scaled`).
 _CHUNK = 1024
 
-#: Steps per block of the start, capped at ``_CHUNK``.  A resolvent block is
-#: one or two ``np.convolve`` calls of its length plus vector work (see
-#: :func:`_resolvent_block`), and a block of either kind adds one
+#: Steps per block of the start, capped at ``_CHUNK``.  An affine block is
+#: one ``np.convolve`` call of its length plus vector work (see
+#: :func:`_solve_affine_block`), and a block of either kind adds one
 #: ``np.correlate`` per weight table for its near sums.  On the starts of
-#: the relax-cli benchmark, resolvent blocks of 64 gained less than 128, and
+#: the relax-cli benchmark, affine blocks of 64 gained less than 128, and
 #: 256 no more; longer blocks hold more memory.
 _START_BLOCK = 128
 
@@ -642,25 +647,11 @@ def _affine_parts(affine, t: np.ndarray):
 
 def _one_value(q: np.ndarray) -> float | None:
     """The one value that q of :func:`_affine_parts` takes, as a float, or
-    None where it takes more than one: the test of the start's resolvent
-    blocks and of the steps' far blocks solved at once."""
+    None where it takes more than one: the test of the start's chunks and
+    of the steps' spans of blocks for blocks solved at once
+    (:func:`_solve_affine_block`)."""
     q0 = q.item(0)
     return None if q.ndim and (q != q0).any() else float(q0)
-
-
-def _constant_q_parts(affine, t):
-    """p over the times ``t`` and the one value of q there, for the start's
-    resolvent blocks: p is a float where it is 0-d, else an array of t's
-    shape.  None when q takes more than one value, or where
-    :func:`_affine_parts` is None; the chunk is then stepped."""
-    parts = _affine_parts(affine, t)
-    if parts is None:
-        return None
-    p, q = parts
-    q0 = _one_value(q)
-    if q0 is None:
-        return None
-    return (float(p) if p.ndim == 0 else np.broadcast_to(p, t.shape)), q0
 
 
 def _toeplitz_resolvent(kern: np.ndarray, q: float, size: int) -> np.ndarray:
@@ -677,23 +668,46 @@ def _toeplitz_resolvent(kern: np.ndarray, q: float, size: int) -> np.ndarray:
     return solve_toeplitz((a, unit), unit, check_finite=False)
 
 
-def _in_range(u: np.ndarray) -> bool:
-    """Whether every u of a solved block is finite and within
-    ``_BLOWUP_LIMIT``, the check that :func:`_pece` makes of one u."""
-    return bool(np.abs(u).max() <= _BLOWUP_LIMIT)
+def _resolvent_taps(kern: np.ndarray, q: float, size: int) -> np.ndarray:
+    """The taps e = (kern * rho)[:size] of :func:`_solve_affine_block`, rho
+    the resolvent of ``kern`` for q (:func:`_toeplitz_resolvent`) and * the
+    convolution: the product of two lower-triangular Toeplitz matrices is
+    that of their convolution, so e is the first column of K (1 - q K)^-1."""
+    return np.convolve(kern[:size], _toeplitz_resolvent(kern, q, size))[:size]
+
+
+def _solve_affine_block(u0: np.ndarray, p, q: float, e: np.ndarray):
+    """u and f over a block of steps that reads u = u0 + K * f, with
+    f = p + q u for one value of q and K the block's kernel, whose taps are
+    ``e`` (:func:`_resolvent_taps`): the start's blocks and the steps' far
+    blocks.  So (1 - q K) f = p + q u0, and u = u0 + e * (p + q u0), one
+    convolution; then f = p + q u, as a step's.  ``p`` is 0-d or of u0's
+    shape.  None when some u is not finite or past ``_BLOWUP_LIMIT``, the
+    check that :func:`_pece` makes of one u.  The caller holds the errstate
+    guard."""
+    b = len(u0)
+    f = q * u0
+    f += p
+    u = np.convolve(e[:b], f)[:b]
+    u += u0
+    if not np.abs(u).max() <= _BLOWUP_LIMIT:
+        return None
+    f = q * u
+    f += p
+    return u, f
 
 
 def _resolvent(q: float, hpre: float, r1b: np.ndarray, rcb: np.ndarray, size: int):
-    """The in-block kernel of the affine start for a constant q, its running
-    sums, and its resolvent, each ``size`` long (see :func:`_resolvent_block`).
+    """The taps of the affine start's blocks for a constant q, ``size``
+    long (:func:`_resolvent_taps`).
 
     ``r1b`` and ``rcb`` are tempered in-block weights laid out as ``r1`` and
     ``rc`` of :func:`_convolution_tables`.  With f = p + q u, a block's
     step k reads u_k = g_k + sum_{l<k} K(k-l) f_l, where
     K(d) = hpre (C(d) + c0 q hpre R(d)) holds the corrector's weight C at
     distance d and, through the predictor's f, its weight c0 at distance 0
-    times the predictor's R.  So (1 - q K) * u = g + K * p, with * the
-    convolution, and rho is the resolvent of K (:func:`_toeplitz_resolvent`).
+    times the predictor's R, and g is u less the block's own sums (see
+    :func:`_adams_pece_scaled`).
     """
     end = len(rcb)
     kern = np.zeros(size)
@@ -701,39 +715,7 @@ def _resolvent(q: float, hpre: float, r1b: np.ndarray, rcb: np.ndarray, size: in
     kern[1:] *= rcb.item(-1) * q * hpre
     kern[1:] += rcb[end - size:end - 1][::-1]
     kern *= hpre
-    return kern, np.cumsum(kern), _toeplitz_resolvent(kern, q, size)
-
-
-def _resolvent_block(p, q, hpre, forc, pred0, corr_far, c0, kern, cum, rho):
-    """u over a block of start steps for f = p + q u with q constant, as
-    ``rho * (g + K * p)`` (:func:`_resolvent`).
-
-    Step k's predictor is ``pred0[k]`` plus hpre times its in-block
-    rectangle sum, and its corrector is ``forc[k]`` plus hpre times
-    ``corr_far[k]``, its in-block trapezoid sum and c0 f at the predictor;
-    g is u less the in-block sums.  A float p makes K * p the running sums
-    ``cum`` times p.  Returns u and f, or None when some u is not finite or
-    past the blow-up limit; a p that is not finite makes u so from its
-    step on.
-    """
-    b = len(forc)
-    with np.errstate(all="ignore"):
-        g = q * pred0
-        g += p
-        g *= c0
-        g += corr_far
-        g *= hpre
-        g += forc
-        if isinstance(p, float):
-            g += p * cum[:b]
-        else:
-            g += np.convolve(kern[:b], p)[:b]
-        u = np.convolve(rho[:b], g)[:b]
-        if not _in_range(u):
-            return None
-    f = q * u
-    f += p
-    return u, f
+    return _resolvent_taps(kern, q, size)
 
 
 def _push_far(gv: np.ndarray, u: np.ndarray, r1: np.ndarray, rc: np.ndarray, p: int, size: int,
@@ -803,13 +785,14 @@ def _adams_pece_scaled(
 
     A chunk runs in blocks of ``_START_BLOCK`` steps (at most ``_CHUNK``).
     The forcing is set up a chunk at a time, and so are p and q of
-    ``problem.affine``.  Where q is one finite value over a chunk, a
-    block's steps form a unit lower-triangular Toeplitz system, so each
-    block is one or two convolutions with the kernel and resolvent that
-    :func:`_resolvent` makes once for that q (:func:`_resolvent_block`).
-    Without ``problem.affine``, where q varies or p or q fails over the
-    chunk, and for a block whose solution leaves the finite range, the
-    steps are stepped one by one.
+    ``problem.affine``.  Where q is one finite value over a chunk
+    (:func:`_one_value`), a block's steps form a unit lower-triangular
+    Toeplitz system: with g, u less the block's own sums, each block is
+    one :func:`_solve_affine_block` call, one convolution with the taps
+    that :func:`_resolvent` makes once for that q, under one errstate guard
+    with g and the taps.  Without ``problem.affine``, where q varies or p
+    or q fails over the chunk, and for a block whose solution leaves the
+    finite range, the steps are stepped one by one.
 
     A stepped step, and each node s once the mesh is done, is one
     :func:`_pece` call with one corrector pass; a node's sums are over the
@@ -845,18 +828,16 @@ def _adams_pece_scaled(
     r1b = r1[n - size:] * temper[size::-1]
     rcb = rc[n - size:] * temper[size - 1::-1]
     c0 = rcb.item(-1)
-    q_kern = None  # the q of the resolvent, made when a chunk first needs it
+    q_taps = None  # the q of the taps, made when a block first needs them
 
     for lo in range(1, n + 1, _CHUNK):
         hi = min(lo + _CHUNK, n + 1)
         t_chunk = mesh[lo:hi]
         forc = _forcing(problem, t_chunk)
-        parts = None if problem.affine is None else _constant_q_parts(problem.affine, t_chunk)
-        if parts is not None:
-            p_chunk, q = parts
-            if q != q_kern:
-                kern, cum, rho = _resolvent(q, hpre, r1b, rcb, size)
-                q_kern = q
+        parts = None if problem.affine is None else _affine_parts(problem.affine, t_chunk)
+        q = None if parts is None else _one_value(parts[1])
+        if q is not None:
+            p_chunk = np.broadcast_to(parts[0], t_chunk.shape)
         for m0 in range(lo, hi, size):
             m1 = min(m0 + size, hi)
             forc_b = forc[m0 - lo:m1 - lo]
@@ -869,10 +850,22 @@ def _adams_pece_scaled(
                 out = temper[1:m1 - m0 + 1]
                 pred_far += out * np.correlate(r1[n - m1 + lo + 1:n], src)[::-1]
                 corr_far += out * np.correlate(rc[n - m1 + lo:n - 1], src)[::-1]
-            if parts is not None:
-                p = p_chunk if isinstance(p_chunk, float) else p_chunk[m0 - lo:m1 - lo]
-                solved = _resolvent_block(p, q, hpre, forc_b, forc_b + hpre * pred_far,
-                                          corr_far, c0, kern, cum, rho)
+            if q is not None:
+                p = p_chunk[m0 - lo:m1 - lo]
+                with np.errstate(all="ignore"):
+                    if q != q_taps:
+                        q_taps, taps = q, _resolvent(q, hpre, r1b, rcb, size)
+                    # u less the block's own sums: the forcing, and hpre times
+                    # the corrector's far sums and c0 f at the predictor
+                    g = hpre * pred_far
+                    g += forc_b
+                    g *= q
+                    g += p
+                    g *= c0
+                    g += corr_far
+                    g *= hpre
+                    g += forc_b
+                    solved = _solve_affine_block(g, p, q, taps)
                 if solved is not None:
                     u[m0:m1], gv[m0:m1] = solved
                     continue
@@ -1022,8 +1015,8 @@ class _Stepper:
       switch.  Where p and q of ``Problem.affine`` hold over a whole far
       block, with one value of q over its span of p and q, its steps' u and
       f are a fixed linear recurrence in the f values, solved for the block
-      at once by convolutions with its K + NI weights and with their
-      product with their resolvent, made once per q
+      at once by one convolution with its K + NI weights and the start's
+      block solve (:func:`_solve_affine_block`), with taps made once per q
       (:meth:`_solve_far_block`), in O(block + K + NI) memory; a block
       whose solution leaves the range is taken step by step.
 
@@ -1255,8 +1248,9 @@ class _Stepper:
         block's first step H moves on to lo - K, and the block's far sums
         are taken from it.  Where p and q of ``Problem.affine`` hold over
         the whole block, with one value of q over their span
-        (:meth:`_block_parts`), its steps are solved at once
-        (:meth:`_solve_far_block`) and their u and f arrays returned;
+        (:meth:`_block_parts`), its steps are solved at once, as the
+        start's affine blocks are (:meth:`_solve_far_block`), and their u
+        and f arrays returned;
         otherwise, or where that solution leaves the range, they take rows
         as :meth:`_build_block`'s, and the result is None.
         """
@@ -1291,10 +1285,8 @@ class _Stepper:
     def _far_taps(self, q: float):
         """For f = p + q u with q one value: the factors of base and p in u
         past the switch, u's weights d on the f values at distances
-        0 .. K + NI (d_0 = 0), and e = d * rho over a far block, rho the
-        resolvent of d (:func:`_toeplitz_resolvent`) and * the convolution:
-        the product of two lower-triangular Toeplitz matrices is that of
-        their convolution (see :meth:`_solve_far_block`)."""
+        0 .. K + NI (d_0 = 0), and the taps of a far block, made from d
+        (:func:`_resolvent_taps`; see :meth:`_solve_far_block`)."""
         near, pref, sigma, w_end, *_, hank, _ = self._far
         kappa = pref * w_end
         g = kappa * q
@@ -1303,8 +1295,7 @@ class _Stepper:
         d = np.zeros(len(near) + 1)
         np.multiply(near[::-1], gs * pref, out=d[1:])
         d[1:self.n_interp + 1] += np.array(self._window_weights[::-1]) * (s * pref * sigma)
-        B = len(hank)
-        return gs, s * kappa, d, np.convolve(d[:B], _toeplitz_resolvent(d, q, B))[:B]
+        return gs, s * kappa, d, _resolvent_taps(d, q, len(hank))
 
     def _solve_far_block(self, fs: np.ndarray, lo: int, base: np.ndarray, p: np.ndarray,
                          q: float):
@@ -1317,31 +1308,20 @@ class _Stepper:
         u_n = (g^i + S)(base_n + pref pred_n) + S (pref sigma W_n + kappa p_n),
         with pred_n the near window's predictor sum and W_n the window's
         sum.  Both are fixed weights on the f values before n, so
-        u_n = b_n + sum_{j=1}^{K+NI} d_j f_{n-j}, and f = p + q u makes
-        f_n = p_n + q b_n + q sum_j d_j f_{n-j} one lower-triangular
-        Toeplitz system over the block (:meth:`_far_taps`).  The f values
-        before lo enter u0 through one convolution with d; the block's f is
-        rho * (p + q u0), and u = u0 + d * f = u0 + e * (p + q u0), the
-        block's one more convolution; f is p + q u, as a step's.
+        u_n = b_n + sum_{j=1}^{K+NI} d_j f_{n-j} (:meth:`_far_taps`).  The
+        f values before lo enter u0, u less the block's own f, through one
+        convolution with d, and f = p + q u makes the block one
+        lower-triangular Toeplitz system (:func:`_solve_affine_block`).
         """
-        if q != self._taps_q:
-            self._taps_q, self._taps = q, self._far_taps(q)
-        gs, sk, d, e = self._taps
-        b, J = len(base), len(d) - 1
         with np.errstate(all="ignore"):
-            # u less the block's own f: b_n and the sums over f before lo
-            u0 = np.convolve(fs[lo - J:lo], d)[J:J + b]
+            if q != self._taps_q:
+                self._taps_q, self._taps = q, self._far_taps(q)
+            gs, sk, d, e = self._taps
+            J = len(d) - 1
+            u0 = np.convolve(fs[lo - J:lo], d)[J:J + len(base)]
             u0 += gs * base
             u0 += sk * p
-            f = q * u0
-            f += p
-            u = np.convolve(e[:b], f)[:b]
-            u += u0
-            if not _in_range(u):
-                return None
-            f = q * u
-            f += p
-        return u, f
+            return _solve_affine_block(u0, p, q, e)
 
     @staticmethod
     def _panel_sums(f: np.ndarray, Et: np.ndarray, rpow: np.ndarray, hank: np.ndarray):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -36,17 +37,20 @@ from tfode.solver import (
     volterra_forcing,
     _adams_pece_scaled,
     _bary_weights,
+    _BLOWUP_LIMIT,
     _BUILD_BUFSIZE,
     _convolution_tables,
     _near_weights,
     _product_sums,
     _resolvent,
-    _resolvent_block,
+    _resolvent_taps,
     _RL_SERIES_FROM,
     _SINGULAR_SHIFT,
+    _solve_affine_block,
     _start,
     _Stepper,
     _stencil_weights,
+    _toeplitz_resolvent,
     _ufunc_bufsize,
 )
 from tfode.specfun import gamma, mittag_leffler, rgamma
@@ -498,9 +502,9 @@ class TestAdamsStart:
         # the history, two weight tables; u and the history hold the far
         # sums until their steps), the forcing over one chunk (and p, where
         # it varies), the tempering e^{-lam h d} for d up to _CHUNK, and, as
-        # q is constant, the affine start's kernel, its running sums and its
-        # resolvent, 128 long each (a q that varies is stepped, and takes
-        # none of them).  An FFT push adds about four
+        # q is constant, the affine start's taps, 128 long, and its kernel
+        # and resolvent while the taps are made (a q that varies is
+        # stepped, and takes none of them).  An FFT push adds about four
         # temporaries as long as the mesh.  The dense output comes after the
         # weight tables are freed, and a PECE at a Lobatto node adds five
         # temporaries as long as its history, the tempered history among
@@ -539,16 +543,16 @@ class TestAdamsStart:
 
     def test_block_length_does_not_depend_on_lam(self, monkeypatch):
         # lam h = 90, 40 steps: with its constant q the affine start solves
-        # them in one 40-step resolvent block (capped at 1 + 300 / (lam h)
-        # steps it took ten); a twin whose q varies is stepped, with two
-        # right-hand side calls a step
+        # them in one 40-step block, one call of the shared affine block
+        # solve (capped at 1 + 300 / (lam h) steps it took ten); a twin
+        # whose q varies is stepped, with two right-hand side calls a step
         blocks = []
 
-        def resolvent_block(*args):
-            blocks.append(len(args[3]))
-            return _resolvent_block(*args)
+        def solve_block(u0, *args):
+            blocks.append(len(u0))
+            return _solve_affine_block(u0, *args)
 
-        monkeypatch.setattr("tfode.solver._resolvent_block", resolvent_block)
+        monkeypatch.setattr("tfode.solver._solve_affine_block", solve_block)
         h = 0.1
         mesh = h * np.arange(41)
         problem = _start_problem("caputo", 0.5, lam=900.0)
@@ -579,13 +583,24 @@ class TestAdamsStart:
         np.testing.assert_array_equal(u_nodes, nodes_want)
 
     @pytest.mark.parametrize("size", [1, 2, 127, 128])
-    def test_resolvent_against_dense_solve(self, size):
+    def test_resolvent_against_dense_solve(self, size, monkeypatch):
         # rho, the first column of the inverse of the unit lower-triangular
-        # Toeplitz matrix with first column 1, -q K(1), -q K(2), ..., against
-        # a dense triangular solve: for q < 0 and q > 0, with rho bounded or
-        # growing, and at lam h = 90, where the tempered weights underflow
-        # past a few steps.  rho_k sums terms as large as the largest entry
-        # before it, so each entry is held to 1e-14 of that one
+        # Toeplitz matrix with first column 1, -q K(1), -q K(2), ..., for the
+        # kernel K that _resolvent builds, against a dense triangular solve:
+        # for q < 0 and q > 0, with rho bounded or growing, and at lam h =
+        # 90, where the tempered weights underflow past a few steps.  rho_k
+        # sums terms as large as the largest entry before it, so each entry
+        # is held to 1e-14 of that one.  The taps e that _resolvent returns
+        # are the dense K rho, each entry held to 1e-14 of the sum of |K|
+        # times those bounds
+        made = []
+
+        def resolvent(kern, q, size):
+            rho = _toeplitz_resolvent(kern, q, size)
+            made.append((kern, rho))
+            return rho
+
+        monkeypatch.setattr("tfode.solver._toeplitz_resolvent", resolvent)
         n = 256
         for alpha, h, lam_h, q in [
             (0.5, 1e-5, 0.0, -400.0), (0.5, 1e-5, 0.05, -400.0), (1.5, 1e-3, 0.0, -400.0),
@@ -596,9 +611,10 @@ class TestAdamsStart:
             d = np.arange(size, -1, -1.0)
             r1b = r1[n - size:] * np.exp(-lam_h * d)
             rcb = rc[n - size:] * np.exp(-lam_h * d[1:])
-            kern, cum, rho = _resolvent(q, rgamma(alpha) * h**alpha, r1b, rcb, size)
-            assert len(rho) == size and kern[0] == 0.0
-            np.testing.assert_array_equal(cum, np.cumsum(kern))
+            e = _resolvent(q, rgamma(alpha) * h**alpha, r1b, rcb, size)
+            (kern, rho), = made
+            del made[:]
+            assert len(rho) == len(e) == size and kern[0] == 0.0
             column = -q * kern
             column[0] = 1.0
             want = solve_triangular(toeplitz(column, np.zeros(size)), np.eye(size)[0],
@@ -606,6 +622,9 @@ class TestAdamsStart:
             assert np.isfinite(want).all()
             scale = np.maximum.accumulate(np.abs(want))
             assert (np.abs(rho - want) <= 1e-14 * scale).all(), (alpha, h, lam_h, q)
+            dense = toeplitz(kern, np.zeros(size))
+            assert (np.abs(e - dense @ want) <= 1e-14 * (np.abs(dense) @ scale)).all(), \
+                (alpha, h, lam_h, q)
 
     @pytest.mark.parametrize("growing", [True, False])
     def test_constant_q_split_starts(self, growing):
@@ -695,11 +714,11 @@ class TestAdamsStart:
         rhos = []
 
         def resolvent(*args):
-            parts = _resolvent(*args)
-            rhos.append(parts[2])
-            return parts
+            rho = _toeplitz_resolvent(*args)
+            rhos.append(rho)
+            return rho
 
-        monkeypatch.setattr("tfode.solver._resolvent", resolvent)
+        monkeypatch.setattr("tfode.solver._toeplitz_resolvent", resolvent)
         problem = problem_from_spec(0.5, 5.0, "-400*u", b=1.1, init=(1.0,))
         raised = []
         for twin in _twins(problem):
@@ -709,6 +728,20 @@ class TestAdamsStart:
         assert len(rhos) == 1 and np.isfinite(rhos[0]).all() and np.abs(rhos[0]).max() > 1e77
         assert [(e.step, e.phase) for e in raised] == [(20, "start")] * 2
         assert raised[0].value == raised[1].value == pytest.approx(1465579151584.475, rel=1e-12)
+
+    def test_blow_up_of_a_huge_constant_q(self):
+        # D^(1/2) u = 1e200 u: the start's kernel and resolvent overflow,
+        # under the same errstate guard as the block's solve, so the block
+        # is rejected with no warning and stepped, and both twins blow up
+        # at the first step with u = inf
+        problem = problem_from_spec(0.5, 0.0, "1e200*u", b=1.0, init=(1.0,))
+        for twin in _twins(problem):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BlowUpError) as info:
+                    solve(twin, SolverConfig(steps=400, n_interp=2))
+            e = info.value
+            assert (e.phase, e.step, e.value) == ("start", 1, math.inf)
 
     def test_blow_up_at_a_lobatto_node(self):
         # f is finite at every mesh time and not a number at one Lobatto
@@ -1292,6 +1325,63 @@ class TestFarHistory:
         monkeypatch.setattr(_Stepper, "_far_setup", counted)
         solve(_start_problem("caputo", alpha), SolverConfig(steps=150, n_interp=3, n_quad=n_quad))
         assert setups == [33] * built
+
+
+class TestSolveAffineBlock:
+    """The one solve of an affine block, u = u0 + e * (p + q u0), for the
+    start's kernel and for the far steps' weights, against a dense solve."""
+
+    @staticmethod
+    def _kernels(q, monkeypatch):
+        """(kernel, taps) pairs for q: one from the start's _resolvent, 128
+        steps at alpha = 0.5, h = 1e-5 and lam h = 0.05, and one from the
+        far steps' taps, a 32-step block at NI = 7 and n_quad = 20."""
+        made = []
+
+        def taps(kern, q, size):
+            e = _resolvent_taps(kern, q, size)
+            made.append((kern[:size], e))
+            return e
+
+        monkeypatch.setattr("tfode.solver._resolvent_taps", taps)
+        n, size, alpha, h = 256, 128, 0.5, 1e-5
+        r1, _, rc = _convolution_tables(n, alpha)
+        d = np.arange(size, -1, -1.0)
+        _resolvent(q, rgamma(alpha) * h**alpha, r1[n - size:] * np.exp(-0.05 * d),
+                   rc[n - size:] * np.exp(-0.05 * d[1:]), size)
+        stepper = _Stepper(example2(0.5, 2.0), SolverConfig(steps=400, n_interp=7))
+        stepper._far_setup(np.linspace(0.0, 1.0, 401), np.zeros(401), stepper._switch)
+        stepper._far_taps(q)
+        assert [len(e) for _, e in made] == [128, 32]
+        return made
+
+    @pytest.mark.parametrize("q", [-20.0, -2.0, 2.0, 12.0])
+    def test_against_dense_solve(self, q, monkeypatch):
+        # (1 - q K) f = p + q u0 and u = u0 + K f, K the strictly lower
+        # triangular Toeplitz matrix of the kernel, by a dense LU solve; u
+        # is held to 1e-13 of its largest value, and f is p + q u.  The far
+        # block's u stays below 4 at q = -2 and 2, and grows to 5e10 at
+        # q = -20
+        rng = np.random.default_rng(3)
+        for kern, e in self._kernels(q, monkeypatch):
+            b = len(e)
+            K = toeplitz(kern, np.zeros(b))
+            u0 = 1.0 + rng.random(b)
+            for p in (np.asarray(0.3), rng.standard_normal(b)):
+                u, f = _solve_affine_block(u0, p, q, e)
+                f_want = np.linalg.solve(np.eye(b) - q * K, p + q * u0)
+                u_want = u0 + K @ f_want
+                assert np.abs(u - u_want).max() <= 1e-13 * np.abs(u_want).max(), (b, p.ndim)
+                np.testing.assert_array_equal(f, p + q * u)
+
+    @pytest.mark.parametrize("bad", [2.0 * _BLOWUP_LIMIT, -math.inf, math.nan])
+    def test_out_of_range_is_none(self, bad, monkeypatch):
+        # a u past the blow-up limit, or not finite, rejects the block
+        for kern, e in self._kernels(-20.0, monkeypatch):
+            u0 = np.ones(len(e))
+            u0[5] = bad
+            with np.errstate(all="ignore"):
+                assert _solve_affine_block(u0, np.asarray(0.0), -20.0, e) is None
 
 
 class TestSolve:
