@@ -17,9 +17,11 @@ length set by ``_BLOCK_BYTES`` and never changing a result.  Past
 ``_FAR_FROM`` n_quad^2 steps from the origin (0 < alpha < 1) the rule
 covers only the last 2 n_quad steps, with weights built once per solve, and
 the older history comes through far sums of decaying exponentials; there a
-block of steps with ``Problem.affine`` and one value of q is one Toeplitz
-system, solved and handed back at once (see :class:`_Stepper`), as the
-start's blocks are (:func:`_solve_affine_block`).  The weights
+span of steps with ``Problem.affine`` and one value of q, ``_PARTS_BLOCKS``
+blocks long, is one Toeplitz system, as the far sums weigh each f of the
+span by its distance alone, solved and handed back at once (see
+:class:`_Stepper`), as the start's blocks are (:func:`_solve_affine_block`).
+The weights
 also carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
 factor of at most 1, so the history a step reads is the trace's own f
 values.  A step's predictor is then one gather of that history and one dot
@@ -33,9 +35,9 @@ f = p + q u where the right-hand side is declared affine in u
 ``_PARTS_BLOCKS`` blocks, else one right-hand-side call.  That arithmetic
 is :func:`_pece`, the one predictor-corrector step of a solve: the start's
 stepped steps and its steps to the Lobatto nodes take it too, each with
-its own sums, and it holds the check that u stays in range, which a block
-solved at once makes of its whole u (:func:`_solve_affine_block`) before
-it is taken again step by step.
+its own sums, and it holds the check that u stays in range
+(:func:`_blowup_limit`), which a block solved at once makes of its whole u
+(:func:`_solve_affine_block`) before it is taken again step by step.
 
 Both schemes start alike (:func:`_start`): the grid values through
 t_{n_start}, n_start = max(j0, n_interp - 1) with j0 the grid index of the
@@ -56,7 +58,7 @@ of one of two kinds.  Where the right-hand side is declared affine in u
 (``Problem.affine``), f = p + q u, with q one value over a chunk, the
 block's predictor-corrector steps are one unit lower-triangular Toeplitz
 system, solved by one convolution with taps made once per value of q, the
-same solve as the far blocks' (:func:`_solve_affine_block`).  Any other
+same solve as the far spans' (:func:`_solve_affine_block`).  Any other
 block is stepped, each step two short dot products and one :func:`_pece`
 call.  For solutions that are non-smooth at the start, the split scheme
 (``split_t0``) integrates the history over ``[a, t0]`` with a fixed
@@ -112,6 +114,8 @@ _KIND_ALIASES = {
 #: the lower terminal (Riemann-Liouville forcing with nonzero g-data).
 _SINGULAR_SHIFT = 1e-8
 
+#: |u| past which a solve has blown up, times the scale of the initial data
+#: (see :func:`_blowup_limit`)
 _BLOWUP_LIMIT = 1e12
 
 
@@ -361,8 +365,16 @@ def volterra_forcing(problem: Problem, t: float) -> float:
     return _forcing(problem, t)
 
 
+def _blowup_limit(problem: Problem) -> float:
+    """The |u| past which a solve has blown up: ``_BLOWUP_LIMIT`` times the
+    largest |initial datum|, or times 1 if that is smaller, so that a
+    solution's scale does not make it blow up."""
+    return _BLOWUP_LIMIT * max(1.0, *map(abs, problem.init))
+
+
 def _pece(rhs, t: float, base: float, pref: float, pred: float, corr: float, w_end: float,
-          iters: int, step: int, phase: str, p: float = 0.0, q: float | None = None) -> float:
+          iters: int, limit: float, step: int, phase: str, p: float = 0.0,
+          q: float | None = None) -> float:
     """One predictor-corrector step to u at time ``t``, every step of a solve.
 
     The predictor is ``base + pref * pred``; each of ``iters`` corrector
@@ -371,12 +383,12 @@ def _pece(rhs, t: float, base: float, pref: float, pred: float, corr: float, w_e
     and f = ``rhs(t, u)``, or f = p + q u without a call when ``q`` is
     given (an affine right-hand side, whose p and q at t are ``p`` and
     ``q``).  Raises :class:`BlowUpError`, naming ``step`` and ``phase``,
-    unless u is finite and within ``_BLOWUP_LIMIT``.
+    unless u is finite and |u| is within ``limit`` (:func:`_blowup_limit`).
     """
     u = base + pref * pred
     for _ in range(iters):
         u = base + pref * (corr + w_end * (rhs(t, u) if q is None else p + q * u))
-    if not math.isfinite(u) or abs(u) > _BLOWUP_LIMIT:
+    if not math.isfinite(u) or abs(u) > limit:
         raise BlowUpError(step, t, u, phase)
     return u
 
@@ -658,41 +670,56 @@ def _toeplitz_resolvent(kern: np.ndarray, q: float, size: int) -> np.ndarray:
     """The first ``size`` values of the resolvent of ``kern``, whose entry d
     is the weight at distance d (entry 0 unused): the first column of
     (1 - q K)^-1, K the strictly lower-triangular Toeplitz matrix of
-    ``kern``, from scipy's Toeplitz solver (Levinson recursion: O(size^2)
-    time, O(size) memory).  With x_k = g_k + q sum_{l<k} K(k-l) x_l over a
-    block, x = rho * g, * the convolution."""
-    a = kern[:size] * -q
+    ``kern``.  With x_k = g_k + q sum_{l<k} K(k-l) x_l over a block,
+    x = rho * g, * the convolution.  rho is made in pieces of at most
+    ``_START_BLOCK`` values, each one call of scipy's Toeplitz solver
+    (Levinson recursion, whose work arrays hold some 10 values a row), its
+    right-hand side q times the convolution of the earlier pieces with
+    ``kern``: O(size^2) time, O(size) memory, and a start block's rho in
+    one piece."""
+    m = min(size, _START_BLOCK)
+    a = kern[:m] * -q
     a[0] = 1.0
-    unit = np.zeros(size)
+    unit = np.zeros(m)
     unit[0] = 1.0
-    return solve_toeplitz((a, unit), unit, check_finite=False)
+    rho = np.zeros(size)
+    rho[0] = 1.0
+    for i in range(0, size, m):
+        n = min(m, size - i)
+        if i:
+            rho[i:i + n] = np.convolve(rho[:i], kern[1:i + n])[i - 1:i - 1 + n]
+            rho[i:i + n] *= q
+        rho[i:i + n] = solve_toeplitz((a[:n], unit[:n]), rho[i:i + n], check_finite=False)
+    return rho
 
 
 def _resolvent_taps(kern: np.ndarray, q: float, size: int) -> np.ndarray:
     """The taps e = (kern * rho)[:size] of :func:`_solve_affine_block`, rho
     the resolvent of ``kern`` for q (:func:`_toeplitz_resolvent`) and * the
     convolution: the product of two lower-triangular Toeplitz matrices is
-    that of their convolution, so e is the first column of K (1 - q K)^-1."""
-    return np.convolve(kern[:size], _toeplitz_resolvent(kern, q, size))[:size]
+    that of their convolution, so e is the first column of K (1 - q K)^-1.
+    A copy, which does not hold the convolution's other ``size`` values."""
+    return np.convolve(kern[:size], _toeplitz_resolvent(kern, q, size))[:size].copy()
 
 
-def _solve_affine_block(u0: np.ndarray, p, q: float, e: np.ndarray):
+def _solve_affine_block(u0: np.ndarray, p, q: float, e: np.ndarray, limit: float):
     """u and f over a block of steps that reads u = u0 + K * f, with
     f = p + q u for one value of q and K the block's kernel, whose taps are
     ``e`` (:func:`_resolvent_taps`): the start's blocks and the steps' far
-    blocks.  So (1 - q K) f = p + q u0, and u = u0 + e * (p + q u0), one
+    spans.  So (1 - q K) f = p + q u0, and u = u0 + e * (p + q u0), one
     convolution; then f = p + q u, as a step's.  ``p`` is 0-d or of u0's
-    shape.  None when some u is not finite or past ``_BLOWUP_LIMIT``, the
-    check that :func:`_pece` makes of one u.  The caller holds the errstate
+    shape.  None when some u is not finite or past ``limit``, the check
+    that :func:`_pece` makes of one u.  The caller holds the errstate
     guard."""
     b = len(u0)
     f = q * u0
     f += p
     u = np.convolve(e[:b], f)[:b]
     u += u0
-    if not np.abs(u).max() <= _BLOWUP_LIMIT:
+    # f's values are spent: it holds |u|, then f = p + q u
+    if not np.abs(u, out=f).max() <= limit:
         return None
-    f = q * u
+    np.multiply(q, u, out=f)
     f += p
     return u, f
 
@@ -800,6 +827,7 @@ def _adams_pece_scaled(
     e^{-lam (s - t_j)}, and its value is not fed back into the history.
     """
     alpha, lam, a, f = problem.alpha, problem.lam, problem.a, problem.rhs
+    limit = _blowup_limit(problem)
     n = len(mesh) - 1
     nodes = np.asarray(nodes, dtype=float)
 
@@ -865,7 +893,7 @@ def _adams_pece_scaled(
                     g += corr_far
                     g *= hpre
                     g += forc_b
-                    solved = _solve_affine_block(g, p, q, taps)
+                    solved = _solve_affine_block(g, p, q, taps, limit)
                 if solved is not None:
                     u[m0:m1], gv[m0:m1] = solved
                     continue
@@ -874,7 +902,7 @@ def _adams_pece_scaled(
                 T = mesh.item(m)
                 pred = pred_far.item(k) + float(r1b[size - k:size].dot(gv[m0:m]))
                 corr = corr_far.item(k) + float(rcb[size - 1 - k:size - 1].dot(gv[m0:m]))
-                u[m] = _pece(f, T, forc_b.item(k), hpre, pred, corr, c0, 1, m, "start")
+                u[m] = _pece(f, T, forc_b.item(k), hpre, pred, corr, c0, 1, limit, m, "start")
                 gv[m] = f(T, u.item(m))
         if hi <= n:
             i = hi // _CHUNK  # the chunk's number, as hi = 1 + i _CHUNK
@@ -895,7 +923,8 @@ def _adams_pece_scaled(
                 nodes.tolist(), due.tolist(), thetas.tolist(), near_nodes, forc_nodes.tolist())):
             g = _tempering(np.subtract(s, mesh[:m]), lam)
             g *= gv[:m]
-            u_nodes[i] = _pece(f, s, fs, hpre, *_product_sums(g, theta, alpha, near), 1, m, "start")
+            u_nodes[i] = _pece(f, s, fs, hpre, *_product_sums(g, theta, alpha, near), 1, limit,
+                               m, "start")
     return u, u_nodes
 
 
@@ -932,12 +961,13 @@ _BLOCK_BYTES = 32 * 21 * 16 * 8
 _BUILD_BUFSIZE = 256
 
 #: Blocks of JPC steps over which p and q of ``Problem.affine`` are
-#: evaluated at once (see ``_Stepper._block_parts``).  Their cost is mostly
-#: per call: for example2, p and q and their checks took 16 us a 32-step
-#: block when evaluated block by block, near the 64 right-hand-side calls
-#: (about 20 us) that they save, and 7 us a block over spans of 8 blocks
-#: (2-CPU Xeon).  A span holds at most 16 bytes a step, 4 KB at NI = 7 and
-#: n_quad = 20.
+#: evaluated at once (see ``_Stepper._block_parts``), and so the steps of a
+#: far span solved at once (``_Stepper._solve_far_block``).  Their cost is
+#: mostly per call: for example2, p and q and their checks took 16 us a
+#: 32-step block when evaluated block by block, near the 64
+#: right-hand-side calls (about 20 us) that they save, and 7 us a block
+#: over spans of 8 blocks (2-CPU Xeon).  A span holds at most 16 bytes a
+#: step, 4 KB at NI = 7 and n_quad = 20.
 _PARTS_BLOCKS = 8
 
 #: The JPC steps take the near window and the far sums (``_Stepper._far_block``)
@@ -957,12 +987,28 @@ _NEAR_PER_DEGREE = 2
 
 #: Steps per far-sum block at most, and at most K + 1 - NI + (NI-1)//2, so
 #: that every sample a block's far sums read is known at its first step.  A
-#: block's far sums are one (block x exponentials) and one
-#: (block x (block + NI - 1)) product, and moving the state on one more; at
-#: NI = 7 and 20480 steps (145 exponentials) the tables hold some 60 KB.
-#: An affine block with one q is solved at once (``_Stepper._solve_far_block``)
-#: and written into the trace as one slice (:func:`_march`).
+#: block's far sums are one (exponentials x block) product that reads the
+#: state and one convolution of the far kernel with the K + (NI-1)//2 f
+#: values before it, and moving the state on over a block is one more
+#: product; at NI = 7 and 20480 steps (145 exponentials) the tables hold
+#: some 45 KB.  A span of p and q with one q is solved at once
+#: (``_Stepper._solve_far_block``) and written into the trace as one slice
+#: (:func:`_march`); the state is read into it, its split history term made
+#: and the far kernel built a block's length at a time, so that no table
+#: of exponentials grows with the span.
 _FAR_BLOCK = 32
+
+
+@functools.lru_cache(maxsize=1)
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, 1] and weights of the far sums' panel rule: a 10-point
+    Gauss-Legendre rule on each half panel, as a target's stencil may
+    change at the panel's midpoint (see ``_Stepper._far_setup``).  Read-only."""
+    g, wg = np.polynomial.legendre.leggauss(10)
+    y = np.concatenate([0.25 * (g + 1.0), 0.25 * (g + 3.0)])
+    wy = 0.25 * np.tile(wg, 2)
+    y.flags.writeable = wy.flags.writeable = False
+    return y, wy
 
 
 @contextlib.contextmanager
@@ -1008,20 +1054,26 @@ class _Stepper:
       f_{n-K-NI} .. f_{n-1}, with sigma and w_end, built once per solve.
       The far part is a sum over f with weights that depend on the distance
       only, the product integral of the grid's interpolant, taken as a sum
-      of about 145 decaying exponentials (:func:`exp_sum`) in blocks of up
-      to ``_FAR_BLOCK`` steps (:meth:`_far_setup`, :meth:`_far_block`).
-      Its tables hold (block + NI) values per exponential, some 60 KB at
-      NI = 7 and 20480 steps, and are made only when a solve reaches the
-      switch.  Where p and q of ``Problem.affine`` hold over a whole far
-      block, with one value of q over its span of p and q, its steps' u and
-      f are a fixed linear recurrence in the f values, solved for the block
-      at once by one convolution with its K + NI weights and the start's
-      block solve (:func:`_solve_affine_block`), with taps made once per q
-      (:meth:`_solve_far_block`), in O(block + K + NI) memory; a block
-      whose solution leaves the range is taken step by step.
+      of about 145 decaying exponentials (:func:`exp_sum`): a state of
+      one value per exponential, which leaves out the f values from
+      f_{n-K-(NI-1)//2} on, and those f values through the far kernel, the
+      sums' weights by distance (:meth:`_far_setup`), in blocks of up to
+      ``_FAR_BLOCK`` steps (:meth:`_far_block`, :meth:`_advance`).  Its
+      tables hold a block's values per exponential and the far kernel,
+      some 45 KB at NI = 7 and 20480 steps, and are made only when a solve
+      reaches the switch.  Spans of p and q start afresh at the switch.
+      Where p and q of ``Problem.affine`` hold over a span, with one value
+      of q, its steps' u and f are a fixed linear recurrence in the f
+      values, with the near window's K + NI weights and the far kernel.
+      The span is solved at once by the start's block solve
+      (:func:`_solve_affine_block`), with taps made once per q, the f
+      before it entering through two convolutions and the state's read,
+      a block of steps to a row of one product (:meth:`_solve_far_block`),
+      in O(span + K + NI) memory; a span whose solution leaves the range
+      is taken in blocks of rows, step by step.
 
     Steps run forward, so a step past the block's end builds the next block
-    from it.  A block solved at once is one step call, which returns its u
+    from it.  A span solved at once is one step call, which returns its u
     and f arrays; any other step reads its one row of plain floats and
     returns u and f.  The predictor's stencils end at f_{n-1}; a step's
     predictor sum is one dot of the weights with the history, gathered by
@@ -1053,12 +1105,16 @@ class _Stepper:
         self.history = history
         # what every step reads, off the problem and config once
         self.rhs, self.iters = problem.rhs, config.corrector_iters
+        self.limit = _blowup_limit(problem)
         self.n_interp = n_interp = config.n_interp
         # 8-byte values per step at a build's peak, and the block length they
         # give (see _BLOCK_BYTES)
         per_step = max(len(self.rule.nodes) * max(2 * n_interp + 2, n_interp + 6),
                        0 if history is None else 2 * len(history[0]))
         self._block = max(32, _BLOCK_BYTES // (8 * per_step))
+        # the steps over which p and q are evaluated at once, and a far span's
+        # (see _block_parts)
+        self._span = _PARTS_BLOCKS * self._block
         lam_tau = problem.lam * self.tau
         self._half_nodes = 0.5 * (self.rule.nodes + 1.0)
         self._offsets = np.tile(np.arange(n_interp), len(self.rule.nodes))
@@ -1080,7 +1136,7 @@ class _Stepper:
         if problem.alpha >= 1.0:
             self._switch = math.inf
         self._far = None
-        # the q of the taps that far blocks are solved at once with (see
+        # the q of the taps that far spans are solved at once with (see
         # _solve_far_block)
         self._taps_q = self._taps = None
 
@@ -1095,6 +1151,16 @@ class _Stepper:
         # summed row by row, as in _build_block
         kern *= weights
         return self.rga * np.add.reduce(kern, axis=1)
+
+    def _base(self, t: np.ndarray, piece: int) -> np.ndarray:
+        """The forcing at the times ``t``, plus the split history term, made
+        for at most ``piece`` times at once, as it holds 2 (n_tilde + 1)
+        values a time."""
+        base = _forcing(self.problem, t)
+        if self.history is not None:
+            for i in range(0, len(t), piece):
+                base[i:i + piece] += self._history_part(t[i:i + piece])
+        return base
 
     def _build_block(self, times: np.ndarray, lo: int) -> None:
         """Precompute steps lo..hi-1, under ``_ufunc_bufsize(_BUILD_BUFSIZE)``.
@@ -1115,9 +1181,7 @@ class _Stepper:
         # p and q over the block, before its arrays
         parts = self._row_parts(self._block_parts(times, lo, hi), hi - lo)
         t = times[lo:hi]
-        base = _forcing(problem, t)
-        if self.history is not None:
-            base += self._history_part(t)
+        base = self._base(t, hi - lo)
         span = np.arange(lo - origin, hi - origin, dtype=float)
         r = np.multiply.outer(span, self._half_nodes)
         if origin:
@@ -1160,18 +1224,32 @@ class _Stepper:
 
     def _far_setup(self, times: np.ndarray, fs: np.ndarray, lo: int) -> None:
         """The near window's weights and the far sums' tables, once per
-        solve, and the far sums' state over the panels origin .. lo-K-1.
+        solve, and the far sums' state at lo - K.
 
         The far part of step n is the integral over [t_origin, t_n - K tau]
         of the grid's NI-point interpolant of the samples
         e^{-lam tau (n-j)} f_j (each target's stencil as in
         :func:`_stencil_weights`) against (n-x)^(alpha-1), in steps, which
-        :func:`exp_sum` gives as sum_m w_m e^{-s_m (n-x)}.  The state H_m
-        is that integral of e^{-s_m (k-x)} over the unit panels before k,
-        its samples tempered to k + NI - 1, so that every factor is at most
-        1.  A panel [p, p+1] adds E f over its samples f_{p-h} .. f_{p-h+NI},
-        with E the integrals of e^{-s_m (p+1-x)} times the Lagrange weights,
-        and one more panel multiplies H by rho_m = e^{-s_m - lam tau}.
+        :func:`exp_sum` gives as sum_m w_m e^{-s_m (n-x)}.  Over the unit
+        panels before k, that integral of e^{-s_m (k-x)} is H_m, its
+        samples tempered to k + NI - 1, so that every factor is at most 1.
+        A panel [p, p+1] adds E f over its samples f_{p-h} .. f_{p-h+NI}
+        (:meth:`_panel_weights`), and one more panel multiplies H by
+        rho_m = e^{-s_m - lam tau}.  Step n reads H at k = n - K through
+        c_m = w_m e^{-s_m K} (times the rule's factors), and the panels
+        from k on weigh f_i on step n by W(n - i) alone, the far kernel:
+        a panel past those clamped at 0 adds Et f, and f_i enters the
+        panels i + h - NI .. i + h.
+
+        The state kept is therefore G = H less what the panels before k
+        add in the samples from f_{k-h} on, each such panel taken with Et
+        whether or not it is clamped or before the origin: step n's far
+        sum is sum_m c_m rho_m^(n-K-k) G_m plus sum_{i >= k-h} W(n-i) f_i,
+        as the panels that G leaves out are those that W counts.  So every
+        sample from f_{k-h} on comes in through W, whatever the panels
+        clamped at 0 do, and G moves on over the f values in order, each
+        f_i by rho^(k'-1-h-i) times ef = sum_j rho^j Et[:, j] (see
+        :meth:`_advance`).
         """
         problem, ni, tau, K = self.problem, self.n_interp, self.tau, self._near_steps
         h = (ni - 1) // 2
@@ -1186,108 +1264,156 @@ class _Stepper:
         near *= np.exp(-lt * np.arange(K + ni, 0.0, -1.0))
         sigma = float(self.rule.weights @ s)
         sig, w = exp_sum(problem.alpha, K, len(times) - 1 - self.origin)
-        # E[p] of the panels p = 0 .. h over the samples 0 .. NI: clamped at
-        # 0 for p < h, and that of every later panel for p = h.  A target's
-        # stencil may change at the panel's midpoint, so each half takes a
-        # 10-point Gauss-Legendre rule
-        g, wg = np.polynomial.legendre.leggauss(10)
-        y = np.concatenate([0.25 * (g + 1.0), 0.25 * (g + 3.0)])
+        E = self._panel_weights(sig)
+        # a later panel's E with its samples' tempering to the pivot
+        Et = E[h] * np.exp(-lt * np.arange(ni + h, h - 1.0, -1.0))
+        # H from the origin over the panels clamped at 0, a panel at a time
+        sl = sig + lt
+        rho, H = np.exp(-sl), np.zeros(len(sig))
+        k = self.origin
+        while k < min(h, lo - K):
+            H *= rho
+            H += E[k] @ (fs[:ni + 1] * np.exp(-lt * np.arange(k + ni, k - 1.0, -1.0)))
+            k += 1
+        del E
+        # rho^d for d < B and the decay over a block, rho^B: each an exp,
+        # as a power would scale rho's rounding error by d, and the state's
+        # decay compounds it
+        rpow = np.multiply.outer(sl, np.arange(0.0, -B, -1.0))
+        np.exp(rpow, out=rpow)
+        decay = np.exp(-B * sl)
+        c = self.rga * tau**problem.alpha * w * np.exp(-sig * K - lt * (K + 1 - ni))
+        del sig, w
+        # G at k: H less what each panel k-1-r, r < NI, adds in its samples
+        # from f_{k-h} on, f_{k-1-r-h+j} for j > r, times rho^r
+        for r in range(ni):
+            H -= rpow[:, r] * (Et[:, r + 1:] @ fs[k - h:k - h + ni - r])
+        # W(D) = sum_j V[j, D - off + j], off = K + 1 + h, with
+        # V[j, d] = sum_m c_m rho_m^d Et[m, j] for d >= 0: panel k + l reads
+        # f_{k+l-h+j}, which step k + K + 1 + l + d reads through V[j, d].
+        # Below off only the j >= off - D count; from off on, W(D) is
+        # sum_m c_m rho_m^(D-off) ef_m, made B values at a time.  It
+        # reaches over a span and the K + h f values before it that it reads
+        off = K + 1 + h
+        W = np.zeros(self._span + K + h)
+        ef = Et[:, ni].copy()
+        for j in range(ni, 0, -1):
+            W[off - j] = c @ ef
+            ef *= rho
+            ef += Et[:, j - 1]
+        ce = c * ef
+        for s in range(0, len(W) - off, B):
+            n = min(B, len(W) - off - s)
+            W[off + s:off + s + n] = ((ce * np.exp(-s * sl)) @ rpow)[:n]
+        self._far = (near, (0.5 * tau * K) ** problem.alpha * self.rga, sigma,
+                     sigma * self._end_weight, c, rpow, decay, sl, ef, W, h)
+        # G moves on from k in _far_block
+        self._H, self._Hk = H, k
+        # spans of p and q start afresh here, at the same step whatever the
+        # block length before the switch
+        self._parts_hi = 0
+
+    def _panel_weights(self, sig: np.ndarray) -> np.ndarray:
+        """E[p] of the panels p = 0 .. h over their samples 0 .. NI, for the
+        exponents ``sig``: the integrals of e^{-sig_m (p+1-x)} times the
+        Lagrange weights over the panel [p, p+1], clamped at 0 for p < h,
+        and that of every later panel for p = h.  A target's stencil may
+        change at the panel's midpoint, so each half takes a 10-point
+        Gauss-Legendre rule (:func:`_panel_rule`)."""
+        ni = self.n_interp
+        h = (ni - 1) // 2
+        y, wy = _panel_rule()
         j0, lw, _ = _stencil_weights(np.add.outer(np.arange(h + 1.0), y), 3.0 * ni, ni)
         lag = np.zeros((h + 1, len(y), ni + 1))
         lag[np.arange(h + 1)[:, None, None], np.arange(len(y))[:, None],
             j0.astype(np.intp)[:, :, None] + np.arange(ni)] = lw.T.reshape(h + 1, len(y), ni)
         E = np.multiply.outer(sig, y - 1.0)
         np.exp(E, out=E)
-        E *= 0.25 * np.tile(wg, 2)
-        E = E @ lag
-        del lag, lw, j0
-        # a later panel's E with its samples' tempering to the pivot
-        Et = E[h] * np.exp(-lt * np.arange(ni + h, h - 1.0, -1.0))
-        # H from the origin to lo - K: a panel at a time while clamped at 0
-        # or short of a whole number of blocks to go, then a block at a time
-        rho, H = np.exp(-sig - lt), np.zeros(len(sig))
-        k, end = self.origin, lo - K
-        while k < end and (k < h or (end - k) % B):
-            b0 = max(0, k - h)
-            H *= rho
-            H += E[min(k, h)] @ (fs[b0:b0 + ni + 1]
-                                 * np.exp(-lt * np.arange(k + ni - b0, k - b0 - 1.0, -1.0)))
-            k += 1
-        del E
-        # rho^d for d < B and H's decay over a block, rho^B: each an exp,
-        # as a power would scale rho's rounding error by d, and H's decay
-        # compounds it
-        rpow = np.multiply.outer(sig + lt, np.arange(0.0, -B, -1.0))
-        np.exp(rpow, out=rpow)
-        decay = np.exp(-B * (sig + lt))
-        hank = np.add.outer(np.arange(B - 1, -1, -1), np.arange(ni + 1))
-        for k in range(k, end, B):
-            H *= decay
-            H += self._panel_sums(fs[k - h:k - h + B + ni], Et, rpow, hank)
-        # step lo+b of a block reads H at k = lo - K as sum_m c_m rho_m^b H_m,
-        # and the panels k .. k+b-1 through G, over f_{k-h} .. f_{k-h+B+NI-2}
-        c = self.rga * tau**problem.alpha * w * np.exp(-sig * K - lt * (K + 1 - ni))
-        # G[b, l + j] sums V[j, b - l - 1] over l < b, with
-        # V[j, d] = sum_m c_m rho_m^d Et[m, j]: with V[j] after B - 1
-        # zeros, the window that ends at B - 1 + b, reversed
-        V = np.zeros((ni + 1, 2 * B - 2))
-        V[:, B - 1:] = (Et * c[:, None]).T @ rpow[:, :B - 1]
-        G = np.zeros((B, B + ni - 1))
-        for j, v in enumerate(V):
-            G[:, j:j + B - 1] += sliding_window_view(v, B - 1)[:, ::-1]
-        self._H = H
-        self._far = (near, (0.5 * tau * K) ** problem.alpha * self.rga, sigma,
-                     sigma * self._end_weight, c, rpow, Et, G, decay, hank, h)
+        E *= wy
+        return E @ lag
 
-    def _far_block(self, times: np.ndarray, fs: np.ndarray, lo: int) -> None:
-        """Steps lo..hi-1 past the switch: a far block of B steps from the
-        switch on, the last one cut at the grid's end.
+    def _advance(self, fs: np.ndarray, end: int) -> None:
+        """Move the far sums' state G on from its point to ``end`` over the
+        f values in ``fs`` (see :meth:`_far_setup`): from k to k', G is
+        rho^(k'-k) G plus ef times sum_i rho^(k'-1-h-i) f_i over
+        f_{k-h} .. f_{k'-h-1}, the steps short of a whole number of blocks
+        first, then a block at a time, one (exponentials x block) product
+        each."""
+        _, _, _, _, _, rpow, decay, sl, ef, _, h = self._far
+        k, B = self._Hk, rpow.shape[1]
+        while k < end:
+            r = (end - k) % B or B
+            self._H *= decay if r == B else np.exp(-r * sl)
+            self._H += ef * (rpow[:, :r] @ fs[k - h:k - h + r][::-1])
+            k += r
+        self._Hk = end
+
+    def _far_block(self, times: np.ndarray, fs: np.ndarray, lo: int):
+        """Steps from lo past the switch: a span of p and q solved at once,
+        or a far block of B steps, the last one cut at the grid's end.
 
         A step's predictor is the near window's one weight vector over
-        f_{n-K-NI} .. f_{n-1}, and its base adds the far sums.  At the
-        block's first step H moves on to lo - K, and the block's far sums
-        are taken from it.  Where p and q of ``Problem.affine`` hold over
-        the whole block, with one value of q over their span
-        (:meth:`_block_parts`), its steps are solved at once, as the
-        start's affine blocks are (:meth:`_solve_far_block`), and their u
-        and f arrays returned;
-        otherwise, or where that solution leaves the range, they take rows
-        as :meth:`_build_block`'s, and the result is None.
+        f_{n-K-NI} .. f_{n-1}, and its base adds the far sums.  At lo, the
+        far sums' state moves on to k = lo - K (:meth:`_advance`), and the
+        steps' far sums are read from it, with the f values from f_{k-h}
+        on through the far kernel (:meth:`_far_setup`).  Where p and q of
+        ``Problem.affine`` hold over a span from lo, with one value of q
+        over it (:meth:`_block_parts`), the steps to the span's end are
+        solved at once, as the start's affine blocks are
+        (:meth:`_solve_far_block`), and their u and f arrays returned;
+        otherwise, or where that solution leaves the range, the B steps
+        take rows as :meth:`_build_block`'s, and the result is None: so a
+        blow-up names its step, and the rest of a span whose solution left
+        the range is tried again from the next block.
         """
         self._c = self._idx = self._rows = None
         if self._far is None:
             self._far_setup(times, fs, lo)
-        near, pref, sigma, w_end, c, rpow, Et, G, decay, hank, h = self._far
-        B, ni = len(hank), self.n_interp
-        k = lo - self._near_steps - h
-        if lo > self._switch:
-            self._H *= decay
-            self._H += self._panel_sums(fs[k - B:k + ni], Et, rpow, hank)
+        self._advance(fs, lo - self._near_steps)
+        near, pref, sigma, w_end, _, rpow, *_ = self._far
+        B = rpow.shape[1]
         hi = min(lo + B, len(times))
-        self._lo, self._hi = lo, hi
-        far = (c * self._H) @ rpow
-        far += G @ fs[k:k + B + ni - 1]
-        t = times[lo:hi]
-        base = _forcing(self.problem, t)
-        if self.history is not None:
-            base += self._history_part(t)
-        base += far[:hi - lo]
         parts = self._block_parts(times, lo, hi)
         if parts is not None and parts[2] is not None:
-            solved = self._solve_far_block(fs, lo, base, parts[0], parts[2])
+            end = self._parts_hi
+            p, _, q = self._block_parts(times, lo, end)
+            solved = self._solve_far_block(times, fs, lo, end, p, q)
             if solved is not None:
+                self._lo, self._hi = lo, end
                 return solved
+        self._lo, self._hi = lo, hi
+        t = times[lo:hi]
+        base = self._base(t, _FAR_BLOCK)
+        base += self._far_sums(fs, lo, hi - lo)
         self._c = [near] * (hi - lo)
         self._idx = [slice(n - len(near), n) for n in range(lo, hi)]
         self._rows = zip(t.tolist(), base.tolist(), repeat(pref), repeat(sigma), repeat(w_end),
                          *self._row_parts(parts, hi - lo))
 
+    def _far_sums(self, fs: np.ndarray, lo: int, size: int) -> np.ndarray:
+        """The far sums of the steps lo .. lo+size-1 over the f values before
+        lo (see :meth:`_far_setup`): the state at k = lo - K read into them,
+        a block of B steps to a row of one (rows x exponentials) product,
+        and f_{k-h} .. f_{lo-1} through one convolution with the far
+        kernel."""
+        _, _, _, _, c, rpow, decay, _, _, W, h = self._far
+        B, K = rpow.shape[1], self._near_steps
+        X = np.empty((-(-size // B), len(decay)))
+        np.multiply(c, self._H, out=X[0])
+        for s in range(1, len(X)):
+            np.multiply(X[s - 1], decay, out=X[s])
+        far = (X @ rpow).ravel()[:size]
+        del X
+        far += np.convolve(fs[lo - K - h:lo], W[:K + h + size])[K + h:K + h + size]
+        return far
+
     def _far_taps(self, q: float):
         """For f = p + q u with q one value: the factors of base and p in u
         past the switch, u's weights d on the f values at distances
-        0 .. K + NI (d_0 = 0), and the taps of a far block, made from d
-        (:func:`_resolvent_taps`; see :meth:`_solve_far_block`)."""
-        near, pref, sigma, w_end, *_, hank, _ = self._far
+        0 .. K + NI (d_0 = 0), and the taps of a far span, a span long, made
+        from d and the far kernel W (:func:`_resolvent_taps`; see
+        :meth:`_solve_far_block`)."""
+        near, pref, sigma, w_end, *_, W, _ = self._far
         kappa = pref * w_end
         g = kappa * q
         s = sum(g**k for k in range(self.iters))
@@ -1295,41 +1421,43 @@ class _Stepper:
         d = np.zeros(len(near) + 1)
         np.multiply(near[::-1], gs * pref, out=d[1:])
         d[1:self.n_interp + 1] += np.array(self._window_weights[::-1]) * (s * pref * sigma)
-        return gs, s * kappa, d, _resolvent_taps(d, q, len(hank))
+        kern = gs * W[:self._span]
+        n = min(len(d), len(kern))
+        kern[:n] += d[:n]
+        return gs, s * kappa, d, _resolvent_taps(kern, q, len(kern))
 
-    def _solve_far_block(self, fs: np.ndarray, lo: int, base: np.ndarray, p: np.ndarray,
-                         q: float):
-        """u and f of the far block's steps from lo at once, for
-        f = p + q u with q one value: two arrays, or None when some u is
-        not finite or past the blow-up limit.
+    def _solve_far_block(self, times: np.ndarray, fs: np.ndarray, lo: int, hi: int,
+                         p: np.ndarray, q: float):
+        """u and f of the far steps lo..hi-1 at once, a span of p and q
+        with one value q, for f = p + q u: two arrays, or None when some u
+        is not finite or past the blow-up limit.
 
         With kappa = pref w_end, g = kappa q, i = ``corrector_iters`` and
         S = sum_{k<i} g^k, a step's :func:`_pece` gives
-        u_n = (g^i + S)(base_n + pref pred_n) + S (pref sigma W_n + kappa p_n),
+        u_n = (g^i+S)(base_n + pref pred_n) + S (pref sigma W_n + kappa p_n),
         with pred_n the near window's predictor sum and W_n the window's
         sum.  Both are fixed weights on the f values before n, so
         u_n = b_n + sum_{j=1}^{K+NI} d_j f_{n-j} (:meth:`_far_taps`).  The
-        f values before lo enter u0, u less the block's own f, through one
-        convolution with d, and f = p + q u makes the block one
-        lower-triangular Toeplitz system (:func:`_solve_affine_block`).
+        far sums in base_n read the state at k = lo - K and weigh each f
+        from f_{k-h} on by the far kernel W(n - i) (:meth:`_far_setup`):
+        the span's own f among them.  So u0, u less the span's own f,
+        takes the f values before lo through one convolution with d and
+        their far sums (:meth:`_far_sums`); and f = p + q u makes the span
+        one lower-triangular Toeplitz system, whose kernel is d plus
+        (g^i+S) W (:func:`_solve_affine_block`).
         """
+        size = hi - lo
         with np.errstate(all="ignore"):
             if q != self._taps_q:
                 self._taps_q, self._taps = q, self._far_taps(q)
             gs, sk, d, e = self._taps
-            J = len(d) - 1
-            u0 = np.convolve(fs[lo - J:lo], d)[J:J + len(base)]
-            u0 += gs * base
+            u0 = self._far_sums(fs, lo, size)
+            u0 += self._base(times[lo:hi], _FAR_BLOCK)
+            u0 *= gs
             u0 += sk * p
-            return _solve_affine_block(u0, p, q, e)
-
-    @staticmethod
-    def _panel_sums(f: np.ndarray, Et: np.ndarray, rpow: np.ndarray, hank: np.ndarray):
-        """What B panels in a row add to H besides its decay (see
-        :meth:`_far_setup`): the sum over l of rho^(B-1-l) Et times panel
-        l's samples.  ``f`` holds the B + NI samples, and row l of ``hank``
-        indexes panel B-1-l's."""
-        return np.einsum("mj,mj->m", rpow @ f[hank], Et)
+            J = len(d) - 1
+            u0[:J] += np.convolve(fs[lo - J:lo], d)[J:J + size]
+            return _solve_affine_block(u0, p, q, e, self.limit)
 
     def _block_parts(self, times: np.ndarray, lo: int, hi: int):
         """p and q of ``Problem.affine`` over the steps lo..hi-1, as two
@@ -1347,7 +1475,7 @@ class _Stepper:
             return None
         if not self._parts_lo <= lo < hi <= self._parts_hi:
             self._parts_lo = lo
-            self._parts_hi = min(max(lo + _PARTS_BLOCKS * self._block, hi), len(times))
+            self._parts_hi = min(max(lo + self._span, hi), len(times))
             t = times[lo:self._parts_hi]
             parts = _affine_parts(affine, t)
             self._parts = None if parts is None else (
@@ -1368,7 +1496,7 @@ class _Stepper:
         """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1],
         whose last ``n_interp`` values ``ring`` holds as floats.
 
-        Returns u and f(t, u): the u and f arrays of the far block from n1
+        Returns u and f(t, u): the u and f arrays of the far span from n1
         where it is solved at once, else one step's, with f = p + q u where
         the step's row has p and q, else one right-hand-side call.  Steps
         come in order, so only a step past the block's end builds, and each
@@ -1385,7 +1513,8 @@ class _Stepper:
         t, base, pref, sigma, w_end, p, q = next(self._rows)
         pred = float(self._c[k].dot(fs[self._idx[k]]))
         corr = pred + sigma * math.fsum(map(mul, self._window_weights, ring))
-        u = _pece(self.rhs, t, base, pref, pred, corr, w_end, self.iters, n1, "step", p, q)
+        u = _pece(self.rhs, t, base, pref, pred, corr, w_end, self.iters, self.limit, n1, "step",
+                  p, q)
         return u, (self.rhs(t, u) if q is None else p + q * u)
 
 
@@ -1407,7 +1536,7 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
 def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> SolutionTrace:
     """Fill ``trace``: its first values are ``u_start``, the rest are stepped,
     each step reading the f values before it from ``trace.rhs_values``, and
-    the last ``n_interp`` of them from a ring of floats.  A far block solved
+    the last ``n_interp`` of them from a ring of floats.  A far span solved
     at once comes from one step call as two arrays, written as slices, its
     last ``n_interp`` f values into the ring."""
     rhs, times, values, fs = stepper.rhs, trace.times, trace.values, trace.rhs_values
@@ -1427,6 +1556,7 @@ def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> Solu
                 fs[n1:n2] = f
                 ring.extend(f[-ni:].tolist())
                 n1 = n2
+                del u, f  # before the next step call makes arrays of its own
             else:
                 values[n1] = u
                 fs[n1] = f

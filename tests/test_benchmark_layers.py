@@ -40,7 +40,7 @@ def test_traced_split_solve_records_the_solver_layers():
 
 def test_traced_plain_solve_records_one_step_span_per_jpc_step():
     # solver.steps counts solver.step spans: one per row stepped and one
-    # per far block solved at once.  This solve ends before the switch at
+    # per span of far steps solved at once.  This solve ends before the switch at
     # step 201, so every step is a row: at NI = 7 it starts through u_6 on
     # a mesh refined 64 times (385 points), then takes one step to each of
     # u_7 .. u_200
@@ -59,9 +59,10 @@ def test_traced_plain_solve_records_one_step_span_per_jpc_step():
 
 
 def test_traced_solve_past_the_switch_records_one_step_span_per_solved_block():
-    # the 194 rows to u_200 as above, then u_201 .. u_1280 in far blocks of
-    # 32 steps, each solved at once (example2's q is one value) and handed
-    # back by one step call: 1080 steps in 34 blocks, the last of 24
+    # the 194 rows to u_200 as above, then u_201 .. u_1280 in spans of p
+    # and q from the switch on, 256 steps at NI = 7, each solved at once
+    # (example2's q is one value) and handed back by one step call: 1080
+    # steps in 5 spans, the last of 56
     layers = _load_layers()
     mods = SimpleNamespace(
         solver=solver, quadrature=quadrature, problems=problems, expr=expr,
@@ -72,7 +73,7 @@ def test_traced_solve_past_the_switch_records_one_step_span_per_solved_block():
         problem = problems.example2(0.5, 2.0)
         solver.solve(problem, solver.SolverConfig(steps=1280, n_interp=7))
     metrics = layers.layer_metrics(tracer.spans)
-    assert metrics["solver.steps"] == 194 + 34
+    assert metrics["solver.steps"] == 194 + 5
 
 
 def test_traced_table4_sweep_evaluates_mittag_leffler_once_per_column():

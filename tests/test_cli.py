@@ -175,6 +175,23 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "solver blow-up: solution blew up in the step phase at step 17" in err
 
+    def test_large_initial_data_is_no_blow_up(self, tmp_path, monkeypatch, capsys):
+        # D^(1/2) u = -u decays from u(0) = 1e13, and the blow-up limit
+        # scales with the initial data: the absolute limit of 1e12 made this
+        # exit 3 in the start phase at step 1.  Its trace is 1e13 times
+        # that from u(0) = 1
+        from tfode import cli
+
+        monkeypatch.chdir(tmp_path)
+        traces = []
+        for init, out in (("1e13", "big.csv"), ("1", "unit.csv")):
+            code = cli.main(["solve", "--alpha", "0.5", "--rhs=-u", "--init", init, "--b", "1",
+                             "--steps", "40", "--NI", "2", "--out", out])
+            assert code == 0, capsys.readouterr().err
+            traces.append(np.loadtxt(tmp_path / out, delimiter=",", skiprows=1))
+        big, unit = traces
+        np.testing.assert_allclose(big[:, 1], 1e13 * unit[:, 1], rtol=1e-12, atol=0.0)
+
 
 class TestSweepCommand:
     def test_sweep_from_config(self, tmp_path):
