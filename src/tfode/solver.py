@@ -19,17 +19,17 @@ covers only the last 2 n_quad steps, with weights built once per solve, and
 the older history comes through far sums of decaying exponentials; there a
 span of steps with ``Problem.affine`` and one value of q, ``_PARTS_BLOCKS``
 blocks long, is one Toeplitz system, as the far sums weigh each f of the
-span by its distance alone, solved and handed back at once (see
-:class:`_Stepper`), as the start's blocks are (:func:`_solve_affine_block`).
-The weights
-also carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
+span by its distance alone, solved at once (see :class:`_Stepper`), as
+the start's blocks are (:func:`_solve_affine_block`).  The weights also
+carry the kernel's tempering e^{-lam (t_n - t_i)} of each sample, a
 factor of at most 1, so the history a step reads is the trace's own f
 values.  A step's predictor is then one gather of that history and one dot
 product, its one numpy call; the corrector's stencils differ only next to
 the new node, so its sum is the predictor's plus a window over the last
 ``n_interp + 1`` nodes, a float sum over the last ``n_interp`` f values
 times a factor per step, and each corrector iteration is scalar arithmetic.
-A step reads one row of the block's per-step scalars and returns u and f:
+One step call advances the trace over one block, and each of the block's
+steps reads its row of per-step scalars and writes u and f, with
 f = p + q u where the right-hand side is declared affine in u
 (``Problem.affine``) and p and q are finite over the step's span of
 ``_PARTS_BLOCKS`` blocks, else one right-hand-side call.  That arithmetic
@@ -76,7 +76,7 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from operator import mul
 from typing import Callable, Sequence
 
@@ -229,7 +229,8 @@ class SolverConfig:
     at the Lobatto nodes, are taken from the problem's exact solution,
     which it must have; the start then runs on the grid itself, and a
     Lobatto node within 1e-9 tau of a grid point takes that point's value,
-    as on the refined grid.
+    as on the refined grid.  Each count is an integer, and a numpy integer
+    is kept as an int; a float or a bool raises ``ValueError``.
     """
 
     steps: int
@@ -242,6 +243,13 @@ class SolverConfig:
     exact_start: bool = False
 
     def __post_init__(self):
+        for name in ("steps", "n_interp", "n_quad", "start_refine", "n_tilde", "corrector_iters"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but no count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer as a Python int, which a deque's maxlen needs
+            object.__setattr__(self, name, int(value))
         if self.n_interp < 2:
             raise ValueError("n_interp must be at least 2")
         if self.steps < self.n_interp:
@@ -466,9 +474,10 @@ def _stencil_weights(r: np.ndarray, last, n_points: int):
 
 
 #: Mesh points per chunk of the start, a multiple of ``_START_BLOCK`` so
-#: that its blocks are all full.  A block sums the history since its chunk began directly, in O(_CHUNK) per
-#: step; older history reaches it through the far sums, pushed by FFT a
-#: chunk at a time (see :func:`_adams_pece_scaled`).
+#: that its blocks are all full.  A block sums the history since its chunk
+#: began directly, in O(_CHUNK) per step; older history reaches it through
+#: the far sums, pushed by FFT a chunk at a time (see
+#: :func:`_adams_pece_scaled`).
 _CHUNK = 1024
 
 #: Steps per block of the start, capped at ``_CHUNK``.  An affine block is
@@ -991,11 +1000,11 @@ _NEAR_PER_DEGREE = 2
 #: state and one convolution of the far kernel with the K + (NI-1)//2 f
 #: values before it, and moving the state on over a block is one more
 #: product; at NI = 7 and 20480 steps (145 exponentials) the tables hold
-#: some 45 KB.  A span of p and q with one q is solved at once
-#: (``_Stepper._solve_far_block``) and written into the trace as one slice
-#: (:func:`_march`); the state is read into it, its split history term made
-#: and the far kernel built a block's length at a time, so that no table
-#: of exponentials grows with the span.
+#: some 45 KB.  One step call takes a far block of rows, or a span of p
+#: and q with one q, solved at once (``_Stepper._solve_far_block``) and
+#: written into the trace as one slice; the state is read into the span,
+#: its split history term made and the far kernel built a block's length at
+#: a time, so that no table of exponentials grows with the span.
 _FAR_BLOCK = 32
 
 
@@ -1072,14 +1081,14 @@ class _Stepper:
       in O(span + K + NI) memory; a span whose solution leaves the range
       is taken in blocks of rows, step by step.
 
-    Steps run forward, so a step past the block's end builds the next block
-    from it.  A span solved at once is one step call, which returns its u
-    and f arrays; any other step reads its one row of plain floats and
-    returns u and f.  The predictor's stencils end at f_{n-1}; a step's
-    predictor sum is one dot of the weights with the history, gathered by
-    index or, past the switch, sliced: the step's one numpy call.  The
-    corrector's stencils may reach f_n, and only the
-    tail positions whose predictor stencil was clamped to [n-NI, n-1] move
+    Steps run forward, one step call per block (:meth:`step`), and nothing
+    of a block outlives its call.  A span solved at once is written into
+    the trace as slices; in any other block each step reads its one row of
+    plain floats and writes its u and f.  The predictor's stencils end at
+    f_{n-1}; a step's predictor sum is one dot of the weights with the
+    history, gathered by index or, past the switch, sliced: the step's one
+    numpy call.  The corrector's stencils may reach f_n, and only the tail
+    positions whose predictor stencil was clamped to [n-NI, n-1] move
     (to [n-NI+1, n]), so its sum is the predictor's plus a correction over
     the window f_{n-NI..n}: the step's sigma times the fixed tempered
     (NI+1)-point weights.  Over f_{n-NI..n-1} that is sigma times a float
@@ -1124,7 +1133,6 @@ class _Stepper:
         window = (_bary_weights(n_interp + 1).ravel() * np.exp(
             -lam_tau * np.arange(n_interp, -1, -1.0))).tolist()
         self._window_weights, self._end_weight = tuple(window[:-1]), window[-1]
-        self._lo = self._hi = 0
         # p and q over the span of steps _parts_lo .. _parts_hi-1 (see _block_parts)
         self._parts, self._parts_lo, self._parts_hi = None, 0, 0
         # the first step of the near window and far sums, whose set-up waits
@@ -1162,22 +1170,20 @@ class _Stepper:
                 base[i:i + piece] += self._history_part(t[i:i + piece])
         return base
 
-    def _build_block(self, times: np.ndarray, lo: int) -> None:
+    def _build_block(self, times: np.ndarray, lo: int):
         """Precompute steps lo..hi-1, under ``_ufunc_bufsize(_BUILD_BUFSIZE)``.
 
-        Besides each step's weights and gather indices, the block yields
-        one row a step, in step order, ``(t, base, pref, sigma, w_end, p,
-        q)``: its time, the forcing and split history, the rule's
-        prefactor, the window's factor and the weight on f_n, and p and q
-        of ``Problem.affine``, both None where the step calls the
-        right-hand side (see :meth:`_block_parts`).
+        Returns each step's weights and gather indices, as two arrays of a
+        row a step, and the block's rows, one a step, in step order,
+        ``(t, base, pref, sigma, w_end, p, q)``: its time, the forcing and
+        split history, the rule's prefactor, the window's factor and the
+        weight on f_n, and p and q of ``Problem.affine``, both None where
+        the step calls the right-hand side (see :meth:`_block_parts`).
         """
         problem, n_interp, origin = self.problem, self.n_interp, self.origin
         hi = min(lo + self._block, len(times))
         if lo < self._switch:
             hi = min(hi, self._switch)
-        # release the last block's first: lowers the peak
-        self._c = self._idx = self._rows = None
         # p and q over the block, before its arrays
         parts = self._row_parts(self._block_parts(times, lo, hi), hi - lo)
         t = times[lo:hi]
@@ -1208,19 +1214,17 @@ class _Stepper:
         del r
         lw *= self._stencil_decay
         # step-major rows, each quadrature node's stencil contiguous
-        self._c = lw.T.reshape(len(span), -1)
+        c = lw.T.reshape(len(span), -1)
         del lw
         idx = i0.repeat(n_interp).reshape(len(span), -1)
         del i0
         idx += self._offsets
-        self._idx = idx
         # plain floats, which a step reads faster than array items, zipped
         # into rows as the steps take them: a list of the block's row
         # tuples would outlive the solve in CPython's tuple free list
         pref = (0.5 * self.tau * span) ** problem.alpha * self.rga
-        self._rows = zip(t.tolist(), base.tolist(), pref.tolist(), sigma.tolist(),
-                         (sigma * self._end_weight).tolist(), *parts)
-        self._lo, self._hi = lo, hi
+        return c, idx, zip(t.tolist(), base.tolist(), pref.tolist(), sigma.tolist(),
+                           (sigma * self._end_weight).tolist(), *parts)
 
     def _far_setup(self, times: np.ndarray, fs: np.ndarray, lo: int) -> None:
         """The near window's weights and the far sums' tables, once per
@@ -1348,47 +1352,44 @@ class _Stepper:
             k += r
         self._Hk = end
 
-    def _far_block(self, times: np.ndarray, fs: np.ndarray, lo: int):
-        """Steps from lo past the switch: a span of p and q solved at once,
-        or a far block of B steps, the last one cut at the grid's end.
-
-        A step's predictor is the near window's one weight vector over
-        f_{n-K-NI} .. f_{n-1}, and its base adds the far sums.  At lo, the
-        far sums' state moves on to k = lo - K (:meth:`_advance`), and the
-        steps' far sums are read from it, with the f values from f_{k-h}
-        on through the far kernel (:meth:`_far_setup`).  Where p and q of
-        ``Problem.affine`` hold over a span from lo, with one value of q
-        over it (:meth:`_block_parts`), the steps to the span's end are
-        solved at once, as the start's affine blocks are
-        (:meth:`_solve_far_block`), and their u and f arrays returned;
-        otherwise, or where that solution leaves the range, the B steps
-        take rows as :meth:`_build_block`'s, and the result is None: so a
-        blow-up names its step, and the rest of a span whose solution left
-        the range is tried again from the next block.
+    def _far_span(self, times: np.ndarray, fs: np.ndarray, lo: int):
+        """u and f of the far steps from lo to the end of their span of p
+        and q, as two arrays, where p and q of ``Problem.affine`` hold over
+        it with one value of q (:meth:`_block_parts`): solved at once, as
+        the start's affine blocks are (:meth:`_solve_far_block`).  None
+        otherwise, or where that solution leaves the range: then the far
+        block from lo is stepped (:meth:`_far_block`), so a blow-up names
+        its step, and the rest of the span is tried again from the next
+        block.  First the far sums' state moves on to k = lo - K
+        (:meth:`_advance`), set up at the first far step.
         """
-        self._c = self._idx = self._rows = None
         if self._far is None:
             self._far_setup(times, fs, lo)
         self._advance(fs, lo - self._near_steps)
+        rpow = self._far[5]  # B columns, one a step of a far block
+        parts = self._block_parts(times, lo, min(lo + rpow.shape[1], len(times)))
+        if parts is None or parts[2] is None:
+            return None
+        return self._solve_far_block(times, fs, lo, self._parts_hi, parts[0], parts[2])
+
+    def _far_block(self, times: np.ndarray, fs: np.ndarray, lo: int):
+        """The far block of B steps from lo, the last one cut at the grid's
+        end, after :meth:`_far_span`: each step's weights and gather
+        slices, and its rows, as :meth:`_build_block`'s.
+
+        A step's predictor is the near window's one weight vector over
+        f_{n-K-NI} .. f_{n-1}, and its base adds the far sums, read from
+        the state at k = lo - K, with the f values from f_{k-h} on through
+        the far kernel (:meth:`_far_setup`).
+        """
         near, pref, sigma, w_end, _, rpow, *_ = self._far
-        B = rpow.shape[1]
-        hi = min(lo + B, len(times))
-        parts = self._block_parts(times, lo, hi)
-        if parts is not None and parts[2] is not None:
-            end = self._parts_hi
-            p, _, q = self._block_parts(times, lo, end)
-            solved = self._solve_far_block(times, fs, lo, end, p, q)
-            if solved is not None:
-                self._lo, self._hi = lo, end
-                return solved
-        self._lo, self._hi = lo, hi
+        hi = min(lo + rpow.shape[1], len(times))
         t = times[lo:hi]
         base = self._base(t, _FAR_BLOCK)
         base += self._far_sums(fs, lo, hi - lo)
-        self._c = [near] * (hi - lo)
-        self._idx = [slice(n - len(near), n) for n in range(lo, hi)]
-        self._rows = zip(t.tolist(), base.tolist(), repeat(pref), repeat(sigma), repeat(w_end),
-                         *self._row_parts(parts, hi - lo))
+        rows = zip(t.tolist(), base.tolist(), repeat(pref), repeat(sigma), repeat(w_end),
+                   *self._row_parts(self._block_parts(times, lo, hi), hi - lo))
+        return [near] * (hi - lo), [slice(n - len(near), n) for n in range(lo, hi)], rows
 
     def _far_sums(self, fs: np.ndarray, lo: int, size: int) -> np.ndarray:
         """The far sums of the steps lo .. lo+size-1 over the f values before
@@ -1460,10 +1461,11 @@ class _Stepper:
             return _solve_affine_block(u0, p, q, e, self.limit)
 
     def _block_parts(self, times: np.ndarray, lo: int, hi: int):
-        """p and q of ``Problem.affine`` over the steps lo..hi-1, as two
-        arrays, and the one value of q over their span, None where it takes
-        more than one (:func:`_one_value`); None without them, or where they
-        fail over the steps' span (see :func:`_affine_parts`).
+        """p and q of ``Problem.affine`` from step lo to the end of their
+        span, which holds the steps lo..hi-1, each an array or one value,
+        and the one value of q over the span, None where it takes more than
+        one (:func:`_one_value`); None without them, or where they fail
+        over the span (see :func:`_affine_parts`).
 
         They are evaluated over a span of ``_PARTS_BLOCKS`` blocks at once,
         or of the steps lo..hi-1 if longer, from the first block past the
@@ -1476,46 +1478,57 @@ class _Stepper:
         if not self._parts_lo <= lo < hi <= self._parts_hi:
             self._parts_lo = lo
             self._parts_hi = min(max(lo + self._span, hi), len(times))
-            t = times[lo:self._parts_hi]
-            parts = _affine_parts(affine, t)
-            self._parts = None if parts is None else (
-                *(np.broadcast_to(v, t.shape) for v in parts), _one_value(parts[1]))
+            parts = _affine_parts(affine, times[lo:self._parts_hi])
+            self._parts = None if parts is None else (*parts, _one_value(parts[1]))
         if self._parts is None:
             return None
         p, q, q0 = self._parts
         a = lo - self._parts_lo
-        return p[a:a + hi - lo], q[a:a + hi - lo], q0
+        return (p[a:] if p.size > 1 else p), (q[a:] if q.size > 1 else q), q0
 
     @staticmethod
     def _row_parts(parts, size: int):
-        """p and q of a block's rows, as two lists of floats, or of None
+        """p and q of the ``size`` rows of a block, as two lists of floats
+        (:meth:`_block_parts` gives them from its first step on), or of None
         where the steps call the right-hand side (``parts`` None)."""
-        return [[None] * size] * 2 if parts is None else [v.tolist() for v in parts[:2]]
+        if parts is None:
+            return [[None] * size] * 2
+        return [v[:size].tolist() if v.size > 1 else [v.item()] * size for v in parts[:2]]
 
-    def step(self, times: np.ndarray, fs: np.ndarray, ring: deque, n1: int):
-        """Advance to times[n1] given the history f(t_i, u_i) in fs[0..n1-1],
-        whose last ``n_interp`` values ``ring`` holds as floats.
+    def step(self, times: np.ndarray, values: np.ndarray, fs: np.ndarray, ring: deque,
+             lo: int) -> int:
+        """Advance the trace over the block from step lo and return its end.
 
-        Returns u and f(t, u): the u and f arrays of the far span from n1
-        where it is solved at once, else one step's, with f = p + q u where
-        the step's row has p and q, else one right-hand-side call.  Steps
-        come in order, so only a step past the block's end builds, and each
-        other step takes the block's next row.
+        ``fs[0..lo-1]`` holds the history f(t_i, u_i), whose last
+        ``n_interp`` values ``ring`` holds as floats.  The block is a
+        whole-span block (:meth:`_build_block`), a far span solved at once
+        (:meth:`_far_span`), written as slices, or a far block of rows
+        (:meth:`_far_block`); each row is one step, which writes u into
+        ``values`` and f into ``fs`` and ``ring``, with f = p + q u where the
+        row has p and q, else one right-hand-side call.
         """
-        if n1 >= self._hi:
-            if n1 < self._switch:
-                self._build_block(times, n1)
-            else:
-                solved = self._far_block(times, fs, n1)
-                if solved is not None:
-                    return solved
-        k = n1 - self._lo
-        t, base, pref, sigma, w_end, p, q = next(self._rows)
-        pred = float(self._c[k].dot(fs[self._idx[k]]))
-        corr = pred + sigma * math.fsum(map(mul, self._window_weights, ring))
-        u = _pece(self.rhs, t, base, pref, pred, corr, w_end, self.iters, self.limit, n1, "step",
-                  p, q)
-        return u, (self.rhs(t, u) if q is None else p + q * u)
+        if lo < self._switch:
+            c, idx, rows = self._build_block(times, lo)
+        else:
+            solved = self._far_span(times, fs, lo)
+            if solved is not None:
+                u, f = solved
+                hi = lo + len(u)
+                values[lo:hi] = u
+                fs[lo:hi] = f
+                ring.extend(f[-self.n_interp:].tolist())
+                return hi
+            c, idx, rows = self._far_block(times, fs, lo)
+        rhs, iters, limit, window = self.rhs, self.iters, self.limit, self._window_weights
+        for n, (t, base, pref, sigma, w_end, p, q), c_n, idx_n in zip(count(lo), rows, c, idx):
+            pred = float(c_n.dot(fs[idx_n]))
+            corr = pred + sigma * math.fsum(map(mul, window, ring))
+            u = _pece(rhs, t, base, pref, pred, corr, w_end, iters, limit, n, "step", p, q)
+            f = rhs(t, u) if q is None else p + q * u
+            values[n] = u
+            fs[n] = f
+            ring.append(f)
+        return lo + len(c)
 
 
 # ---------------------------------------------------------------------------
@@ -1534,34 +1547,22 @@ def _new_trace(problem: Problem, config: SolverConfig) -> SolutionTrace:
 
 
 def _march(trace: SolutionTrace, u_start: np.ndarray, stepper: _Stepper) -> SolutionTrace:
-    """Fill ``trace``: its first values are ``u_start``, the rest are stepped,
-    each step reading the f values before it from ``trace.rhs_values``, and
-    the last ``n_interp`` of them from a ring of floats.  A far span solved
-    at once comes from one step call as two arrays, written as slices, its
-    last ``n_interp`` f values into the ring."""
+    """Fill ``trace``: its first values are ``u_start``, the rest come a
+    block at a time, each from one step call, which reads the f values
+    before it from ``trace.rhs_values``, and the last ``n_interp`` of them
+    from a ring of floats, and writes the block's u and f into the trace
+    and the ring."""
     rhs, times, values, fs = stepper.rhs, trace.times, trace.values, trace.rhs_values
     for n1, u in enumerate(u_start.tolist()):
         values[n1] = u
         fs[n1] = rhs(times.item(n1), u)
-    n1, end, step, ni = len(u_start), len(times), stepper.step, stepper.n_interp
+    n1, end, ni = len(u_start), len(times), stepper.n_interp
     # the last n_interp f values, for the corrector's window
     ring = deque(fs[n1 - ni:n1].tolist(), maxlen=ni)
     # one buffer scope for all the steps' block builds (see _BUILD_BUFSIZE)
     with _ufunc_bufsize(_BUILD_BUFSIZE):
         while n1 < end:
-            u, f = step(times, fs, ring, n1)
-            if isinstance(u, np.ndarray):
-                n2 = n1 + len(u)
-                values[n1:n2] = u
-                fs[n1:n2] = f
-                ring.extend(f[-ni:].tolist())
-                n1 = n2
-                del u, f  # before the next step call makes arrays of its own
-            else:
-                values[n1] = u
-                fs[n1] = f
-                ring.append(f)
-                n1 += 1
+            n1 = stepper.step(times, values, fs, ring, n1)
     return trace
 
 

@@ -38,12 +38,13 @@ def test_traced_split_solve_records_the_solver_layers():
     assert solver.solve is solve and solver._Stepper.step is step
 
 
-def test_traced_plain_solve_records_one_step_span_per_jpc_step():
-    # solver.steps counts solver.step spans: one per row stepped and one
-    # per span of far steps solved at once.  This solve ends before the switch at
-    # step 201, so every step is a row: at NI = 7 it starts through u_6 on
-    # a mesh refined 64 times (385 points), then takes one step to each of
-    # u_7 .. u_200
+def test_traced_plain_solve_records_one_step_span_per_block():
+    # solver.steps counts solver.step spans: one per block, whether a block
+    # of rows or a span of far steps solved at once.  This solve ends before
+    # the switch at step 201, so every block is one of the whole-span rule:
+    # at NI = 7 it starts through u_6 on a mesh refined 64 times (385
+    # points), then steps u_7 .. u_200 in 7 blocks, six of 32 steps and
+    # one of 2
     layers = _load_layers()
     mods = SimpleNamespace(
         solver=solver, quadrature=quadrature, problems=problems, expr=expr,
@@ -54,15 +55,15 @@ def test_traced_plain_solve_records_one_step_span_per_jpc_step():
         problem = problems.example2(0.5, 2.0)
         solver.solve(problem, solver.SolverConfig(steps=200, n_interp=7))
     metrics = layers.layer_metrics(tracer.spans)
-    assert metrics["solver.steps"] == 194
+    assert metrics["solver.steps"] == 7
     assert metrics["solver.start_mesh_points"] == 385
 
 
 def test_traced_solve_past_the_switch_records_one_step_span_per_solved_block():
-    # the 194 rows to u_200 as above, then u_201 .. u_1280 in spans of p
+    # the 7 blocks to u_200 as above, then u_201 .. u_1280 in spans of p
     # and q from the switch on, 256 steps at NI = 7, each solved at once
-    # (example2's q is one value) and handed back by one step call: 1080
-    # steps in 5 spans, the last of 56
+    # (example2's q is one value) by one step call: 1080 steps in 5 spans,
+    # the last of 56
     layers = _load_layers()
     mods = SimpleNamespace(
         solver=solver, quadrature=quadrature, problems=problems, expr=expr,
@@ -73,7 +74,7 @@ def test_traced_solve_past_the_switch_records_one_step_span_per_solved_block():
         problem = problems.example2(0.5, 2.0)
         solver.solve(problem, solver.SolverConfig(steps=1280, n_interp=7))
     metrics = layers.layer_metrics(tracer.spans)
-    assert metrics["solver.steps"] == 194 + 5
+    assert metrics["solver.steps"] == 7 + 5
 
 
 def test_traced_table4_sweep_evaluates_mittag_leffler_once_per_column():

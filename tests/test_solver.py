@@ -786,17 +786,15 @@ class TestStepOperator:
         hits = 0
         lo = max(origin + 1, n_interp)
         while lo <= steps:
-            stepper._build_block(times, lo)
-            lo = stepper._hi
-            rows = list(stepper._rows)
-            for k, n in enumerate(range(stepper._lo, lo)):
-                sigma, w_end = rows[k][3:5]
+            cs, idxs, rows = stepper._build_block(times, lo)
+            for n, row, c, idx in zip(range(lo, lo + len(cs)), rows, cs, idxs):
+                sigma, w_end = row[3:5]
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
                 # one row per quadrature node, its stencil's NI entries in order
-                idx = stepper._idx[k].reshape(len(r), n_interp)
+                idx = idx.reshape(len(r), n_interp)
                 # each weight carries the tempering e^{-lam (t_n - t_i)} of
                 # its node; divided out, the rows interpolate
-                c = stepper._c[k].reshape(len(r), n_interp) / np.exp(-lam * (times[n] - times[idx]))
+                c = c.reshape(len(r), n_interp) / np.exp(-lam * (times[n] - times[idx]))
                 assert idx.min() >= 0 and idx.max() <= n - 1
                 assert (np.diff(idx, axis=1) == 1).all()
                 # the predictor over all nodes, its stencils ending at n-1
@@ -807,6 +805,7 @@ class TestStepOperator:
                 window = sigma * window_weights @ fs[n - n_interp:n] + w_end * fs[n]
                 assert got.sum() + window == pytest.approx(wts @ poly(r), rel=0.0, abs=1e-12)
                 hits += int(((c == 0.0).sum(axis=1) == n_interp - 1).sum())
+            lo += len(cs)
         assert hits > 0  # the origin node (and x = 0 at even spans) hit the grid
 
     @pytest.mark.parametrize("n_interp, origin", [(7, 0), (3, 0), (2, 8), (5, 8)])
@@ -825,14 +824,11 @@ class TestStepOperator:
             -lam * stepper.tau * np.arange(n_interp, 0, -1))
         lo = max(origin + 1, n_interp)
         while lo <= steps:
-            stepper._build_block(times, lo)
-            lo = stepper._hi
-            rows = list(stepper._rows)
-            for k, n in enumerate(range(stepper._lo, lo)):
-                sigma, w_end = rows[k][3:5]
+            cs, idxs, rows = stepper._build_block(times, lo)
+            for n, row, c, idx in zip(range(lo, lo + len(cs)), rows, cs, idxs):
+                sigma, w_end = row[3:5]
                 r = origin + 0.5 * (n - origin) * (nodes + 1.0)
-                idx = stepper._idx[k]
-                pred = (stepper._c[k] / np.exp(-lam * (times[n] - times[idx]))) @ fs[idx]
+                pred = (c / np.exp(-lam * (times[n] - times[idx]))) @ fs[idx]
                 want = sum(
                     w * lagrange_reference(fs[:n + 1], x, n_interp)
                     for x, w in zip(r[:-1], wts[:-1])
@@ -840,6 +836,7 @@ class TestStepOperator:
                 window = sigma * window_weights @ fs[n - n_interp:n]
                 got = pred + window + w_end * fs[n]
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            lo += len(cs)
 
     @pytest.mark.parametrize("steps", [
         10 * BlockStepperReference.BLOCK - 1,
@@ -883,15 +880,15 @@ class TestStepOperator:
                                                 (4, 0, None, 51), (6, 100, history, 36)):
             stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=n_interp, n_quad=20),
                                origin, split)
-            stepper._build_block(times, 500)  # warm the caches
+            hi = 500 + len(stepper._build_block(times, 500)[0])  # warm the caches
             with _ufunc_bufsize(_BUILD_BUFSIZE):
                 tracemalloc.start()
                 try:
-                    stepper._build_block(times, stepper._hi)
+                    weights, _, _ = stepper._build_block(times, hi)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert stepper._hi - stepper._lo == length
+            assert len(weights) == length
             assert peak < 90_000
 
     @pytest.mark.parametrize("iters", [1, 3])
@@ -1078,16 +1075,17 @@ def _relaxation_error(alpha, mu, steps, lam=0.0, **config):
 
 def _far_rows(stepper, times, fs, n):
     """Run the stepper's far blocks from its switch, with a set-up of their
-    own, over the history ``fs`` to the block holding step n; return that
-    step's row and its predictor's weights and slice."""
+    own, over the history ``fs`` to the block holding step n, as its step
+    calls do for a problem without affine parts; return that step's row and
+    its predictor's weights and slice."""
     lo, stepper._far = stepper._switch, None
     while True:
-        stepper._far_block(times, fs, lo)
-        rows = list(stepper._rows)
-        if n < stepper._hi:
-            k = n - stepper._lo
-            return rows[k], stepper._c[k], stepper._idx[k]
-        lo = stepper._hi
+        assert stepper._far_span(times, fs, lo) is None
+        cs, idxs, rows = stepper._far_block(times, fs, lo)
+        if n < lo + len(cs):
+            k = n - lo
+            return list(rows)[k], cs[k], idxs[k]
+        lo += len(cs)
 
 
 class TestFarHistory:
@@ -1256,16 +1254,24 @@ class TestFarHistory:
         # at 1280 steps the spans of p and q from the switch at step 201 up
         # to step 713 hold one q, so they are solved at once, and the rows
         # from there are stepped.  At 2507 steps the spans of 256 steps
-        # from 201 leave a last one of 3 steps, fewer than NI = 7
-        blocks = []
-        far_block = _Stepper._far_block
+        # from 201 leave a last one of 3 steps, fewer than NI = 7.  Each
+        # step call past the switch is a block, stepped where it calls
+        # _far_block
+        blocks, stepped = [], set()
+        step, far_block = _Stepper.step, _Stepper._far_block
 
-        def recorded(self, times, fs, lo):
-            solved = far_block(self, times, fs, lo)
-            blocks.append((lo, self._hi, solved is not None))
-            return solved
+        def recorded(self, times, values, fs, ring, lo):
+            hi = step(self, times, values, fs, ring, lo)
+            if lo >= self._switch:
+                blocks.append((lo, hi))
+            return hi
 
-        monkeypatch.setattr(_Stepper, "_far_block", recorded)
+        def stepped_block(self, times, fs, lo):
+            stepped.add(lo)
+            return far_block(self, times, fs, lo)
+
+        monkeypatch.setattr(_Stepper, "step", recorded)
+        monkeypatch.setattr(_Stepper, "_far_block", stepped_block)
         if case == "q-varies-late":
             problem = Problem(kind="caputo", alpha=0.5, lam=lam, a=0.0, b=1.0, init=(1.0,),
                               rhs=lambda t, u: math.cos(t) - (0.5 + max(t - 0.6, 0.0)) * u,
@@ -1276,7 +1282,7 @@ class TestFarHistory:
         config = SolverConfig(steps=steps, n_interp=7)
         with_parts, without = _twins(problem)
         affine = solve(with_parts, config)
-        (lo, hi, _), solved = blocks[-1], [ok for *_, ok in blocks]
+        (lo, hi), solved = blocks[-1], [lo not in stepped for lo, _ in blocks]
         plain = solve(without, config)
         if case == "q-varies-late":
             assert solved[0] and not solved[-1]
@@ -1431,6 +1437,20 @@ class TestFarHistory:
         for err in raised:
             assert (err.phase, err.step) == ("step", 1968)
         assert raised[0].value == pytest.approx(raised[1].value, rel=1e-12, abs=0.0)
+
+    def test_solves_leave_numpy_state_as_they_found_it(self):
+        # the JPC steps run in _march's buffer scope, each block inside one
+        # step call: a blow-up in a stepped far block (7.4 u at step 1968,
+        # NI = 7) and a solve that finishes leave numpy's ufunc buffer size
+        # and error handling as they were
+        bufsize, err = np.getbufsize(), np.geterr()
+        with pytest.raises(BlowUpError) as info:
+            solve(problem_from_spec(0.5, 0.0, "7.4*u", b=1.0, init=(1.0,)),
+                  SolverConfig(steps=4000, n_interp=7))
+        assert (info.value.phase, info.value.step) == ("step", 1968)
+        assert (np.getbufsize(), np.geterr()) == (bufsize, err)
+        solve(example2(0.5, 2.0), SolverConfig(steps=1280, n_interp=7))
+        assert (np.getbufsize(), np.geterr()) == (bufsize, err)
 
     @pytest.mark.parametrize("alpha, n_quad, built", [(0.5, 20, 0), (1.5, 8, 0), (0.5, 8, 1)])
     def test_set_up_only_past_the_switch(self, alpha, n_quad, built, monkeypatch):
@@ -1778,6 +1798,30 @@ class TestSolve:
         for field, value in [("start_refine", 0), ("n_tilde", 1), ("corrector_iters", 0)]:
             with pytest.raises(ValueError, match=f"{field} must be at least"):
                 SolverConfig(steps=20, n_interp=7, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 20.0), ("n_interp", 3.0), ("n_quad", 20.0), ("n_tilde", 40.0),
+        ("start_refine", 2.5), ("start_refine", True), ("corrector_iters", 1.0),
+        ("steps", "20"),
+    ])
+    def test_config_counts_must_be_integers(self, field, value):
+        # a float count failed deep inside numpy, and True was taken as 1;
+        # the split makes n_tilde count
+        config = {"steps": 20, "n_interp": 3, "split_t0": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            solve(_start_problem("caputo", 0.5), SolverConfig(**config))
+
+    def test_config_takes_numpy_integers(self):
+        # each count is taken as a Python int: an np.int64 n_interp failed
+        # as the maxlen of the corrector's ring
+        problem = _start_problem("caputo", 0.5)
+        counts = {"steps": 20, "n_interp": 3, "n_quad": 20, "start_refine": 8, "n_tilde": 40,
+                  "corrector_iters": 1}
+        want = solve(problem, SolverConfig(split_t0=0.1, **counts))
+        got = solve(problem, SolverConfig(split_t0=0.1,
+                                          **{k: np.int64(v) for k, v in counts.items()}))
+        assert np.stack([got.values, got.rhs_values]).tobytes() == \
+            np.stack([want.values, want.rhs_values]).tobytes()
 
 
 class TestSolveSplit:
