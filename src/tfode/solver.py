@@ -78,7 +78,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -998,14 +998,40 @@ _NEAR_PER_DEGREE = 2
 #: that every sample a block's far sums read is known at its first step.  A
 #: block's far sums are one (exponentials x block) product that reads the
 #: state and one convolution of the far kernel with the K + (NI-1)//2 f
-#: values before it, and moving the state on over a block is one more
-#: product; at NI = 7 and 20480 steps (145 exponentials) the tables hold
-#: some 45 KB.  One step call takes a far block of rows, or a span of p
-#: and q with one q, solved at once (``_Stepper._solve_far_block``) and
-#: written into the trace as one slice; the state is read into the span,
-#: its split history term made and the far kernel built a block's length at
-#: a time, so that no table of exponentials grows with the span.
+#: values before it, and a read moves a copy of the state on one more
+#: product per block.  The state itself moves from checkpoint to
+#: checkpoint a span apart by one (blocks x 32) by (32 x exponentials)
+#: product over the span's f values, each row weighed by its decay from a
+#: table of one row per 32 values (``_Stepper._advance``); that table, and
+#: the state's read into a span, take blocks of this length whatever a far
+#: block's, as they read no f value of the block.  At NI = 7 and 20480
+#: steps (145 exponentials) the tables hold some 53 KB.  One step call
+#: takes a far block of rows, or a span of p and q with one q, solved at
+#: once (``_Stepper._solve_far_block``) and written into the trace as one
+#: slice; the state is read into the span, its split history term made
+#: and the far kernel built a block's length at a time, so that the one
+#: table that grows with the span is the decays', a row of exponentials
+#: per 32 steps.
 _FAR_BLOCK = 32
+
+
+class _FarTables(NamedTuple):
+    """The near window's weights and the far sums' tables, made once per
+    solve by ``_Stepper._far_setup``, which defines each of them."""
+
+    near: np.ndarray  # the near window's weights over f_{n-K-NI} .. f_{n-1}
+    pref: float  # the near window's rule prefactor, (tau K / 2)^alpha / Gamma(alpha)
+    sigma: float  # the corrector's window factor over f_{n-NI} .. f_n
+    w_end: float  # sigma times the window's weight on f_n
+    c: np.ndarray  # the state's weights in the far sum of step k + K
+    rpow: np.ndarray  # rho^d for d < _FAR_BLOCK, (exponentials x _FAR_BLOCK)
+    decays: np.ndarray  # rho^(j _FAR_BLOCK), (blocks x exponentials)
+    decay: np.ndarray  # rho^B, the decay over a far block
+    sl: np.ndarray  # rho = e^{-sl}
+    ef: np.ndarray  # each f value's weight as it joins the state
+    W: np.ndarray  # the far kernel, the far sums' weights by distance
+    h: int  # (NI-1)//2
+    block: int  # B, the steps of a far block
 
 
 @functools.lru_cache(maxsize=1)
@@ -1067,10 +1093,16 @@ class _Stepper:
       one value per exponential, which leaves out the f values from
       f_{n-K-(NI-1)//2} on, and those f values through the far kernel, the
       sums' weights by distance (:meth:`_far_setup`), in blocks of up to
-      ``_FAR_BLOCK`` steps (:meth:`_far_block`, :meth:`_advance`).  Its
-      tables hold a block's values per exponential and the far kernel,
-      some 45 KB at NI = 7 and 20480 steps, and are made only when a solve
-      reaches the switch.  Spans of p and q start afresh at the switch.
+      ``_FAR_BLOCK`` steps (:meth:`_far_block`).  The state is kept at
+      checkpoints a span of p and q apart, counted from the switch, each
+      moved on from the last by one product over the span's f values
+      (:meth:`_advance`), so that it is the same whichever way the span's
+      steps are taken; a read between checkpoints moves a copy on a block
+      at a time (:meth:`_far_state`).  Its tables hold a block's values
+      per exponential, the decay over each block of a span and the far
+      kernel, some 53 KB at NI = 7 and 20480 steps, and are made only when
+      a solve reaches the switch.  Spans of p and q start afresh at the
+      switch.
       Where p and q of ``Problem.affine`` hold over a span, with one value
       of q, its steps' u and f are a fixed linear recurrence in the f
       values, with the near window's K + NI weights and the far kernel.
@@ -1253,7 +1285,10 @@ class _Stepper:
         sample from f_{k-h} on comes in through W, whatever the panels
         clamped at 0 do, and G moves on over the f values in order, each
         f_i by rho^(k'-1-h-i) times ef = sum_j rho^j Et[:, j] (see
-        :meth:`_advance`).
+        :meth:`_advance`).  G is made at the first checkpoint, k = lo - K
+        at the first far step lo (see :meth:`_far_state`), and the tables
+        hold rho^(jT) for the blocks of T = ``_FAR_BLOCK`` values of a span
+        (or of the move to it).
         """
         problem, ni, tau, K = self.problem, self.n_interp, self.tau, self._near_steps
         h = (ni - 1) // 2
@@ -1280,12 +1315,16 @@ class _Stepper:
             H += E[k] @ (fs[:ni + 1] * np.exp(-lt * np.arange(k + ni, k - 1.0, -1.0)))
             k += 1
         del E
-        # rho^d for d < B and the decay over a block, rho^B: each an exp,
-        # as a power would scale rho's rounding error by d, and the state's
-        # decay compounds it
-        rpow = np.multiply.outer(sl, np.arange(0.0, -B, -1.0))
+        # rho^d for d < T, rho^(jT) for the blocks of T values of a span and
+        # of the move to lo - K below, and rho^B: each an exp, as a power
+        # would scale rho's rounding error by d, and the state's decay
+        # compounds it.  The tables take blocks of T = _FAR_BLOCK values
+        # whatever B, as they read no f value of the far block
+        T = _FAR_BLOCK
+        rpow = np.multiply.outer(sl, np.arange(0.0, -T, -1.0))
         np.exp(rpow, out=rpow)
-        decay = np.exp(-B * sl)
+        nb = -(-max(self._span, lo - K - k) // T)
+        decays = np.exp(np.multiply.outer(np.arange(0.0, -nb * T, -T), sl))
         c = self.rga * tau**problem.alpha * w * np.exp(-sig * K - lt * (K + 1 - ni))
         del sig, w
         # G at k: H less what each panel k-1-r, r < NI, adds in its samples
@@ -1296,8 +1335,9 @@ class _Stepper:
         # V[j, d] = sum_m c_m rho_m^d Et[m, j] for d >= 0: panel k + l reads
         # f_{k+l-h+j}, which step k + K + 1 + l + d reads through V[j, d].
         # Below off only the j >= off - D count; from off on, W(D) is
-        # sum_m c_m rho_m^(D-off) ef_m, made B values at a time.  It
-        # reaches over a span and the K + h f values before it that it reads
+        # sum_m c_m rho_m^(D-off) ef_m, B values to a row of one product.
+        # It reaches over a span and the K + h f values before it that it
+        # reads
         off = K + 1 + h
         W = np.zeros(self._span + K + h)
         ef = Et[:, ni].copy()
@@ -1305,14 +1345,15 @@ class _Stepper:
             W[off - j] = c @ ef
             ef *= rho
             ef += Et[:, j - 1]
-        ce = c * ef
-        for s in range(0, len(W) - off, B):
-            n = min(B, len(W) - off - s)
-            W[off + s:off + s + n] = ((ce * np.exp(-s * sl)) @ rpow)[:n]
-        self._far = (near, (0.5 * tau * K) ** problem.alpha * self.rga, sigma,
-                     sigma * self._end_weight, c, rpow, decay, sl, ef, W, h)
-        # G moves on from k in _far_block
-        self._H, self._Hk = H, k
+        n = len(W) - off
+        W[off:] = ((decays[:-(-n // T)] * (c * ef)) @ rpow).ravel()[:n]
+        self._far = _FarTables(near, (0.5 * tau * K) ** problem.alpha * self.rga, sigma,
+                               sigma * self._end_weight, c, rpow, decays, np.exp(-B * sl),
+                               sl, ef, W, h, B)
+        # G at the first checkpoint, k = lo - K, and the copy of it that the
+        # steps read (see _far_state)
+        self._G = self._Gr = self._advance(H, fs, k, lo - K)
+        self._Gk = self._Grk = lo - K
         # spans of p and q start afresh here, at the same step whatever the
         # block length before the switch
         self._parts_hi = 0
@@ -1336,21 +1377,46 @@ class _Stepper:
         E *= wy
         return E @ lag
 
-    def _advance(self, fs: np.ndarray, end: int) -> None:
-        """Move the far sums' state G on from its point to ``end`` over the
-        f values in ``fs`` (see :meth:`_far_setup`): from k to k', G is
-        rho^(k'-k) G plus ef times sum_i rho^(k'-1-h-i) f_i over
-        f_{k-h} .. f_{k'-h-1}, the steps short of a whole number of blocks
-        first, then a block at a time, one (exponentials x block) product
-        each."""
-        _, _, _, _, _, rpow, decay, sl, ef, _, h = self._far
-        k, B = self._Hk, rpow.shape[1]
-        while k < end:
-            r = (end - k) % B or B
-            self._H *= decay if r == B else np.exp(-r * sl)
-            self._H += ef * (rpow[:, :r] @ fs[k - h:k - h + r][::-1])
-            k += r
-        self._Hk = end
+    def _advance(self, G: np.ndarray, fs: np.ndarray, k: int, end: int) -> np.ndarray:
+        """The far sums' state G at k moved on to ``end`` over the f values
+        in ``fs`` (see :meth:`_far_setup`), as a new array: rho^(end-k) G
+        plus ef times sum_i rho^(end-1-h-i) f_i over f_{k-h} .. f_{end-h-1}.
+        With the distance d = end-1-h-i = jT + r, T = ``_FAR_BLOCK``,
+        rho^d = rho^(jT) rho^r, so the sum is one (blocks x T) by
+        (T x exponentials) product over the f values newest first, the
+        oldest block padded with zeros, whose rows are weighed by
+        rho^(jT) and summed."""
+        far, T = self._far, _FAR_BLOCK
+        size = end - k
+        f = np.zeros(-(-size // T) * T)
+        f[:size] = fs[k - far.h:end - far.h][::-1]
+        P = f.reshape(-1, T) @ far.rpow.T
+        P *= far.decays[:len(P)]
+        return G * np.exp(-size * far.sl) + far.ef * np.add.reduce(P, axis=0)
+
+    def _far_state(self, fs: np.ndarray, k: int) -> np.ndarray:
+        """The far sums' state at k (see :meth:`_far_setup`).
+
+        G is kept at the checkpoints k = switch - K + j span, each moved on
+        from the last by one :meth:`_advance`, whichever steps read it: a
+        span solved at once and its steps taken block by block leave the
+        same G.  A read past a checkpoint takes a copy of G moved on from
+        it B values at a time, the steps short of a whole number of blocks
+        first, one (exponentials x B) product each; the copy goes on from
+        the last read.
+        """
+        far = self._far
+        while self._Gk + self._span <= k:
+            self._G = self._advance(self._G, fs, self._Gk, self._Gk + self._span)
+            self._Gk += self._span
+            self._Gr, self._Grk = self._G, self._Gk
+        B, h = far.block, far.h
+        while self._Grk < k:
+            r = (k - self._Grk) % B or B
+            G = self._Gr * (far.decay if r == B else np.exp(-r * far.sl))
+            G += far.ef * (far.rpow[:, :r] @ fs[self._Grk - h:self._Grk - h + r][::-1])
+            self._Gr, self._Grk = G, self._Grk + r
+        return self._Gr
 
     def _far_span(self, times: np.ndarray, fs: np.ndarray, lo: int):
         """u and f of the far steps from lo to the end of their span of p
@@ -1360,14 +1426,11 @@ class _Stepper:
         otherwise, or where that solution leaves the range: then the far
         block from lo is stepped (:meth:`_far_block`), so a blow-up names
         its step, and the rest of the span is tried again from the next
-        block.  First the far sums' state moves on to k = lo - K
-        (:meth:`_advance`), set up at the first far step.
+        block.  The far sums are set up at the first far step.
         """
         if self._far is None:
             self._far_setup(times, fs, lo)
-        self._advance(fs, lo - self._near_steps)
-        rpow = self._far[5]  # B columns, one a step of a far block
-        parts = self._block_parts(times, lo, min(lo + rpow.shape[1], len(times)))
+        parts = self._block_parts(times, lo, min(lo + self._far.block, len(times)))
         if parts is None or parts[2] is None:
             return None
         return self._solve_far_block(times, fs, lo, self._parts_hi, parts[0], parts[2])
@@ -1382,31 +1445,32 @@ class _Stepper:
         the state at k = lo - K, with the f values from f_{k-h} on through
         the far kernel (:meth:`_far_setup`).
         """
-        near, pref, sigma, w_end, _, rpow, *_ = self._far
-        hi = min(lo + rpow.shape[1], len(times))
+        far = self._far
+        hi = min(lo + far.block, len(times))
         t = times[lo:hi]
         base = self._base(t, _FAR_BLOCK)
         base += self._far_sums(fs, lo, hi - lo)
-        rows = zip(t.tolist(), base.tolist(), repeat(pref), repeat(sigma), repeat(w_end),
-                   *self._row_parts(self._block_parts(times, lo, hi), hi - lo))
+        rows = zip(t.tolist(), base.tolist(), repeat(far.pref), repeat(far.sigma),
+                   repeat(far.w_end), *self._row_parts(self._block_parts(times, lo, hi), hi - lo))
+        near = far.near
         return [near] * (hi - lo), [slice(n - len(near), n) for n in range(lo, hi)], rows
 
     def _far_sums(self, fs: np.ndarray, lo: int, size: int) -> np.ndarray:
         """The far sums of the steps lo .. lo+size-1 over the f values before
-        lo (see :meth:`_far_setup`): the state at k = lo - K read into them,
-        a block of B steps to a row of one (rows x exponentials) product,
-        and f_{k-h} .. f_{lo-1} through one convolution with the far
-        kernel."""
-        _, _, _, _, c, rpow, decay, _, _, W, h = self._far
-        B, K = rpow.shape[1], self._near_steps
-        X = np.empty((-(-size // B), len(decay)))
-        np.multiply(c, self._H, out=X[0])
-        for s in range(1, len(X)):
-            np.multiply(X[s - 1], decay, out=X[s])
-        far = (X @ rpow).ravel()[:size]
+        lo (see :meth:`_far_setup`): the state at k = lo - K
+        (:meth:`_far_state`) read into them, a block of ``_FAR_BLOCK``
+        steps to a row of one (rows x exponentials) product, each row's
+        decay from the table, and f_{k-h} .. f_{lo-1} through one
+        convolution with the far kernel."""
+        far, K = self._far, self._near_steps
+        X = far.c * self._far_state(fs, lo - K)
+        if size > _FAR_BLOCK:
+            X = far.decays[:-(-size // _FAR_BLOCK)] * X
+        sums = (X @ far.rpow).ravel()[:size]
         del X
-        far += np.convolve(fs[lo - K - h:lo], W[:K + h + size])[K + h:K + h + size]
-        return far
+        J = K + far.h
+        sums += np.convolve(fs[lo - J:lo], far.W[:J + size])[J:J + size]
+        return sums
 
     def _far_taps(self, q: float):
         """For f = p + q u with q one value: the factors of base and p in u
@@ -1414,15 +1478,15 @@ class _Stepper:
         0 .. K + NI (d_0 = 0), and the taps of a far span, a span long, made
         from d and the far kernel W (:func:`_resolvent_taps`; see
         :meth:`_solve_far_block`)."""
-        near, pref, sigma, w_end, *_, W, _ = self._far
-        kappa = pref * w_end
+        far = self._far
+        kappa = far.pref * far.w_end
         g = kappa * q
         s = sum(g**k for k in range(self.iters))
         gs = g**self.iters + s
-        d = np.zeros(len(near) + 1)
-        np.multiply(near[::-1], gs * pref, out=d[1:])
-        d[1:self.n_interp + 1] += np.array(self._window_weights[::-1]) * (s * pref * sigma)
-        kern = gs * W[:self._span]
+        d = np.zeros(len(far.near) + 1)
+        np.multiply(far.near[::-1], gs * far.pref, out=d[1:])
+        d[1:self.n_interp + 1] += np.array(self._window_weights[::-1]) * (s * far.pref * far.sigma)
+        kern = gs * far.W[:self._span]
         n = min(len(d), len(kern))
         kern[:n] += d[:n]
         return gs, s * kappa, d, _resolvent_taps(kern, q, len(kern))

@@ -1356,11 +1356,10 @@ class TestFarHistory:
         fs[:ni + 1] = 0.0
         fs[lo:] = np.nan
         stepper._far_setup(times, fs, stepper._switch)
-        stepper._advance(fs, lo - K)
         p = np.cos(times[lo:hi])
         u, f = stepper._solve_far_block(times, fs, lo, hi, p, q)
 
-        _, _, _, _, c, _, _, sl, _, _, h = stepper._far
+        c, sl, h = stepper._far.c, stepper._far.sl, stepper._far.h
         lt = lam * stepper.tau
         Et = stepper._panel_weights(sl - lt)[h] * np.exp(-lt * np.arange(ni + h, h - 1.0, -1.0))
         gs, sk, d, _ = stepper._far_taps(q)
@@ -1380,6 +1379,93 @@ class TestFarHistory:
         assert len(u) == {2: 512, 3: 448, 7: 256}[ni]
         assert np.abs(u - u_want).max() <= 1e-13 * np.abs(u_want).max()
         assert np.abs(f - f_want).max() <= 1e-13 * np.abs(f_want).max()
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 800.0])
+    @pytest.mark.parametrize("n_interp, n_quad, blocks", [
+        (2, 2, (3, 3584)), (4, 4, (6, 1720)), (7, 7, (11, 672)), (4, 20, (32, 408))])
+    def test_one_product_move_against_the_recurrence(self, n_interp, n_quad, blocks, lam):
+        # _advance moves the far sums' state G over a span by one product,
+        # rho^(32j) rho^r on the f value at distance 32j + r, against the
+        # recurrence a far block of B values at a time, the steps short of
+        # a whole number of blocks first, and against the sum by its
+        # definition.  The recurrence runs in long double: in double the
+        # rounding of a block's decay rho^B compounds over the span's
+        # blocks, 8.6e-14 of the state at B = 3.  At n_quad = NI a far
+        # block is 3, 6 and 11 steps, and the spans of 3584, 1720 and 672
+        # steps start with a part of one; 1720 steps are 53 blocks of 32
+        # and a first one of 24, as is a 408-step span at NI = 4 and
+        # n_quad = 20, 12 blocks of 32 and 24
+        steps = 8000
+        stepper = _Stepper(example2(0.5, lam),
+                           SolverConfig(steps=steps, n_interp=n_interp, n_quad=n_quad))
+        times = np.linspace(0.0, 1.0, steps + 1)
+        fs = np.random.default_rng(n_interp).standard_normal(steps + 1)
+        stepper._far_setup(times, fs, stepper._switch)
+        far, span, k, G = stepper._far, stepper._span, stepper._Gk, stepper._G
+        B, h = far.block, far.h
+        assert (B, span) == blocks
+        for end in (k + span, k + 2 * span):
+            moved = stepper._advance(G, fs, k, end)
+            sl, stepped, i = far.sl.astype(np.longdouble), G.astype(np.longdouble), k
+            while i < end:
+                r = (end - i) % B or B
+                rpow = np.exp(-np.multiply.outer(sl, np.arange(r)))
+                stepped = stepped * np.exp(-r * sl) + far.ef * (rpow @ fs[i - h:i - h + r][::-1])
+                i += r
+            d = np.arange(end - k - 1.0, -1.0, -1.0)
+            defined = (np.exp(-(end - k) * far.sl) * G
+                       + far.ef * (np.exp(-np.multiply.outer(far.sl, d)) @ fs[k - h:end - h]))
+            for want in (stepped, defined):
+                assert np.abs(moved - want).max() <= 1e-14 * np.abs(want).max(), end
+            G, k = moved, end
+
+    @pytest.mark.parametrize("n_interp", [7, 4])
+    def test_state_checkpoints_are_shared_by_every_path(self, n_interp, monkeypatch):
+        # the q-varies-late problem of the slice-written test: its affine
+        # twin solves spans at once and the twin without affine parts steps
+        # every far block.  Each step call first takes the history of the
+        # affine twin's trace, so both read the same f values, and the far
+        # sums' state G must then be bit-identical at each checkpoint
+        # switch - K + j span, moved there once from the last one.  At
+        # NI = 4 a 408-step span is not a whole number of 32-step far
+        # blocks, so the stepped blocks straddle the checkpoints
+        problem = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(1.0,),
+                          rhs=lambda t, u: math.cos(t) - (0.5 + max(t - 0.6, 0.0)) * u,
+                          affine=(np.cos, lambda t: -0.5 - np.maximum(t - 0.6, 0.0)))
+        config = SolverConfig(steps=1280, n_interp=n_interp)
+        with_parts, without = _twins(problem)
+        ref = solve(with_parts, config)
+        step, advance, solve_block = _Stepper.step, _Stepper._advance, _Stepper._solve_far_block
+        moves, solved = [], []
+
+        def replayed(self, times, values, fs, ring, lo):
+            values[:lo], fs[:lo] = ref.values[:lo], ref.rhs_values[:lo]
+            ring.extend(fs[lo - self.n_interp:lo].tolist())
+            return step(self, times, values, fs, ring, lo)
+
+        def recorded(self, G, fs, k, end):
+            moved = advance(self, G, fs, k, end)
+            moves[-1].append((k, end, moved.tobytes()))
+            return moved
+
+        def counted(self, *args):
+            out = solve_block(self, *args)
+            solved.append(out is not None)
+            return out
+
+        monkeypatch.setattr(_Stepper, "step", replayed)
+        monkeypatch.setattr(_Stepper, "_advance", recorded)
+        monkeypatch.setattr(_Stepper, "_solve_far_block", counted)
+        for twin in (with_parts, without):
+            moves.append([])
+            solve(twin, config)
+        assert any(solved)
+        assert moves[0] == moves[1]
+        stepper = _Stepper(problem, config)
+        first = stepper._switch - stepper._near_steps
+        ends = [end for _, end, _ in moves[0]]
+        assert ends == list(range(first, 1280 - stepper._near_steps, stepper._span))
+        assert [k for k, _, _ in moves[0][1:]] == ends[:-1]
 
     def test_varying_q_is_stepped_as_without_affine(self):
         # q = -10 (1 + t) varies over every far block past the switch at
