@@ -364,8 +364,10 @@ def volterra_forcing(problem: Problem, t: float) -> float:
 
     For Riemann-Liouville problems the forcing is singular at ``t = a``;
     that point is rejected (the solver itself works with a one-sided
-    surrogate there, see :func:`solve`).
+    surrogate there, see :func:`solve`), as is a ``t`` that is not finite.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t={t} is not finite")
     if t < problem.a:
         raise ValueError(f"t={t} is before the lower terminal a={problem.a}")
     if t == problem.a and _negative_order_data(problem):
@@ -995,11 +997,11 @@ _FAR_FROM = 0.5
 _NEAR_PER_DEGREE = 2
 
 #: Steps per far-sum block at most, and at most K + 1 - NI + (NI-1)//2, so
-#: that every sample a block's far sums read is known at its first step.  A
-#: block's far sums are one (exponentials x block) product that reads the
-#: state and one convolution of the far kernel with the K + (NI-1)//2 f
-#: values before it, and a read moves a copy of the state on one more
-#: product per block.  The state itself moves from checkpoint to
+#: that every sample a block's far sums read is known at its first step; a
+#: block ends at its span's end.  A block's far sums are one (exponentials
+#: x block) product that reads the state at its span's checkpoint, decayed
+#: to the block, and one convolution of the far kernel with the f values
+#: that the state there leaves out.  The state moves from checkpoint to
 #: checkpoint a span apart by one (blocks x 32) by (32 x exponentials)
 #: product over the span's f values, each row weighed by its decay from a
 #: table of one row per 32 values (``_Stepper._advance``); that table, and
@@ -1026,7 +1028,6 @@ class _FarTables(NamedTuple):
     c: np.ndarray  # the state's weights in the far sum of step k + K
     rpow: np.ndarray  # rho^d for d < _FAR_BLOCK, (exponentials x _FAR_BLOCK)
     decays: np.ndarray  # rho^(j _FAR_BLOCK), (blocks x exponentials)
-    decay: np.ndarray  # rho^B, the decay over a far block
     sl: np.ndarray  # rho = e^{-sl}
     ef: np.ndarray  # each f value's weight as it joins the state
     W: np.ndarray  # the far kernel, the far sums' weights by distance
@@ -1096,13 +1097,14 @@ class _Stepper:
       ``_FAR_BLOCK`` steps (:meth:`_far_block`).  The state is kept at
       checkpoints a span of p and q apart, counted from the switch, each
       moved on from the last by one product over the span's f values
-      (:meth:`_advance`), so that it is the same whichever way the span's
-      steps are taken; a read between checkpoints moves a copy on a block
-      at a time (:meth:`_far_state`).  Its tables hold a block's values
-      per exponential, the decay over each block of a span and the far
-      kernel, some 53 KB at NI = 7 and 20480 steps, and are made only when
-      a solve reaches the switch.  Spans of p and q start afresh at the
-      switch.
+      (:meth:`_advance`, :meth:`_far_span`), so that it is the same
+      whichever way the span's steps are taken.  Every far block lies in
+      one span and reads the state at its checkpoint, the f values from
+      there on through the far kernel (:meth:`_far_sums`).  Its tables
+      hold a block's values per exponential, the decay over each block of
+      a span and the far kernel, some 53 KB at NI = 7 and 20480 steps, and
+      are made only when a solve reaches the switch.  Spans of p and q
+      start afresh at the switch.
       Where p and q of ``Problem.affine`` hold over a span, with one value
       of q, its steps' u and f are a fixed linear recurrence in the f
       values, with the near window's K + NI weights and the far kernel.
@@ -1286,7 +1288,7 @@ class _Stepper:
         clamped at 0 do, and G moves on over the f values in order, each
         f_i by rho^(k'-1-h-i) times ef = sum_j rho^j Et[:, j] (see
         :meth:`_advance`).  G is made at the first checkpoint, k = lo - K
-        at the first far step lo (see :meth:`_far_state`), and the tables
+        at the first far step lo (see :meth:`_far_span`), and the tables
         hold rho^(jT) for the blocks of T = ``_FAR_BLOCK`` values of a span
         (or of the move to it).
         """
@@ -1335,9 +1337,9 @@ class _Stepper:
         # V[j, d] = sum_m c_m rho_m^d Et[m, j] for d >= 0: panel k + l reads
         # f_{k+l-h+j}, which step k + K + 1 + l + d reads through V[j, d].
         # Below off only the j >= off - D count; from off on, W(D) is
-        # sum_m c_m rho_m^(D-off) ef_m, B values to a row of one product.
-        # It reaches over a span and the K + h f values before it that it
-        # reads
+        # sum_m c_m rho_m^(D-off) ef_m, T values to a row of one product.
+        # It reaches over a span and the K + h f values before it, all that
+        # a read inside one span takes
         off = K + 1 + h
         W = np.zeros(self._span + K + h)
         ef = Et[:, ni].copy()
@@ -1348,12 +1350,9 @@ class _Stepper:
         n = len(W) - off
         W[off:] = ((decays[:-(-n // T)] * (c * ef)) @ rpow).ravel()[:n]
         self._far = _FarTables(near, (0.5 * tau * K) ** problem.alpha * self.rga, sigma,
-                               sigma * self._end_weight, c, rpow, decays, np.exp(-B * sl),
-                               sl, ef, W, h, B)
-        # G at the first checkpoint, k = lo - K, and the copy of it that the
-        # steps read (see _far_state)
-        self._G = self._Gr = self._advance(H, fs, k, lo - K)
-        self._Gk = self._Grk = lo - K
+                               sigma * self._end_weight, c, rpow, decays, sl, ef, W, h, B)
+        # G at the first checkpoint, k = lo - K (see _far_span)
+        self._G, self._Gk = self._advance(H, fs, k, lo - K), lo - K
         # spans of p and q start afresh here, at the same step whatever the
         # block length before the switch
         self._parts_hi = 0
@@ -1394,30 +1393,6 @@ class _Stepper:
         P *= far.decays[:len(P)]
         return G * np.exp(-size * far.sl) + far.ef * np.add.reduce(P, axis=0)
 
-    def _far_state(self, fs: np.ndarray, k: int) -> np.ndarray:
-        """The far sums' state at k (see :meth:`_far_setup`).
-
-        G is kept at the checkpoints k = switch - K + j span, each moved on
-        from the last by one :meth:`_advance`, whichever steps read it: a
-        span solved at once and its steps taken block by block leave the
-        same G.  A read past a checkpoint takes a copy of G moved on from
-        it B values at a time, the steps short of a whole number of blocks
-        first, one (exponentials x B) product each; the copy goes on from
-        the last read.
-        """
-        far = self._far
-        while self._Gk + self._span <= k:
-            self._G = self._advance(self._G, fs, self._Gk, self._Gk + self._span)
-            self._Gk += self._span
-            self._Gr, self._Grk = self._G, self._Gk
-        B, h = far.block, far.h
-        while self._Grk < k:
-            r = (k - self._Grk) % B or B
-            G = self._Gr * (far.decay if r == B else np.exp(-r * far.sl))
-            G += far.ef * (far.rpow[:, :r] @ fs[self._Grk - h:self._Grk - h + r][::-1])
-            self._Gr, self._Grk = G, self._Grk + r
-        return self._Gr
-
     def _far_span(self, times: np.ndarray, fs: np.ndarray, lo: int):
         """u and f of the far steps from lo to the end of their span of p
         and q, as two arrays, where p and q of ``Problem.affine`` hold over
@@ -1426,27 +1401,40 @@ class _Stepper:
         otherwise, or where that solution leaves the range: then the far
         block from lo is stepped (:meth:`_far_block`), so a blow-up names
         its step, and the rest of the span is tried again from the next
-        block.  The far sums are set up at the first far step.
+        block.  The far sums are set up at the first far step, and their
+        state G is moved on to the checkpoint of lo's span, k0 = switch - K
+        + j span, each checkpoint from the last by one :meth:`_advance`, so
+        that a span solved at once and its steps taken block by block leave
+        the same G.
         """
         if self._far is None:
             self._far_setup(times, fs, lo)
-        parts = self._block_parts(times, lo, min(lo + self._far.block, len(times)))
+        while self._Gk + self._span <= lo - self._near_steps:
+            self._G = self._advance(self._G, fs, self._Gk, self._Gk + self._span)
+            self._Gk += self._span
+        parts = self._block_parts(times, lo, self._far_end(lo, len(times)))
         if parts is None or parts[2] is None:
             return None
         return self._solve_far_block(times, fs, lo, self._parts_hi, parts[0], parts[2])
 
+    def _far_end(self, lo: int, end: int) -> int:
+        """The end of the far block from lo: B steps on, cut at the end of
+        its span of p and q, switch + j span, and at the grid's ``end``."""
+        return min(lo + self._far.block, self._Gk + self._near_steps + self._span, end)
+
     def _far_block(self, times: np.ndarray, fs: np.ndarray, lo: int):
-        """The far block of B steps from lo, the last one cut at the grid's
-        end, after :meth:`_far_span`: each step's weights and gather
-        slices, and its rows, as :meth:`_build_block`'s.
+        """The far block of B steps from lo, cut at the end of its span and
+        at the grid's end (:meth:`_far_end`), after :meth:`_far_span`:
+        each step's weights and gather slices, and its rows, as
+        :meth:`_build_block`'s.
 
         A step's predictor is the near window's one weight vector over
         f_{n-K-NI} .. f_{n-1}, and its base adds the far sums, read from
-        the state at k = lo - K, with the f values from f_{k-h} on through
-        the far kernel (:meth:`_far_setup`).
+        the state at its span's checkpoint k0, with the f values from
+        f_{k0-h} on through the far kernel (:meth:`_far_sums`).
         """
         far = self._far
-        hi = min(lo + far.block, len(times))
+        hi = self._far_end(lo, len(times))
         t = times[lo:hi]
         base = self._base(t, _FAR_BLOCK)
         base += self._far_sums(fs, lo, hi - lo)
@@ -1457,19 +1445,23 @@ class _Stepper:
 
     def _far_sums(self, fs: np.ndarray, lo: int, size: int) -> np.ndarray:
         """The far sums of the steps lo .. lo+size-1 over the f values before
-        lo (see :meth:`_far_setup`): the state at k = lo - K
-        (:meth:`_far_state`) read into them, a block of ``_FAR_BLOCK``
+        lo (see :meth:`_far_setup`), all in the span of the state's
+        checkpoint k0 (:meth:`_far_span`): G read into them, decayed by
+        rho^o, o = lo - K - k0, from the tables, a block of ``_FAR_BLOCK``
         steps to a row of one (rows x exponentials) product, each row's
-        decay from the table, and f_{k-h} .. f_{lo-1} through one
-        convolution with the far kernel."""
-        far, K = self._far, self._near_steps
-        X = far.c * self._far_state(fs, lo - K)
-        if size > _FAR_BLOCK:
-            X = far.decays[:-(-size // _FAR_BLOCK)] * X
+        decay from the table, and f_{k0-h} .. f_{lo-1} through one
+        convolution with the far kernel, size + 1 outputs of L = lo - k0 + h
+        products each."""
+        far, K, k0, T = self._far, self._near_steps, self._Gk, _FAR_BLOCK
+        o = lo - K - k0
+        X = far.c * self._G
+        X *= far.decays[o // T] * far.rpow[:, o % T]
+        if size > T:
+            X = far.decays[:-(-size // T)] * X
         sums = (X @ far.rpow).ravel()[:size]
         del X
-        J = K + far.h
-        sums += np.convolve(fs[lo - J:lo], far.W[:J + size])[J:J + size]
+        L = lo - k0 + far.h
+        sums += np.convolve(fs[k0 - far.h:lo], far.W[:L + size], "valid")[1:]
         return sums
 
     def _far_taps(self, q: float):
@@ -1532,16 +1524,16 @@ class _Stepper:
         over the span (see :func:`_affine_parts`).
 
         They are evaluated over a span of ``_PARTS_BLOCKS`` blocks at once,
-        or of the steps lo..hi-1 if longer, from the first block past the
-        last span, and where they fail, all
-        of the span's steps call the right-hand side.
+        from the first block past the last span, and where they fail, all
+        of the span's steps call the right-hand side.  No block is longer
+        than a span, and no far block crosses a span's end.
         """
         affine = self.problem.affine
         if affine is None:
             return None
         if not self._parts_lo <= lo < hi <= self._parts_hi:
             self._parts_lo = lo
-            self._parts_hi = min(max(lo + self._span, hi), len(times))
+            self._parts_hi = min(lo + self._span, len(times))
             parts = _affine_parts(affine, times[lo:self._parts_hi])
             self._parts = None if parts is None else (*parts, _one_value(parts[1]))
         if self._parts is None:

@@ -90,6 +90,15 @@ class TestForcing:
         with pytest.raises(ValueError, match="before the lower terminal"):
             volterra_forcing(p, -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["caputo", "rl"])
+    def test_non_finite_time_is_rejected(self, kind, t):
+        # nan gave nan and inf 0.0 (example3's tempered forcing) without a word
+        p = example3(0.5, 1.0) if kind == "caputo" else Problem(
+            kind="rl", alpha=0.5, lam=0.0, a=0.0, b=2.0, init=(1.0,), rhs=lambda t, u: 0.0)
+        with pytest.raises(ValueError, match=f"t={t} is not finite"):
+            volterra_forcing(p, t)
+
     def test_rl_zero_data_regular_at_start(self):
         p = Problem(kind="rl", alpha=0.5, lam=0.0, a=0.0, b=2.0, init=(0.0,),
                     rhs=lambda t, u: 0.0)
@@ -1343,7 +1352,7 @@ class TestFarHistory:
         # span.  The f before the span are random, 0 where the
         # panels clamped at 0 read them, and the span's own are NaN, which
         # the solve must not read; the span starts at the switch or 37
-        # steps past it
+        # steps past it, and ends at the end of the first span of p and q
         steps, lam, q = 1200, 2.0, -2.0
         problem = Problem(kind="caputo", alpha=0.5, lam=lam, a=0.0, b=1.0, init=(1.0,),
                           rhs=lambda t, u: math.cos(t) + q * u, affine=(np.cos, lambda t: q))
@@ -1351,7 +1360,7 @@ class TestFarHistory:
         times = np.linspace(0.0, 1.0, steps + 1)
         K, ni = stepper._near_steps, n_interp
         lo = stepper._switch + offset
-        hi = min(lo + stepper._span, steps + 1)
+        hi = min(stepper._switch + stepper._span, steps + 1)
         fs = np.random.default_rng(n_interp).standard_normal(steps + 1)
         fs[:ni + 1] = 0.0
         fs[lo:] = np.nan
@@ -1376,7 +1385,7 @@ class TestFarHistory:
         A = A[:, lo:]
         f_want = np.linalg.solve(np.eye(hi - lo) - q * A, p + q * b)
         u_want = b + A @ f_want
-        assert len(u) == {2: 512, 3: 448, 7: 256}[ni]
+        assert len(u) == {2: 512, 3: 448, 7: 256}[ni] - offset
         assert np.abs(u - u_want).max() <= 1e-13 * np.abs(u_want).max()
         assert np.abs(f - f_want).max() <= 1e-13 * np.abs(f_want).max()
 
@@ -1418,6 +1427,72 @@ class TestFarHistory:
             for want in (stepped, defined):
                 assert np.abs(moved - want).max() <= 1e-14 * np.abs(want).max(), end
             G, k = moved, end
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_stepped_reads_against_the_definition(self, lam):
+        # every far block of the first span read by _far_sums, at NI =
+        # n_quad = 2 (B = 3, a 3584-step span of 1195 blocks), against the
+        # far sum by its definition, summed in long double: step n reads
+        # sum_m c_m rho_m^(n-K-k0) G_m of the state G at the checkpoint k0,
+        # and sum_{i >= k0-h} W(n-i) f_i with W(D) = sum_m c_m rho_m^(D-off)
+        # ef_m past off = K+1+h.  The error is held to 1.5e-15 of the
+        # sums' scale (6.9e-16 and 6.8e-16 here, the convolution's
+        # rounding); a state moved on block by block from the checkpoint,
+        # each move rounded, was 2.9e-15 and 1.6e-15 off
+        steps, ld = 8000, np.longdouble
+        stepper = _Stepper(example2(0.5, lam), SolverConfig(steps=steps, n_interp=2, n_quad=2))
+        times = np.linspace(0.0, 1.0, steps + 1)
+        fs = np.random.default_rng(2).standard_normal(steps + 1)
+        lo0, span, K = stepper._switch, stepper._span, stepper._near_steps
+        stepper._far_setup(times, fs, lo0)
+        far, k0, G = stepper._far, stepper._Gk, stepper._G.astype(ld)
+        B, h = far.block, far.h
+        assert (B, span, k0) == (3, 3584, lo0 - K)
+        got = np.concatenate([stepper._far_sums(fs, lo, min(B, lo0 + span - lo))
+                              for lo in range(lo0, lo0 + span, B)])
+        sl, c, ef = far.sl.astype(ld), far.c.astype(ld), far.ef.astype(ld)
+        off = K + 1 + h
+        W = far.W.astype(ld)
+        W[off:] = (c * ef) @ np.exp(-np.multiply.outer(sl, np.arange(len(W) - off, dtype=ld)))
+        n = np.arange(lo0, lo0 + span)
+        state = (c * G) @ np.exp(-np.multiply.outer(sl, (n - K - k0).astype(ld)))
+        want = state + [W[m - np.arange(k0 - h, m)] @ fs[k0 - h:m].astype(ld) for m in n]
+        assert np.abs(got - want).max() <= 1.5e-15 * np.abs(want).max()
+
+    def test_far_blocks_end_at_span_ends(self, monkeypatch):
+        # q varies only for t in [0.3, 0.45], so the spans of p and q that
+        # hold steps 1200 .. 1800 are stepped a far block at a time, and the
+        # 408-step spans at NI = 4 are no whole number of 32-step blocks.
+        # A stepped block ends at its span's end, switch + j span, so that
+        # every span of p and q is a span of the state's checkpoints and
+        # the spans past the varying stretch are solved at once again, from
+        # step 1833 on
+        steps, calls, solved = 4000, [], []
+        step, solve_block = _Stepper.step, _Stepper._solve_far_block
+
+        def recorded(self, times, values, fs, ring, lo):
+            hi = step(self, times, values, fs, ring, lo)
+            if lo >= self._switch:
+                calls.append((lo, hi))
+            return hi
+
+        def counted(self, times, fs, lo, hi, *args):
+            solved.append((lo, hi))
+            return solve_block(self, times, fs, lo, hi, *args)
+
+        monkeypatch.setattr(_Stepper, "step", recorded)
+        monkeypatch.setattr(_Stepper, "_solve_far_block", counted)
+        problem = Problem(kind="caputo", alpha=0.5, lam=0.0, a=0.0, b=1.0, init=(1.0,),
+                          rhs=lambda t, u: math.cos(t) - (0.5 + min(max(t - 0.3, 0.0), 0.15)) * u,
+                          affine=(np.cos, lambda t: -0.5 - np.clip(t - 0.3, 0.0, 0.15)))
+        solve(problem, SolverConfig(steps=steps, n_interp=4))
+        stepper = _Stepper(problem, SolverConfig(steps=steps, n_interp=4))
+        switch, span = stepper._switch, stepper._span
+        assert (switch, span) == (201, 408)
+        ends = set(range(switch + span, steps + 1, span)) | {steps + 1}
+        assert all(hi in ends for _, hi in solved)
+        assert all((lo - switch) // span == (hi - 1 - switch) // span for lo, hi in calls)
+        assert (1833, 2241) in solved and calls[-1][1] == steps + 1
 
     @pytest.mark.parametrize("n_interp", [7, 4])
     def test_state_checkpoints_are_shared_by_every_path(self, n_interp, monkeypatch):
